@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify bench bench-authserve bench-all bench-smoke fleet-bench fuzz serve-smoke watch-smoke datasetgen-smoke
+.PHONY: all build test verify perfbench-test bench bench-authserve bench-all bench-smoke fleet-bench fuzz serve-smoke watch-smoke datasetgen-smoke
 
 all: build test
 
@@ -25,6 +25,12 @@ verify:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 	$(GO) test -race ./...
+
+# The benchmark (perfbench/, see BENCHMARK.json) is its own module, so the
+# root `go test ./...` never reaches it; vet and test it against this
+# tree's packages, which it imports.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test .
 
 # Perf trajectory: run the fleet enrollment/evaluation benchmarks with
 # -benchmem and record name -> ns/op, B/op, allocs/op in BENCH_fleet.json,
@@ -83,12 +89,13 @@ bench-smoke:
 fleet-bench:
 	$(GO) test -run xxx -bench 'BenchmarkFleetEnroll' -benchtime 10x .
 
-# Fuzz the verifier snapshot decoder and the shard-corpus decoders against
-# hostile bytes (CI runs these for short bursts; crashes land under the
-# packages' testdata/fuzz directories).
+# Fuzz the verifier snapshot decoder, the WAL replay recovery runs, and
+# the shard-corpus decoders against hostile bytes (CI runs these for short
+# bursts; crashes land under the packages' testdata/fuzz directories).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run FuzzLoadVerifier -fuzz FuzzLoadVerifier -fuzztime $(FUZZTIME) ./internal/auth
+	$(GO) test -run FuzzReplayLog -fuzz FuzzReplayLog -fuzztime $(FUZZTIME) ./internal/auth
 	$(GO) test -run FuzzShardBin -fuzz FuzzShardBin -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run FuzzManifest -fuzz FuzzManifest -fuzztime $(FUZZTIME) ./internal/dataset
 

@@ -10,7 +10,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,6 +24,7 @@ import (
 	"ropuf/internal/core"
 	"ropuf/internal/fleet"
 	"ropuf/internal/obs"
+	"ropuf/internal/tracestat"
 )
 
 // runLoadgen drives a running authserve instance with a synthetic device
@@ -196,18 +197,16 @@ func runLoadgen(ctx context.Context, args []string) error {
 		float64(len(devices))/enrollElapsed.Seconds())
 
 	if *mode == "enroll" {
-		sort.Slice(enrollLat, func(i, j int) bool { return enrollLat[i] < enrollLat[j] })
-		pct := func(p float64) time.Duration {
-			return enrollLat[min(int(p*float64(len(enrollLat))), len(enrollLat)-1)]
-		}
+		slices.Sort(enrollLat)
+		p50, p99 := tracestat.Percentile(enrollLat, 0.50), tracestat.Percentile(enrollLat, 0.99)
 		fmt.Printf("  latency p50 %s  p90 %s  p99 %s  max %s\n",
-			pct(0.50).Round(time.Microsecond), pct(0.90).Round(time.Microsecond),
-			pct(0.99).Round(time.Microsecond), enrollLat[len(enrollLat)-1].Round(time.Microsecond))
+			p50.Round(time.Microsecond), tracestat.Percentile(enrollLat, 0.90).Round(time.Microsecond),
+			p99.Round(time.Microsecond), enrollLat[len(enrollLat)-1].Round(time.Microsecond))
 		results := map[string]benchfmt.Result{
 			"BenchmarkAuthserveEnroll": {Iterations: int64(len(devices)),
 				NsPerOp: float64(enrollElapsed.Nanoseconds()) / float64(len(devices))},
-			"BenchmarkAuthserveEnrollLatencyP50": {Iterations: int64(len(devices)), NsPerOp: float64(pct(0.50))},
-			"BenchmarkAuthserveEnrollLatencyP99": {Iterations: int64(len(devices)), NsPerOp: float64(pct(0.99))},
+			"BenchmarkAuthserveEnrollLatencyP50": {Iterations: int64(len(devices)), NsPerOp: float64(p50)},
+			"BenchmarkAuthserveEnrollLatencyP99": {Iterations: int64(len(devices)), NsPerOp: float64(p99)},
 		}
 		for _, name := range []string{"BenchmarkAuthserveEnroll",
 			"BenchmarkAuthserveEnrollLatencyP50", "BenchmarkAuthserveEnrollLatencyP99"} {
@@ -322,16 +321,16 @@ func runLoadgen(ctx context.Context, args []string) error {
 	for _, l := range latencies {
 		all = append(all, l...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) time.Duration { return all[min(int(p*float64(len(all))), len(all)-1)] }
+	slices.Sort(all)
+	p50, p99 := tracestat.Percentile(all, 0.50), tracestat.Percentile(all, 0.99)
 	rps := float64(len(all)) / verifyElapsed.Seconds()
 	fmt.Printf("verified %d responses in %s — %.0f verify/s (%d workers)\n",
 		len(all), verifyElapsed.Round(time.Millisecond), rps, *concurrency)
 	fmt.Printf("  accepted %d  rejected %d  throttled(429) %d  transport errors %d\n",
 		accepted.Load(), rejected.Load(), throttled.Load(), transport.Load())
 	fmt.Printf("  latency p50 %s  p90 %s  p99 %s  max %s\n",
-		pct(0.50).Round(time.Microsecond), pct(0.90).Round(time.Microsecond),
-		pct(0.99).Round(time.Microsecond), all[len(all)-1].Round(time.Microsecond))
+		p50.Round(time.Microsecond), tracestat.Percentile(all, 0.90).Round(time.Microsecond),
+		p99.Round(time.Microsecond), all[len(all)-1].Round(time.Microsecond))
 	if transport.Load() > 0 {
 		return fmt.Errorf("loadgen: %d requests failed at the transport layer", transport.Load())
 	}
@@ -341,8 +340,8 @@ func runLoadgen(ctx context.Context, args []string) error {
 			NsPerOp: float64(enrollElapsed.Nanoseconds()) / float64(len(devices))},
 		"BenchmarkAuthserveVerify": {Iterations: int64(len(all)),
 			NsPerOp: float64(verifyElapsed.Nanoseconds()) / float64(len(all))},
-		"BenchmarkAuthserveVerifyLatencyP50": {Iterations: int64(len(all)), NsPerOp: float64(pct(0.50))},
-		"BenchmarkAuthserveVerifyLatencyP99": {Iterations: int64(len(all)), NsPerOp: float64(pct(0.99))},
+		"BenchmarkAuthserveVerifyLatencyP50": {Iterations: int64(len(all)), NsPerOp: float64(p50)},
+		"BenchmarkAuthserveVerifyLatencyP99": {Iterations: int64(len(all)), NsPerOp: float64(p99)},
 	}
 	for _, name := range []string{"BenchmarkAuthserveEnroll", "BenchmarkAuthserveVerify",
 		"BenchmarkAuthserveVerifyLatencyP50", "BenchmarkAuthserveVerifyLatencyP99"} {

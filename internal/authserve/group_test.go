@@ -1,6 +1,7 @@
 package authserve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"ropuf/internal/auth"
 	"ropuf/internal/core"
 	"ropuf/internal/fleet"
+	"ropuf/internal/recordio"
 )
 
 // gateCommitter blocks the wal's committer goroutine inside its first
@@ -64,7 +66,7 @@ func waitForWaiters(t *testing.T, w *wal, n int64) {
 func TestGroupCommitBatching(t *testing.T) {
 	const queued = 16
 	path := filepath.Join(t.TempDir(), "shard.wal")
-	w, _, _, err := openWAL(path, FsyncAlways)
+	w, _, _, err := openWAL(path, FsyncAlways, replayTarget(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +114,9 @@ func TestGroupCommitBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, valid, err := scanWAL(data)
-	if err != nil || len(recs) != queued+1 || valid != int64(len(data)) {
-		t.Fatalf("on disk: %d records, valid %d of %d bytes, err %v", len(recs), valid, len(data), err)
+	recs, valid := frames(t, data)
+	if len(recs) != queued+1 || valid != int64(len(data)) {
+		t.Fatalf("on disk: %d records, valid %d of %d bytes", len(recs), valid, len(data))
 	}
 }
 
@@ -123,7 +125,7 @@ func TestGroupCommitBatching(t *testing.T) {
 // including a batch already mid-commit — and must return nil once
 // everything queued is durable.
 func TestGroupCommitFlushBarrier(t *testing.T) {
-	w, _, _, err := openWAL(filepath.Join(t.TempDir(), "shard.wal"), FsyncAlways)
+	w, _, _, err := openWAL(filepath.Join(t.TempDir(), "shard.wal"), FsyncAlways, replayTarget(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +176,7 @@ func TestGroupCommitFlushBarrier(t *testing.T) {
 // prefix, and latch the log broken for all future work.
 func TestGroupCommitFailureFailsWholeBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard.wal")
-	w, _, _, err := openWAL(path, FsyncAlways)
+	w, _, _, err := openWAL(path, FsyncAlways, replayTarget(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +218,7 @@ func TestGroupCommitFailureFailsWholeBatch(t *testing.T) {
 	if err := w.flush(); !errors.Is(err, ErrWALBroken) {
 		t.Fatalf("flush after failed commit = %v, want ErrWALBroken", err)
 	}
-	if got := w.committedSize(); got != committed+int64(walHeaderLen+len(mustConsume(t, "lead", []int{1}))) {
+	if got := w.committedSize(); got != committed+int64(recordio.HeaderLen+len(mustConsume(t, "lead", []int{1}))) {
 		t.Fatalf("committed size %d after failed batch, want the pre-failure prefix", got)
 	}
 	w.close()
@@ -242,10 +244,7 @@ func TestGroupCommitIsolatedRecordFailure(t *testing.T) {
 
 	sh := store.shards[0]
 	victim := devices[1].ID
-	sh.wal.failPayload = func(p []byte) bool {
-		rec, err := decodeWALPayload(p)
-		return err == nil && rec.id == victim
-	}
+	sh.wal.failPayload = func(p []byte) bool { return recordID(p) == victim }
 	// Park the committer behind a throwaway enroll so all three racing
 	// enrolls below land in one batch.
 	_, parked, release := gateCommitter(sh.wal)
@@ -311,34 +310,37 @@ func TestGroupCommitIsolatedRecordFailure(t *testing.T) {
 // log appendable.
 func TestKill9MidBatchPrefixRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard.wal")
-	var frames [][]byte
+	ids := []string{"dev-0", "dev-1", "dev-2", "dev-3", "dev-4", "after"}
+	var framed [][]byte
 	var whole []byte
 	for i := 0; i < 5; i++ {
-		f := walFrame(mustConsume(t, fmt.Sprintf("dev-%d", i), []int{i}))
-		frames = append(frames, f)
+		f := recordio.Append(nil, mustConsume(t, ids[i], []int{i}))
+		framed = append(framed, f)
 		whole = append(whole, f...)
 	}
 	// Records 0-1 were an acknowledged earlier commit; records 2-4 are
 	// one in-flight batch the crash cut mid-record-3.
-	cut := len(frames[0]) + len(frames[1]) + len(frames[2]) + len(frames[3])/2
+	cut := len(framed[0]) + len(framed[1]) + len(framed[2]) + len(framed[3])/2
 	if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	w, recs, torn, err := openWAL(path, FsyncAlways)
+	v := replayTarget(t, ids...)
+	w, recs, torn, err := openWAL(path, FsyncAlways, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantValid := int64(len(frames[0]) + len(frames[1]) + len(frames[2]))
-	if len(recs) != 3 || w.committedSize() != wantValid {
+	wantValid := int64(len(framed[0]) + len(framed[1]) + len(framed[2]))
+	if recs != 3 || w.committedSize() != wantValid {
 		t.Fatalf("recovered %d records, prefix %d; want 3 records, prefix %d (record-aligned cut inside the batch)",
-			len(recs), w.committedSize(), wantValid)
+			recs, w.committedSize(), wantValid)
 	}
 	if torn != int64(cut)-wantValid {
 		t.Fatalf("torn bytes %d, want %d", torn, int64(cut)-wantValid)
 	}
-	if recs[2].id != "dev-2" {
-		t.Fatalf("third recovered record is %q, want dev-2 (first record of the torn batch)", recs[2].id)
+	if consumed(t, v, "dev-2") != 1 || consumed(t, v, "dev-3") != 0 {
+		t.Fatalf("dev-2/dev-3 consumed %d/%d pairs, want 1/0 (the torn batch's first record survives, its cut one does not)",
+			consumed(t, v, "dev-2"), consumed(t, v, "dev-3"))
 	}
 	// The log continues from the truncated prefix.
 	if err := w.appendSync(mustConsume(t, "after", []int{9})); err != nil {
@@ -346,9 +348,9 @@ func TestKill9MidBatchPrefixRecovery(t *testing.T) {
 	}
 	w.close()
 	data, _ := os.ReadFile(path)
-	recs, valid, err := scanWAL(data)
-	if err != nil || len(recs) != 4 || valid != int64(len(data)) {
-		t.Fatalf("after post-crash append: %d records, valid %d of %d, err %v", len(recs), valid, len(data), err)
+	payloads, valid := frames(t, data)
+	if len(payloads) != 4 || valid != int64(len(data)) {
+		t.Fatalf("after post-crash append: %d records, valid %d of %d", len(payloads), valid, len(data))
 	}
 }
 
@@ -531,9 +533,22 @@ func TestConcurrentWALReplayEquivalence(t *testing.T) {
 // mustConsume is a test helper for building WAL payloads.
 func mustConsume(t *testing.T, id string, pairs []int) []byte {
 	t.Helper()
-	p, err := encodeConsumeRecord(id, pairs)
+	p, err := auth.AppendConsumeRecord(nil, id, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// recordID reads the device ID out of a WAL payload: every auth mutation
+// record starts with a type byte and a u16le-length-prefixed ID.
+func recordID(p []byte) string {
+	if len(p) < 3 {
+		return ""
+	}
+	end := 3 + int(binary.LittleEndian.Uint16(p[1:3]))
+	if end > len(p) {
+		return ""
+	}
+	return string(p[3:end])
 }

@@ -45,11 +45,14 @@
 // enroll record whose device is already in the snapshot is skipped, a
 // consume record re-marks already-consumed pairs — so the crash window
 // between a compaction's snapshot rename and its log truncation is safe.
-// A background compactor (compact.go) folds logs past a size threshold
-// into the auth.Save snapshot format: snapshot is written durably first
-// (temp file, fsync, rename, directory fsync — under FsyncAlways the
-// crash leaves either the old or the new snapshot, both with enough log
-// to reconstruct the state), then the log is truncated.
+// Snapshot and log are one format: a shard snapshot (shard-NNNN.snap,
+// auth.Save) is the log compacted to one enroll record per device plus
+// one consume record per device with consumed pairs, and both load
+// through auth's one record decoder. A background compactor (compact.go)
+// folds logs past a size threshold into the snapshot: snapshot is written
+// durably first (temp file, fsync, rename, directory fsync — under
+// FsyncAlways the crash leaves either the old or the new snapshot, both
+// with enough log to reconstruct the state), then the log is truncated.
 //
 // Outstanding challenge IDs are deliberately NOT persisted: a restart
 // invalidates every issued-but-unverified challenge, so responses to
@@ -61,6 +64,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -72,6 +76,7 @@ import (
 	"ropuf/internal/bits"
 	"ropuf/internal/core"
 	"ropuf/internal/obs"
+	"ropuf/internal/recordio"
 	"ropuf/internal/rngx"
 )
 
@@ -238,7 +243,9 @@ type manifestJSON struct {
 	Tolerance float64 `json:"tolerance"`
 }
 
-const manifestVersion = 1
+// manifestVersion 2 marks shard snapshots in the record-log format;
+// version 1 directories held JSON snapshots and are refused.
+const manifestVersion = 2
 
 // Open creates the store, recovering state from opt.Dir: each shard loads
 // its snapshot (if any), then replays its write-ahead log over it. The
@@ -309,68 +316,18 @@ func Open(opt StoreOptions) (*Store, error) {
 	var replayed, tornBytes, restored int64
 	parent := rngx.New(opt.Seed)
 	for i := range s.shards {
-		sh := &shard{
-			nonceRNG:    parent.Split(),
-			outstanding: make(map[string]*auth.Challenge),
-			stats:       make(map[string]*devStats),
-			label:       fmt.Sprintf("%04d", i),
-			syncWrites:  opt.Fsync == FsyncAlways,
+		sh, records, torn, err := s.openShard(i, parent)
+		if err != nil {
+			// Close the logs of the shards already open: each holds a file
+			// and, under FsyncAlways, a committer goroutine.
+			s.Close()
+			return nil, err
 		}
-		if opt.Dir != "" {
-			sh.path = filepath.Join(opt.Dir, fmt.Sprintf("shard-%04d.json", i))
-		}
-		if sh.path != "" {
-			if f, err := os.Open(sh.path); err == nil {
-				v, lerr := auth.LoadVerifier(f, parent.Split())
-				f.Close()
-				if lerr != nil {
-					return nil, fmt.Errorf("authserve: loading %s: %w", sh.path, lerr)
-				}
-				if v.Tolerance != opt.Tolerance {
-					return nil, fmt.Errorf("authserve: %s has tolerance %g, store wants %g", sh.path, v.Tolerance, opt.Tolerance)
-				}
-				sh.v = v
-			} else if !errors.Is(err, os.ErrNotExist) {
-				return nil, fmt.Errorf("authserve: loading %s: %w", sh.path, err)
-			}
-		}
-		if sh.v == nil {
-			v, err := auth.NewVerifier(opt.Tolerance, parent.Split())
-			if err != nil {
-				return nil, fmt.Errorf("authserve: %w", err)
-			}
-			sh.v = v
-		}
-		if opt.Dir != "" {
-			w, recs, torn, err := openWAL(walPathFor(opt.Dir, i), opt.Fsync)
-			if err != nil {
-				return nil, err
-			}
-			w.onFsync = func(d time.Duration) { s.walFsyncDur.Observe(d.Seconds()) }
-			// Runs on the shard's committer goroutine after each
-			// successful group commit; size bookkeeping and the
-			// compaction kick moved here because only the committer
-			// knows when queued bytes become committed bytes.
-			w.onCommit = func(records int, _, size int64, d time.Duration) {
-				sh.walSize.Store(size)
-				s.walGroupRecords.Observe(float64(records))
-				s.walGroupDur.Observe(d.Seconds())
-				if s.compact != nil && size >= s.opt.CompactBytes {
-					s.compact.kick()
-				}
-			}
-			if err := replayWAL(sh.v, recs, w.path); err != nil {
-				w.close()
-				return nil, err
-			}
-			sh.wal = w
-			sh.walSize.Store(w.size)
-			replayed += int64(len(recs))
-			tornBytes += torn
-		}
+		s.shards[i] = sh
+		replayed += int64(records)
+		tornBytes += torn
 		restored += int64(sh.v.NumDevices())
 		s.shardDevices.With(sh.label).Set(float64(sh.v.NumDevices()))
-		s.shards[i] = sh
 	}
 	span.SetAttr("records", strconv.FormatInt(replayed, 10))
 	span.SetAttr("torn_bytes", strconv.FormatInt(tornBytes, 10))
@@ -382,31 +339,59 @@ func Open(opt StoreOptions) (*Store, error) {
 	return s, nil
 }
 
-// replayWAL re-applies one shard's recovered records. Replay must be
-// idempotent against the shard snapshot: a compaction crash can leave a
-// snapshot that already contains a prefix of the log (see the package
-// durability model), so duplicate enrolls are skipped and consume records
-// re-mark pairs harmlessly. A consume record for a device in neither the
-// snapshot nor an earlier record, or naming an out-of-range pair, cannot
-// come from any crash ordering and fails recovery loudly.
-func replayWAL(v *auth.Verifier, recs []walRecord, path string) error {
-	for n, rec := range recs {
-		switch rec.typ {
-		case walRecEnroll:
-			enr, err := core.LoadEnrollmentBinary(rec.enr)
+// openShard recovers shard i — its snapshot if one exists, then its
+// write-ahead log replayed over it — and returns the records replayed and
+// the torn bytes discarded.
+func (s *Store) openShard(i int, parent *rngx.RNG) (sh *shard, replayed int, torn int64, err error) {
+	opt := s.opt
+	sh = &shard{
+		nonceRNG:    parent.Split(),
+		outstanding: make(map[string]*auth.Challenge),
+		stats:       make(map[string]*devStats),
+		label:       fmt.Sprintf("%04d", i),
+		syncWrites:  opt.Fsync == FsyncAlways,
+	}
+	if opt.Dir != "" {
+		sh.path = filepath.Join(opt.Dir, fmt.Sprintf("shard-%04d.snap", i))
+		if f, err := os.Open(sh.path); err == nil {
+			sh.v, err = auth.LoadVerifier(f, parent.Split())
+			f.Close()
 			if err != nil {
-				return fmt.Errorf("authserve: %s record %d (enroll %q): %w", path, n, rec.id, err)
+				return nil, 0, 0, fmt.Errorf("authserve: loading %s: %w", sh.path, err)
 			}
-			if err := v.ApplyEnroll(rec.id, enr); err != nil && !errors.Is(err, auth.ErrDuplicateDevice) {
-				return fmt.Errorf("authserve: %s record %d: %w", path, n, err)
+			if sh.v.Tolerance != opt.Tolerance {
+				return nil, 0, 0, fmt.Errorf("authserve: %s has tolerance %g, store wants %g", sh.path, sh.v.Tolerance, opt.Tolerance)
 			}
-		case walRecConsume:
-			if err := v.MarkUsed(rec.id, rec.pairs); err != nil {
-				return fmt.Errorf("authserve: %s record %d: %w", path, n, err)
-			}
+		} else if !errors.Is(err, os.ErrNotExist) {
+			return nil, 0, 0, fmt.Errorf("authserve: loading %s: %w", sh.path, err)
 		}
 	}
-	return nil
+	if sh.v == nil {
+		if sh.v, err = auth.NewVerifier(opt.Tolerance, parent.Split()); err != nil {
+			return nil, 0, 0, fmt.Errorf("authserve: %w", err)
+		}
+	}
+	if opt.Dir == "" {
+		return sh, 0, 0, nil
+	}
+	sh.wal, replayed, torn, err = openWAL(walPathFor(opt.Dir, i), opt.Fsync, sh.v)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	sh.wal.onFsync = func(d time.Duration) { s.walFsyncDur.Observe(d.Seconds()) }
+	// Runs on the shard's committer goroutine after each successful group
+	// commit; size bookkeeping and the compaction kick live here because
+	// only the committer knows when queued bytes become committed bytes.
+	sh.wal.onCommit = func(records int, _, size int64, d time.Duration) {
+		sh.walSize.Store(size)
+		s.walGroupRecords.Observe(float64(records))
+		s.walGroupDur.Observe(d.Seconds())
+		if s.compact != nil && size >= s.opt.CompactBytes {
+			s.compact.kick()
+		}
+	}
+	sh.walSize.Store(sh.wal.size)
+	return sh, replayed, torn, nil
 }
 
 // Close stops the background compactor and closes the shard WAL files.
@@ -419,6 +404,9 @@ func (s *Store) Close() error {
 		}
 		var errs []error
 		for _, sh := range s.shards {
+			if sh == nil {
+				continue // Open failed before this shard
+			}
 			sh.mu.Lock()
 			errs = append(errs, sh.wal.close())
 			sh.mu.Unlock()
@@ -435,7 +423,11 @@ func (s *Store) checkManifest() error {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		m := manifestJSON{Version: manifestVersion, Shards: s.opt.Shards, Tolerance: s.opt.Tolerance}
-		return atomicWriteJSON(path, m, s.opt.Fsync == FsyncAlways)
+		return atomicWrite(path, s.opt.Fsync == FsyncAlways, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(m)
+		})
 	}
 	if err != nil {
 		return fmt.Errorf("authserve: manifest: %w", err)
@@ -445,7 +437,8 @@ func (s *Store) checkManifest() error {
 		return fmt.Errorf("authserve: manifest: %w", err)
 	}
 	if m.Version != manifestVersion {
-		return fmt.Errorf("authserve: unsupported manifest version %d", m.Version)
+		return fmt.Errorf("authserve: data dir has manifest version %d, this build reads only version %d "+
+			"(version 1 held JSON shard snapshots)", m.Version, manifestVersion)
 	}
 	if m.Shards != s.opt.Shards {
 		return fmt.Errorf("authserve: data dir has %d shards, store configured for %d", m.Shards, s.opt.Shards)
@@ -522,7 +515,7 @@ func (s *Store) waitDurable(pend *walPending) error {
 // lookup per request.
 func (s *Store) recordAppended(rec *obs.Counter, payloadLen int) {
 	rec.Inc()
-	s.walBytes.Add(walHeaderLen + int64(payloadLen))
+	s.walBytes.Add(recordio.HeaderLen + int64(payloadLen))
 }
 
 // Enroll registers a device and, with persistence enabled, makes the
@@ -544,11 +537,7 @@ func (s *Store) Enroll(id string, pairs []core.Pair, mode core.Mode) (DeviceInfo
 	var pend *walPending
 	payloadLen := 0
 	if sh.wal != nil {
-		enc, err := rec.Enrollment.AppendBinary(nil)
-		var payload []byte
-		if err == nil {
-			payload, err = encodeEnrollRecord(id, enc)
-		}
+		payload, err := auth.AppendEnrollRecord(nil, id, rec.Enrollment)
 		if err == nil {
 			pend, err = s.submitLocked(sh, payload)
 			payloadLen = len(payload)
@@ -603,7 +592,7 @@ func (s *Store) Challenge(id string, k int) (string, *auth.Challenge, int, error
 	var pend *walPending
 	payloadLen := 0
 	if sh.wal != nil {
-		payload, perr := encodeConsumeRecord(id, ch.Pairs)
+		payload, perr := auth.AppendConsumeRecord(nil, id, ch.Pairs)
 		err = perr
 		if err == nil {
 			pend, err = s.submitLocked(sh, payload)
@@ -751,79 +740,41 @@ func (s *Store) SaveAll() error {
 	return errors.Join(errs...)
 }
 
-// persistLocked writes the shard's snapshot: temp file, fsync (policy
-// permitting), rename, parent-directory fsync. Under FsyncAlways a crash
-// at any point leaves either the old or the new snapshot durable on disk,
-// never a torn or vanished one — without the file and directory syncs the
-// rename could be reordered after the crash and surface an empty file.
-// The caller holds the shard lock. Empty shards are skipped (no file
-// until the first device lands).
+// persistLocked writes the shard's snapshot through atomicWrite. The
+// caller holds the shard lock. Empty shards are skipped (no file until
+// the first device lands).
 func (sh *shard) persistLocked() error {
 	if sh.path == "" || sh.v.NumDevices() == 0 {
 		return nil
 	}
-	tmp := sh.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := atomicWrite(sh.path, sh.syncWrites, sh.v.Save); err != nil {
 		return fmt.Errorf("authserve: snapshot: %w", err)
-	}
-	if err := sh.v.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("authserve: snapshot: %w", err)
-	}
-	if sh.syncWrites {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("authserve: snapshot fsync: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("authserve: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, sh.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("authserve: snapshot: %w", err)
-	}
-	if sh.syncWrites {
-		if err := syncDir(filepath.Dir(sh.path)); err != nil {
-			return fmt.Errorf("authserve: snapshot dir fsync: %w", err)
-		}
 	}
 	return nil
 }
 
-// atomicWriteJSON marshals v and writes it with the same temp-file +
-// fsync + rename + directory-fsync discipline as shard snapshots.
-func atomicWriteJSON(path string, v any, sync bool) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
+// atomicWrite replaces path with what write produces: temp file, fsync
+// (when sync), rename, parent-directory fsync. With sync a crash at any
+// point leaves either the old or the new file durable on disk, never a
+// torn or vanished one — without the file and directory syncs the rename
+// could be reordered after the crash and surface an empty file.
+func atomicWrite(path string, sync bool, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = write(f)
+	if err == nil && sync {
+		err = f.Sync()
 	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -234,6 +236,79 @@ func TestOpenOptionMismatch(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesV1DataDir pins the format cut-over: a version-1 data
+// directory held JSON shard snapshots, which this build no longer reads,
+// so Open refuses it by name instead of misreading its snapshots.
+func TestOpenRefusesV1DataDir(t *testing.T) {
+	dir := t.TempDir()
+	manifest := `{"version": 1, "shards": 4, "tolerance": 0.1}`
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(StoreOptions{Shards: 4, Tolerance: 0.1, Dir: dir})
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Open on a version-1 data dir = %v, want an error naming version 1", err)
+	}
+}
+
+// openFDs counts this process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	return len(fds)
+}
+
+// TestOpenFailureReleasesShards pins that a failed Open closes every
+// shard it had already opened: each open shard holds its WAL file and,
+// under FsyncAlways, a committer goroutine, and a caller handed an error
+// has no Store to Close.
+func TestOpenFailureReleasesShards(t *testing.T) {
+	dir := t.TempDir()
+	opt := StoreOptions{Shards: 4, Dir: dir}
+	store, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	devices, err := fleet.Synthetic(32, 8, 5, 0x1EA4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range devices {
+		if _, err := store.Enroll(d.ID, d.Pairs, core.Case2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if store.shards[3].v.NumDevices() == 0 {
+		t.Fatal("no device landed on the last shard")
+	}
+	if err := store.SaveAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The last shard fails to load, after shards 0-2 opened their WALs.
+	if err := corruptFile(filepath.Join(dir, "shard-0003.snap")); err != nil {
+		t.Fatal(err)
+	}
+
+	goroutines, fds := runtime.NumGoroutine(), openFDs(t)
+	if _, err := Open(opt); err == nil {
+		t.Fatal("corrupted snapshot accepted")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines || openFDs(t) > fds {
+		if time.Now().After(deadline) {
+			t.Fatalf("failed Open leaked: goroutines %d -> %d, fds %d -> %d",
+				goroutines, runtime.NumGoroutine(), fds, openFDs(t))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestCorruptSnapshotRejected pins that Open surfaces a decodable error
 // for a torn or corrupted shard file instead of silently dropping devices.
 func TestCorruptSnapshotRejected(t *testing.T) {
@@ -256,7 +331,7 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 	if err := store.SaveAll(); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "shard-*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, "shard-*.snap"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no shard snapshots written: %v %v", files, err)
 	}
@@ -440,7 +515,7 @@ func TestMidCompactionCrashRestart(t *testing.T) {
 	if err := store.SaveAll(); err != nil {
 		t.Fatal(err)
 	}
-	snaps, _ := filepath.Glob(filepath.Join(dir, "shard-*.json"))
+	snaps, _ := filepath.Glob(filepath.Join(dir, "shard-*.snap"))
 	if len(snaps) == 0 {
 		t.Fatal("compaction wrote no snapshots")
 	}
@@ -616,7 +691,7 @@ func TestBackgroundCompaction(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "shard-0000.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "shard-0000.snap")); err != nil {
 		t.Fatalf("no snapshot after compaction: %v", err)
 	}
 	restored, err := Open(opt)

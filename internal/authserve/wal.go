@@ -1,16 +1,17 @@
 package authserve
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ropuf/internal/auth"
+	"ropuf/internal/recordio"
 )
 
 // Per-shard write-ahead log with group commit. Every mutation (enroll,
@@ -27,33 +28,24 @@ import (
 //
 // # Wire format
 //
-// A WAL file is a sequence of records, nothing else (no file header):
-//
-//	offset 0: payload length  uint32 little-endian, in [1, walMaxPayload]
-//	offset 4: payload CRC32-C uint32 little-endian (Castagnoli)
-//	offset 8: payload
-//
-// payload:
-//
-//	offset 0: record type     byte (walRecEnroll | walRecConsume)
-//	offset 1: device-ID length uint16 little-endian
-//	offset 3: device ID
-//	then, for walRecEnroll:  the device's binary core.Enrollment (rest)
-//	then, for walRecConsume: pair count uint32le, then count × uint32le indices
+// A WAL file is a bare sequence of package recordio frames, nothing else
+// (no file header). Each payload is one of auth's mutation records — an
+// enroll (device ID plus binary core.Enrollment) or a consume (device ID
+// plus the challenge's pair indices) — and recovery replays them through
+// auth.Verifier.ReplayLog, the same decoder and apply the shard snapshot
+// loads through.
 //
 // # Torn-tail rule
 //
-// A crash can tear the last record: fewer than 8 header bytes, a length
-// running past EOF, a zero length (preallocated/zeroed tail), or a
-// checksum mismatch. All of these end the valid prefix — recovery keeps
-// every record before the tear, truncates the file to the prefix, and
-// appends continue from there. A group commit only widens the tear
-// window, never changes the rule: the batch's records were written in
-// queue order and none of its waiters were acknowledged before the
-// batch's fsync returned, so losing any record-aligned suffix of a batch
-// loses only unacknowledged mutations. A record whose checksum verifies
-// but whose payload does not parse is NOT a tear; it means corruption
-// (or a foreign file) beyond what truncation may silently discard, and
+// recordio's torn-frame rule ends the valid prefix: recovery keeps every
+// record before the tear, truncates the file to the prefix, and appends
+// continue from there. A group commit only widens the tear window, never
+// changes the rule: the batch's records were written in queue order and
+// none of its waiters were acknowledged before the batch's fsync
+// returned, so losing any record-aligned suffix of a batch loses only
+// unacknowledged mutations. A record whose checksum verifies but whose
+// payload does not decode or apply is NOT a tear; it means corruption (or
+// a foreign file) beyond what truncation may silently discard, and
 // recovery fails loudly instead of dropping committed state.
 //
 // # Failure model
@@ -110,137 +102,11 @@ func (p FsyncPolicy) String() string {
 	return "always"
 }
 
-const (
-	walRecEnroll  byte = 1 // device ID + binary enrollment (core.AppendBinary)
-	walRecConsume byte = 2 // device ID + consumed pair indices
-
-	walHeaderLen  = 8
-	walMaxPayload = 64 << 20 // sanity bound; a real record is ≤ a few hundred KB
-)
-
-var walTable = crc32.MakeTable(crc32.Castagnoli)
-
 // ErrWALBroken reports a WAL latched unusable — a failed group commit or
 // an unrestorable tail after a failed synchronous write. Further
 // mutations on the shard are refused rather than risk acknowledging
 // writes that replay would discard (see the failure model above).
 var ErrWALBroken = errors.New("authserve: WAL broken, shard mutations disabled")
-
-// walRecord is one decoded log record.
-type walRecord struct {
-	typ   byte
-	id    string
-	enr   []byte // walRecEnroll: binary core.Enrollment
-	pairs []int  // walRecConsume: consumed pair indices
-}
-
-// encodeEnrollRecord builds the payload for a logged enrollment.
-func encodeEnrollRecord(id string, enrollment []byte) ([]byte, error) {
-	if len(id) > 0xFFFF {
-		return nil, fmt.Errorf("authserve: device ID %d bytes, WAL limit 65535", len(id))
-	}
-	p := make([]byte, 0, 3+len(id)+len(enrollment))
-	p = append(p, walRecEnroll)
-	p = binary.LittleEndian.AppendUint16(p, uint16(len(id)))
-	p = append(p, id...)
-	p = append(p, enrollment...)
-	return p, nil
-}
-
-// encodeConsumeRecord builds the payload for a logged challenge issuance.
-func encodeConsumeRecord(id string, pairs []int) ([]byte, error) {
-	if len(id) > 0xFFFF {
-		return nil, fmt.Errorf("authserve: device ID %d bytes, WAL limit 65535", len(id))
-	}
-	p := make([]byte, 0, 3+len(id)+4+4*len(pairs))
-	p = append(p, walRecConsume)
-	p = binary.LittleEndian.AppendUint16(p, uint16(len(id)))
-	p = append(p, id...)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(pairs)))
-	for _, i := range pairs {
-		if i < 0 {
-			return nil, fmt.Errorf("authserve: negative pair index %d", i)
-		}
-		p = binary.LittleEndian.AppendUint32(p, uint32(i))
-	}
-	return p, nil
-}
-
-// decodeWALPayload parses a checksum-verified payload. Errors here are
-// corruption, not tears — the caller must fail recovery, not truncate.
-func decodeWALPayload(p []byte) (walRecord, error) {
-	if len(p) < 3 {
-		return walRecord{}, fmt.Errorf("authserve: WAL payload %d bytes, need ≥3", len(p))
-	}
-	rec := walRecord{typ: p[0]}
-	idLen := int(binary.LittleEndian.Uint16(p[1:3]))
-	if 3+idLen > len(p) {
-		return walRecord{}, fmt.Errorf("authserve: WAL device-ID length %d overruns payload", idLen)
-	}
-	rec.id = string(p[3 : 3+idLen])
-	body := p[3+idLen:]
-	switch rec.typ {
-	case walRecEnroll:
-		rec.enr = body
-	case walRecConsume:
-		if len(body) < 4 {
-			return walRecord{}, errors.New("authserve: WAL consume record missing pair count")
-		}
-		n := int(binary.LittleEndian.Uint32(body[:4]))
-		if len(body[4:]) != 4*n {
-			return walRecord{}, fmt.Errorf("authserve: WAL consume record has %d index bytes, count says %d", len(body[4:]), 4*n)
-		}
-		rec.pairs = make([]int, n)
-		for i := range rec.pairs {
-			rec.pairs[i] = int(binary.LittleEndian.Uint32(body[4+4*i : 8+4*i]))
-		}
-	default:
-		return walRecord{}, fmt.Errorf("authserve: unknown WAL record type %d", rec.typ)
-	}
-	return rec, nil
-}
-
-// scanWAL walks the raw log bytes, returning every fully-valid record and
-// the length of the valid prefix. A torn tail (short header, bad length,
-// bad checksum) just ends the scan; a checksum-valid but unparseable
-// payload returns an error with the records decoded so far.
-func scanWAL(data []byte) (recs []walRecord, valid int64, err error) {
-	off := 0
-	for {
-		rest := data[off:]
-		if len(rest) < walHeaderLen {
-			return recs, int64(off), nil // torn or clean EOF
-		}
-		plen := int(binary.LittleEndian.Uint32(rest[:4]))
-		if plen == 0 || plen > walMaxPayload || walHeaderLen+plen > len(rest) {
-			return recs, int64(off), nil // torn length or truncated payload
-		}
-		payload := rest[walHeaderLen : walHeaderLen+plen]
-		if crc32.Checksum(payload, walTable) != binary.LittleEndian.Uint32(rest[4:8]) {
-			return recs, int64(off), nil // torn payload bytes
-		}
-		rec, derr := decodeWALPayload(payload)
-		if derr != nil {
-			return recs, int64(off), derr
-		}
-		recs = append(recs, rec)
-		off += walHeaderLen + plen
-	}
-}
-
-// walFrame frames a payload with its length + CRC header.
-func walFrame(payload []byte) []byte {
-	return appendWALFrame(nil, payload)
-}
-
-// appendWALFrame appends one framed record (header + payload) to dst.
-func appendWALFrame(dst, payload []byte) []byte {
-	var hdr [walHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, walTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
 
 // walBatch is the open group commit: every record submitted while the
 // committer is busy frames itself into buf, and all of the batch's
@@ -289,7 +155,6 @@ func (p *walPending) wait() error {
 // its own mutex.
 type wal struct {
 	f    *os.File
-	path string
 	sync bool // group-commit fsync per batch (FsyncAlways)
 
 	mu     sync.Mutex
@@ -329,31 +194,31 @@ type wal struct {
 	failPayload func([]byte) bool
 }
 
-// openWAL opens (creating if absent) a shard's log, truncates any torn
-// tail, starts the group committer (FsyncAlways only), and returns the
-// recovered records for replay plus how many torn bytes were discarded.
-func openWAL(path string, policy FsyncPolicy) (w *wal, recs []walRecord, torn int64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, 0, fmt.Errorf("authserve: reading WAL %s: %w", path, err)
-	}
-	recs, valid, err := scanWAL(data)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("authserve: WAL %s corrupt: %w", path, err)
-	}
+// openWAL opens (creating if absent) a shard's log, replays its records
+// into v, truncates any torn tail, and starts the group committer
+// (FsyncAlways only). It returns how many records were replayed and how
+// many torn bytes were discarded.
+func openWAL(path string, policy FsyncPolicy, v *auth.Verifier) (w *wal, replayed int, torn int64, err error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("authserve: opening WAL %s: %w", path, err)
+		return nil, 0, 0, fmt.Errorf("authserve: opening WAL %s: %w", path, err)
 	}
-	if valid < int64(len(data)) {
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, nil, 0, fmt.Errorf("authserve: truncating torn WAL tail %s: %w", path, err)
-		}
+	replayed, valid, err := v.ReplayLog(f)
+	if err != nil {
+		f.Close()
+		return nil, 0, 0, fmt.Errorf("authserve: WAL %s corrupt: %w", path, err)
+	}
+	st, err := f.Stat()
+	if err == nil && st.Size() > valid {
+		torn = st.Size() - valid
+		err = f.Truncate(valid)
+	}
+	if err != nil {
+		f.Close()
+		return nil, 0, 0, fmt.Errorf("authserve: truncating torn WAL tail %s: %w", path, err)
 	}
 	w = &wal{
 		f:         f,
-		path:      path,
 		size:      valid,
 		sync:      policy == FsyncAlways,
 		wake:      make(chan struct{}, 1),
@@ -364,7 +229,7 @@ func openWAL(path string, policy FsyncPolicy) (w *wal, recs []walRecord, torn in
 		w.started = true
 		go w.run()
 	}
-	return w, recs, int64(len(data)) - valid, nil
+	return w, replayed, torn, nil
 }
 
 // submit hands one record to the log. Called with the shard lock held.
@@ -385,7 +250,7 @@ func (w *wal) submit(payload []byte) (*walPending, error) {
 		if w.broken {
 			return nil, ErrWALBroken
 		}
-		w.syncBuf = appendWALFrame(w.syncBuf[:0], payload)
+		w.syncBuf = recordio.Append(w.syncBuf[:0], payload)
 		if _, err := w.f.Write(w.syncBuf); err != nil {
 			// Synchronous path: restore the clean tail; only an
 			// unrestorable tail latches broken (PR 6 semantics — nothing
@@ -420,7 +285,7 @@ func (w *wal) submit(payload []byte) (*walPending, error) {
 		}
 		b.failed[idx] = errors.New("authserve: WAL append failed (test hook)")
 	} else {
-		b.buf = appendWALFrame(b.buf, payload)
+		b.buf = recordio.Append(b.buf, payload)
 		b.records++
 	}
 	w.mu.Unlock()
@@ -430,17 +295,6 @@ func (w *wal) submit(payload []byte) (*walPending, error) {
 	default:
 	}
 	return &walPending{w: w, b: b, idx: idx}, nil
-}
-
-// appendSync submits one record and waits for its durability verdict —
-// the convenience path for tests and other single-record callers that
-// hold no shard lock.
-func (w *wal) appendSync(payload []byte) error {
-	pend, err := w.submit(payload)
-	if err != nil || pend == nil {
-		return err
-	}
-	return pend.wait()
 }
 
 // flush is the compaction barrier: it parks until every record submitted

@@ -1,60 +1,91 @@
 package authserve
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ropuf/internal/auth"
+	"ropuf/internal/core"
+	"ropuf/internal/fleet"
+	"ropuf/internal/recordio"
+	"ropuf/internal/rngx"
 )
 
-func TestWALRecordRoundTrip(t *testing.T) {
-	enrPayload, err := encodeEnrollRecord("dev-high-bit-ÿ", []byte(`{"version":1}`))
-	if err != nil {
-		t.Fatal(err)
+// appendSync submits one record and waits for its durability verdict,
+// for tests that hold no shard lock.
+func (w *wal) appendSync(payload []byte) error {
+	pend, err := w.submit(payload)
+	if err != nil || pend == nil {
+		return err
 	}
-	rec, err := decodeWALPayload(enrPayload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.typ != walRecEnroll || rec.id != "dev-high-bit-ÿ" || string(rec.enr) != `{"version":1}` {
-		t.Fatalf("enroll round-trip = %+v", rec)
-	}
+	return pend.wait()
+}
 
-	conPayload, err := encodeConsumeRecord("d", []int{0, 7, 1 << 20})
+// replayTarget returns a verifier for a WAL to replay into, with the
+// given devices enrolled (16 pairs each) so consume records for them
+// apply.
+func replayTarget(t *testing.T, ids ...string) *auth.Verifier {
+	t.Helper()
+	v, err := auth.NewVerifier(0.1, rngx.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err = decodeWALPayload(conPayload)
+	devices, err := fleet.Synthetic(1, 16, 5, 0x7E)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.typ != walRecConsume || rec.id != "d" ||
-		len(rec.pairs) != 3 || rec.pairs[0] != 0 || rec.pairs[1] != 7 || rec.pairs[2] != 1<<20 {
-		t.Fatalf("consume round-trip = %+v", rec)
+	for _, id := range ids {
+		if _, err := v.Enroll(id, devices[0].Pairs, core.Case2); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return v
+}
 
-	if _, err := encodeConsumeRecord("d", []int{-1}); err == nil {
-		t.Fatal("negative pair index encoded")
+// consumed returns how many of id's pairs v has marked used.
+func consumed(t *testing.T, v *auth.Verifier, id string) int {
+	t.Helper()
+	rec, err := v.Device(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := v.NumFresh(id)
+	return rec.Enrollment.NumBits() - fresh
+}
+
+// frames scans a WAL file's bytes with recordio alone, returning the
+// whole frames' payloads and the prefix they span.
+func frames(t *testing.T, data []byte) (payloads [][]byte, valid int64) {
+	t.Helper()
+	rd := recordio.NewReader(bytes.NewReader(data))
+	for {
+		p, err := rd.Next()
+		if err == io.EOF {
+			return payloads, rd.Offset()
+		}
+		if err != nil {
+			t.Fatalf("scanning WAL: %v", err)
+		}
+		payloads = append(payloads, append([]byte(nil), p...))
 	}
 }
 
-// TestScanWALTornTails is the torn-tail truncation table: every way a
-// crash can cut the log short must end the valid prefix without losing
-// the records before it, and genuine corruption (valid checksum, garbage
-// payload) must fail loudly instead.
+// TestScanWALTornTails runs the torn-tail table through WAL recovery
+// itself: every way a crash can cut the log short is truncated back to
+// the records before it, which replay; a frame whose checksum verifies
+// but whose payload is garbage fails recovery loudly and leaves the file
+// untouched. recordio's TestReaderTornTails covers the frame cases in
+// full.
 func TestScanWALTornTails(t *testing.T) {
-	p1, _ := encodeConsumeRecord("alpha", []int{1, 2})
-	p2, _ := encodeConsumeRecord("beta", []int{3})
-	r1, r2 := walFrame(p1), walFrame(p2)
+	r1 := recordio.Append(nil, mustConsume(t, "alpha", []int{1, 2}))
+	r2 := recordio.Append(nil, mustConsume(t, "beta", []int{3}))
 	both := append(append([]byte(nil), r1...), r2...)
-
 	corruptChecksum := append([]byte(nil), both...)
-	corruptChecksum[len(r1)+walHeaderLen] ^= 0xFF // flip a byte in r2's payload
-
-	hugeLen := append([]byte(nil), r1...)
-	hugeLen = append(hugeLen, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0)
-
-	zeroLen := append([]byte(nil), r1...)
-	zeroLen = append(zeroLen, make([]byte, walHeaderLen)...) // zeroed preallocated tail
+	corruptChecksum[len(r1)+recordio.HeaderLen] ^= 0xFF
+	zeroLen := append(append([]byte(nil), r1...), make([]byte, recordio.HeaderLen)...)
 
 	cases := []struct {
 		name      string
@@ -68,19 +99,36 @@ func TestScanWALTornTails(t *testing.T) {
 		{"partial header", both[:len(r1)+3], 1, int64(len(r1)), false},
 		{"partial payload", both[:len(both)-1], 1, int64(len(r1)), false},
 		{"corrupt checksum", corruptChecksum, 1, int64(len(r1)), false},
-		{"insane length", hugeLen, 1, int64(len(r1)), false},
 		{"zeroed tail", zeroLen, 1, int64(len(r1)), false},
-		{"mid-file garbage with valid frame", append(append([]byte(nil), walFrame([]byte{99, 0, 0})...), r1...), 0, 0, true},
+		{"mid-file garbage with valid frame", append(recordio.Append(nil, []byte{99, 0, 0}), r1...), 0, 0, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			recs, valid, err := scanWAL(tc.data)
+			path := filepath.Join(t.TempDir(), "shard.wal")
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			v := replayTarget(t, "alpha", "beta")
+			w, recs, torn, err := openWAL(path, FsyncAlways, v)
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("err = %v, wantErr %v", err, tc.wantErr)
 			}
-			if len(recs) != tc.wantRecs || valid != tc.wantValid {
-				t.Fatalf("got %d records, valid %d; want %d records, valid %d",
-					len(recs), valid, tc.wantRecs, tc.wantValid)
+			if err != nil {
+				if data, _ := os.ReadFile(path); !bytes.Equal(data, tc.data) {
+					t.Fatal("recovery refused the log but still changed the file")
+				}
+				return
+			}
+			defer w.close()
+			if recs != tc.wantRecs || w.committedSize() != tc.wantValid || torn != int64(len(tc.data))-tc.wantValid {
+				t.Fatalf("got %d records, valid %d, torn %d; want %d records, valid %d",
+					recs, w.committedSize(), torn, tc.wantRecs, tc.wantValid)
+			}
+			if fi, _ := os.Stat(path); fi.Size() != tc.wantValid {
+				t.Fatalf("file is %d bytes after recovery, want %d", fi.Size(), tc.wantValid)
+			}
+			if tc.wantRecs > 0 && consumed(t, v, "alpha") != 2 {
+				t.Fatalf("alpha has %d consumed pairs after replay, want 2", consumed(t, v, "alpha"))
 			}
 		})
 	}
@@ -91,50 +139,50 @@ func TestScanWALTornTails(t *testing.T) {
 // from the valid prefix so a second recovery sees old + new records.
 func TestOpenWALTruncatesAndAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard.wal")
-	p1, _ := encodeConsumeRecord("alpha", []int{1})
-	torn := append(walFrame(p1), 0xAB, 0xCD, 0xEF) // record + torn tail
+	torn := append(recordio.Append(nil, mustConsume(t, "alpha", []int{1})), 0xAB, 0xCD, 0xEF) // record + torn tail
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	w, recs, tornBytes, err := openWAL(path, FsyncAlways)
+	w, recs, tornBytes, err := openWAL(path, FsyncAlways, replayTarget(t, "alpha", "beta"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || tornBytes != 3 {
-		t.Fatalf("recovered %d records, %d torn bytes; want 1, 3", len(recs), tornBytes)
+	if recs != 1 || tornBytes != 3 {
+		t.Fatalf("recovered %d records, %d torn bytes; want 1, 3", recs, tornBytes)
 	}
 	if fi, _ := os.Stat(path); fi.Size() != w.committedSize() {
 		t.Fatalf("file is %d bytes after truncation, wal thinks %d", fi.Size(), w.committedSize())
 	}
 
-	p2, _ := encodeConsumeRecord("beta", []int{2, 3})
-	if err := w.appendSync(p2); err != nil {
+	if err := w.appendSync(mustConsume(t, "beta", []int{2, 3})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
 
-	_, recs, tornBytes, err = openWAL(path, FsyncAlways)
+	v := replayTarget(t, "alpha", "beta")
+	w, recs, tornBytes, err = openWAL(path, FsyncAlways, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || tornBytes != 0 {
-		t.Fatalf("after append: %d records, %d torn; want 2, 0", len(recs), tornBytes)
+	defer w.close()
+	if recs != 2 || tornBytes != 0 {
+		t.Fatalf("after append: %d records, %d torn; want 2, 0", recs, tornBytes)
 	}
-	if recs[1].id != "beta" || len(recs[1].pairs) != 2 {
-		t.Fatalf("appended record = %+v", recs[1])
+	if consumed(t, v, "beta") != 2 {
+		t.Fatalf("appended record replayed %d consumed pairs for beta, want 2", consumed(t, v, "beta"))
 	}
 }
 
 func TestWALReset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard.wal")
-	w, _, _, err := openWAL(path, FsyncAlways)
+	w, _, _, err := openWAL(path, FsyncAlways, replayTarget(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := encodeConsumeRecord("d", []int{1})
+	p := mustConsume(t, "d", []int{1})
 	if err := w.appendSync(p); err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +203,11 @@ func TestWALReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.close()
-	_, recs, _, err := openWAL(path, FsyncAlways)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("post-reset append: %d records, %v", len(recs), err)
+	w, recs, _, err := openWAL(path, FsyncAlways, replayTarget(t, "d"))
+	if err != nil || recs != 1 {
+		t.Fatalf("post-reset append: %d records, %v", recs, err)
 	}
+	w.close()
 }
 
 func TestParseFsyncPolicy(t *testing.T) {

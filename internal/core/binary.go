@@ -10,14 +10,14 @@ import (
 	"ropuf/internal/circuit"
 )
 
-// Binary enrollment codec. The JSON format (serialize.go) is the
-// archival/interchange representation; this is the hot-path one: the
-// authserve write-ahead log serializes an enrollment into every enroll
-// record, so encoding cost and record size are paid once per device
-// enrollment while holding the shard lock. The layout is little-endian
-// and bit-packs every boolean vector (configurations, mask, response),
-// which makes a record roughly 8x smaller than the equivalent JSON and
-// encodes without reflection:
+// Binary enrollment codec. A deployed verifier stores each device's
+// configurations, mask and reference bits (the margins are kept too — they
+// are enrollment-time diagnostics, not secrets usable without the
+// silicon). The authserve write-ahead log and the verifier snapshot carry
+// one encoded enrollment per enroll record, so encoding cost and record
+// size are paid once per device enrollment while holding the shard lock.
+// The layout is little-endian and bit-packs every boolean vector
+// (configurations, mask, response), and encodes without reflection:
 //
 //	magic(1) version(1) mode(1) threshold(f64)
 //	nSelections(u32) stages(u16)
@@ -26,12 +26,11 @@ import (
 //	               [x: ceil(stages/8)] [y: ceil(stages/8)]
 //	respBits(u32) response: ceil(respBits/8) bytes, LSB-first
 //
-// Both decoders funnel through the same semantic validation
-// (validateEnrollment), so a binary record admits exactly the states the
-// JSON loader admits.
+// The decoder funnels through validateEnrollment, so it admits exactly
+// the states Enroll can produce.
 
 const (
-	binaryMagic   = 0xE5 // first byte; JSON starts with '{', so misrouted payloads fail fast
+	binaryMagic   = 0xE5 // first byte, so misrouted payloads fail fast
 	binaryVersion = 1
 
 	// maxBinaryVectors caps decoded selection/response counts so hostile
@@ -118,7 +117,7 @@ func (e *Enrollment) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // LoadEnrollmentBinary decodes an enrollment written by AppendBinary and
-// applies the same semantic validation as the JSON loader.
+// validates it.
 func LoadEnrollmentBinary(data []byte) (*Enrollment, error) {
 	d := binCursor{data: data}
 	magic, version, mode := d.byte(), d.byte(), d.byte()
@@ -133,6 +132,12 @@ func LoadEnrollmentBinary(data []byte) (*Enrollment, error) {
 	}
 	if d.err != nil {
 		return nil, d.err
+	}
+	// Every selection takes at least 9 bytes (flags and margin): a count
+	// the remaining bytes cannot hold is truncation, caught before the
+	// count sizes an allocation.
+	if n > (len(d.data)-d.off)/9 {
+		return nil, errors.New("core: truncated binary enrollment")
 	}
 	e := &Enrollment{
 		Mode:       Mode(mode),
@@ -271,4 +276,61 @@ func (d *binCursor) packedBools(n int) []bool {
 		bs[i] = packed[i>>3]&(1<<(i&7)) != 0
 	}
 	return bs
+}
+
+// validateEnrollment is the semantic gate the decoder funnels through: a
+// decoded enrollment is admitted only if Enroll could have produced it.
+func validateEnrollment(e *Enrollment) error {
+	if e.Mode != Case1 && e.Mode != Case2 {
+		return fmt.Errorf("core: invalid mode %d", int(e.Mode))
+	}
+	if e.Threshold < 0 {
+		return fmt.Errorf("core: negative threshold %g", e.Threshold)
+	}
+	if len(e.Mask) != len(e.Selections) {
+		return fmt.Errorf("core: mask length %d != selections %d", len(e.Mask), len(e.Selections))
+	}
+	// A device has one physical ring length, so every stored configuration
+	// must share one stage count n (masked pairs store no configuration and
+	// are exempt). Mixed lengths mean the file was corrupted or hand-edited
+	// and would otherwise surface later as confusing per-pair Evaluate
+	// length errors — or silently mix ring sizes.
+	stageCount := -1
+	kept := 0
+	for i, sel := range e.Selections {
+		if sel.X != nil {
+			if len(sel.X) != len(sel.Y) {
+				return fmt.Errorf("core: selection %d config lengths differ (%d vs %d)", i, len(sel.X), len(sel.Y))
+			}
+			if stageCount == -1 {
+				stageCount = len(sel.X)
+			} else if len(sel.X) != stageCount {
+				return fmt.Errorf("core: selection %d has %d stages but earlier selections have %d (mixed ring sizes)",
+					i, len(sel.X), stageCount)
+			}
+		} else if e.Mask[i] {
+			return fmt.Errorf("core: selection %d kept by mask but has no configuration", i)
+		}
+		if e.Mask[i] {
+			kept++
+		}
+	}
+	if kept != e.Response.Len() {
+		return fmt.Errorf("core: mask keeps %d pairs but response has %d bits", kept, e.Response.Len())
+	}
+	if e.Response.Len() == 0 {
+		return errors.New("core: enrollment has no bits")
+	}
+	// Reference bits must match the stored selections' bits.
+	bi := 0
+	for i, sel := range e.Selections {
+		if !e.Mask[i] {
+			continue
+		}
+		if e.Response.Bit(bi) != sel.Bit {
+			return fmt.Errorf("core: response bit %d inconsistent with selection %d", bi, i)
+		}
+		bi++
+	}
+	return nil
 }

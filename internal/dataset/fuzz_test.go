@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"io"
 	"testing"
+
+	"ropuf/internal/recordio"
 )
 
 // fuzzSeedRecord frames one valid tiny board record — the known-good shape
@@ -27,12 +28,7 @@ func fuzzSeedRecord(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var framed []byte
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(body, castagnoli))
-	framed = append(framed, hdr[:]...)
-	return append(framed, body...)
+	return recordio.Append(nil, body)
 }
 
 // FuzzShardBin feeds arbitrary bytes to the framed-record decoder the way
@@ -54,12 +50,15 @@ func FuzzShardBin(f *testing.F) {
 	bad[len(bad)-1] ^= 0xFF
 	f.Add(bad)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bytes.NewReader(data)
-		var buf []byte
+		rd := recordio.NewReader(bytes.NewReader(data))
 		for {
-			b, rows, err := readBinBoard(br, &buf)
+			body, err := rd.Next()
 			if err != nil {
 				return // rejection is the expected outcome for garbage
+			}
+			b, rows, err := decodeBinBoard(body)
+			if err != nil {
+				return
 			}
 			n := len(b.X)
 			if len(b.Y) != n {
@@ -130,17 +129,19 @@ func FuzzManifest(f *testing.F) {
 // TestFuzzSeedsDecode keeps the happy-path fuzz seed honest: the framed
 // record must actually decode back to the board it encodes.
 func TestFuzzSeedsDecode(t *testing.T) {
-	seed := fuzzSeedRecord(t)
-	br := bytes.NewReader(seed)
-	var buf []byte
-	b, rows, err := readBinBoard(br, &buf)
+	rd := recordio.NewReader(bytes.NewReader(fuzzSeedRecord(t)))
+	body, err := rd.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, rows, err := decodeBinBoard(body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.ID != 7 || rows != 4 || len(b.Freq) != 2 {
 		t.Fatalf("seed decoded to board %d with %d rows, %d conditions", b.ID, rows, len(b.Freq))
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if _, err := rd.Next(); err != io.EOF {
 		t.Fatal("seed record has trailing bytes")
 	}
 }

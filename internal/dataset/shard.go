@@ -15,6 +15,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+
+	"ropuf/internal/recordio"
 )
 
 // Sharded on-disk corpus layout. A corpus directory holds
@@ -30,17 +32,20 @@ import (
 // layout is a pure inverse-free interleaving, no sort or merge needed.
 //
 // The CSV shard format is the WriteCSV row format (with header) restricted
-// to the shard's boards; the binary format frames one board per record:
+// to the shard's boards; the binary format is a magic string followed by
+// one package recordio frame per board:
 //
 //	magic "ROPUFDS1" (8 bytes, once per file)
-//	per board: u32le bodyLen  u32le crc32c(body)
+//	per board: one recordio frame (u32le length, u32le CRC32-C, body)
 //	  body: u32le id  u16le gridW  u16le gridH  u32le numROs  u16le numConds
 //	        numROs × (u16le x, u16le y)
 //	        per condition: i32le milliVolts  i32le deciCelsius
 //	                       numROs × f64le freq bits
 //
-// CRC32-C (Castagnoli) guards each binary record and — via the manifest —
-// every shard file of either format end to end. All decode paths bound
+// CRC32-C (Castagnoli) guards each binary record (its frame checksum)
+// and — via the manifest — every shard file of either format end to end.
+// A corpus is complete once its manifest exists, so a torn frame in a
+// shard is corruption, never a tail to truncate. All decode paths bound
 // their allocations before trusting any length field; hostile shard or
 // manifest bytes must produce loud errors, never panics or huge
 // allocations (FuzzShardBin / FuzzManifest).
@@ -77,7 +82,6 @@ const (
 	// allocation than these before validation.
 	maxShardROs     = 1 << 20
 	maxShardConds   = 1 << 12
-	maxRecordBytes  = 64 << 20
 	maxManifestSize = 16 << 20
 )
 
@@ -179,6 +183,8 @@ type ShardWriter struct {
 	shards []*shardFile
 	next   int
 	closed bool
+
+	body, frame []byte // binary record scratch, reused across boards
 }
 
 // NewShardWriter creates dir (if needed) and opens shards shard files of
@@ -245,7 +251,7 @@ func (w *ShardWriter) WriteBoard(b *Board) error {
 			err = s.cw.Error()
 		}
 	case FormatBin:
-		rows, err = writeBinBoard(s.bw, b)
+		rows, err = w.writeBinBoard(s.bw, b)
 	}
 	if err != nil {
 		return err
@@ -319,18 +325,17 @@ func (w *ShardWriter) Close() (*Manifest, error) {
 }
 
 // writeBinBoard frames one board record into bw and returns its row count.
-func writeBinBoard(bw *bufio.Writer, b *Board) (int64, error) {
-	body, err := appendBinBoard(nil, b)
+func (w *ShardWriter) writeBinBoard(bw *bufio.Writer, b *Board) (int64, error) {
+	body, err := appendBinBoard(w.body[:0], b)
 	if err != nil {
 		return 0, err
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(body, castagnoli))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return 0, err
+	w.body = body
+	if len(body) > recordio.MaxPayload {
+		return 0, fmt.Errorf("dataset: board %d record is %d bytes, limit %d", b.ID, len(body), recordio.MaxPayload)
 	}
-	if _, err := bw.Write(body); err != nil {
+	w.frame = recordio.Append(w.frame[:0], body)
+	if _, err := bw.Write(w.frame); err != nil {
 		return 0, err
 	}
 	return int64(len(b.Freq)) * int64(b.NumROs()), nil
@@ -511,7 +516,7 @@ func openCursor(path string, fi ShardInfo, format Format) (shardCursor, error) {
 	br := bufio.NewReaderSize(cr, 1<<16)
 	switch format {
 	case FormatBin:
-		cur := &binCursor{file: f, cr: cr, br: br, fi: fi}
+		cur := &binCursor{file: f, cr: cr, br: br, rd: recordio.NewReader(br), fi: fi}
 		if err := cur.readMagic(); err != nil {
 			f.Close()
 			return nil, err
@@ -555,10 +560,10 @@ type binCursor struct {
 	file   *os.File
 	cr     *crcReader
 	br     *bufio.Reader
+	rd     *recordio.Reader // frames from br, after the magic
 	fi     ShardInfo
 	boards int
 	rows   int64
-	buf    []byte
 }
 
 func (c *binCursor) readMagic() error {
@@ -573,7 +578,14 @@ func (c *binCursor) readMagic() error {
 }
 
 func (c *binCursor) next() (*Board, error) {
-	b, rows, err := readBinBoard(c.br, &c.buf)
+	body, err := c.rd.Next()
+	if err == io.EOF {
+		err = errors.New("truncated shard: record missing")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dataset: shard %s: %w", c.fi.File, err)
+	}
+	b, rows, err := decodeBinBoard(body)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: shard %s: %w", c.fi.File, err)
 	}
@@ -588,31 +600,9 @@ func (c *binCursor) finish() error {
 
 func (c *binCursor) close() error { return c.file.Close() }
 
-// readBinBoard decodes one framed record from br. buf is a reusable body
-// buffer. Returns the board and its row count.
-func readBinBoard(br io.Reader, buf *[]byte) (*Board, int64, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, 0, errors.New("truncated shard: record missing")
-		}
-		return nil, 0, fmt.Errorf("read record header: %w", err)
-	}
-	bodyLen := binary.LittleEndian.Uint32(hdr[0:4])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-	if bodyLen > maxRecordBytes {
-		return nil, 0, fmt.Errorf("record length %d exceeds limit %d", bodyLen, maxRecordBytes)
-	}
-	if cap(*buf) < int(bodyLen) {
-		*buf = make([]byte, bodyLen)
-	}
-	body := (*buf)[:bodyLen]
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, 0, fmt.Errorf("read record body: %w", err)
-	}
-	if got := crc32.Checksum(body, castagnoli); got != wantCRC {
-		return nil, 0, fmt.Errorf("record checksum %08x, frame says %08x", got, wantCRC)
-	}
+// decodeBinBoard decodes one board record body. Returns the board and its
+// row count.
+func decodeBinBoard(body []byte) (*Board, int64, error) {
 	d := binDecoder{data: body}
 	id := d.u32()
 	gridW, gridH := int(d.u16()), int(d.u16())

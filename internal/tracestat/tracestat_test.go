@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -23,21 +22,34 @@ func span(trace, id, parent, service, name string, start, dur time.Duration) obs
 	}
 }
 
+// TestPercentileMatchesLoadgen pins the one percentile convention both
+// `ropuf loadgen` and tracestat report with — nearest rank, index
+// floor(p*n) clamped to n-1 — as expected values on fixed inputs.
 func TestPercentileMatchesLoadgen(t *testing.T) {
-	// The loadgen convention: index floor(p*n) clamped to n-1.
-	durs := make([]time.Duration, 100)
+	durs := make([]time.Duration, 100) // 1ms … 100ms
 	for i := range durs {
 		durs[i] = time.Duration(i+1) * time.Millisecond
 	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	pct := func(p float64) time.Duration { return durs[min(int(p*float64(len(durs))), len(durs)-1)] }
-	for _, p := range []float64{0, 0.5, 0.9, 0.99, 1} {
-		if got, want := Percentile(durs, p), pct(p); got != want {
-			t.Errorf("Percentile(%g) = %v, loadgen convention gives %v", p, got, want)
-		}
+	three := []time.Duration{10, 20, 30}
+	cases := []struct {
+		in   []time.Duration
+		p    float64
+		want time.Duration
+	}{
+		{durs, 0, time.Millisecond},
+		{durs, 0.5, 51 * time.Millisecond},
+		{durs, 0.9, 91 * time.Millisecond},
+		{durs, 0.99, 100 * time.Millisecond},
+		{durs, 1, 100 * time.Millisecond},
+		{three, 0.5, 20},
+		{three, 0.99, 30},
+		{three[:1], 0.5, 10},
+		{nil, 0.5, 0},
 	}
-	if Percentile(nil, 0.5) != 0 {
-		t.Error("Percentile(nil) != 0")
+	for _, c := range cases {
+		if got := Percentile(c.in, c.p); got != c.want {
+			t.Errorf("Percentile(%d values, %g) = %v, want %v", len(c.in), c.p, got, c.want)
+		}
 	}
 }
 
