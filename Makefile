@@ -14,10 +14,13 @@ build:
 test:
 	$(GO) test ./...
 
-# PR gate: static checks plus the full test suite under the race detector.
-# govulncheck runs when installed (CI installs it; local trees without it
-# skip with a note rather than failing).
+# PR gate: formatting and static checks plus the full test suite under the
+# race detector. Every tracked Go file must be gofmt-clean. govulncheck
+# runs when installed (CI installs it; local trees without it skip with a
+# note rather than failing).
 verify:
+	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	test -z "$$unformatted" || { echo "gofmt needed:"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \

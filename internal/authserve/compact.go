@@ -25,7 +25,9 @@ package authserve
 // the NEW snapshot plus the full log — replay is idempotent (duplicate
 // enrolls skipped, consume re-marks), so recovery converges to the same
 // state. Crash after step 2: the new snapshot plus an empty log. There is
-// no ordering in which an acknowledged mutation is lost.
+// no ordering in which an acknowledged mutation is lost. A failed step 2
+// leaves that same between-steps state on disk and latches the shard's
+// log, so the shard stays read-only until a restart replays it.
 //
 // Holding the shard lock for the snapshot write pauses that one shard's
 // requests for the write's duration; the other shards keep serving. The
@@ -110,9 +112,6 @@ func (s *Store) compactShardLocked(sh *shard) error {
 	if err := sh.persistLocked(); err != nil {
 		s.snapshotFailures.Add(1)
 		return err
-	}
-	if s.testCrashBeforeWALReset {
-		return nil
 	}
 	if err := sh.wal.reset(); err != nil {
 		s.walFailures.Add(1)

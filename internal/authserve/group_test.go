@@ -1,13 +1,13 @@
 package authserve
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -18,17 +18,23 @@ import (
 )
 
 // gateCommitter blocks the wal's committer goroutine inside its first
-// onCommit callback until the returned release func is called, recording
-// every batch's record count. While the committer is parked, every new
-// submit lands in the next open batch — the deterministic way to build a
-// multi-record batch without racing the (very fast) commit loop.
+// onCommit callback (after any callback already installed, such as the
+// store's bookkeeping) until the returned release func is called,
+// recording every batch's record count. While the committer is parked,
+// every new submit lands in the next open batch — the deterministic way
+// to build a multi-record batch without racing the (very fast) commit
+// loop.
 func gateCommitter(w *wal) (sizes func() []int, parked <-chan struct{}, release func()) {
 	var mu sync.Mutex
 	var got []int
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	var first atomic.Bool
-	w.onCommit = func(records int, _, _ int64, _ time.Duration) {
+	prev := w.onCommit
+	w.onCommit = func(records int, bytes, size int64, d time.Duration) {
+		if prev != nil {
+			prev(records, bytes, size, d)
+		}
 		mu.Lock()
 		got = append(got, records)
 		mu.Unlock()
@@ -170,136 +176,122 @@ func TestGroupCommitFlushBarrier(t *testing.T) {
 	w.close()
 }
 
-// TestGroupCommitFailureFailsWholeBatch pins the failure model: a batch
-// whose write fails must fail EVERY record in it (a later record may
-// depend on an earlier one), truncate the file back to the committed
-// prefix, and latch the log broken for all future work.
-func TestGroupCommitFailureFailsWholeBatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shard.wal")
-	w, _, _, err := openWAL(path, FsyncAlways, replayTarget(t))
+// TestGroupCommitSyncEIOFailsWholeBatch pins the failure model against a
+// real fsync error. Sync returns EIO after the batch's Write succeeded:
+// every waiter in the batch gets ErrPersist and rolls back only its own
+// mutation (a later record may depend on an earlier one, so no record of
+// the batch may commit), the file is cut back to the committed prefix,
+// the log latches broken, and the batches committed before it survive
+// replay.
+func TestGroupCommitSyncEIOFailsWholeBatch(t *testing.T) {
+	devices, err := fleet.Synthetic(4, 8, 7, 0x15A)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.appendSync(mustConsume(t, "committed", []int{0})); err != nil {
-		t.Fatal(err)
-	}
-	committed := w.committedSize()
-
-	_, parked, release := gateCommitter(w)
-	lead, err := w.submit(mustConsume(t, "lead", []int{1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-parked // lead durably written; sabotage below cannot touch it
-	a, err := w.submit(mustConsume(t, "batch-a", []int{2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := w.submit(mustConsume(t, "batch-b", []int{3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sabotage the file descriptor: the queued batch's write must fail.
-	if err := w.f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	release()
-	if err := lead.wait(); err != nil {
-		t.Fatalf("lead was written before the sabotage, must commit: %v", err)
-	}
-	errA, errB := a.wait(), b.wait()
-	if errA == nil || errB == nil {
-		t.Fatalf("batch verdicts = %v / %v, want both failed", errA, errB)
-	}
-	// The latch: every later submit and flush refuses.
-	if _, err := w.submit(mustConsume(t, "late", []int{4})); !errors.Is(err, ErrWALBroken) {
-		t.Fatalf("submit after failed commit = %v, want ErrWALBroken", err)
-	}
-	if err := w.flush(); !errors.Is(err, ErrWALBroken) {
-		t.Fatalf("flush after failed commit = %v, want ErrWALBroken", err)
-	}
-	if got := w.committedSize(); got != committed+int64(recordio.HeaderLen+len(mustConsume(t, "lead", []int{1}))) {
-		t.Fatalf("committed size %d after failed batch, want the pre-failure prefix", got)
-	}
-	w.close()
-}
-
-// TestGroupCommitIsolatedRecordFailure pins the PER-RECORD rollback
-// granularity the store's callers rely on: when one record of a shared
-// batch fails (the test hook models a submit-side failure detected at
-// commit), its neighbours' mutations must survive — record k's rollback
-// must not roll back k-1 or k+1.
-func TestGroupCommitIsolatedRecordFailure(t *testing.T) {
+	prior, lead, batch := devices[0], devices[1], devices[2:]
 	dir := t.TempDir()
-	devices, err := fleet.Synthetic(3, 8, 7, 0x15A)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opt := StoreOptions{Shards: 1, Dir: dir, CompactBytes: -1}
 	store, err := Open(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-
 	sh := store.shards[0]
-	victim := devices[1].ID
-	sh.wal.failPayload = func(p []byte) bool { return recordID(p) == victim }
-	// Park the committer behind a throwaway enroll so all three racing
-	// enrolls below land in one batch.
-	_, parked, release := gateCommitter(sh.wal)
-	leadDev, err := fleet.Synthetic(4, 8, 7, 0x15B)
+	ff := injectFaults(sh.wal)
+
+	// Two acknowledged batches before the fault: an enroll and a challenge.
+	if _, err := store.Enroll(prior.ID, prior.Pairs, core.Case2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := store.Challenge(prior.ID, 2); err != nil {
+		t.Fatal(err)
+	}
+	before, err := store.Device(prior.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// The lead enroll commits alone and parks the committer, so the three
+	// mutations below queue into one batch.
+	_, parked, release := gateCommitter(sh.wal)
 	leadErr := make(chan error, 1)
 	go func() {
-		_, err := store.Enroll(leadDev[3].ID, leadDev[3].Pairs, core.Case2)
+		_, err := store.Enroll(lead.ID, lead.Pairs, core.Case2)
 		leadErr <- err
 	}()
 	<-parked
+	committed := sh.wal.committedSize()
+	ff.fault(&ff.failSync, syscall.EIO)
 
-	errs := make([]error, len(devices))
+	errs := make([]error, 3)
 	var wg sync.WaitGroup
-	for i, d := range devices {
+	for i, d := range batch {
 		wg.Add(1)
 		go func(i int, d fleet.Device) {
 			defer wg.Done()
-			_, err := store.Enroll(d.ID, d.Pairs, core.Case2)
-			errs[i] = err
+			_, errs[i] = store.Enroll(d.ID, d.Pairs, core.Case2)
 		}(i, d)
 	}
-	waitForWaiters(t, sh.wal, 4)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, _, _, errs[2] = store.Challenge(prior.ID, 2)
+	}()
+	waitForWaiters(t, sh.wal, 4) // the parked lead plus the batch
 	release()
 	wg.Wait()
 	if err := <-leadErr; err != nil {
-		t.Fatal(err)
+		t.Fatalf("lead was committed before the fault, must be acknowledged: %v", err)
+	}
+	for i, err := range errs {
+		if !errors.Is(err, ErrPersist) {
+			t.Fatalf("batch mutation %d = %v, want ErrPersist", i, err)
+		}
 	}
 
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("neighbour enrolls failed (%v / %v) when only the middle record was injected to fail", errs[0], errs[2])
+	// Each waiter rolled back its own mutation and nothing else.
+	for _, d := range batch {
+		if _, err := store.Device(d.ID); !errors.Is(err, auth.ErrUnknownDevice) {
+			t.Fatalf("%s after its failed enroll = %v, want ErrUnknownDevice", d.ID, err)
+		}
 	}
-	if !errors.Is(errs[1], ErrPersist) {
-		t.Fatalf("victim enroll = %v, want ErrPersist", errs[1])
+	if _, err := store.Device(lead.ID); err != nil {
+		t.Fatalf("lead rolled back with the failed batch: %v", err)
 	}
-	// The victim rolled back alone: unknown in memory AND after replay.
-	if _, err := store.Device(victim); !errors.Is(err, auth.ErrUnknownDevice) {
-		t.Fatalf("victim after failed record = %v, want ErrUnknownDevice", err)
+	if after, _ := store.Device(prior.ID); after != before {
+		t.Fatalf("prior device %+v after the failed challenge, want %+v", after, before)
 	}
-	sh.wal.failPayload = nil
-	store.Close()
+
+	// The file is cut back to the committed prefix, and the log is latched.
+	if got := sh.wal.committedSize(); got != committed {
+		t.Fatalf("committed size %d after the failed batch, want %d", got, committed)
+	}
+	if fi, err := os.Stat(walPathFor(dir, 0)); err != nil || fi.Size() != committed {
+		t.Fatalf("WAL file after the failed batch: %v, %v; want %d bytes", fi.Size(), err, committed)
+	}
+	if err := sh.wal.flush(); !errors.Is(err, ErrWALBroken) {
+		t.Fatalf("flush after the failed commit = %v, want ErrWALBroken", err)
+	}
+
+	// The committed batches survive replay; the failed one left nothing.
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
 	restored, err := Open(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	for _, id := range []string{devices[0].ID, devices[2].ID, leadDev[3].ID} {
-		if _, err := restored.Device(id); err != nil {
-			t.Fatalf("neighbour %s lost after replay: %v", id, err)
-		}
+	if got, _ := restored.Device(prior.ID); got.Fresh != before.Fresh {
+		t.Fatalf("prior device fresh=%d after replay, want %d", got.Fresh, before.Fresh)
 	}
-	if _, err := restored.Device(victim); !errors.Is(err, auth.ErrUnknownDevice) {
-		t.Fatalf("victim present after replay: %v", err)
+	if _, err := restored.Device(lead.ID); err != nil {
+		t.Fatalf("lead lost in replay: %v", err)
+	}
+	for _, d := range batch {
+		if _, err := restored.Device(d.ID); !errors.Is(err, auth.ErrUnknownDevice) {
+			t.Fatalf("%s from the failed batch present after replay: %v", d.ID, err)
+		}
 	}
 }
 
@@ -354,14 +346,13 @@ func TestKill9MidBatchPrefixRecovery(t *testing.T) {
 	}
 }
 
-// TestFsyncOffBypassesGroupCommit pins the -fsync off contract: the
-// record is written synchronously to the page cache and the call returns
-// with no committer hand-off and no durability wait — structurally (the
-// group-commit histogram never fires, no waiter ever parks) and
-// behaviorally (a reopen still sees every mutation; the per-mutation
-// cost stays within an order of magnitude of a pure in-memory store,
-// nowhere near fsync territory).
-func TestFsyncOffBypassesGroupCommit(t *testing.T) {
+// TestFsyncOffNeverSyncs pins the -fsync off contract: records ride the
+// group committer like any other, but no fsync reaches a shard's log, so
+// the call returns without a durability wait. Behaviorally, a reopen
+// still sees every mutation, and the per-mutation cost stays within an
+// order of magnitude of a pure in-memory store, nowhere near fsync
+// territory.
+func TestFsyncOffNeverSyncs(t *testing.T) {
 	const n = 64
 	devices, err := fleet.Synthetic(n, 8, 7, 0x0FF)
 	if err != nil {
@@ -372,6 +363,10 @@ func TestFsyncOffBypassesGroupCommit(t *testing.T) {
 	store, err := Open(opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var files []*faultFile
+	for _, sh := range store.shards {
+		files = append(files, injectFaults(sh.wal))
 	}
 	mem, err := Open(StoreOptions{Shards: 2, CompactBytes: -1})
 	if err != nil {
@@ -399,13 +394,9 @@ func TestFsyncOffBypassesGroupCommit(t *testing.T) {
 	}
 	memDur := time.Since(memStart)
 
-	if got := store.walGroupRecords.Count(); got != 0 {
-		t.Fatalf("%d group commits under fsync=off, want 0 (the committer must be bypassed)", got)
-	}
-	for _, sh := range store.shards {
-		if sh.wal.waiters.Load() != 0 || sh.wal.started {
-			t.Fatalf("shard %s: waiters=%d started=%v under fsync=off, want no committer at all",
-				sh.label, sh.wal.waiters.Load(), sh.wal.started)
+	for i, ff := range files {
+		if got := ff.syncCount(); got != 0 {
+			t.Fatalf("shard %d: %d Sync calls reached the WAL under fsync=off, want 0", i, got)
 		}
 	}
 	// Loose latency pin: a single fsync is ~100µs+ on any real disk, so
@@ -538,17 +529,4 @@ func mustConsume(t *testing.T, id string, pairs []int) []byte {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// recordID reads the device ID out of a WAL payload: every auth mutation
-// record starts with a type byte and a u16le-length-prefixed ID.
-func recordID(p []byte) string {
-	if len(p) < 3 {
-		return ""
-	}
-	end := 3 + int(binary.LittleEndian.Uint16(p[1:3]))
-	if end > len(p) {
-		return ""
-	}
-	return string(p[3:end])
 }

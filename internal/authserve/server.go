@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,7 +119,6 @@ type Server struct {
 
 	burn     *obs.BurnTracker // error-budget burn over the request series
 	snapBurn *obs.BurnTracker // snapshot failures over the same window
-	walBurn  *obs.BurnTracker // WAL append failures over the same window
 	degraded atomic.Bool      // last /healthz verdict, for transition logs
 
 	audit  *audit.Writer // security event stream (nil = disabled)
@@ -178,11 +178,6 @@ func NewServer(store *Store, opt ServerOptions) *Server {
 			f := float64(store.SnapshotFailures())
 			return f, f
 		})
-	s.walBurn = obs.NewBurnTracker(obs.SLO{Objective: 0.5, Window: opt.SLO.Window},
-		func() (float64, float64) {
-			f := float64(store.WALFailures())
-			return f, f
-		})
 	return s
 }
 
@@ -206,8 +201,9 @@ func (s *Server) sampleRequests() (total, errors float64) {
 }
 
 // Health reports the current degradation reasons: error-budget burn over
-// the SLO window, a saturated admission queue, and recent snapshot-write
-// failures. An empty slice means healthy.
+// the SLO window, a saturated admission queue, recent snapshot-write
+// failures, a latched or backlogged WAL, and abusive devices. An empty
+// slice means healthy.
 func (s *Server) Health() []obs.HealthReason {
 	var reasons []obs.HealthReason
 	rep := s.burn.Report()
@@ -234,15 +230,16 @@ func (s *Server) Health() []obs.HealthReason {
 			Value: snap.Errors,
 		})
 	}
-	// wal_stalled fires on either face of a stuck log: appends failing
-	// (every one failed a mutating request) or the compaction backlog
-	// running far past the threshold (recovery time growing unbounded).
-	if wal := s.walBurn.Report(); wal.Errors > 0 {
+	// wal_stalled fires on either face of a stuck log: a shard latched
+	// by a failed WAL write (its mutations fail until restart, however
+	// long ago the failure was) or the compaction backlog running far
+	// past the threshold (recovery time growing unbounded).
+	if latched := s.store.LatchedShards(); len(latched) > 0 {
 		reasons = append(reasons, obs.HealthReason{
 			Code: "wal_stalled",
-			Detail: fmt.Sprintf("%.0f WAL durability writes failed within %s; mutations are failing",
-				wal.Errors, wal.Window),
-			Value: wal.Errors,
+			Detail: fmt.Sprintf("WAL latched broken on shard(s) %s after a failed write; their mutations fail until restart",
+				strings.Join(latched, ", ")),
+			Value: float64(len(latched)),
 		})
 	} else if thr := s.store.CompactBytes(); thr > 0 {
 		if backlog := s.store.WALBacklogBytes(); backlog >= 4*thr {

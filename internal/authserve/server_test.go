@@ -9,8 +9,11 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -729,52 +732,127 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestWALStalledHealthAndPersistErrors pins the serving contract around a
-// stuck log: a mutation whose WAL append fails answers 500 (server fault,
-// retryable) — not the 400 the old default error mapping produced —
-// /healthz flips to 503 with a wal_stalled reason, and once appends
-// succeed again and the failures age out of the window the endpoint
-// recovers to 200.
+// latched log: a mutation whose WAL commit fails (EIO on fsync) answers
+// 500 (server fault, retryable) — not the 400 the old default error
+// mapping produced — and /healthz flips to 503 with a wal_stalled reason.
+// The shard keeps refusing mutations until a restart, so health stays
+// 503 for as long, however quiet the server is and however far the
+// failure has aged out of the SLO window. A restart on the same data dir
+// replays the log: the retried enroll succeeds (no ghost 409) and health
+// is back to 200.
 func TestWALStalledHealthAndPersistErrors(t *testing.T) {
+	const window = 300 * time.Millisecond
 	devices, _ := testFleet(t, 2, 8)
-	srv, ts := newTestServer(t,
-		StoreOptions{Dir: t.TempDir(), Shards: 1, CompactBytes: -1},
-		ServerOptions{SLO: obs.SLO{Window: 300 * time.Millisecond}})
+	sopt := StoreOptions{Dir: t.TempDir(), Shards: 1, CompactBytes: -1}
+	opt := ServerOptions{SLO: obs.SLO{Window: window}}
+	srv, ts := newTestServer(t, sopt, opt)
+	ff := injectFaults(srv.store.shards[0].wal)
 	c := ts.Client()
 	if code, body := post(t, c, ts.URL+"/v1/enroll", enrollBody(devices[0])); code != http.StatusOK {
 		t.Fatalf("healthy enroll = %d %s", code, body)
 	}
+	stalled := func(phase string) {
+		t.Helper()
+		code, body := get(t, c, ts.URL+"/healthz")
+		if code != http.StatusServiceUnavailable || !strings.Contains(string(body), "wal_stalled") {
+			t.Fatalf("/healthz %s = %d %s, want 503 wal_stalled", phase, code, body)
+		}
+	}
 
-	sh := srv.store.shards[0]
-	sh.mu.Lock()
-	sh.wal.failAppends = true
-	sh.mu.Unlock()
+	ff.fault(&ff.failSync, syscall.EIO)
 	code, body := post(t, c, ts.URL+"/v1/enroll", enrollBody(devices[1]))
 	if code != http.StatusInternalServerError {
-		t.Fatalf("enroll with stuck WAL = %d %s, want 500", code, body)
+		t.Fatalf("enroll with failing fsync = %d %s, want 500", code, body)
 	}
-	code, body = get(t, c, ts.URL+"/healthz")
-	if code != http.StatusServiceUnavailable || !strings.Contains(string(body), "wal_stalled") {
-		t.Fatalf("/healthz with stuck WAL = %d %s, want 503 wal_stalled", code, body)
+	stalled("after the failed commit")
+	time.Sleep(2 * window)
+	stalled("two SLO windows later, with no traffic")
+	chReq, _ := json.Marshal(ChallengeRequest{ID: devices[0].ID, K: 2})
+	if code, body := post(t, c, ts.URL+"/v1/challenge", chReq); code != http.StatusInternalServerError {
+		t.Fatalf("challenge on the latched shard = %d %s, want 500", code, body)
 	}
 
-	// Unstick the log: the failed enroll retries cleanly (the rollback
-	// satellite — no 409 from a ghost enrollment) and health recovers.
-	sh.mu.Lock()
-	sh.wal.failAppends = false
-	sh.mu.Unlock()
-	if code, body := post(t, c, ts.URL+"/v1/enroll", enrollBody(devices[1])); code != http.StatusOK {
-		t.Fatalf("retry after WAL recovery = %d %s", code, body)
+	// Restart on the same data dir, with the disk healthy again.
+	ts.Close()
+	if err := srv.store.Close(); err != nil {
+		t.Fatal(err)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		code, body = get(t, c, ts.URL+"/healthz")
-		if code == http.StatusOK {
-			break
+	srv, ts = newTestServer(t, sopt, opt)
+	defer srv.store.Close()
+	c = ts.Client()
+	if code, body := post(t, c, ts.URL+"/v1/enroll", enrollBody(devices[1])); code != http.StatusOK {
+		t.Fatalf("retried enroll after restart = %d %s, want 200 (no ghost 409)", code, body)
+	}
+	if code, body := get(t, c, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz after restart = %d %s, want 200", code, body)
+	}
+}
+
+// TestSnapshotFailureHealth drives the snapshot-write failure path: a
+// directory squatting on the snapshot's temp path makes SaveAll fail
+// before the rename. The failure is counted and /healthz reports
+// snapshot_failures; compaction stopped before truncating the WAL, so
+// the log keeps every record and a reopen recovers every device. Once the
+// obstacle is gone, SaveAll folds the log to nothing.
+func TestSnapshotFailureHealth(t *testing.T) {
+	devices, _ := testFleet(t, 3, 8)
+	dir := t.TempDir()
+	sopt := StoreOptions{Dir: dir, Shards: 1, CompactBytes: -1}
+	srv, ts := newTestServer(t, sopt, ServerOptions{})
+	defer srv.store.Close()
+	c := ts.Client()
+	for _, d := range devices {
+		if code, body := post(t, c, ts.URL+"/v1/enroll", enrollBody(d)); code != http.StatusOK {
+			t.Fatalf("enroll %s = %d %s", d.ID, code, body)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("/healthz never recovered after WAL unstuck: %d %s", code, body)
+	}
+	walPath := walPathFor(dir, 0)
+	walSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(walPath)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(20 * time.Millisecond)
+		return fi.Size()
+	}
+	logged := walSize()
+	blocker := filepath.Join(dir, "shard-0000.snap.tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := srv.store.SaveAll(); err == nil {
+		t.Fatal("SaveAll succeeded with a directory at the snapshot temp path")
+	}
+	if got := srv.store.SnapshotFailures(); got != 1 {
+		t.Fatalf("SnapshotFailures() = %d, want 1", got)
+	}
+	code, body := get(t, c, ts.URL+"/healthz")
+	if code != http.StatusServiceUnavailable || !strings.Contains(string(body), "snapshot_failures") {
+		t.Fatalf("/healthz after a failed snapshot = %d %s, want 503 snapshot_failures", code, body)
+	}
+	if got := walSize(); got != logged || logged == 0 {
+		t.Fatalf("WAL is %d bytes after the failed snapshot, want its %d logged bytes", got, logged)
+	}
+	reopened, err := Open(sopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened.NumDevices(); got != len(devices) {
+		t.Fatalf("reopen after the failed snapshot recovered %d devices, want %d", got, len(devices))
+	}
+	if err := reopened.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.store.SaveAll(); err != nil {
+		t.Fatalf("SaveAll with the temp path clear: %v", err)
+	}
+	if got := walSize(); got != 0 || srv.store.WALBacklogBytes() != 0 {
+		t.Fatalf("WAL is %d bytes (backlog %d) after SaveAll, want 0", got, srv.store.WALBacklogBytes())
 	}
 }
 

@@ -18,26 +18,26 @@
 //
 // With a data directory configured, every mutation (enroll, challenge
 // issuance) appends one checksummed record to the owning shard's
-// write-ahead log and — under FsyncAlways — waits for the shard's group
-// committer to fsync it *before* the call returns: O(record) work, and
-// one fsync amortized over every record that queued while the previous
-// batch was flushing (wal.go). The mutation is applied in memory and the
-// record enqueued under the shard lock, but the durability wait happens
-// after the lock is released, so concurrent mutations on one shard
-// overlap their fsync waits instead of serializing them. The price is a
-// visibility window: a mutation is briefly observable in memory before
-// it is durable. Writers never acknowledge inside that window (they wait
-// first, and roll the mutation back — re-acquiring the lock — if the
-// commit fails), and challenge IDs only reach the network after the
-// wait, so nothing a client can act on precedes its own durability.
-// Read-only endpoints may observe the window; they expose no consumed
-// bits. A failed group commit latches the shard's WAL broken, failing
-// every queued and later mutation, because a later record may depend on
-// an earlier one in the failed batch — committing a suffix without its
-// prefix would let replay see effects without causes. Consumed-pair
-// state is still durable by the time a challenge reaches the network: a
-// device re-challenged after a crash can never be asked to re-expose
-// bits it already revealed.
+// write-ahead log and waits for the shard's group committer to write it —
+// and, under FsyncAlways, fsync it — *before* the call returns: O(record)
+// work, and one write+fsync amortized over every record that queued while
+// the previous batch was flushing (wal.go). The mutation is applied in
+// memory and the record enqueued under the shard lock, but the durability
+// wait happens after the lock is released, so concurrent mutations on one
+// shard overlap their fsync waits instead of serializing them. The price
+// is a visibility window: a mutation is briefly observable in memory
+// before it is durable. Writers never acknowledge inside that window (they
+// wait first, and roll the mutation back — re-acquiring the lock — if the
+// commit fails), and challenge IDs only reach the network after the wait,
+// so nothing a client can act on precedes its own durability. Read-only
+// endpoints may observe the window; they expose no consumed bits. A failed
+// group commit latches the shard's WAL broken, failing every queued and
+// later mutation until a restart, because a later record may depend on an
+// earlier one in the failed batch — committing a suffix without its prefix
+// would let replay see effects without causes. Consumed-pair state is
+// still durable by the time a challenge reaches the network: a device
+// re-challenged after a crash can never be asked to re-expose bits it
+// already revealed.
 //
 // Recovery at Open is snapshot + log replay: load the shard snapshot if
 // one exists, then re-apply the log's records, truncating any torn tail
@@ -88,8 +88,9 @@ var ErrUnknownChallenge = errors.New("authserve: unknown or already-used challen
 
 // ErrPersist reports a mutation whose durability write (WAL append)
 // failed. The in-memory effect was rolled back before the error was
-// returned, so the same call can simply be retried; the HTTP layer maps
-// this to a 500, never to the 4xx validation contract.
+// returned, so the same call can be retried once a restart has cleared
+// the shard's latch; the HTTP layer maps this to a 500, never to the 4xx
+// validation contract.
 var ErrPersist = errors.New("authserve: durability write failed")
 
 // StoreOptions configures Open.
@@ -167,8 +168,8 @@ type Store struct {
 	// window.
 	snapshotFailures atomic.Int64
 	// walFailures counts failed WAL appends/resets; every one of them
-	// made a mutating request fail, so /healthz reports wal_stalled while
-	// they are recent.
+	// made a mutating request fail (or a compaction stop) and latched its
+	// shard, which /healthz reports as wal_stalled until restart.
 	walFailures atomic.Int64
 
 	walFsyncDur     *obs.Histogram
@@ -190,11 +191,6 @@ type Store struct {
 	// telemetryBuckets for the ring-step arithmetic.
 	now         func() time.Time
 	bucketWidth time.Duration
-
-	// testCrashBeforeWALReset (tests only) aborts a compaction after the
-	// snapshot is durably in place but before the WAL is truncated —
-	// exactly the kill -9 window replay idempotency has to cover.
-	testCrashBeforeWALReset bool
 }
 
 // SnapshotFailures returns the cumulative count of failed shard snapshot
@@ -204,6 +200,18 @@ func (s *Store) SnapshotFailures() int64 { return s.snapshotFailures.Load() }
 // WALFailures returns the cumulative count of failed WAL appends and
 // resets since the store was opened. Each one failed a mutating call.
 func (s *Store) WALFailures() int64 { return s.walFailures.Load() }
+
+// LatchedShards returns the labels of the shards whose WAL is latched
+// broken: their mutations fail until a restart replays the log.
+func (s *Store) LatchedShards() []string {
+	var out []string
+	for _, sh := range s.shards {
+		if sh.wal != nil && sh.wal.latched() {
+			out = append(out, sh.label)
+		}
+	}
+	return out
+}
 
 // WALBacklogBytes returns the largest per-shard WAL size — the compaction
 // backlog. A backlog far past CompactBytes means the compactor is not
@@ -262,7 +270,7 @@ func Open(opt StoreOptions) (*Store, error) {
 	}
 	reg := opt.Registry
 	s.walFsyncDur = reg.NewHistogram("ropuf_authserve_wal_fsync_duration_seconds",
-		"Latency of the per-record WAL fsync on the mutation path.", nil)
+		"Latency of the WAL write+fsync on the mutation path, one observation per group commit.", nil)
 	s.walRecords = reg.NewCounterVec("ropuf_authserve_wal_records_total",
 		"WAL records appended, by record type.", "type")
 	s.walRecEnrolls = s.walRecords.With("enroll")
@@ -319,7 +327,7 @@ func Open(opt StoreOptions) (*Store, error) {
 		sh, records, torn, err := s.openShard(i, parent)
 		if err != nil {
 			// Close the logs of the shards already open: each holds a file
-			// and, under FsyncAlways, a committer goroutine.
+			// and a committer goroutine.
 			s.Close()
 			return nil, err
 		}
@@ -378,12 +386,12 @@ func (s *Store) openShard(i int, parent *rngx.RNG) (sh *shard, replayed int, tor
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	sh.wal.onFsync = func(d time.Duration) { s.walFsyncDur.Observe(d.Seconds()) }
 	// Runs on the shard's committer goroutine after each successful group
 	// commit; size bookkeeping and the compaction kick live here because
 	// only the committer knows when queued bytes become committed bytes.
 	sh.wal.onCommit = func(records int, _, size int64, d time.Duration) {
 		sh.walSize.Store(size)
+		s.walFsyncDur.Observe(d.Seconds())
 		s.walGroupRecords.Observe(float64(records))
 		s.walGroupDur.Observe(d.Seconds())
 		if s.compact != nil && size >= s.opt.CompactBytes {
@@ -474,30 +482,22 @@ func (s *Store) Tolerance() float64 { return s.opt.Tolerance }
 func (s *Store) NumShards() int { return len(s.shards) }
 
 // submitLocked hands one mutation record to the shard's WAL; the caller
-// holds the shard lock. A nil pending (with nil error) means the record
-// is already as durable as the policy makes it (FsyncOff) — otherwise
-// the caller must release the shard lock, wait() on the pending, and
-// roll its in-memory mutation back if the wait fails. A non-nil error is
-// a submit-time failure: nothing was enqueued and the caller rolls back
-// under its current lock hold (PR 6 semantics).
+// holds the shard lock. On success the caller must release the shard
+// lock, wait on the pending via waitDurable, and roll its in-memory
+// mutation back if the wait fails. A non-nil error is the latch refusing
+// the record: nothing was enqueued and the caller rolls back under its
+// current lock hold.
 func (s *Store) submitLocked(sh *shard, payload []byte) (*walPending, error) {
 	pend, err := sh.wal.submit(payload)
 	if err != nil {
 		s.walFailures.Add(1)
 		return nil, fmt.Errorf("%w: %w", ErrPersist, err)
 	}
-	if pend == nil { // synchronous policy: the size is already final
-		size := sh.wal.committedSize()
-		sh.walSize.Store(size)
-		if s.compact != nil && size >= s.opt.CompactBytes {
-			s.compact.kick()
-		}
-	}
 	return pend, nil
 }
 
-// waitDurable parks on a pending group commit (nil is a no-op for the
-// synchronous policies). Must be called without the shard lock held.
+// waitDurable parks on a pending group commit (nil, from a store without
+// persistence, is a no-op). Must be called without the shard lock held.
 func (s *Store) waitDurable(pend *walPending) error {
 	if pend == nil {
 		return nil
@@ -524,8 +524,9 @@ func (s *Store) recordAppended(rec *obs.Counter, payloadLen int) {
 // after it is released, so concurrent enrolls on one shard overlap their
 // fsync waits. If the durability write fails the in-memory enrollment is
 // rolled back (re-acquiring the lock when the failure surfaces at commit
-// time), so the client's retry starts clean instead of hitting
-// ErrDuplicateDevice against a record that was never made durable.
+// time), so the client's retry after a restart starts clean instead of
+// hitting ErrDuplicateDevice against a record that was never made
+// durable.
 func (s *Store) Enroll(id string, pairs []core.Pair, mode core.Mode) (DeviceInfo, error) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -580,7 +581,7 @@ func (s *Store) Enroll(id string, pairs []core.Pair, mode core.Mode) (DeviceInfo
 // succeeds, and nobody else can learn it meanwhile. If the durability
 // write fails the consumption is rolled back — the pairs never left the
 // process, so returning them to the fresh pool leaks nothing and the
-// client's retry can draw again.
+// client's retry after a restart can draw again.
 func (s *Store) Challenge(id string, k int) (string, *auth.Challenge, int, error) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()

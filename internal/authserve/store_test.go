@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -121,9 +122,9 @@ func TestStoreConcurrentHammer(t *testing.T) {
 }
 
 // TestCrashRestart simulates a kill -9 between mutations: the store is
-// reopened from its write-through snapshots without SaveAll. No enrolled
-// device may be lost, consumed pairs must stay consumed, and challenges
-// issued before the crash must be rejected afterwards.
+// reopened by replaying its WALs, without SaveAll. No enrolled device may
+// be lost, consumed pairs must stay consumed, and challenges issued
+// before the crash must be rejected afterwards.
 func TestCrashRestart(t *testing.T) {
 	dir := t.TempDir()
 	devices, err := fleet.Synthetic(6, 16, 7, 0xDEAD)
@@ -162,7 +163,7 @@ func TestCrashRestart(t *testing.T) {
 	}
 
 	// Crash: drop the store on the floor — no SaveAll, no drain. The
-	// write-through snapshots on disk are all that survives.
+	// WALs on disk are all that survives.
 	store = nil
 
 	restored, err := Open(opt)
@@ -261,51 +262,59 @@ func openFDs(t *testing.T) int {
 	return len(fds)
 }
 
-// TestOpenFailureReleasesShards pins that a failed Open closes every
-// shard it had already opened: each open shard holds its WAL file and,
-// under FsyncAlways, a committer goroutine, and a caller handed an error
-// has no Store to Close.
+// TestOpenFailureReleasesShards pins that Close, and a failed Open, stop
+// every shard already opened: under either fsync policy each open shard
+// holds its WAL file and a committer goroutine, and a caller handed an
+// error has no Store to Close.
 func TestOpenFailureReleasesShards(t *testing.T) {
-	dir := t.TempDir()
-	opt := StoreOptions{Shards: 4, Dir: dir}
-	store, err := Open(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	devices, err := fleet.Synthetic(32, 8, 5, 0x1EA4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range devices {
-		if _, err := store.Enroll(d.ID, d.Pairs, core.Case2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if store.shards[3].v.NumDevices() == 0 {
-		t.Fatal("no device landed on the last shard")
-	}
-	if err := store.SaveAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The last shard fails to load, after shards 0-2 opened their WALs.
-	if err := corruptFile(filepath.Join(dir, "shard-0003.snap")); err != nil {
-		t.Fatal(err)
-	}
-
-	goroutines, fds := runtime.NumGoroutine(), openFDs(t)
-	if _, err := Open(opt); err == nil {
-		t.Fatal("corrupted snapshot accepted")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > goroutines || openFDs(t) > fds {
-		if time.Now().After(deadline) {
-			t.Fatalf("failed Open leaked: goroutines %d -> %d, fds %d -> %d",
-				goroutines, runtime.NumGoroutine(), fds, openFDs(t))
-		}
-		time.Sleep(5 * time.Millisecond)
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncOff} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			opt := StoreOptions{Shards: 4, Dir: dir, Fsync: policy}
+			goroutines, fds := runtime.NumGoroutine(), openFDs(t)
+			released := func(what string) {
+				t.Helper()
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > goroutines || openFDs(t) > fds {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s leaked: goroutines %d -> %d, fds %d -> %d",
+							what, goroutines, runtime.NumGoroutine(), fds, openFDs(t))
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+			store, err := Open(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			devices, err := fleet.Synthetic(32, 8, 5, 0x1EA4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range devices {
+				if _, err := store.Enroll(d.ID, d.Pairs, core.Case2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if store.shards[3].v.NumDevices() == 0 {
+				t.Fatal("no device landed on the last shard")
+			}
+			if err := store.SaveAll(); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+			released("Close")
+			// The last shard fails to load, after shards 0-2 opened their WALs.
+			if err := corruptFile(filepath.Join(dir, "shard-0003.snap")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(opt); err == nil {
+				t.Fatal("corrupted snapshot accepted")
+			}
+			released("failed Open")
+		})
 	}
 }
 
@@ -356,8 +365,11 @@ func corruptFile(path string) error {
 // TestEnrollRetryAfterPersistFailure pins the persist-failure bugfix: the
 // pre-WAL store left a failed-durability enrollment in memory, so the
 // client it told to re-enroll then hit ErrDuplicateDevice forever. The
-// WAL append is now the atomicity point — on failure the in-memory
-// enrollment rolls back and the retry starts clean.
+// WAL commit is now the atomicity point — on failure the in-memory
+// enrollment rolls back. Here the disk fills mid-write (ENOSPC after a
+// short write): the torn bytes are cut back, the shard latches, an
+// in-process retry is refused by the latch and rolled back too, and the
+// retry after a restart succeeds durably.
 func TestEnrollRetryAfterPersistFailure(t *testing.T) {
 	dir := t.TempDir()
 	devices, err := fleet.Synthetic(1, 8, 7, 3)
@@ -371,11 +383,11 @@ func TestEnrollRetryAfterPersistFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
+	ff := injectFaults(store.shardFor(d.ID).wal)
 
-	sh := store.shardFor(d.ID)
-	sh.wal.failAppends = true
+	ff.fault(&ff.failWrite, syscall.ENOSPC)
 	if _, err := store.Enroll(d.ID, d.Pairs, core.Case2); !errors.Is(err, ErrPersist) {
-		t.Fatalf("enroll with failing WAL = %v, want ErrPersist", err)
+		t.Fatalf("enroll on a full disk = %v, want ErrPersist", err)
 	}
 	if store.WALFailures() == 0 {
 		t.Fatal("WAL failure not counted for health reporting")
@@ -384,11 +396,31 @@ func TestEnrollRetryAfterPersistFailure(t *testing.T) {
 	if _, err := store.Device(d.ID); !errors.Is(err, auth.ErrUnknownDevice) {
 		t.Fatalf("device after failed enroll = %v, want ErrUnknownDevice", err)
 	}
-
-	sh.wal.failAppends = false
-	if _, err := store.Enroll(d.ID, d.Pairs, core.Case2); err != nil {
-		t.Fatalf("retry after persist failure = %v (the pre-WAL store answered ErrDuplicateDevice here)", err)
+	if fi, err := os.Stat(ff.Name()); err != nil || fi.Size() != 0 {
+		t.Fatalf("WAL after the short write: %v, %v; want the empty committed prefix", fi.Size(), err)
 	}
+
+	// Space comes back, but the latch holds until restart: the retry is
+	// refused at submit and rolled back under the shard lock.
+	ff.fault(&ff.failWrite, nil)
+	if _, err := store.Enroll(d.ID, d.Pairs, core.Case2); !errors.Is(err, ErrWALBroken) {
+		t.Fatalf("in-process retry on a latched shard = %v, want ErrWALBroken", err)
+	}
+	if _, err := store.Device(d.ID); !errors.Is(err, auth.ErrUnknownDevice) {
+		t.Fatalf("device after refused retry = %v, want ErrUnknownDevice", err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restarted.Enroll(d.ID, d.Pairs, core.Case2); err != nil {
+		t.Fatalf("retry after restart = %v (the pre-WAL store answered ErrDuplicateDevice here)", err)
+	}
+	restarted.Close()
 	// The retried enrollment is durable: a crash-reopen still has it.
 	restored, err := Open(opt)
 	if err != nil {
@@ -402,7 +434,10 @@ func TestEnrollRetryAfterPersistFailure(t *testing.T) {
 
 // TestChallengeRollbackOnPersistFailure audits Challenge's analogous
 // path: a challenge whose consume record cannot be made durable must not
-// burn the pairs (they never left the process) and must not be issued.
+// burn the pairs (they never left the process) and must not be issued —
+// neither when its own commit fails (EIO on fsync) nor when a later
+// challenge is refused by the latch and rolls back under the shard lock
+// it still holds. After a restart the pairs are drawable again.
 func TestChallengeRollbackOnPersistFailure(t *testing.T) {
 	dir := t.TempDir()
 	devices, err := fleet.Synthetic(1, 8, 7, 4)
@@ -410,11 +445,13 @@ func TestChallengeRollbackOnPersistFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := devices[0]
-	store, err := Open(StoreOptions{Shards: 2, Dir: dir, CompactBytes: -1})
+	opt := StoreOptions{Shards: 2, Dir: dir, CompactBytes: -1}
+	store, err := Open(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
+	ff := injectFaults(store.shardFor(d.ID).wal)
 	if _, err := store.Enroll(d.ID, d.Pairs, core.Case2); err != nil {
 		t.Fatal(err)
 	}
@@ -422,28 +459,43 @@ func TestChallengeRollbackOnPersistFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	sh := store.shardFor(d.ID)
-	sh.wal.failAppends = true
-	if _, _, _, err := store.Challenge(d.ID, 2); !errors.Is(err, ErrPersist) {
-		t.Fatalf("challenge with failing WAL = %v, want ErrPersist", err)
+	unburned := func(phase string) {
+		t.Helper()
+		after, err := store.Device(d.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Fresh != before.Fresh {
+			t.Fatalf("%s: fresh %d, want %d (pairs burned without durability)", phase, after.Fresh, before.Fresh)
+		}
+		if after.Outstanding != 0 {
+			t.Fatalf("%s: %d outstanding challenges after failed issuance", phase, after.Outstanding)
+		}
 	}
-	after, err := store.Device(d.ID)
+
+	ff.fault(&ff.failSync, syscall.EIO)
+	if _, _, _, err := store.Challenge(d.ID, 2); !errors.Is(err, ErrPersist) {
+		t.Fatalf("challenge with failing fsync = %v, want ErrPersist", err)
+	}
+	unburned("failed commit")
+	ff.fault(&ff.failSync, nil)
+	if _, _, _, err := store.Challenge(d.ID, 2); !errors.Is(err, ErrWALBroken) {
+		t.Fatalf("challenge on a latched shard = %v, want ErrWALBroken", err)
+	}
+	unburned("refused by the latch")
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, err := Open(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Fresh != before.Fresh {
-		t.Fatalf("fresh %d after failed challenge, want %d (pairs burned without durability)", after.Fresh, before.Fresh)
+	defer restarted.Close()
+	if _, _, _, err := restarted.Challenge(d.ID, 2); err != nil {
+		t.Fatalf("challenge after restart = %v", err)
 	}
-	if after.Outstanding != 0 {
-		t.Fatalf("%d outstanding challenges after failed issuance", after.Outstanding)
-	}
-
-	sh.wal.failAppends = false
-	if _, _, _, err := store.Challenge(d.ID, 2); err != nil {
-		t.Fatalf("challenge retry = %v", err)
-	}
-	final, _ := store.Device(d.ID)
+	final, _ := restarted.Device(d.ID)
 	if final.Fresh != before.Fresh-2 {
 		t.Fatalf("fresh %d after successful challenge, want %d", final.Fresh, before.Fresh-2)
 	}
@@ -482,7 +534,9 @@ func TestShardForHighBitIDs(t *testing.T) {
 // into the compaction window: the snapshot has been durably renamed but
 // the WAL not yet truncated, so recovery replays the full log over a
 // snapshot that already contains it. Replay idempotency must converge to
-// the same state, not double-apply or reject.
+// the same state, not double-apply or reject. A failing WAL Truncate
+// stands in for the crash: it stops every compaction between the two
+// steps.
 func TestMidCompactionCrashRestart(t *testing.T) {
 	dir := t.TempDir()
 	devices, err := fleet.Synthetic(6, 16, 7, 0xC0DE)
@@ -495,6 +549,10 @@ func TestMidCompactionCrashRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
+	var files []*faultFile
+	for _, sh := range store.shards {
+		files = append(files, injectFaults(sh.wal))
+	}
 	freshBefore := map[string]int{}
 	for _, d := range devices {
 		if _, err := store.Enroll(d.ID, d.Pairs, core.Case2); err != nil {
@@ -511,9 +569,14 @@ func TestMidCompactionCrashRestart(t *testing.T) {
 	}
 
 	// Crash inside the compaction: snapshot durable, WAL untouched.
-	store.testCrashBeforeWALReset = true
-	if err := store.SaveAll(); err != nil {
-		t.Fatal(err)
+	for _, ff := range files {
+		ff.fault(&ff.failTrunc, syscall.EIO)
+	}
+	if err := store.SaveAll(); err == nil {
+		t.Fatal("SaveAll reported success with a failing WAL truncate")
+	}
+	if store.WALFailures() == 0 {
+		t.Fatal("failed WAL reset not counted")
 	}
 	snaps, _ := filepath.Glob(filepath.Join(dir, "shard-*.snap"))
 	if len(snaps) == 0 {
@@ -529,7 +592,7 @@ func TestMidCompactionCrashRestart(t *testing.T) {
 		walBytes += fi.Size()
 	}
 	if walBytes == 0 {
-		t.Fatal("WAL already truncated — the mid-compaction crash hook did not fire")
+		t.Fatal("WAL already truncated — the failing Truncate did not stop the compaction")
 	}
 
 	check := func(s *Store, phase string) {

@@ -15,10 +15,10 @@ import (
 )
 
 // Per-shard write-ahead log with group commit. Every mutation (enroll,
-// challenge-consume) appends one fixed-format record; under FsyncAlways
-// the append is handed to a per-shard committer goroutine that drains
-// whatever has queued since its last fsync, writes the whole batch with
-// one write+fsync pair, and then releases every waiter at once. A lone
+// challenge-consume) appends one fixed-format record by handing it to a
+// per-shard committer goroutine that drains whatever has queued since its
+// last commit, writes the whole batch with one write (plus one fsync
+// under FsyncAlways), and then releases every waiter at once. A lone
 // writer still gets an immediate commit (the committer is idle, wakes
 // instantly, and finds a batch of one), while N concurrent writers share
 // a single fsync instead of paying N — durable throughput scales with
@@ -50,19 +50,19 @@ import (
 //
 // # Failure model
 //
-// A submit-time failure (test hook, broken latch, or the synchronous
-// FsyncOff write) happens under the shard lock, before the mutation is
-// visible to anyone else, so the caller rolls back atomically — PR 6
-// semantics, unchanged. A commit-time failure (batch write or fsync
-// error) is stricter than PR 6's per-record append: by then the batch's
-// mutations are already visible in memory, and a later record may depend
-// on an earlier one (a consume for a device whose enroll is in the
-// failed batch). Committing any suffix of a failed prefix would let
-// replay observe an effect without its cause, so a failed batch fails
-// every record in it, the file is truncated back to the committed
-// prefix, and the log latches broken — every queued and future submit
-// fails too, and each caller rolls back its own mutation. The shard
-// degrades to read-only rather than risk acknowledging writes replay
+// Every record reaches the file through the group committer, under either
+// fsync policy. A submit-time failure is a refusal by the latch (or by a
+// closing log): nothing was enqueued, and the caller rolls its mutation
+// back under the shard lock it still holds. A commit-time failure (batch
+// write or fsync error) comes later: by then the batch's mutations are
+// already visible in memory, and a later record may depend on an earlier
+// one (a consume for a device whose enroll is in the failed batch).
+// Committing any suffix of a failed prefix would let replay observe an
+// effect without its cause, so a failed batch fails every record in it,
+// the file is truncated back to the committed prefix, and the log latches
+// broken — every queued and future submit fails too, and each caller
+// rolls back its own mutation. The shard degrades to read-only until a
+// restart replays the log, rather than risk acknowledging writes replay
 // would refuse.
 
 // FsyncPolicy selects how aggressively the store flushes durability
@@ -75,11 +75,11 @@ const (
 	// kill -9 or power loss never loses an acknowledged mutation. This is
 	// the default and the only policy the durability tests certify.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncOff skips fsync everywhere AND bypasses the group committer:
-	// the record is written straight to the OS page cache under the shard
-	// lock and the call returns without any durability wait. A process
-	// crash (kill -9) still loses nothing — the kernel has the data — but
-	// power loss can. For benchmarks and bulk loads.
+	// FsyncOff skips fsync everywhere: the group committer still writes
+	// each batch before releasing its waiters, so the record is in the OS
+	// page cache when the call returns. A process crash (kill -9) still
+	// loses nothing — the kernel has the data — but power loss can. For
+	// benchmarks and bulk loads.
 	FsyncOff
 )
 
@@ -102,11 +102,21 @@ func (p FsyncPolicy) String() string {
 	return "always"
 }
 
-// ErrWALBroken reports a WAL latched unusable — a failed group commit or
-// an unrestorable tail after a failed synchronous write. Further
-// mutations on the shard are refused rather than risk acknowledging
-// writes that replay would discard (see the failure model above).
+// ErrWALBroken reports a WAL latched unusable after a failed group
+// commit or reset. Further mutations on the shard are refused until a
+// restart rather than risk acknowledging writes that replay would discard
+// (see the failure model above).
 var ErrWALBroken = errors.New("authserve: WAL broken, shard mutations disabled")
+
+// walFile is the part of an open file the log writes through. *os.File is
+// the only implementation outside tests, which wrap it to inject real I/O
+// errors.
+type walFile interface {
+	Write([]byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
 
 // walBatch is the open group commit: every record submitted while the
 // committer is busy frames itself into buf, and all of the batch's
@@ -115,24 +125,17 @@ var ErrWALBroken = errors.New("authserve: WAL broken, shard mutations disabled")
 // record.
 type walBatch struct {
 	buf     []byte
-	records int // records in buf (excludes test-failed ones)
-	n       int // submission indices handed out (includes test-failed)
+	records int
 	done    chan struct{}
 	err     error // batch verdict; set before done is closed
-
-	// failed (tests only) carries per-record injected errors: those
-	// records were never added to buf and their waiters see the mapped
-	// error while their neighbours commit.
-	failed map[int]error
 }
 
 // walPending is a submitted record whose durability verdict is still
 // outstanding; the caller must wait() exactly once, after releasing the
 // shard lock.
 type walPending struct {
-	w   *wal
-	b   *walBatch
-	idx int
+	w *wal
+	b *walBatch
 }
 
 // wait parks until the committer decides the record's batch. It must be
@@ -141,11 +144,6 @@ type walPending struct {
 func (p *walPending) wait() error {
 	<-p.b.done
 	p.w.waiters.Add(-1)
-	if p.b.failed != nil {
-		if err, ok := p.b.failed[p.idx]; ok {
-			return err
-		}
-	}
 	return p.b.err
 }
 
@@ -154,8 +152,8 @@ func (p *walPending) wait() error {
 // goroutine runs outside that lock, so the batch/size/broken state has
 // its own mutex.
 type wal struct {
-	f    *os.File
-	sync bool // group-commit fsync per batch (FsyncAlways)
+	f    walFile
+	sync bool // fsync each batch and reset (FsyncAlways)
 
 	mu     sync.Mutex
 	cur    *walBatch // open batch accepting submissions; nil when empty
@@ -166,38 +164,21 @@ type wal struct {
 	wake      chan struct{} // buffered(1): nudges the committer
 	stopc     chan struct{}
 	committed chan struct{} // closed when the committer goroutine exits
-	started   bool          // committer goroutine running
 
 	// waiters counts callers parked in wait(); exported to the
 	// ropuf_authserve_wal_waiters gauge.
 	waiters atomic.Int64
 
-	// syncBuf is the reusable frame buffer for the synchronous
-	// (FsyncOff) write path.
-	syncBuf []byte
-
-	// onFsync observes each batch's write+fsync latency; onCommit
-	// observes each successful group commit (records, bytes, new
-	// committed size, duration). Both run on the committer goroutine.
-	onFsync  func(time.Duration)
+	// onCommit observes each successful group commit (records, bytes, new
+	// committed size, write+fsync duration). It runs on the committer
+	// goroutine.
 	onCommit func(records int, bytes, size int64, d time.Duration)
-
-	// failAppends (tests only) makes every submit fail synchronously
-	// under the shard lock, before the mutation is visible — exercising
-	// the PR 6 atomic rollback paths.
-	failAppends bool
-	// failPayload (tests only) injects an isolated per-record failure:
-	// a submitted payload for which it returns true is kept out of the
-	// batch and its wait() returns an error after the batch commits,
-	// while its neighbours commit normally. Real commit-time failures
-	// are batch-wide (see the failure model).
-	failPayload func([]byte) bool
 }
 
 // openWAL opens (creating if absent) a shard's log, replays its records
-// into v, truncates any torn tail, and starts the group committer
-// (FsyncAlways only). It returns how many records were replayed and how
-// many torn bytes were discarded.
+// into v, truncates any torn tail, and starts the group committer. It
+// returns how many records were replayed and how many torn bytes were
+// discarded.
 func openWAL(path string, policy FsyncPolicy, v *auth.Verifier) (w *wal, replayed int, torn int64, err error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -225,44 +206,15 @@ func openWAL(path string, policy FsyncPolicy, v *auth.Verifier) (w *wal, replaye
 		stopc:     make(chan struct{}),
 		committed: make(chan struct{}),
 	}
-	if w.sync {
-		w.started = true
-		go w.run()
-	}
+	go w.run()
 	return w, replayed, torn, nil
 }
 
-// submit hands one record to the log. Called with the shard lock held.
-//
-// Under FsyncAlways it enqueues the framed record for the group
-// committer and returns a pending handle; the caller must release the
-// shard lock and wait() before acknowledging the mutation (rolling it
-// back if the wait fails). Under FsyncOff it writes the record to the
-// page cache synchronously and returns a nil pending — the record is as
-// durable as the policy ever makes it, with no wait.
+// submit enqueues one framed record for the group committer and returns
+// a pending handle. Called with the shard lock held; the caller must
+// release the lock and wait() before acknowledging the mutation (rolling
+// it back if the wait fails).
 func (w *wal) submit(payload []byte) (*walPending, error) {
-	if w.failAppends {
-		return nil, errors.New("authserve: WAL append failed (test hook)")
-	}
-	if !w.sync {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.broken {
-			return nil, ErrWALBroken
-		}
-		w.syncBuf = recordio.Append(w.syncBuf[:0], payload)
-		if _, err := w.f.Write(w.syncBuf); err != nil {
-			// Synchronous path: restore the clean tail; only an
-			// unrestorable tail latches broken (PR 6 semantics — nothing
-			// was visible outside the shard lock yet).
-			if terr := w.f.Truncate(w.size); terr != nil {
-				w.broken = true
-			}
-			return nil, fmt.Errorf("authserve: WAL append: %w", err)
-		}
-		w.size += int64(len(w.syncBuf))
-		return nil, nil
-	}
 	w.mu.Lock()
 	if w.broken || w.closed {
 		err := ErrWALBroken
@@ -277,24 +229,15 @@ func (w *wal) submit(payload []byte) (*walPending, error) {
 		b = &walBatch{done: make(chan struct{})}
 		w.cur = b
 	}
-	idx := b.n
-	b.n++
-	if w.failPayload != nil && w.failPayload(payload) {
-		if b.failed == nil {
-			b.failed = make(map[int]error)
-		}
-		b.failed[idx] = errors.New("authserve: WAL append failed (test hook)")
-	} else {
-		b.buf = recordio.Append(b.buf, payload)
-		b.records++
-	}
+	b.buf = recordio.Append(b.buf, payload)
+	b.records++
 	w.mu.Unlock()
 	w.waiters.Add(1)
 	select {
 	case w.wake <- struct{}{}:
 	default:
 	}
-	return &walPending{w: w, b: b, idx: idx}, nil
+	return &walPending{w: w, b: b}, nil
 }
 
 // flush is the compaction barrier: it parks until every record submitted
@@ -305,9 +248,6 @@ func (w *wal) submit(payload []byte) (*walPending, error) {
 // later fail and roll back — resurrecting a mutation whose caller was
 // told it did not happen.
 func (w *wal) flush() error {
-	if w == nil || !w.sync {
-		return nil // synchronous policies have no queue
-	}
 	w.mu.Lock()
 	if w.broken || w.closed {
 		w.mu.Unlock()
@@ -377,16 +317,17 @@ func (w *wal) drain() {
 	}
 }
 
-// commitBatch writes one batch with a single write+fsync and broadcasts
-// the verdict to every waiter. On I/O failure the whole batch fails, the
-// file is truncated back to the committed prefix, and the log latches
-// broken (see the failure model).
+// commitBatch writes one batch with a single write (and, under
+// FsyncAlways, a single fsync) and broadcasts the verdict to every
+// waiter. On I/O failure the whole batch fails, the file is truncated
+// back to the committed prefix, and the log latches broken (see the
+// failure model).
 func (w *wal) commitBatch(b *walBatch) {
 	var err error
 	var elapsed time.Duration
 	if len(b.buf) > 0 {
 		start := time.Now()
-		if _, err = w.f.Write(b.buf); err == nil {
+		if _, err = w.f.Write(b.buf); err == nil && w.sync {
 			err = w.f.Sync()
 		}
 		elapsed = time.Since(start)
@@ -412,9 +353,6 @@ func (w *wal) commitBatch(b *walBatch) {
 		w.size += int64(len(b.buf))
 		size := w.size
 		w.mu.Unlock()
-		if w.onFsync != nil {
-			w.onFsync(elapsed)
-		}
 		if w.onCommit != nil {
 			w.onCommit(b.records, int64(len(b.buf)), size, elapsed)
 		}
@@ -422,12 +360,19 @@ func (w *wal) commitBatch(b *walBatch) {
 	close(b.done)
 }
 
-// committedSize returns the bytes durably on disk (queued records
+// committedSize returns the bytes committed to the file (queued records
 // excluded).
 func (w *wal) committedSize() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.size
+}
+
+// latched reports whether the log is latched broken.
+func (w *wal) latched() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.broken
 }
 
 // reset empties the log after its contents have been folded into a
@@ -453,19 +398,17 @@ func (w *wal) reset() error {
 }
 
 // close stops the committer — draining any queued records first, so a
-// caller parked in wait() is always answered — and closes the file.
+// caller parked in wait() is always answered — and closes the file. A
+// nil wal (persistence off) closes as a no-op.
 func (w *wal) close() error {
-	if w == nil || w.f == nil {
+	if w == nil {
 		return nil
 	}
-	if w.started {
-		w.started = false
-		w.mu.Lock()
-		w.closed = true
-		w.mu.Unlock()
-		close(w.stopc)
-		<-w.committed
-	}
+	w.mu.Lock()
+	w.closed = true
+	w.mu.Unlock()
+	close(w.stopc)
+	<-w.committed
 	return w.f.Close()
 }
 

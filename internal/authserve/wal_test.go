@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"ropuf/internal/auth"
@@ -18,10 +19,76 @@ import (
 // for tests that hold no shard lock.
 func (w *wal) appendSync(payload []byte) error {
 	pend, err := w.submit(payload)
-	if err != nil || pend == nil {
+	if err != nil {
 		return err
 	}
 	return pend.wait()
+}
+
+// faultFile wraps a log's *os.File to inject real I/O errors. An armed
+// error is returned by every matching call until it is disarmed, the way
+// a failing disk keeps failing; a failing Write first writes half its
+// buffer, the short write a full disk leaves behind. Sync calls are
+// counted whether or not they fail.
+type faultFile struct {
+	*os.File
+
+	mu                             sync.Mutex
+	failWrite, failSync, failTrunc error
+	syncs                          int
+}
+
+// injectFaults puts a faultFile under w. Call it before the log sees
+// traffic from other goroutines: the committer reads w.f unlocked.
+func injectFaults(w *wal) *faultFile {
+	ff := &faultFile{File: w.f.(*os.File)}
+	w.f = ff
+	return ff
+}
+
+// fault arms (or, with nil, disarms) one of the failure fields.
+func (f *faultFile) fault(call *error, err error) {
+	f.mu.Lock()
+	*call = err
+	f.mu.Unlock()
+}
+
+func (f *faultFile) armed(call *error) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return *call
+}
+
+func (f *faultFile) Write(p []byte) (int, error) {
+	if err := f.armed(&f.failWrite); err != nil {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, err
+	}
+	return f.File.Write(p)
+}
+
+func (f *faultFile) Sync() error {
+	f.mu.Lock()
+	f.syncs++
+	err := f.failSync
+	f.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+func (f *faultFile) Truncate(size int64) error {
+	if err := f.armed(&f.failTrunc); err != nil {
+		return err
+	}
+	return f.File.Truncate(size)
+}
+
+func (f *faultFile) syncCount() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.syncs
 }
 
 // replayTarget returns a verifier for a WAL to replay into, with the

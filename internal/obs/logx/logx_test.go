@@ -126,7 +126,7 @@ func TestHandlerWithAttrsAndGroup(t *testing.T) {
 }
 
 func TestHandlerConcurrentWriters(t *testing.T) {
-	var buf syncBuffer
+	var buf lockedBuffer
 	log := New(&buf, slog.LevelInfo)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -148,18 +148,18 @@ func TestHandlerConcurrentWriters(t *testing.T) {
 	}
 }
 
-type syncBuffer struct {
+type lockedBuffer struct {
 	mu sync.Mutex
 	sb strings.Builder
 }
 
-func (b *syncBuffer) Write(p []byte) (int, error) {
+func (b *lockedBuffer) Write(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.sb.Write(p)
 }
 
-func (b *syncBuffer) String() string {
+func (b *lockedBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.sb.String()
