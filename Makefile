@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify perfbench-test bench bench-authserve bench-all bench-smoke fleet-bench fuzz serve-smoke watch-smoke datasetgen-smoke
+.PHONY: all build test verify race-wal perfbench-test bench bench-authserve bench-all bench-smoke fleet-bench fuzz serve-smoke watch-smoke datasetgen-smoke
 
 all: build test
 
@@ -28,6 +28,13 @@ verify:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 	$(GO) test -race ./...
+
+# Race stress on the WAL commit path: the group-commit, compaction, fault
+# injection and crash-recovery tests, ten times over under the race
+# detector. Commits run in whichever waiter leads, so interleavings vary
+# run to run; one -race pass in `verify` sees only a few of them.
+race-wal:
+	$(GO) test -race -count=10 -run 'GroupCommit|WAL|Compaction|OpenFailure|Kill9|FsyncOff|Rollback|Retry|Hammer' ./internal/authserve
 
 # The benchmark (perfbench/, see BENCHMARK.json) is its own module, so the
 # root `go test ./...` never reaches it; vet and test it against this
@@ -58,8 +65,8 @@ bench:
 # (BenchmarkStoreEnrollWAL vs the pre-WAL write-through model
 # BenchmarkStoreEnrollSnapshot), the group-commit scaling curve
 # (BenchmarkStoreEnrollWALParallel at clients=1/8/64 — enrolls/s must
-# grow with concurrency; 4000x so each leg runs long enough for the
-# committer to reach steady state) and the audit-on vs audit-off verify
+# grow with concurrency; 4000x so each leg runs long enough for group
+# commit to reach steady state) and the audit-on vs audit-off verify
 # handler pair (BenchmarkServerVerifyAuditOn/Off — the steady-state
 # audit overhead budget is <3%, allocs/op pins the ≤8 zero-alloc verify
 # budget, and AuditOn fails outright if any event is dropped).
@@ -142,7 +149,7 @@ datasetgen-smoke:
 # an observed trace) into AUDITSTAT.txt for the CI artifact. The last
 # leg proves group commit engages under real concurrent HTTP load (not
 # just in-process benchmarks): 64 loadgen workers enroll 256 devices
-# into a fresh single-shard fsync-always store (one committer, so the
+# into a fresh single-shard fsync-always store (one shard log, so the
 # whole client pool contends on it — the same isolation argument as
 # BenchmarkStoreEnrollWALParallel), and the server's
 # ropuf_authserve_wal_group_commit_records histogram must show fewer

@@ -25,9 +25,9 @@ import (
 // and recovers to 200 once the window clears. With -data the device store
 // survives restarts: every mutation appends a checksummed record to a
 // per-shard write-ahead log (fsynced per -fsync) and restart recovery is
-// snapshot + log replay; a background compactor folds logs past
-// -wal-compact-bytes into the shard snapshots. Without -data the store is
-// in-memory. Ctrl-C / SIGTERM drain gracefully: the listener stops
+// snapshot + log replay; the request whose commit carries a shard log
+// past -wal-compact-bytes folds it into the shard snapshot before it
+// answers. Without -data the store is in-memory. Ctrl-C / SIGTERM drain gracefully: the listener stops
 // accepting, in-flight requests get -drain to finish, and the logs are
 // folded into final snapshots before exit.
 func runServe(ctx context.Context, args []string) error {
@@ -36,7 +36,7 @@ func runServe(ctx context.Context, args []string) error {
 	dataDir := fs.String("data", "", "data directory for snapshots + WALs (empty = in-memory store)")
 	tolerance := fs.Float64("tolerance", 0.10, "accepted Hamming-distance fraction")
 	shards := fs.Int("shards", 16, "device store lock shards")
-	walCompact := fs.Int64("wal-compact-bytes", 4<<20, "per-shard WAL size that triggers background compaction (<0 disables)")
+	walCompact := fs.Int64("wal-compact-bytes", 4<<20, "per-shard WAL size at which the request that reaches it folds the log into the shard snapshot (<0 disables)")
 	fsyncMode := fs.String("fsync", "always", "durability flush policy: always (fsync every WAL append and snapshot) or off (page cache only)")
 	maxInflight := fs.Int("max-inflight", 64, "max concurrently executing requests")
 	maxQueue := fs.Int("max-queue", 256, "max requests queued for an inflight slot (excess get 429)")

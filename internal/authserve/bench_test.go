@@ -77,15 +77,15 @@ func BenchmarkStoreEnrollSnapshot(b *testing.B) { benchmarkStoreEnroll(b, true) 
 // serialized per shard); with group commit the waiters that queue during
 // one batch's fsync share the next one, so enrolls/s should scale
 // roughly with clients until the disk's flush rate saturates. The
-// clients=1 leg doubles as the no-regression pin: an idle committer must
-// commit a lone record immediately.
+// clients=1 leg doubles as the no-regression pin: a lone writer finds the
+// commit token free and must commit its own record immediately.
 //
 // The configuration deliberately isolates the durability path. Devices
 // are tiny (2 pairs) so the CPU-bound selection algorithm — which cannot
 // parallelize on a small core count and is benchmarked separately by
 // BenchmarkStoreEnrollWAL at acceptance scale — does not flatten the
 // curve, and the store runs a single shard so the whole client pool
-// drains into one committer (batch depth ≈ clients; with hash-spread
+// contends on one shard log (batch depth ≈ clients; with hash-spread
 // shards it would be clients/shards, measuring shard fan-out rather than
 // group commit).
 func BenchmarkStoreEnrollWALParallel(b *testing.B) {

@@ -1,9 +1,11 @@
 package authserve
 
-// Background WAL compaction. The log keeps mutations O(record), but an
-// unbounded log makes recovery O(history); the compactor bounds it by
-// folding any shard log past StoreOptions.CompactBytes back into the
-// shard's auth.Save snapshot.
+// WAL compaction. The log keeps mutations O(record), but an unbounded log
+// makes recovery O(history); compaction bounds it by folding any shard
+// log past StoreOptions.CompactBytes back into the shard's auth.Save
+// snapshot. No goroutine does this in the background: the request whose
+// commit carries the log to the threshold runs the fold itself, after its
+// own commit succeeded and before it answers.
 //
 // # State machine
 //
@@ -31,66 +33,30 @@ package authserve
 //
 // Holding the shard lock for the snapshot write pauses that one shard's
 // requests for the write's duration; the other shards keep serving. The
-// alternative (copy-on-write snapshots) buys latency with a full state
-// copy — not worth it at the shard sizes the threshold implies.
+// request that runs the fold waits for it too, so its
+// committed-but-unacknowledged window (the span between its fsync and its
+// response) widens by the fold; DESIGN.md §11 measures a fold at the
+// 4 MiB default. The alternative (copy-on-write snapshots) buys latency
+// with a full state copy — not worth it at the shard sizes the threshold
+// implies.
 
-// compactor owns the background folding goroutine. Appends kick it
-// (non-blocking, coalescing) when a shard log passes the threshold; it
-// scans all shards on each kick so one signal can fold several logs.
-type compactor struct {
-	kickc chan struct{}
-	stopc chan struct{}
-	done  chan struct{}
-}
-
-// startCompactor launches the folding goroutine.
-func (s *Store) startCompactor() *compactor {
-	c := &compactor{
-		kickc: make(chan struct{}, 1),
-		stopc: make(chan struct{}),
-		done:  make(chan struct{}),
+// compactIfDue folds sh's log into its snapshot once a commit has carried
+// it to the threshold. Enroll and Challenge call it after their own
+// commit succeeded, without the shard lock; the size is checked again
+// under the lock, so when several requests cross at once only the first
+// folds. Errors are not returned — the request has already committed.
+// They are counted (snapshotFailures or walFailures) and surface through
+// /healthz; the log keeps growing and the next request on the shard
+// retries.
+func (s *Store) compactIfDue(sh *shard) {
+	if s.opt.CompactBytes <= 0 || sh.walSize.Load() < s.opt.CompactBytes {
+		return
 	}
-	go func() {
-		defer close(c.done)
-		for {
-			select {
-			case <-c.stopc:
-				return
-			case <-c.kickc:
-				s.compactOverThreshold()
-			}
-		}
-	}()
-	return c
-}
-
-// kick wakes the compactor without blocking; a kick while one is already
-// pending coalesces.
-func (c *compactor) kick() {
-	select {
-	case c.kickc <- struct{}{}:
-	default:
-	}
-}
-
-func (c *compactor) stopAndWait() {
-	close(c.stopc)
-	<-c.done
-}
-
-// compactOverThreshold folds every shard whose log passed the threshold.
-// Errors are not returned — they are counted (snapshotFailures or
-// walFailures) and surface through /healthz; the log keeps growing and
-// the next kick retries.
-func (s *Store) compactOverThreshold() {
-	for _, sh := range s.shards {
-		if sh.walSize.Load() < s.opt.CompactBytes {
-			continue
-		}
-		sh.mu.Lock()
+	sh.mu.Lock()
+	if sh.walSize.Load() >= s.opt.CompactBytes {
 		_ = s.compactShardLocked(sh)
-		sh.mu.Unlock()
 	}
+	sh.mu.Unlock()
 }
 
 // compactShardLocked folds one shard's WAL into its snapshot; the caller

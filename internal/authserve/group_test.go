@@ -17,13 +17,13 @@ import (
 	"ropuf/internal/recordio"
 )
 
-// gateCommitter blocks the wal's committer goroutine inside its first
-// onCommit callback (after any callback already installed, such as the
-// store's bookkeeping) until the returned release func is called,
-// recording every batch's record count. While the committer is parked,
-// every new submit lands in the next open batch — the deterministic way
-// to build a multi-record batch without racing the (very fast) commit
-// loop.
+// gateCommitter blocks the wal's first group commit inside its onCommit
+// callback (after any callback already installed, such as the store's
+// bookkeeping) until the returned release func is called, recording
+// every batch's record count. The leader parks holding the commit token,
+// so every new submit lands in the next open batch — the deterministic
+// way to build a multi-record batch without racing the (very fast)
+// commit.
 func gateCommitter(w *wal) (sizes func() []int, parked <-chan struct{}, release func()) {
 	var mu sync.Mutex
 	var got []int
@@ -78,14 +78,16 @@ func TestGroupCommitBatching(t *testing.T) {
 	}
 	sizes, parked, release := gateCommitter(w)
 
-	// Record 0 commits alone and parks the committer inside onCommit.
+	// Record 0 commits alone: its waiter leads and parks inside onCommit.
 	lead, err := w.submit(mustConsume(t, "lead", []int{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	leadErr := make(chan error, 1)
+	go func() { leadErr <- lead.wait() }()
 	<-parked
 
-	// Sixteen appends queue behind the parked committer.
+	// Sixteen appends queue behind the parked leader.
 	var wg sync.WaitGroup
 	errs := make([]error, queued)
 	for i := 0; i < queued; i++ {
@@ -95,11 +97,11 @@ func TestGroupCommitBatching(t *testing.T) {
 			errs[i] = w.appendSync(mustConsume(t, fmt.Sprintf("dev-%02d", i), []int{i}))
 		}(i)
 	}
-	// lead's waiter (1, unparked only when we wait() below) + the queued.
+	// lead's waiter (parked in its own commit) + the queued.
 	waitForWaiters(t, w, queued+1)
 	release()
 	wg.Wait()
-	if err := lead.wait(); err != nil {
+	if err := <-leadErr; err != nil {
 		t.Fatalf("lead record verdict: %v", err)
 	}
 	for i, err := range errs {
@@ -145,7 +147,9 @@ func TestGroupCommitFlushBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-parked // lead committed; committer parked inside onCommit
+	leadErr := make(chan error, 1)
+	go func() { leadErr <- lead.wait() }()
+	<-parked // lead committed; its waiter parked inside onCommit
 	queued, err := w.submit(mustConsume(t, "queued", []int{1}))
 	if err != nil {
 		t.Fatal(err)
@@ -165,9 +169,9 @@ func TestGroupCommitFlushBarrier(t *testing.T) {
 			t.Fatalf("flush after release: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("flush never returned after the committer resumed")
+		t.Fatal("flush never returned after the leader resumed")
 	}
-	if err := lead.wait(); err != nil {
+	if err := <-leadErr; err != nil {
 		t.Fatal(err)
 	}
 	if err := queued.wait(); err != nil {
@@ -211,8 +215,8 @@ func TestGroupCommitSyncEIOFailsWholeBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The lead enroll commits alone and parks the committer, so the three
-	// mutations below queue into one batch.
+	// The lead enroll commits alone and parks inside its own commit, so
+	// the three mutations below queue into one batch.
 	_, parked, release := gateCommitter(sh.wal)
 	leadErr := make(chan error, 1)
 	go func() {
@@ -346,8 +350,8 @@ func TestKill9MidBatchPrefixRecovery(t *testing.T) {
 	}
 }
 
-// TestFsyncOffNeverSyncs pins the -fsync off contract: records ride the
-// group committer like any other, but no fsync reaches a shard's log, so
+// TestFsyncOffNeverSyncs pins the -fsync off contract: records ride
+// group commit like any other, but no fsync reaches a shard's log, so
 // the call returns without a durability wait. Behaviorally, a reopen
 // still sees every mutation, and the per-mutation cost stays within an
 // order of magnitude of a pure in-memory store, nowhere near fsync

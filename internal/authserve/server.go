@@ -245,7 +245,7 @@ func (s *Server) Health() []obs.HealthReason {
 		if backlog := s.store.WALBacklogBytes(); backlog >= 4*thr {
 			reasons = append(reasons, obs.HealthReason{
 				Code: "wal_stalled",
-				Detail: fmt.Sprintf("WAL backlog %d bytes is ≥4× the %d-byte compaction threshold; compactor not keeping up",
+				Detail: fmt.Sprintf("WAL backlog %d bytes is ≥4× the %d-byte compaction threshold; folds are failing",
 					backlog, thr),
 				Value: float64(backlog),
 			})

@@ -18,13 +18,15 @@
 //
 // With a data directory configured, every mutation (enroll, challenge
 // issuance) appends one checksummed record to the owning shard's
-// write-ahead log and waits for the shard's group committer to write it —
-// and, under FsyncAlways, fsync it — *before* the call returns: O(record)
-// work, and one write+fsync amortized over every record that queued while
-// the previous batch was flushing (wal.go). The mutation is applied in
-// memory and the record enqueued under the shard lock, but the durability
-// wait happens after the lock is released, so concurrent mutations on one
-// shard overlap their fsync waits instead of serializing them. The price
+// write-ahead log and waits for a group commit to write it — and, under
+// FsyncAlways, fsync it — *before* the call returns: O(record) work, and
+// one write+fsync amortized over every record that queued while the
+// previous batch was flushing. The first waiter to take the shard log's
+// commit token leads that commit itself; the store runs no goroutine of
+// its own (wal.go). The mutation is applied in memory and the record
+// enqueued under the shard lock, but the durability wait happens after
+// the lock is released, so concurrent mutations on one shard overlap
+// their fsync waits instead of serializing them. The price
 // is a visibility window: a mutation is briefly observable in memory
 // before it is durable. Writers never acknowledge inside that window (they
 // wait first, and roll the mutation back — re-acquiring the lock — if the
@@ -48,11 +50,12 @@
 // Snapshot and log are one format: a shard snapshot (shard-NNNN.snap,
 // auth.Save) is the log compacted to one enroll record per device plus
 // one consume record per device with consumed pairs, and both load
-// through auth's one record decoder. A background compactor (compact.go)
-// folds logs past a size threshold into the snapshot: snapshot is written
-// durably first (temp file, fsync, rename, directory fsync — under
-// FsyncAlways the crash leaves either the old or the new snapshot, both
-// with enough log to reconstruct the state), then the log is truncated.
+// through auth's one record decoder. The request whose commit carries a
+// log past a size threshold folds it into the snapshot (compact.go): the
+// snapshot is written durably first (temp file, fsync, rename, directory
+// fsync — under FsyncAlways the crash leaves either the old or the new
+// snapshot, both with enough log to reconstruct the state), then the log
+// is truncated.
 //
 // Outstanding challenge IDs are deliberately NOT persisted: a restart
 // invalidates every issued-but-unverified challenge, so responses to
@@ -107,17 +110,17 @@ type StoreOptions struct {
 	// and challenge IDs. Defaults to 1; serving binaries should pass a
 	// random seed (see cmd/ropuf serve).
 	Seed uint64
-	// CompactBytes is the per-shard WAL size at which the background
-	// compactor folds the log into the shard snapshot. 0 means the
-	// 4 MiB default; negative disables background compaction (the log
+	// CompactBytes is the per-shard WAL size at which the request whose
+	// commit reaches it folds the log into the shard snapshot. 0 means
+	// the 4 MiB default; negative disables threshold compaction (the log
 	// still folds at SaveAll / graceful drain).
 	CompactBytes int64
 	// Fsync selects the durability flush policy for WAL appends and
 	// snapshot writes. The zero value is FsyncAlways.
 	Fsync FsyncPolicy
-	// Registry, when non-nil, receives the WAL metrics (fsync latency,
-	// record/byte counters, log size, compactions). Nil means a private
-	// registry.
+	// Registry, when non-nil, receives the WAL metrics (group-commit
+	// latency and batch size, record/byte counters, log size,
+	// compactions). Nil means a private registry.
 	Registry *obs.Registry
 	// Tracer, when non-nil, emits an authserve.wal_replay span covering
 	// startup recovery.
@@ -172,7 +175,6 @@ type Store struct {
 	// shard, which /healthz reports as wal_stalled until restart.
 	walFailures atomic.Int64
 
-	walFsyncDur     *obs.Histogram
 	walRecords      *obs.CounterVec
 	walRecEnrolls   *obs.Counter // walRecords series, resolved once for the hot path
 	walRecConsumes  *obs.Counter
@@ -182,7 +184,6 @@ type Store struct {
 	compactions     *obs.Counter
 	shardDevices    *obs.GaugeVec
 
-	compact   *compactor
 	closeOnce sync.Once
 	closeErr  error
 
@@ -214,8 +215,8 @@ func (s *Store) LatchedShards() []string {
 }
 
 // WALBacklogBytes returns the largest per-shard WAL size — the compaction
-// backlog. A backlog far past CompactBytes means the compactor is not
-// keeping up (or is disabled while the log grows unbounded).
+// backlog. A backlog far past CompactBytes means folds are failing (or
+// compaction is disabled while the log grows unbounded).
 func (s *Store) WALBacklogBytes() int64 {
 	var max int64
 	for _, sh := range s.shards {
@@ -227,7 +228,7 @@ func (s *Store) WALBacklogBytes() int64 {
 }
 
 // CompactBytes returns the per-shard WAL compaction threshold (negative =
-// background compaction disabled).
+// threshold compaction disabled).
 func (s *Store) CompactBytes() int64 { return s.opt.CompactBytes }
 
 type shard struct {
@@ -269,8 +270,6 @@ func Open(opt StoreOptions) (*Store, error) {
 		bucketWidth: opt.TelemetryWindow / telemetryBuckets,
 	}
 	reg := opt.Registry
-	s.walFsyncDur = reg.NewHistogram("ropuf_authserve_wal_fsync_duration_seconds",
-		"Latency of the WAL write+fsync on the mutation path, one observation per group commit.", nil)
 	s.walRecords = reg.NewCounterVec("ropuf_authserve_wal_records_total",
 		"WAL records appended, by record type.", "type")
 	s.walRecEnrolls = s.walRecords.With("enroll")
@@ -326,8 +325,7 @@ func Open(opt StoreOptions) (*Store, error) {
 	for i := range s.shards {
 		sh, records, torn, err := s.openShard(i, parent)
 		if err != nil {
-			// Close the logs of the shards already open: each holds a file
-			// and a committer goroutine.
+			// Close the logs of the shards already open: each holds a file.
 			s.Close()
 			return nil, err
 		}
@@ -341,9 +339,6 @@ func Open(opt StoreOptions) (*Store, error) {
 	span.SetAttr("torn_bytes", strconv.FormatInt(tornBytes, 10))
 	span.SetAttr("devices", strconv.FormatInt(restored, 10))
 	span.End()
-	if opt.Dir != "" && opt.CompactBytes > 0 {
-		s.compact = s.startCompactor()
-	}
 	return s, nil
 }
 
@@ -386,30 +381,22 @@ func (s *Store) openShard(i int, parent *rngx.RNG) (sh *shard, replayed int, tor
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	// Runs on the shard's committer goroutine after each successful group
-	// commit; size bookkeeping and the compaction kick live here because
-	// only the committer knows when queued bytes become committed bytes.
+	// Runs in the leader of each successful group commit, which holds the
+	// log's commit token and no shard lock.
 	sh.wal.onCommit = func(records int, _, size int64, d time.Duration) {
 		sh.walSize.Store(size)
-		s.walFsyncDur.Observe(d.Seconds())
 		s.walGroupRecords.Observe(float64(records))
 		s.walGroupDur.Observe(d.Seconds())
-		if s.compact != nil && size >= s.opt.CompactBytes {
-			s.compact.kick()
-		}
 	}
 	sh.walSize.Store(sh.wal.size)
 	return sh, replayed, torn, nil
 }
 
-// Close stops the background compactor and closes the shard WAL files.
-// It does not fold the logs — call SaveAll first for a clean shutdown, or
-// skip it and let the next Open replay them.
+// Close closes the shard WAL files, committing any records still queued
+// first. It does not fold the logs — call SaveAll first for a clean
+// shutdown, or skip it and let the next Open replay them.
 func (s *Store) Close() error {
 	s.closeOnce.Do(func() {
-		if s.compact != nil {
-			s.compact.stopAndWait()
-		}
 		var errs []error
 		for _, sh := range s.shards {
 			if sh == nil {
@@ -526,7 +513,8 @@ func (s *Store) recordAppended(rec *obs.Counter, payloadLen int) {
 // rolled back (re-acquiring the lock when the failure surfaces at commit
 // time), so the client's retry after a restart starts clean instead of
 // hitting ErrDuplicateDevice against a record that was never made
-// durable.
+// durable. If the commit carries the shard's log to the compaction
+// threshold, Enroll folds it before returning (compact.go).
 func (s *Store) Enroll(id string, pairs []core.Pair, mode core.Mode) (DeviceInfo, error) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -569,6 +557,7 @@ func (s *Store) Enroll(id string, pairs []core.Pair, mode core.Mode) (DeviceInfo
 	}
 	if sh.wal != nil {
 		s.recordAppended(s.walRecEnrolls, payloadLen)
+		s.compactIfDue(sh)
 	}
 	return info, nil
 }
@@ -581,7 +570,8 @@ func (s *Store) Enroll(id string, pairs []core.Pair, mode core.Mode) (DeviceInfo
 // succeeds, and nobody else can learn it meanwhile. If the durability
 // write fails the consumption is rolled back — the pairs never left the
 // process, so returning them to the fresh pool leaks nothing and the
-// client's retry after a restart can draw again.
+// client's retry after a restart can draw again. Like Enroll, it folds
+// a log its commit carried to the compaction threshold.
 func (s *Store) Challenge(id string, k int) (string, *auth.Challenge, int, error) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -641,6 +631,7 @@ func (s *Store) Challenge(id string, k int) (string, *auth.Challenge, int, error
 	}
 	if sh.wal != nil {
 		s.recordAppended(s.walRecConsumes, payloadLen)
+		s.compactIfDue(sh)
 	}
 	return nonce, ch, fresh, nil
 }

@@ -264,18 +264,21 @@ func openFDs(t *testing.T) int {
 
 // TestOpenFailureReleasesShards pins that Close, and a failed Open, stop
 // every shard already opened: under either fsync policy each open shard
-// holds its WAL file and a committer goroutine, and a caller handed an
-// error has no Store to Close.
+// holds its WAL file, and a caller handed an error has no Store to Close.
+// It also pins that the store owns no goroutines: once the enrolls have
+// returned, an open store holds one file per shard and nothing else.
 func TestOpenFailureReleasesShards(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncOff} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			opt := StoreOptions{Shards: 4, Dir: dir, Fsync: policy}
 			goroutines, fds := runtime.NumGoroutine(), openFDs(t)
-			released := func(what string) {
+			// released waits for the goroutine count to be back at the
+			// baseline and for at most held files beyond it.
+			released := func(what string, held int) {
 				t.Helper()
 				deadline := time.Now().Add(5 * time.Second)
-				for runtime.NumGoroutine() > goroutines || openFDs(t) > fds {
+				for runtime.NumGoroutine() > goroutines || openFDs(t) > fds+held {
 					if time.Now().After(deadline) {
 						t.Fatalf("%s leaked: goroutines %d -> %d, fds %d -> %d",
 							what, goroutines, runtime.NumGoroutine(), fds, openFDs(t))
@@ -299,13 +302,14 @@ func TestOpenFailureReleasesShards(t *testing.T) {
 			if store.shards[3].v.NumDevices() == 0 {
 				t.Fatal("no device landed on the last shard")
 			}
+			released("open store", opt.Shards)
 			if err := store.SaveAll(); err != nil {
 				t.Fatal(err)
 			}
 			if err := store.Close(); err != nil {
 				t.Fatal(err)
 			}
-			released("Close")
+			released("Close", 0)
 			// The last shard fails to load, after shards 0-2 opened their WALs.
 			if err := corruptFile(filepath.Join(dir, "shard-0003.snap")); err != nil {
 				t.Fatal(err)
@@ -313,7 +317,7 @@ func TestOpenFailureReleasesShards(t *testing.T) {
 			if _, err := Open(opt); err == nil {
 				t.Fatal("corrupted snapshot accepted")
 			}
-			released("failed Open")
+			released("failed Open", 0)
 		})
 	}
 }
@@ -722,9 +726,10 @@ func TestWALReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestBackgroundCompaction drives the store past the WAL threshold and
-// waits for the background compactor to fold the log: the WAL empties,
-// the snapshot appears, and recovery from the folded state is complete.
+// TestBackgroundCompaction drives the store past the WAL threshold: the
+// request whose commit crosses it folds the log before returning, so the
+// WAL is empty as soon as the last Enroll returns, the snapshot is there,
+// and recovery from the folded state is complete.
 func TestBackgroundCompaction(t *testing.T) {
 	dir := t.TempDir()
 	devices, err := fleet.Synthetic(8, 16, 7, 0xAB)
@@ -732,10 +737,10 @@ func TestBackgroundCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Threshold far below one enrollment record (~220 bytes with header),
-	// so every enroll kicks the compactor — including the last one. A
-	// threshold above one record can strand a sub-threshold tail that
-	// nothing ever kicks for (that tail is fine for recovery, but this
-	// test wants the log fully folded).
+	// so every enroll folds the log — including the last one. A threshold
+	// above one record can leave a sub-threshold tail that no request
+	// folds (that tail is fine for recovery, but this test wants the log
+	// fully folded).
 	opt := StoreOptions{Shards: 1, Dir: dir, CompactBytes: 64}
 	store, err := Open(opt)
 	if err != nil {
@@ -747,12 +752,8 @@ func TestBackgroundCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for store.WALBacklogBytes() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("compactor never drained the WAL (backlog %d bytes)", store.WALBacklogBytes())
-		}
-		time.Sleep(10 * time.Millisecond)
+	if n := store.WALBacklogBytes(); n > 0 {
+		t.Fatalf("WAL holds %d bytes after the last enroll returned, want it folded", n)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "shard-0000.snap")); err != nil {
 		t.Fatalf("no snapshot after compaction: %v", err)

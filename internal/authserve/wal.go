@@ -14,17 +14,22 @@ import (
 	"ropuf/internal/recordio"
 )
 
-// Per-shard write-ahead log with group commit. Every mutation (enroll,
-// challenge-consume) appends one fixed-format record by handing it to a
-// per-shard committer goroutine that drains whatever has queued since its
-// last commit, writes the whole batch with one write (plus one fsync
-// under FsyncAlways), and then releases every waiter at once. A lone
-// writer still gets an immediate commit (the committer is idle, wakes
-// instantly, and finds a batch of one), while N concurrent writers share
-// a single fsync instead of paying N — durable throughput scales with
-// concurrency up to the disk's flush rate. Recovery is snapshot + log
-// replay; a background compactor (compact.go) folds a grown log back
-// into the snapshot.
+// Per-shard write-ahead log with leader/follower group commit. Every
+// mutation (enroll, challenge-consume) frames one fixed-format record
+// into the shard's open batch (submit, under the shard lock) and then
+// waits for that batch's verdict (wait, after the lock is released). The
+// log owns no goroutine: a waiter that takes the log's one-slot commit
+// token before its batch is decided leads — it swaps the whole open batch
+// out, writes it with one write (plus one fsync under FsyncAlways), and
+// releases every waiter at once — while writers that queue meanwhile
+// follow into the next batch, which the next token holder commits. A lone
+// writer leads its own batch of one at once, while N concurrent writers
+// share a single fsync instead of paying N — durable throughput scales
+// with concurrency up to the disk's flush rate. This is the write-thread
+// shape of RocksDB's WriteThread and MySQL's binlog group commit.
+// Recovery is snapshot + log replay; the request whose commit carries a
+// log past the compaction threshold folds it back into the snapshot
+// (compact.go).
 //
 // # Wire format
 //
@@ -50,8 +55,8 @@ import (
 //
 // # Failure model
 //
-// Every record reaches the file through the group committer, under either
-// fsync policy. A submit-time failure is a refusal by the latch (or by a
+// Every record reaches the file through a group commit, under either fsync
+// policy. A submit-time failure is a refusal by the latch (or by a
 // closing log): nothing was enqueued, and the caller rolls its mutation
 // back under the shard lock it still holds. A commit-time failure (batch
 // write or fsync error) comes later: by then the batch's mutations are
@@ -70,14 +75,14 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncAlways fsyncs every WAL append (batched by the group
-	// committer) and snapshot write before the mutating call returns: a
-	// kill -9 or power loss never loses an acknowledged mutation. This is
-	// the default and the only policy the durability tests certify.
+	// FsyncAlways fsyncs every WAL append (batched by group commit) and
+	// snapshot write before the mutating call returns: a kill -9 or power
+	// loss never loses an acknowledged mutation. This is the default and
+	// the only policy the durability tests certify.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncOff skips fsync everywhere: the group committer still writes
-	// each batch before releasing its waiters, so the record is in the OS
-	// page cache when the call returns. A process crash (kill -9) still
+	// FsyncOff skips fsync everywhere: each group commit still writes its
+	// batch before releasing its waiters, so the record is in the OS page
+	// cache when the call returns. A process crash (kill -9) still
 	// loses nothing — the kernel has the data — but power loss can. For
 	// benchmarks and bulk loads.
 	FsyncOff
@@ -119,7 +124,7 @@ type walFile interface {
 }
 
 // walBatch is the open group commit: every record submitted while the
-// committer is busy frames itself into buf, and all of the batch's
+// previous batch commits frames itself into buf, and all of the batch's
 // waiters park on one done channel — a single close broadcasts the
 // verdict, instead of one channel send (and one wakeup hand-off) per
 // record.
@@ -138,47 +143,72 @@ type walPending struct {
 	b *walBatch
 }
 
-// wait parks until the committer decides the record's batch. It must be
+// wait returns the verdict on the record's batch. It parks until the
+// batch is decided or the commit token is free; if it takes the token
+// first, it leads: it commits the whole open batch — its own, plus every
+// record that queued behind it — and hands the token on. It must be
 // called without the shard lock held — overlapping the durability waits
 // of independent requests is the whole point of group commit.
 func (p *walPending) wait() error {
-	<-p.b.done
-	p.w.waiters.Add(-1)
+	w := p.w
+	defer w.waiters.Add(-1)
+	select {
+	case <-p.b.done:
+		return p.b.err
+	case w.token <- struct{}{}:
+	}
+	select {
+	case <-p.b.done: // decided while this waiter queued for the token
+	default:
+		// Still undecided, so the batch is still the open one. Yield
+		// before swapping it out: every submitter that is already
+		// runnable gets to join it first. Without this, the first
+		// waiter to resubmit after a commit leads a batch of one, and
+		// its fsync strands the rest in the next batch — a lockstep
+		// convoy that halves the batching factor (worst on few cores).
+		// For a lone writer the yield is a no-op costing well under a
+		// microsecond against the fsync it precedes.
+		runtime.Gosched()
+		w.commitOpen()
+	}
+	<-w.token
 	return p.b.err
 }
 
-// wal is one shard's open log file. Submission (submit, reset, flush) is
-// always performed with the owning shard's lock held, but the committer
-// goroutine runs outside that lock, so the batch/size/broken state has
-// its own mutex.
+// wal is one shard's open log file. Submission (submit) and the
+// barrier, reset and close calls are always made with the owning shard's
+// lock held, but commits run in whichever waiter leads, outside that
+// lock, so the batch/size/broken state has its own mutex.
 type wal struct {
 	f    walFile
 	sync bool // fsync each batch and reset (FsyncAlways)
+
+	// token is the one-slot commit token: a send takes it, a receive
+	// gives it back. Only its holder swaps the open batch out or writes,
+	// syncs or truncates f. Lock order is shard lock, then token: flush,
+	// reset and close take it under the shard lock, and a leader never
+	// takes a shard lock while it holds the token.
+	token chan struct{}
 
 	mu     sync.Mutex
 	cur    *walBatch // open batch accepting submissions; nil when empty
 	size   int64     // committed bytes on disk
 	broken bool      // see the failure model in the package comment
-	closed bool      // close() begun: refuse new submits (committer is exiting)
+	closed bool      // close() ran: refuse new submits
 
-	wake      chan struct{} // buffered(1): nudges the committer
-	stopc     chan struct{}
-	committed chan struct{} // closed when the committer goroutine exits
-
-	// waiters counts callers parked in wait(); exported to the
-	// ropuf_authserve_wal_waiters gauge.
+	// waiters counts submitted records whose caller has not yet returned
+	// from wait(); exported to the ropuf_authserve_wal_waiters gauge.
 	waiters atomic.Int64
 
 	// onCommit observes each successful group commit (records, bytes, new
-	// committed size, write+fsync duration). It runs on the committer
-	// goroutine.
+	// committed size, write+fsync duration). It runs in the leader, with
+	// the token held.
 	onCommit func(records int, bytes, size int64, d time.Duration)
 }
 
 // openWAL opens (creating if absent) a shard's log, replays its records
-// into v, truncates any torn tail, and starts the group committer. It
-// returns how many records were replayed and how many torn bytes were
-// discarded.
+// into v, and truncates any torn tail. It returns how many records were
+// replayed and how many torn bytes were discarded.
 func openWAL(path string, policy FsyncPolicy, v *auth.Verifier) (w *wal, replayed int, torn int64, err error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -199,30 +229,26 @@ func openWAL(path string, policy FsyncPolicy, v *auth.Verifier) (w *wal, replaye
 		return nil, 0, 0, fmt.Errorf("authserve: truncating torn WAL tail %s: %w", path, err)
 	}
 	w = &wal{
-		f:         f,
-		size:      valid,
-		sync:      policy == FsyncAlways,
-		wake:      make(chan struct{}, 1),
-		stopc:     make(chan struct{}),
-		committed: make(chan struct{}),
+		f:     f,
+		size:  valid,
+		sync:  policy == FsyncAlways,
+		token: make(chan struct{}, 1),
 	}
-	go w.run()
 	return w, replayed, torn, nil
 }
 
-// submit enqueues one framed record for the group committer and returns
-// a pending handle. Called with the shard lock held; the caller must
-// release the lock and wait() before acknowledging the mutation (rolling
-// it back if the wait fails).
+// submit frames one record into the open batch and returns a pending
+// handle. Called with the shard lock held; the caller must release the
+// lock and wait() before acknowledging the mutation (rolling it back if
+// the wait fails).
 func (w *wal) submit(payload []byte) (*walPending, error) {
 	w.mu.Lock()
-	if w.broken || w.closed {
-		err := ErrWALBroken
-		if w.closed {
-			err = errors.New("authserve: WAL closed")
-		}
-		w.mu.Unlock()
-		return nil, err
+	defer w.mu.Unlock()
+	if w.closed {
+		return nil, errors.New("authserve: WAL closed")
+	}
+	if w.broken {
+		return nil, ErrWALBroken
 	}
 	b := w.cur
 	if b == nil {
@@ -231,133 +257,75 @@ func (w *wal) submit(payload []byte) (*walPending, error) {
 	}
 	b.buf = recordio.Append(b.buf, payload)
 	b.records++
-	w.mu.Unlock()
 	w.waiters.Add(1)
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
 	return &walPending{w: w, b: b}, nil
 }
 
-// flush is the compaction barrier: it parks until every record submitted
-// before it has a durability verdict (including any batch already in
-// flight when flush is called). Called with the shard lock held, which
-// guarantees no new records can race in behind the barrier. Snapshotting
-// without this barrier could persist in-memory state whose WAL records
-// later fail and roll back — resurrecting a mutation whose caller was
-// told it did not happen.
+// flush is the compaction barrier: it returns once every record
+// submitted before it has a durability verdict. Taking the token waits
+// out any commit in flight; flush then commits whatever is still queued
+// itself. Called with the shard lock held, which guarantees no new
+// records can race in behind the barrier. Snapshotting without this
+// barrier could persist in-memory state whose WAL records later fail and
+// roll back — resurrecting a mutation whose caller was told it did not
+// happen.
 func (w *wal) flush() error {
+	w.token <- struct{}{}
+	w.commitOpen()
+	<-w.token
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.broken || w.closed {
-		w.mu.Unlock()
 		return ErrWALBroken
 	}
-	b := w.cur
-	if b == nil {
-		// Nothing queued, but a previous batch may still be mid-fsync:
-		// join an empty batch, which the committer picks up (and
-		// answers) only after finishing anything in flight.
-		b = &walBatch{done: make(chan struct{})}
-		w.cur = b
-	}
+	return nil
+}
+
+// commitOpen swaps the open batch out and commits it with a single write
+// (and, under FsyncAlways, a single fsync), then broadcasts the verdict
+// to every waiter. On I/O failure the whole batch fails, the file is
+// truncated back to the committed prefix, and the log latches broken
+// (see the failure model). The caller holds the token.
+func (w *wal) commitOpen() {
+	w.mu.Lock()
+	b, broken := w.cur, w.broken
+	w.cur = nil
 	w.mu.Unlock()
-	select {
-	case w.wake <- struct{}{}:
-	default:
+	if b == nil {
+		return
 	}
-	<-b.done
-	return b.err
-}
-
-// run is the group committer: wake, drain everything queued, commit it
-// as one batch, repeat. On stop it drains what remains so no waiter is
-// left parked forever.
-func (w *wal) run() {
-	defer close(w.committed)
-	for {
-		select {
-		case <-w.wake:
-			w.drain()
-		case <-w.stopc:
-			w.drain()
-			return
-		}
+	defer close(b.done)
+	if broken {
+		b.err = ErrWALBroken
+		return
 	}
-}
-
-// drain commits batches until none is open. Each iteration swaps out the
-// entire open batch — every record that arrived while the previous batch
-// was fsyncing shares the next one.
-func (w *wal) drain() {
-	for {
-		// Yield before swapping the batch out: every submitter that is
-		// already runnable gets to join it first. Without this, the
-		// first waiter to resubmit after a commit wakes the committer
-		// into a batch of one, and its fsync strands the rest in the
-		// next batch — a lockstep convoy that halves the batching
-		// factor (worst on few cores). For a lone writer the yield is
-		// a no-op costing well under a microsecond against the fsync
-		// it precedes.
-		runtime.Gosched()
-		w.mu.Lock()
-		b := w.cur
-		w.cur = nil
-		broken := w.broken
-		w.mu.Unlock()
-		if b == nil {
-			return
-		}
-		if broken {
-			b.err = ErrWALBroken
-			close(b.done)
-			continue
-		}
-		w.commitBatch(b)
+	start := time.Now()
+	_, err := w.f.Write(b.buf)
+	if err == nil && w.sync {
+		err = w.f.Sync()
 	}
-}
-
-// commitBatch writes one batch with a single write (and, under
-// FsyncAlways, a single fsync) and broadcasts the verdict to every
-// waiter. On I/O failure the whole batch fails, the file is truncated
-// back to the committed prefix, and the log latches broken (see the
-// failure model).
-func (w *wal) commitBatch(b *walBatch) {
-	var err error
-	var elapsed time.Duration
-	if len(b.buf) > 0 {
-		start := time.Now()
-		if _, err = w.f.Write(b.buf); err == nil && w.sync {
-			err = w.f.Sync()
-		}
-		elapsed = time.Since(start)
-	}
+	elapsed := time.Since(start)
+	w.mu.Lock()
 	if err != nil {
 		// The kernel may have dropped the batch's dirty pages; nothing
 		// past the last *acknowledged* batch can be trusted. Restore the
 		// committed prefix and latch broken — a partial batch must never
 		// be acknowledged (causality: later records may depend on
 		// earlier ones in this very batch).
-		w.mu.Lock()
 		if terr := w.f.Truncate(w.size); terr != nil {
 			err = errors.Join(err, terr)
 		}
 		w.broken = true
 		w.mu.Unlock()
 		b.err = fmt.Errorf("authserve: WAL group commit: %w", err)
-		close(b.done)
 		return
 	}
-	if len(b.buf) > 0 {
-		w.mu.Lock()
-		w.size += int64(len(b.buf))
-		size := w.size
-		w.mu.Unlock()
-		if w.onCommit != nil {
-			w.onCommit(b.records, int64(len(b.buf)), size, elapsed)
-		}
+	w.size += int64(len(b.buf))
+	size := w.size
+	w.mu.Unlock()
+	if w.onCommit != nil {
+		w.onCommit(b.records, int64(len(b.buf)), size, elapsed)
 	}
-	close(b.done)
 }
 
 // committedSize returns the bytes committed to the file (queued records
@@ -377,10 +345,12 @@ func (w *wal) latched() bool {
 
 // reset empties the log after its contents have been folded into a
 // durable snapshot (compaction). The caller holds the shard lock and has
-// already run flush(), so the committer is idle and the queue empty; the
-// truncate is fsynced under the same policy as appends — a crash right
-// after reset must not resurrect the pre-compaction tail lengths.
+// already run flush(), so the queue is empty; the truncate is fsynced
+// under the same policy as appends — a crash right after reset must not
+// resurrect the pre-compaction tail lengths.
 func (w *wal) reset() error {
+	w.token <- struct{}{}
+	defer func() { <-w.token }()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.f.Truncate(0); err != nil {
@@ -397,18 +367,19 @@ func (w *wal) reset() error {
 	return nil
 }
 
-// close stops the committer — draining any queued records first, so a
-// caller parked in wait() is always answered — and closes the file. A
-// nil wal (persistence off) closes as a no-op.
+// close refuses new submits, commits whatever is still queued — so every
+// submitted record gets a verdict, whenever its caller waits — and
+// closes the file. A nil wal (persistence off) closes as a no-op.
 func (w *wal) close() error {
 	if w == nil {
 		return nil
 	}
+	w.token <- struct{}{}
+	defer func() { <-w.token }()
 	w.mu.Lock()
 	w.closed = true
 	w.mu.Unlock()
-	close(w.stopc)
-	<-w.committed
+	w.commitOpen()
 	return w.f.Close()
 }
 

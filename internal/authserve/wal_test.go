@@ -39,7 +39,8 @@ type faultFile struct {
 }
 
 // injectFaults puts a faultFile under w. Call it before the log sees
-// traffic from other goroutines: the committer reads w.f unlocked.
+// traffic from other goroutines: whichever waiter leads a commit reads
+// w.f without a lock.
 func injectFaults(w *wal) *faultFile {
 	ff := &faultFile{File: w.f.(*os.File)}
 	w.f = ff
@@ -275,6 +276,35 @@ func TestWALReset(t *testing.T) {
 		t.Fatalf("post-reset append: %d records, %v", recs, err)
 	}
 	w.close()
+}
+
+// TestWALCloseAnswersQueued pins close's contract with a record nobody
+// has waited on yet: close commits it, and the later wait() returns its
+// nil verdict instead of parking forever on a log with no one left to
+// lead.
+func TestWALCloseAnswersQueued(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard.wal")
+	w, _, _, err := openWAL(path, FsyncAlways, replayTarget(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pend, err := w.submit(mustConsume(t, "d", []int{1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pend.wait(); err != nil {
+		t.Fatalf("verdict on a record queued before close = %v, want nil", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, valid := frames(t, data); len(recs) != 1 || valid != int64(len(data)) {
+		t.Fatalf("after close: %d records, valid %d of %d bytes; want the queued record", len(recs), valid, len(data))
+	}
 }
 
 func TestParseFsyncPolicy(t *testing.T) {

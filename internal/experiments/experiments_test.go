@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -16,7 +17,16 @@ var sharedRunner = NewRunner()
 // fscanLine finds the first line of text containing the literal prefix of
 // format (up to its first verb) and scans it with fmt.Sscanf.
 func fscanLine(text, format string, args ...any) (int, error) {
-	return fscanText(text, format, args...)
+	key := format
+	if i := strings.Index(format, "%"); i >= 0 {
+		key = strings.TrimSpace(format[:i])
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, key) {
+			return fmt.Sscanf(strings.TrimSpace(line), format, args...)
+		}
+	}
+	return 0, fmt.Errorf("experiments: no line matching %q", key)
 }
 
 func TestIDsAndDispatch(t *testing.T) {

@@ -16,12 +16,27 @@ import (
 // bits at Rth = 3 (§IV.E).
 const thresholdUnitPS = 3.5
 
+// thresholdMaxRth is the largest reliability threshold the §IV.E sweep
+// visits; it visits every integer Rth from 0 up to it.
+const thresholdMaxRth = 5
+
+// thresholdRow is one scheme's line of the §IV.E sweep: bits[rth] is the
+// mean number of reliable bits per board at threshold Rth = rth.
+type thresholdRow struct {
+	scheme string
+	bits   [thresholdMaxRth + 1]float64
+}
+
 // Threshold reproduces §IV.E: the reliability-threshold sweep on the
 // in-house inverter-level boards. For each Rth, a pair only yields a bit if
 // its enrolled delay margin is at least Rth; the configurable PUF maximizes
 // margins and therefore keeps all 32 bits where the traditional PUF loses
 // more than half.
 func (r *Runner) Threshold() (*Result, error) {
+	rows, err := r.thresholdSweep()
+	if err != nil {
+		return nil, err
+	}
 	boards, err := r.InHouse()
 	if err != nil {
 		return nil, err
@@ -32,13 +47,30 @@ func (r *Runner) Threshold() (*Result, error) {
 	fmt.Fprintf(&b, "%d boards, %d rings of %d stages each; 1 tick = %.0f ps\n\n",
 		len(boards), len(boards[0].Rings), boards[0].Rings[0].NumStages(), thresholdUnitPS)
 
-	rths := []int{0, 1, 2, 3, 4, 5}
 	fmt.Fprintf(&b, "%-28s", "bits per board (mean)")
-	for _, rth := range rths {
+	for rth := 0; rth <= thresholdMaxRth; rth++ {
 		fmt.Fprintf(&b, "%8s", fmt.Sprintf("Rth=%d", rth))
 	}
 	b.WriteString("\n")
+	for _, row := range rows {
+		fmt.Fprintf(&b, "%-28s", row.scheme)
+		for _, v := range row.bits {
+			fmt.Fprintf(&b, "%8.1f", v)
+		}
+		b.WriteString("\n")
+	}
+	fmt.Fprintf(&b, "\nPaper: traditional 32 bits at Rth=0 falling to 13 at Rth=3; configurable\nretains all 32 bits at Rth=3.\n")
+	return &Result{ID: "threshold", Title: title, Text: b.String()}, nil
+}
 
+// thresholdSweep computes the §IV.E sweep, one row per scheme in the order
+// traditional, configurable Case-1, configurable Case-2. Threshold renders
+// it and Verify gates on it.
+func (r *Runner) thresholdSweep() ([]thresholdRow, error) {
+	boards, err := r.InHouse()
+	if err != nil {
+		return nil, err
+	}
 	type scheme struct {
 		name    string
 		margins func(board int) ([]float64, error)
@@ -79,7 +111,8 @@ func (r *Runner) Threshold() (*Result, error) {
 		{"Configurable (Case-1)", confMargins(core.Case1)},
 		{"Configurable (Case-2)", confMargins(core.Case2)},
 	}
-	for _, s := range schemes {
+	rows := make([]thresholdRow, len(schemes))
+	for si, s := range schemes {
 		// Collect margins once per board, then sweep thresholds.
 		perBoard := make([][]float64, len(boards))
 		for bi := range boards {
@@ -89,8 +122,8 @@ func (r *Runner) Threshold() (*Result, error) {
 			}
 			perBoard[bi] = m
 		}
-		fmt.Fprintf(&b, "%-28s", s.name)
-		for _, rth := range rths {
+		rows[si].scheme = s.name
+		for rth := range rows[si].bits {
 			thrPS := float64(rth) * thresholdUnitPS
 			total := 0
 			for _, margins := range perBoard {
@@ -100,10 +133,8 @@ func (r *Runner) Threshold() (*Result, error) {
 					}
 				}
 			}
-			fmt.Fprintf(&b, "%8.1f", float64(total)/float64(len(boards)))
+			rows[si].bits[rth] = float64(total) / float64(len(boards))
 		}
-		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "\nPaper: traditional 32 bits at Rth=0 falling to 13 at Rth=3; configurable\nretains all 32 bits at Rth=3.\n")
-	return &Result{ID: "threshold", Title: title, Text: b.String()}, nil
+	return rows, nil
 }

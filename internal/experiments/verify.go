@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"ropuf/internal/core"
 	"ropuf/internal/dataset"
@@ -86,34 +85,13 @@ func (r *Runner) Verify() ([]Check, error) {
 
 	// 5. Threshold retention (§IV.E): configurable Case-2 keeps all bits at
 	// Rth = 3 where traditional loses more than a third.
-	thr, err := r.Threshold()
+	rows, err := r.thresholdSweep()
 	if err != nil {
 		return nil, err
 	}
-	var tv, cv [6]float64
-	if _, err := fscanText(thr.Text, "Traditional RO PUF %f %f %f %f %f %f", &tv[0], &tv[1], &tv[2], &tv[3], &tv[4], &tv[5]); err != nil {
-		return nil, err
-	}
-	if _, err := fscanText(thr.Text, "Configurable (Case-2) %f %f %f %f %f %f", &cv[0], &cv[1], &cv[2], &cv[3], &cv[4], &cv[5]); err != nil {
-		return nil, err
-	}
-	add("Case-2 keeps 32 bits at Rth=3", cv[3] >= 31.5, "%.1f", cv[3])
-	add("traditional loses >1/3 at Rth=3", tv[3] < 22, "%.1f", tv[3])
+	trad, case2 := rows[0].bits[3], rows[2].bits[3] // Rth = 3
+	add("Case-2 keeps 32 bits at Rth=3", case2 >= 31.5, "%.1f", case2)
+	add("traditional loses >1/3 at Rth=3", trad < 22, "%.1f", trad)
 
 	return checks, nil
-}
-
-// fscanText finds the first line containing the format's literal prefix and
-// scans it (the non-test sibling of the test helper fscanLine).
-func fscanText(text, format string, args ...any) (int, error) {
-	key := format
-	if i := strings.Index(format, "%"); i >= 0 {
-		key = strings.TrimSpace(format[:i])
-	}
-	for _, line := range strings.Split(text, "\n") {
-		if strings.Contains(line, key) {
-			return fmt.Sscanf(strings.TrimSpace(line), format, args...)
-		}
-	}
-	return 0, fmt.Errorf("experiments: no line matching %q", key)
 }
