@@ -111,24 +111,23 @@ fuzz:
 
 # End-to-end smoke of the streaming dataset generator at paper scale
 # (199 boards x 512 ROs, 5 env boards under the 9-condition V/T sweep =
-# 122368 rows): generate the single-file CSV and a 1-shard CSV corpus in
-# parallel mode and require them byte-identical (the sharded path is the
-# same stream), then an 8-shard binary corpus, then re-read both corpora
-# with -check, which re-verifies every manifest count and CRC32-C.
+# 122368 rows): generate the single-file CSV and check its row count,
+# then build the 8-shard binary corpus twice, with 1 and with 4 workers,
+# and require the two directories byte-identical (two independent
+# generations, so any nondeterminism shows), then re-read the corpus with
+# -check, which re-verifies every manifest count and CRC32-C.
 datasetgen-smoke:
 	$(GO) build -o /tmp/ropuf-dsgen ./cmd/datasetgen
 	rm -rf /tmp/ropuf-dsgen-data && mkdir -p /tmp/ropuf-dsgen-data
 	/tmp/ropuf-dsgen -workers 4 -out /tmp/ropuf-dsgen-data/vt.csv \
 		| grep -q 'wrote 199 boards (122368 rows)' || { echo "single CSV row count wrong"; exit 1; }
-	/tmp/ropuf-dsgen -workers 4 -shards 1 -format csv -out /tmp/ropuf-dsgen-data/csv1 \
-		| grep -q 'wrote 199 boards (122368 rows' || { echo "sharded CSV row count wrong"; exit 1; }
-	cmp /tmp/ropuf-dsgen-data/vt.csv /tmp/ropuf-dsgen-data/csv1/shard-0000.csv \
-		|| { echo "sharded CSV diverges from single-file stream"; exit 1; }
-	/tmp/ropuf-dsgen -workers 4 -shards 8 -format bin -out /tmp/ropuf-dsgen-data/bin8 \
-		| grep -q 'wrote 199 boards (122368 rows' || { echo "binary corpus row count wrong"; exit 1; }
-	/tmp/ropuf-dsgen -check /tmp/ropuf-dsgen-data/csv1 \
-		| grep -q 'verified 199 boards (122368 rows' || { echo "CSV corpus failed verification"; exit 1; }
-	/tmp/ropuf-dsgen -check /tmp/ropuf-dsgen-data/bin8 \
+	/tmp/ropuf-dsgen -workers 1 -shards 8 -out /tmp/ropuf-dsgen-data/bin8-w1 \
+		| grep -q 'wrote 199 boards (122368 rows' || { echo "serial corpus row count wrong"; exit 1; }
+	/tmp/ropuf-dsgen -workers 4 -shards 8 -out /tmp/ropuf-dsgen-data/bin8-w4 \
+		| grep -q 'wrote 199 boards (122368 rows' || { echo "parallel corpus row count wrong"; exit 1; }
+	diff -r /tmp/ropuf-dsgen-data/bin8-w1 /tmp/ropuf-dsgen-data/bin8-w4 \
+		|| { echo "parallel corpus diverges from the serial one"; exit 1; }
+	/tmp/ropuf-dsgen -check /tmp/ropuf-dsgen-data/bin8-w4 \
 		| grep -q 'verified 199 boards (122368 rows' || { echo "binary corpus failed verification"; exit 1; }
 
 # End-to-end smoke of the authentication service: boot `ropuf serve` on an

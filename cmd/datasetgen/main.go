@@ -1,13 +1,13 @@
 // Command datasetgen writes the synthetic Virginia-Tech-style RO dataset,
-// either as a single CSV file or as a sharded corpus directory with a
-// checksummed manifest (see internal/dataset). Generation streams board by
+// either as a single CSV file or as a sharded binary corpus directory with
+// a checksummed manifest (see internal/dataset). Generation streams board by
 // board, so memory stays constant in the corpus size; -workers fans board
 // fabrication out over a pool without changing a single output bit.
 //
 // Usage:
 //
 //	datasetgen [-seed N] [-boards N] [-env-boards N] [-workers N] [-out file.csv]
-//	datasetgen -shards S [-format csv|bin] -out corpus-dir/
+//	datasetgen -shards S -out corpus-dir/
 //	datasetgen -check corpus-dir/
 package main
 
@@ -36,8 +36,7 @@ func run(args []string, stdout io.Writer) error {
 	boards := fs.Int("boards", 0, "override board count (0 keeps the default 199)")
 	envBoards := fs.Int("env-boards", -1, "override environment-swept board count (-1 keeps the default 5)")
 	out := fs.String("out", "vt_dataset.csv", "output CSV path ('-' for stdout), or corpus directory with -shards")
-	shards := fs.Int("shards", 0, "split output into this many shard files under -out (0 writes a single CSV)")
-	format := fs.String("format", "csv", "shard format: csv or bin (with -shards)")
+	shards := fs.Int("shards", 0, "split output into this many binary shard files under -out (0 writes a single CSV)")
 	workers := fs.Int("workers", 1, "parallel board-fabrication workers (output is bit-identical at any count)")
 	check := fs.String("check", "", "verify an existing sharded corpus directory instead of generating")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics progress counters on this address while generating")
@@ -75,13 +74,6 @@ func run(args []string, stdout io.Writer) error {
 	if *shards < 0 {
 		return fmt.Errorf("-shards must be non-negative, got %d", *shards)
 	}
-	f, err := dataset.ParseFormat(*format)
-	if err != nil {
-		return err
-	}
-	if *shards == 0 && f != dataset.FormatCSV {
-		return fmt.Errorf("-format %s requires -shards (single-file output is always CSV)", f)
-	}
 
 	reg, boardsTotal, rowsTotal := newMetricsRegistry()
 	if *metricsAddr != "" {
@@ -94,7 +86,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *shards > 0 {
-		return generateSharded(cfg, *workers, *out, *shards, f, stdout, boardsTotal, rowsTotal)
+		return generateSharded(cfg, *workers, *out, *shards, stdout, boardsTotal, rowsTotal)
 	}
 	return generateCSV(cfg, *workers, *out, stdout, boardsTotal, rowsTotal)
 }
@@ -160,8 +152,8 @@ func generateCSV(cfg dataset.VTConfig, workers int, out string, stdout io.Writer
 	return nil
 }
 
-func generateSharded(cfg dataset.VTConfig, workers int, dir string, shards int, format dataset.Format, stdout io.Writer, boardsTotal, rowsTotal *obs.Counter) error {
-	sw, err := dataset.NewShardWriter(dir, shards, format)
+func generateSharded(cfg dataset.VTConfig, workers int, dir string, shards int, stdout io.Writer, boardsTotal, rowsTotal *obs.Counter) error {
+	sw, err := dataset.NewShardWriter(dir, shards, dataset.FormatBin)
 	if err != nil {
 		return err
 	}

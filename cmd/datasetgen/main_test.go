@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,8 +27,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"env override exceeds boards", []string{"-boards", "10", "-env-boards", "11"}, "do not fit in 10 boards"},
 		{"bad env sentinel", []string{"-env-boards", "-2"}, "-env-boards must be >= 0"},
 		{"negative shards", []string{"-shards", "-1"}, "-shards must be non-negative"},
-		{"unknown format", []string{"-shards", "2", "-format", "xml"}, "unknown shard format"},
-		{"bin without shards", []string{"-format", "bin"}, "requires -shards"},
+		{"format flag removed", []string{"-shards", "2", "-format", "bin"}, "flag provided but not defined: -format"},
 		{"stray argument", []string{"extra"}, "unexpected arguments"},
 	}
 	for _, tc := range cases {
@@ -60,40 +60,91 @@ func TestRunEnvBoardOverrideIsHonored(t *testing.T) {
 }
 
 func TestRunShardedGenerateAndCheck(t *testing.T) {
-	for _, format := range []string{"csv", "bin"} {
-		t.Run(format, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "corpus")
-			got, err := runCLI(t, "-boards", "6", "-env-boards", "2", "-workers", "3",
-				"-shards", "2", "-format", format, "-out", dir)
-			if err != nil {
-				t.Fatalf("generate: %v", err)
-			}
-			if !strings.Contains(got, "wrote 6 boards") {
-				t.Fatalf("generate output %q does not report 6 boards", got)
-			}
+	dir := filepath.Join(t.TempDir(), "corpus")
+	got, err := runCLI(t, "-boards", "6", "-env-boards", "2", "-workers", "3",
+		"-shards", "2", "-out", dir)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	if !strings.Contains(got, "wrote 6 boards") {
+		t.Fatalf("generate output %q does not report 6 boards", got)
+	}
 
-			check, err := runCLI(t, "-check", dir)
-			if err != nil {
-				t.Fatalf("check: %v", err)
-			}
-			if !strings.Contains(check, "verified 6 boards") {
-				t.Fatalf("check output %q does not report 6 boards", check)
-			}
+	check, err := runCLI(t, "-check", dir)
+	if err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	if !strings.Contains(check, "verified 6 boards") {
+		t.Fatalf("check output %q does not report 6 boards", check)
+	}
 
-			// Flip one byte in a shard: -check must fail loudly.
-			shard := filepath.Join(dir, "shard-0001."+format)
-			data, err := os.ReadFile(shard)
-			if err != nil {
-				t.Fatalf("read shard: %v", err)
-			}
-			data[len(data)/2] ^= 0x40
-			if err := os.WriteFile(shard, data, 0o644); err != nil {
-				t.Fatalf("write shard: %v", err)
-			}
-			if _, err := runCLI(t, "-check", dir); err == nil {
-				t.Fatal("check accepted a corrupted shard")
-			}
-		})
+	// Flip one byte in a shard: -check must fail loudly.
+	shard := filepath.Join(dir, "shard-0001.bin")
+	data, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatalf("read shard: %v", err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(shard, data, 0o644); err != nil {
+		t.Fatalf("write shard: %v", err)
+	}
+	if _, err := runCLI(t, "-check", dir); err == nil {
+		t.Fatal("check accepted a corrupted shard")
+	}
+}
+
+// TestRunShardedWorkersAgree: the corpus a worker pool writes is the
+// serial one, file for file and byte for byte, manifest included.
+func TestRunShardedWorkersAgree(t *testing.T) {
+	base := t.TempDir()
+	serial, pooled := filepath.Join(base, "serial"), filepath.Join(base, "pooled")
+	for dir, workers := range map[string]string{serial: "1", pooled: "4"} {
+		if _, err := runCLI(t, "-boards", "6", "-env-boards", "2", "-workers", workers,
+			"-shards", "3", "-out", dir); err != nil {
+			t.Fatalf("generate with %s workers: %v", workers, err)
+		}
+	}
+	entries, err := os.ReadDir(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pe, err := os.ReadDir(pooled); err != nil || len(pe) != len(entries) {
+		t.Fatalf("pooled corpus has %d files (err %v), serial has %d", len(pe), err, len(entries))
+	}
+	for _, e := range entries {
+		a, err := os.ReadFile(filepath.Join(serial, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(pooled, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s differs between 1 and 4 workers", e.Name())
+		}
+	}
+}
+
+// TestRunCheckRejectsCSVCorpus: a corpus written with the retired CSV
+// shard format fails -check at its manifest, naming the format.
+func TestRunCheckRejectsCSVCorpus(t *testing.T) {
+	dir := t.TempDir()
+	header := "board,ro,x,y,millivolts,decicelsius,freq_mhz\n"
+	manifest := fmt.Sprintf(`{"version":1,"format":"csv","shards":1,"boards":0,"rows":0,`+
+		`"files":[{"file":"shard-0000.csv","boards":0,"rows":0,"bytes":%d,"crc32c":0}]}`, len(header))
+	if err := os.WriteFile(filepath.Join(dir, "shard-0000.csv"), []byte(header), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := runCLI(t, "-check", dir)
+	if err == nil {
+		t.Fatal("check accepted a CSV corpus")
+	}
+	if want := `unknown format "csv"`; !strings.Contains(err.Error(), want) {
+		t.Fatalf("check error %q does not contain %q", err.Error(), want)
 	}
 }
 

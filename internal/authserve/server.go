@@ -127,11 +127,6 @@ type Server struct {
 	// recorder samples the registry into the /v1/stats ring; Serve runs
 	// its tick loop for the server's lifetime.
 	recorder *flight.Recorder
-
-	// testHookInflight, when set (tests only), runs inside each admitted
-	// request's inflight window — it lets tests hold requests open to
-	// exercise backpressure and graceful drain deterministically.
-	testHookInflight func(route string)
 }
 
 // NewServer wires a Store into an HTTP API.
@@ -342,9 +337,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			s.inflight.Add(-1)
 			<-s.sem
 		}()
-		if s.testHookInflight != nil {
-			s.testHookInflight(route)
-		}
 		sw := getScratch(w)
 		h(sw, r)
 		code := sw.code

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -302,40 +303,82 @@ func TestExhausted409(t *testing.T) {
 	}
 }
 
+// sendAsync sends req in the background. Its status code arrives on the
+// returned channel, or -1 on a transport error.
+func sendAsync(c *http.Client, req *http.Request) <-chan int {
+	code := make(chan int, 1)
+	go func() {
+		resp, err := c.Do(req)
+		if err != nil {
+			code <- -1
+			return
+		}
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}()
+	return code
+}
+
+// holdRequest POSTs body to url but withholds the body until release is
+// called (or the test ends). The handler blocks reading it while holding
+// its inflight slot, which keeps the request inside the server.
+func holdRequest(t *testing.T, c *http.Client, url string, body []byte) (release func(), code <-chan int) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, url, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A declared length makes the client send the headers at once, so the
+	// server admits the request before any body byte arrives.
+	req.ContentLength = int64(len(body))
+	req.Header.Set("Content-Type", "application/json")
+	code = sendAsync(c, req)
+	release = sync.OnceFunc(func() {
+		// A failed write means the request already failed; code says so.
+		_, _ = pw.Write(body)
+		pw.Close()
+	})
+	t.Cleanup(release)
+	return release, code
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// saturate fills a 1-inflight, 1-queued server: a challenge for an unknown
+// device holds the inflight slot on its withheld body, and a lookup of the
+// same device waits in the queue. After release both answer 404; their
+// codes arrive on held.
+func saturate(t *testing.T, srv *Server, c *http.Client, base string) (release func(), held []<-chan int) {
+	t.Helper()
+	release, first := holdRequest(t, c, base+"/v1/challenge", []byte(`{"id":"ghost","k":4}`))
+	waitFor(t, "a request in the inflight slot", func() bool { return srv.inflight.Value() == 1 })
+	req, err := http.NewRequest(http.MethodGet, base+"/v1/devices/ghost", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := sendAsync(c, req)
+	waitFor(t, "a request in the queue", func() bool { return srv.waiting.Load() == 1 })
+	return release, []<-chan int{first, second}
+}
+
 // TestBackpressure429 saturates a 1-inflight, 1-queued server and expects
 // the third concurrent request to bounce with 429 + Retry-After while the
 // first two eventually succeed.
 func TestBackpressure429(t *testing.T) {
 	srv, ts := newTestServer(t, StoreOptions{}, ServerOptions{MaxInflight: 1, MaxQueue: 1})
-	hold := make(chan struct{})
-	entered := make(chan struct{}, 8)
-	srv.testHookInflight = func(string) {
-		entered <- struct{}{}
-		<-hold
-	}
 	c := ts.Client()
-
-	type outcome struct {
-		code int
-		hdr  string
-	}
-	results := make(chan outcome, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			resp, err := c.Get(ts.URL + "/v1/devices/ghost")
-			if err != nil {
-				results <- outcome{code: -1}
-				return
-			}
-			resp.Body.Close()
-			results <- outcome{code: resp.StatusCode}
-		}()
-	}
-	// Wait until the first request is inside the inflight window; the
-	// second sits in the queue (it may or may not have been admitted yet,
-	// so give the scheduler a moment to park it).
-	<-entered
-	time.Sleep(50 * time.Millisecond)
+	release, held := saturate(t, srv, c, ts.URL)
 
 	resp, err := c.Get(ts.URL + "/v1/devices/ghost")
 	if err != nil {
@@ -349,13 +392,10 @@ func TestBackpressure429(t *testing.T) {
 		t.Fatal("429 without Retry-After header")
 	}
 
-	close(hold)
-	for i := 0; i < 2; i++ {
-		if o := <-results; o.code != http.StatusNotFound {
-			t.Fatalf("held request finished with %d, want 404", o.code)
-		}
-		if i == 0 {
-			<-entered // queued request enters the hook after the first releases
+	release()
+	for _, code := range held {
+		if got := <-code; got != http.StatusNotFound {
+			t.Fatalf("held request finished with %d, want 404", got)
 		}
 	}
 
@@ -379,14 +419,6 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(store, ServerOptions{DrainTimeout: 5 * time.Second})
-	hold := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	srv.testHookInflight = func(route string) {
-		if route == "device" {
-			entered <- struct{}{}
-			<-hold
-		}
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan net.Addr, 1)
@@ -400,17 +432,9 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatalf("enroll: %d %s", code, body)
 	}
 
-	inflightDone := make(chan int, 1)
-	go func() {
-		resp, err := http.Get(base + "/v1/devices/" + devices[0].ID)
-		if err != nil {
-			inflightDone <- -1
-			return
-		}
-		resp.Body.Close()
-		inflightDone <- resp.StatusCode
-	}()
-	<-entered
+	chReq, _ := json.Marshal(ChallengeRequest{ID: devices[0].ID, K: 4})
+	release, inflightDone := holdRequest(t, http.DefaultClient, base+"/v1/challenge", chReq)
+	waitFor(t, "the challenge in the inflight slot", func() bool { return srv.inflight.Value() == 1 })
 
 	cancel() // SIGINT equivalent: stop accepting, drain in-flight
 	// The listener closes promptly; new connections must fail while the
@@ -434,7 +458,7 @@ func TestGracefulDrain(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	close(hold)
+	release()
 	if code := <-inflightDone; code != http.StatusOK {
 		t.Fatalf("in-flight request during drain: %d, want 200", code)
 	}
@@ -473,28 +497,8 @@ func TestHealthzDegradeAndRecover(t *testing.T) {
 		MaxBurnRate:    10,
 		MinSLORequests: 5,
 	})
-	hold := make(chan struct{})
-	entered := make(chan struct{}, 2)
-	srv.testHookInflight = func(string) {
-		entered <- struct{}{}
-		<-hold
-	}
 	c := ts.Client()
-
-	// Park one request inflight and one in the queue.
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := c.Get(ts.URL + "/v1/devices/ghost")
-			if err == nil {
-				resp.Body.Close()
-			}
-		}()
-	}
-	<-entered
-	time.Sleep(50 * time.Millisecond) // let the second request park in the queue
+	release, held := saturate(t, srv, c, ts.URL)
 
 	// Storm: with the queue full, every request bounces with 429 instantly.
 	for i := 0; i < 20; i++ {
@@ -528,8 +532,10 @@ func TestHealthzDegradeAndRecover(t *testing.T) {
 	}
 
 	// Release the parked requests and wait out the window: health recovers.
-	close(hold)
-	wg.Wait()
+	release()
+	for _, code := range held {
+		<-code
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		code, body = get(t, c, ts.URL+"/healthz")

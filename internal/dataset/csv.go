@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -17,22 +16,8 @@ import (
 
 var csvHeader = []string{"board", "ro", "x", "y", "millivolts", "decicelsius", "freq_mhz"}
 
-// WriteCSV serializes the dataset.
-func WriteCSV(w io.Writer, ds *Dataset) error {
-	sw, err := NewCSVWriter(w)
-	if err != nil {
-		return err
-	}
-	for _, b := range ds.Boards {
-		if err := sw.WriteBoard(b); err != nil {
-			return err
-		}
-	}
-	return sw.Flush()
-}
-
-// CSVWriter streams boards to a single WriteCSV-format file one board at a
-// time — the unsharded streaming sink (cmd/datasetgen without -shards).
+// CSVWriter streams boards to a single CSV file one board at a time — the
+// unsharded export (cmd/datasetgen without -shards).
 type CSVWriter struct {
 	cw   *csv.Writer
 	rows int64
@@ -64,7 +49,7 @@ func (w *CSVWriter) Flush() error {
 }
 
 // writeCSVBoard emits one board's rows (condition-major, RO-minor) and
-// returns the row count. Shared by WriteCSV and the CSV shard writer.
+// returns the row count.
 func writeCSVBoard(cw *csv.Writer, b *Board) (int64, error) {
 	var rows int64
 	for _, cond := range b.Conditions() {
@@ -86,103 +71,4 @@ func writeCSVBoard(cw *csv.Writer, b *Board) (int64, error) {
 		}
 	}
 	return rows, nil
-}
-
-// ReadCSV parses a dataset written by WriteCSV. Environment boards are
-// inferred: any board measured under more than one condition is recorded in
-// EnvIDs.
-func ReadCSV(r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(csvHeader)
-	head, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: read header: %w", err)
-	}
-	for i, h := range csvHeader {
-		if head[i] != h {
-			return nil, fmt.Errorf("dataset: header column %d is %q, want %q", i, head[i], h)
-		}
-	}
-	type roKey struct {
-		board int
-		ro    int
-	}
-	boards := map[int]*Board{}
-	positions := map[roKey][2]int{}
-	counts := map[int]int{} // max ro index +1 per board
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		ints := make([]int, 6)
-		for i := 0; i < 6; i++ {
-			v, err := strconv.Atoi(rec[i])
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d column %s: %w", line, csvHeader[i], err)
-			}
-			ints[i] = v
-		}
-		freq, err := strconv.ParseFloat(rec[6], 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d freq: %w", line, err)
-		}
-		id, ro, x, y := ints[0], ints[1], ints[2], ints[3]
-		cond := Condition{MilliVolts: ints[4], DeciCelsius: ints[5]}
-		b := boards[id]
-		if b == nil {
-			b = &Board{ID: id, Freq: map[Condition][]float64{}}
-			boards[id] = b
-		}
-		if ro+1 > counts[id] {
-			counts[id] = ro + 1
-		}
-		positions[roKey{id, ro}] = [2]int{x, y}
-		f := b.Freq[cond]
-		for len(f) <= ro {
-			f = append(f, 0)
-		}
-		f[ro] = freq
-		b.Freq[cond] = f
-	}
-	ds := &Dataset{Name: "csv"}
-	ids := make([]int, 0, len(boards))
-	for id := range boards {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		b := boards[id]
-		n := counts[id]
-		b.X = make([]int, n)
-		b.Y = make([]int, n)
-		maxX, maxY := 0, 0
-		for i := 0; i < n; i++ {
-			p, ok := positions[roKey{id, i}]
-			if !ok {
-				return nil, fmt.Errorf("dataset: board %d RO %d has no measurements", id, i)
-			}
-			b.X[i], b.Y[i] = p[0], p[1]
-			if p[0] > maxX {
-				maxX = p[0]
-			}
-			if p[1] > maxY {
-				maxY = p[1]
-			}
-		}
-		b.GridW, b.GridH = maxX+1, maxY+1
-		for cond, f := range b.Freq {
-			if len(f) != n {
-				return nil, fmt.Errorf("dataset: board %d condition %v has %d ROs, want %d", id, cond, len(f), n)
-			}
-		}
-		ds.Boards = append(ds.Boards, b)
-		if len(b.Freq) > 1 {
-			ds.EnvIDs = append(ds.EnvIDs, id)
-		}
-	}
-	return ds, nil
 }

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -237,63 +236,6 @@ func TestGroupBitsPerBoardTableV(t *testing.T) {
 	conf, _, err := GroupBitsPerBoard(20, 5)
 	if err != nil || conf != 2 {
 		t.Errorf("tiny board: conf=%d err=%v, want 2", conf, err)
-	}
-}
-
-func TestCSVRoundtrip(t *testing.T) {
-	ds, err := GenerateVT(smallVTConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, ds); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Boards) != len(ds.Boards) {
-		t.Fatalf("roundtrip boards = %d, want %d", len(got.Boards), len(ds.Boards))
-	}
-	if len(got.EnvIDs) != len(ds.EnvIDs) {
-		t.Fatalf("roundtrip env IDs = %v, want %v", got.EnvIDs, ds.EnvIDs)
-	}
-	for bi := range ds.Boards {
-		a, b := ds.Boards[bi], got.Boards[bi]
-		if a.ID != b.ID || a.NumROs() != b.NumROs() {
-			t.Fatalf("board %d metadata mismatch", bi)
-		}
-		for cond, fa := range a.Freq {
-			fb, ok := b.Freq[cond]
-			if !ok {
-				t.Fatalf("board %d lost condition %v", bi, cond)
-			}
-			for i := range fa {
-				if fa[i] != fb[i] {
-					t.Fatalf("board %d cond %v RO %d: %g != %g", bi, cond, i, fa[i], fb[i])
-				}
-			}
-		}
-		for i := range a.X {
-			if a.X[i] != b.X[i] || a.Y[i] != b.Y[i] {
-				t.Fatalf("board %d RO %d position mismatch", bi, i)
-			}
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",                          // no header
-		"bogus,header,row\n1,2,3\n", // wrong header (also wrong arity)
-		"board,ro,x,y,millivolts,decicelsius,freq_mhz\nx,0,0,0,1200,250,95\n", // bad int
-		"board,ro,x,y,millivolts,decicelsius,freq_mhz\n0,0,0,0,1200,250,zz\n", // bad float
-	}
-	for i, c := range cases {
-		if _, err := ReadCSV(bytes.NewBufferString(c)); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
 	}
 }
 

@@ -5,14 +5,15 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"runtime"
 	"testing"
 
 	"ropuf/internal/recordio"
 )
 
-// fuzzSeedRecord frames one valid tiny board record — the known-good shape
-// the fuzzer mutates.
-func fuzzSeedRecord(t testing.TB) []byte {
+// fuzzSeedBody encodes one valid tiny board record body: two ROs under two
+// conditions.
+func fuzzSeedBody(t testing.TB) []byte {
 	b := &Board{
 		ID:    7,
 		GridW: 2,
@@ -28,13 +29,20 @@ func fuzzSeedRecord(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return recordio.Append(nil, body)
+	return body
+}
+
+// fuzzSeedRecord frames fuzzSeedBody — the known-good shape the fuzzer
+// mutates.
+func fuzzSeedRecord(t testing.TB) []byte {
+	return recordio.Append(nil, fuzzSeedBody(t))
 }
 
 // FuzzShardBin feeds arbitrary bytes to the framed-record decoder the way
 // binCursor does: records are read back to back until one fails. Corrupt
-// input must produce an error, never a panic or an oversized allocation,
-// and every decoded board must be internally consistent.
+// input must produce an error, never a panic or an allocation out of
+// proportion to the input, and every decoded board must be internally
+// consistent.
 func FuzzShardBin(f *testing.F) {
 	seed := fuzzSeedRecord(f)
 	f.Add(seed)
@@ -49,7 +57,18 @@ func FuzzShardBin(f *testing.F) {
 	bad := append([]byte{}, seed...)
 	bad[len(bad)-1] ^= 0xFF
 	f.Add(bad)
+	// A 14-byte body that claims 2^20 ROs under 4,096 conditions.
+	f.Add(recordio.Append(nil, []byte{7, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0x10, 0, 0, 0x10}))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		defer func() {
+			runtime.ReadMemStats(&ms)
+			if grew := ms.TotalAlloc - before; grew > 1<<20+64*uint64(len(data)) {
+				t.Fatalf("decoding %d bytes allocated %d bytes", len(data), grew)
+			}
+		}()
 		rd := recordio.NewReader(bytes.NewReader(data))
 		for {
 			body, err := rd.Next()
@@ -110,7 +129,7 @@ func FuzzManifest(f *testing.F) {
 		}
 		boards, rows := 0, int64(0)
 		for i, fi := range m.Files {
-			if fi.File != shardName(i, m.Format) {
+			if fi.File != shardName(i) {
 				t.Fatalf("accepted shard name %q at index %d", fi.File, i)
 			}
 			if fi.Boards < 0 || fi.Rows < 0 || fi.Bytes < 0 {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,14 +13,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"ropuf/internal/recordio"
 )
 
 // Sharded on-disk corpus layout. A corpus directory holds
 //
-//	shard-0000.csv … shard-NNNN.csv   (or .bin)
+//	shard-0000.bin … shard-NNNN.bin
 //	manifest.json
 //
 // Boards are assigned round-robin in arrival order: the i-th board written
@@ -31,9 +29,8 @@ import (
 // 0,1,…,S−1,0,1,… reconstructs the exact global write order — the shard
 // layout is a pure inverse-free interleaving, no sort or merge needed.
 //
-// The CSV shard format is the WriteCSV row format (with header) restricted
-// to the shard's boards; the binary format is a magic string followed by
-// one package recordio frame per board:
+// A shard is a magic string followed by one package recordio frame per
+// board:
 //
 //	magic "ROPUFDS1" (8 bytes, once per file)
 //	per board: one recordio frame (u32le length, u32le CRC32-C, body)
@@ -42,34 +39,20 @@ import (
 //	        per condition: i32le milliVolts  i32le deciCelsius
 //	                       numROs × f64le freq bits
 //
-// CRC32-C (Castagnoli) guards each binary record (its frame checksum)
-// and — via the manifest — every shard file of either format end to end.
-// A corpus is complete once its manifest exists, so a torn frame in a
-// shard is corruption, never a tail to truncate. All decode paths bound
-// their allocations before trusting any length field; hostile shard or
-// manifest bytes must produce loud errors, never panics or huge
-// allocations (FuzzShardBin / FuzzManifest).
+// CRC32-C (Castagnoli) guards each record (its frame checksum) and — via
+// the manifest — every shard file end to end. A corpus is complete once
+// its manifest exists, so a torn frame in a shard is corruption, never a
+// tail to truncate. All decode paths bound their allocations before
+// trusting any length field; hostile shard or manifest bytes must produce
+// loud errors, never panics or huge allocations (FuzzShardBin /
+// FuzzManifest).
 
-// Format selects the shard file encoding.
+// Format names a shard file encoding in the manifest. FormatBin is the
+// only one.
 type Format string
 
-const (
-	// FormatCSV writes WriteCSV-compatible text shards (~38 B/row).
-	FormatCSV Format = "csv"
-	// FormatBin writes the framed binary board records (~12 B/row).
-	FormatBin Format = "bin"
-)
-
-// ParseFormat converts a -format flag value to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch Format(s) {
-	case FormatCSV, FormatBin:
-		return Format(s), nil
-	}
-	return "", fmt.Errorf("dataset: unknown shard format %q (want csv or bin)", s)
-}
-
-func (f Format) ext() string { return "." + string(f) }
+// FormatBin is the framed binary board record format (~12 B/row).
+const FormatBin Format = "bin"
 
 const (
 	// ManifestName is the corpus manifest's file name inside the directory.
@@ -83,6 +66,10 @@ const (
 	maxShardROs     = 1 << 20
 	maxShardConds   = 1 << 12
 	maxManifestSize = 16 << 20
+
+	// binBoardHeader is a record body's fixed prefix: id, grid, RO and
+	// condition counts.
+	binBoardHeader = 14
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -121,8 +108,8 @@ func parseManifest(data []byte) (*Manifest, error) {
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("dataset: manifest version %d, want %d", m.Version, manifestVersion)
 	}
-	if m.Format != FormatCSV && m.Format != FormatBin {
-		return nil, fmt.Errorf("dataset: manifest has unknown format %q", m.Format)
+	if m.Format != FormatBin {
+		return nil, fmt.Errorf("dataset: manifest has unknown format %q (want %q)", m.Format, FormatBin)
 	}
 	if m.Shards != len(m.Files) {
 		return nil, fmt.Errorf("dataset: manifest shard count %d != %d listed files", m.Shards, len(m.Files))
@@ -132,8 +119,8 @@ func parseManifest(data []byte) (*Manifest, error) {
 	}
 	boards, rows := 0, int64(0)
 	for i, f := range m.Files {
-		if f.File != shardName(i, m.Format) {
-			return nil, fmt.Errorf("dataset: manifest shard %d is named %q, want %q", i, f.File, shardName(i, m.Format))
+		if f.File != shardName(i) {
+			return nil, fmt.Errorf("dataset: manifest shard %d is named %q, want %q", i, f.File, shardName(i))
 		}
 		if f.Boards < 0 || f.Rows < 0 || f.Bytes < 0 {
 			return nil, fmt.Errorf("dataset: manifest shard %q has negative counts", f.File)
@@ -150,7 +137,7 @@ func parseManifest(data []byte) (*Manifest, error) {
 	return &m, nil
 }
 
-func shardName(i int, f Format) string { return fmt.Sprintf("shard-%04d%s", i, f.ext()) }
+func shardName(i int) string { return fmt.Sprintf("shard-%04d.bin", i) }
 
 // shardFile is one open output shard with CRC/byte accounting of the
 // exact bytes hitting disk.
@@ -162,7 +149,6 @@ type shardFile struct {
 	bytes  int64
 	boards int
 	rows   int64
-	cw     *csv.Writer // CSV format only
 }
 
 func (s *shardFile) Write(p []byte) (int, error) {
@@ -179,7 +165,6 @@ func (s *shardFile) Write(p []byte) (int, error) {
 // funnels its in-order callback through one goroutine.
 type ShardWriter struct {
 	dir    string
-	format Format
 	shards []*shardFile
 	next   int
 	closed bool
@@ -187,21 +172,22 @@ type ShardWriter struct {
 	body, frame []byte // binary record scratch, reused across boards
 }
 
-// NewShardWriter creates dir (if needed) and opens shards shard files of
-// the given format, truncating any previous corpus of the same shape.
+// NewShardWriter creates dir (if needed) and opens shards shard files,
+// truncating any previous corpus of the same shape. format must be
+// FormatBin.
 func NewShardWriter(dir string, shards int, format Format) (*ShardWriter, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("dataset: shard count must be positive, got %d", shards)
 	}
-	if format != FormatCSV && format != FormatBin {
-		return nil, fmt.Errorf("dataset: unknown shard format %q", format)
+	if format != FormatBin {
+		return nil, fmt.Errorf("dataset: unknown shard format %q (want %q)", format, FormatBin)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dataset: create corpus dir: %w", err)
 	}
-	w := &ShardWriter{dir: dir, format: format}
+	w := &ShardWriter{dir: dir}
 	for i := 0; i < shards; i++ {
-		name := shardName(i, format)
+		name := shardName(i)
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			w.abort()
@@ -209,20 +195,11 @@ func NewShardWriter(dir string, shards int, format Format) (*ShardWriter, error)
 		}
 		s := &shardFile{name: name, f: f, crc: crc32.New(castagnoli)}
 		s.bw = bufio.NewWriterSize(s, 1<<16)
-		switch format {
-		case FormatCSV:
-			s.cw = csv.NewWriter(s.bw)
-			if err := s.cw.Write(csvHeader); err != nil {
-				w.abort()
-				return nil, fmt.Errorf("dataset: write shard header: %w", err)
-			}
-		case FormatBin:
-			if _, err := s.bw.WriteString(shardMagic); err != nil {
-				w.abort()
-				return nil, fmt.Errorf("dataset: write shard magic: %w", err)
-			}
-		}
 		w.shards = append(w.shards, s)
+		if _, err := s.bw.WriteString(shardMagic); err != nil {
+			w.abort()
+			return nil, fmt.Errorf("dataset: write shard magic: %w", err)
+		}
 	}
 	return w, nil
 }
@@ -241,35 +218,13 @@ func (w *ShardWriter) WriteBoard(b *Board) error {
 	}
 	s := w.shards[w.next%len(w.shards)]
 	w.next++
-	var rows int64
-	var err error
-	switch w.format {
-	case FormatCSV:
-		rows, err = writeCSVBoard(s.cw, b)
-		if err == nil {
-			s.cw.Flush()
-			err = s.cw.Error()
-		}
-	case FormatBin:
-		rows, err = w.writeBinBoard(s.bw, b)
-	}
+	rows, err := w.writeBinBoard(s.bw, b)
 	if err != nil {
 		return err
 	}
 	s.boards++
 	s.rows += rows
 	return nil
-}
-
-// Stats reports running totals: boards and rows accepted, and bytes that
-// reached the shard files so far (buffered rows are not yet counted).
-func (w *ShardWriter) Stats() (boards int, rows, bytes int64) {
-	for _, s := range w.shards {
-		boards += s.boards
-		rows += s.rows
-		bytes += s.bytes
-	}
-	return boards, rows, bytes
 }
 
 // Close flushes and closes every shard, writes the manifest, and returns
@@ -279,15 +234,9 @@ func (w *ShardWriter) Close() (*Manifest, error) {
 		return nil, errors.New("dataset: ShardWriter closed twice")
 	}
 	w.closed = true
-	m := &Manifest{Version: manifestVersion, Format: w.format, Shards: len(w.shards)}
+	m := &Manifest{Version: manifestVersion, Format: FormatBin, Shards: len(w.shards)}
 	var firstErr error
 	for _, s := range w.shards {
-		if s.cw != nil {
-			s.cw.Flush()
-			if err := s.cw.Error(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
 		if err := s.bw.Flush(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -431,16 +380,16 @@ func (r *ShardReader) Manifest() *Manifest { return r.man }
 // CRC32-C, board count, and row count against the manifest as a side
 // effect. Memory is constant in the corpus size.
 func (r *ShardReader) Boards(fn func(*Board) error) error {
-	cursors := make([]shardCursor, len(r.man.Files))
+	cursors := make([]*binCursor, len(r.man.Files))
 	defer func() {
 		for _, c := range cursors {
 			if c != nil {
-				c.close()
+				c.file.Close()
 			}
 		}
 	}()
 	for i, fi := range r.man.Files {
-		c, err := openCursor(filepath.Join(r.dir, fi.File), fi, r.man.Format)
+		c, err := openCursor(filepath.Join(r.dir, fi.File), fi)
 		if err != nil {
 			return err
 		}
@@ -464,33 +413,6 @@ func (r *ShardReader) Boards(fn func(*Board) error) error {
 	return nil
 }
 
-// ReadAll loads the whole corpus into a Dataset (environment boards are
-// those measured under more than one condition, as in ReadCSV). Intended
-// for corpora that fit in memory; large fleets should use Boards.
-func (r *ShardReader) ReadAll() (*Dataset, error) {
-	ds := &Dataset{Name: "shards"}
-	err := r.Boards(func(b *Board) error {
-		ds.Boards = append(ds.Boards, b)
-		if len(b.Freq) > 1 {
-			ds.EnvIDs = append(ds.EnvIDs, b.ID)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ds, nil
-}
-
-// shardCursor pulls boards from one shard file.
-type shardCursor interface {
-	next() (*Board, error)
-	// finish asserts the cursor consumed exactly the manifest's boards and
-	// rows and that the file's bytes match the manifest checksum.
-	finish() error
-	close() error
-}
-
 // crcReader tees everything read from the underlying file through a
 // CRC32-C accumulator, so a cursor that reaches EOF has checksummed the
 // whole shard for free.
@@ -507,55 +429,23 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func openCursor(path string, fi ShardInfo, format Format) (shardCursor, error) {
+// openCursor opens one shard and checks its magic.
+func openCursor(path string, fi ShardInfo) (*binCursor, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: open shard: %w", err)
 	}
 	cr := &crcReader{r: f, crc: crc32.New(castagnoli)}
 	br := bufio.NewReaderSize(cr, 1<<16)
-	switch format {
-	case FormatBin:
-		cur := &binCursor{file: f, cr: cr, br: br, rd: recordio.NewReader(br), fi: fi}
-		if err := cur.readMagic(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return cur, nil
-	default:
-		cur := &csvCursor{file: f, cr: cr, fi: fi, rd: csv.NewReader(br)}
-		cur.rd.FieldsPerRecord = len(csvHeader)
-		cur.rd.ReuseRecord = true
-		if err := cur.readHeader(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return cur, nil
+	c := &binCursor{file: f, cr: cr, br: br, rd: recordio.NewReader(br), fi: fi}
+	if err := c.readMagic(); err != nil {
+		f.Close()
+		return nil, err
 	}
+	return c, nil
 }
 
-// finishShard drains br (when non-nil) to EOF and checks counters against
-// the manifest.
-func finishShard(fi ShardInfo, cr *crcReader, br io.Reader, boards int, rows int64) error {
-	if br != nil {
-		if _, err := io.Copy(io.Discard, br); err != nil {
-			return fmt.Errorf("dataset: shard %s: %w", fi.File, err)
-		}
-	}
-	switch {
-	case boards != fi.Boards:
-		return fmt.Errorf("dataset: shard %s has %d boards, manifest says %d", fi.File, boards, fi.Boards)
-	case rows != fi.Rows:
-		return fmt.Errorf("dataset: shard %s has %d rows, manifest says %d", fi.File, rows, fi.Rows)
-	case cr.bytes != fi.Bytes:
-		return fmt.Errorf("dataset: shard %s is %d bytes, manifest says %d", fi.File, cr.bytes, fi.Bytes)
-	case cr.crc.Sum32() != fi.CRC32C:
-		return fmt.Errorf("dataset: shard %s checksum %08x, manifest says %08x", fi.File, cr.crc.Sum32(), fi.CRC32C)
-	}
-	return nil
-}
-
-// binCursor decodes framed binary board records.
+// binCursor pulls board records from one shard file.
 type binCursor struct {
 	file   *os.File
 	cr     *crcReader
@@ -594,246 +484,74 @@ func (c *binCursor) next() (*Board, error) {
 	return b, nil
 }
 
+// finish drains the shard to EOF, then asserts the cursor consumed exactly
+// the manifest's boards and rows and that the file's bytes match the
+// manifest checksum.
 func (c *binCursor) finish() error {
-	return finishShard(c.fi, c.cr, c.br, c.boards, c.rows)
-}
-
-func (c *binCursor) close() error { return c.file.Close() }
-
-// decodeBinBoard decodes one board record body. Returns the board and its
-// row count.
-func decodeBinBoard(body []byte) (*Board, int64, error) {
-	d := binDecoder{data: body}
-	id := d.u32()
-	gridW, gridH := int(d.u16()), int(d.u16())
-	n := int(d.u32())
-	nConds := int(d.u16())
-	if d.err == nil && n > maxShardROs {
-		return nil, 0, fmt.Errorf("record claims %d ROs, limit %d", n, maxShardROs)
+	if _, err := io.Copy(io.Discard, c.br); err != nil {
+		return fmt.Errorf("dataset: shard %s: %w", c.fi.File, err)
 	}
-	if d.err == nil && nConds > maxShardConds {
-		return nil, 0, fmt.Errorf("record claims %d conditions, limit %d", nConds, maxShardConds)
-	}
-	if d.err != nil {
-		return nil, 0, d.err
-	}
-	b := &Board{
-		ID:    int(id),
-		GridW: gridW,
-		GridH: gridH,
-		X:     make([]int, n),
-		Y:     make([]int, n),
-		Freq:  make(map[Condition][]float64, nConds),
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		b.X[i] = int(d.u16())
-		b.Y[i] = int(d.u16())
-	}
-	for ci := 0; ci < nConds && d.err == nil; ci++ {
-		cond := Condition{MilliVolts: int(int32(d.u32())), DeciCelsius: int(int32(d.u32()))}
-		if _, dup := b.Freq[cond]; dup {
-			return nil, 0, fmt.Errorf("record repeats condition %v", cond)
-		}
-		f := make([]float64, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			f[i] = math.Float64frombits(d.u64())
-		}
-		b.Freq[cond] = f
-	}
-	if d.err != nil {
-		return nil, 0, d.err
-	}
-	if d.off != len(d.data) {
-		return nil, 0, fmt.Errorf("%d trailing bytes in board record", len(d.data)-d.off)
-	}
-	return b, int64(nConds) * int64(n), nil
-}
-
-// binDecoder is a bounds-checked little-endian body reader: the first
-// out-of-range read latches err and later reads return zeros.
-type binDecoder struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (d *binDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.data) {
-		d.err = errors.New("truncated board record")
-		return nil
-	}
-	b := d.data[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *binDecoder) u16() uint16 {
-	if b := d.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-
-func (d *binDecoder) u32() uint32 {
-	if b := d.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (d *binDecoder) u64() uint64 {
-	if b := d.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-// csvCursor streams WriteCSV-format rows, grouping consecutive rows of one
-// board ID into a Board. It requires the writer's layout — rows of a board
-// contiguous, condition-major, RO indices 0..n−1 per condition — and fails
-// loudly on anything else.
-type csvCursor struct {
-	file   *os.File
-	cr     *crcReader
-	fi     ShardInfo
-	rd     *csv.Reader
-	boards int
-	rows   int64
-
-	peeked  *csvRow
-	atEOF   bool
-	lastID  int
-	anyDone bool
-}
-
-type csvRow struct {
-	id, ro, x, y int
-	cond         Condition
-	freq         float64
-}
-
-func (c *csvCursor) readHeader() error {
-	head, err := c.rd.Read()
-	if err != nil {
-		return fmt.Errorf("dataset: shard %s: read header: %w", c.fi.File, err)
-	}
-	for i, h := range csvHeader {
-		if head[i] != h {
-			return fmt.Errorf("dataset: shard %s: header column %d is %q, want %q", c.fi.File, i, head[i], h)
-		}
+	fi := c.fi
+	switch {
+	case c.boards != fi.Boards:
+		return fmt.Errorf("dataset: shard %s has %d boards, manifest says %d", fi.File, c.boards, fi.Boards)
+	case c.rows != fi.Rows:
+		return fmt.Errorf("dataset: shard %s has %d rows, manifest says %d", fi.File, c.rows, fi.Rows)
+	case c.cr.bytes != fi.Bytes:
+		return fmt.Errorf("dataset: shard %s is %d bytes, manifest says %d", fi.File, c.cr.bytes, fi.Bytes)
+	case c.cr.crc.Sum32() != fi.CRC32C:
+		return fmt.Errorf("dataset: shard %s checksum %08x, manifest says %08x", fi.File, c.cr.crc.Sum32(), fi.CRC32C)
 	}
 	return nil
 }
 
-func (c *csvCursor) readRow() (*csvRow, error) {
-	if c.peeked != nil {
-		r := c.peeked
-		c.peeked = nil
-		return r, nil
+// decodeBinBoard decodes one board record body. Returns the board and its
+// row count.
+func decodeBinBoard(body []byte) (*Board, int64, error) {
+	if len(body) < binBoardHeader {
+		return nil, 0, errors.New("truncated board record")
 	}
-	if c.atEOF {
-		return nil, nil
+	le := binary.LittleEndian
+	n := int(le.Uint32(body[8:]))
+	nConds := int(le.Uint16(body[12:]))
+	if n > maxShardROs {
+		return nil, 0, fmt.Errorf("record claims %d ROs, limit %d", n, maxShardROs)
 	}
-	rec, err := c.rd.Read()
-	if err == io.EOF {
-		c.atEOF = true
-		return nil, nil
+	if nConds > maxShardConds {
+		return nil, 0, fmt.Errorf("record claims %d conditions, limit %d", nConds, maxShardConds)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("dataset: shard %s: %w", c.fi.File, err)
+	// The header fixes the body's exact length. Check it before allocating,
+	// so a short record cannot make the counts claim megabytes.
+	p := body[binBoardHeader:]
+	if want := 4*int64(n) + int64(nConds)*(8+8*int64(n)); int64(len(p)) != want {
+		return nil, 0, fmt.Errorf("board record has %d bytes after its header, %d ROs under %d conditions need %d",
+			len(p), n, nConds, want)
 	}
-	var row csvRow
-	ints := [6]*int{&row.id, &row.ro, &row.x, &row.y, &row.cond.MilliVolts, &row.cond.DeciCelsius}
-	for i, dst := range ints {
-		v, err := strconv.Atoi(rec[i])
-		if err != nil {
-			return nil, fmt.Errorf("dataset: shard %s: column %s: %w", c.fi.File, csvHeader[i], err)
-		}
-		*dst = v
+	b := &Board{
+		ID:    int(le.Uint32(body[0:])),
+		GridW: int(le.Uint16(body[4:])),
+		GridH: int(le.Uint16(body[6:])),
+		X:     make([]int, n),
+		Y:     make([]int, n),
+		Freq:  make(map[Condition][]float64, nConds),
 	}
-	f, err := strconv.ParseFloat(rec[6], 64)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: shard %s: freq: %w", c.fi.File, err)
-	}
-	row.freq = f
-	c.rows++
-	return &row, nil
-}
-
-func (c *csvCursor) next() (*Board, error) {
-	first, err := c.readRow()
-	if err != nil {
-		return nil, err
-	}
-	if first == nil {
-		return nil, fmt.Errorf("dataset: shard %s: truncated shard: board missing", c.fi.File)
-	}
-	if c.anyDone && first.id == c.lastID {
-		return nil, fmt.Errorf("dataset: shard %s: board %d rows are not contiguous", c.fi.File, first.id)
-	}
-	b := &Board{ID: first.id, Freq: map[Condition][]float64{}}
-	firstCond := first.cond
-	cur := first
-	for {
-		f := b.Freq[cur.cond]
-		if want := len(f); cur.ro != want {
-			return nil, fmt.Errorf("dataset: shard %s: board %d condition %v row has RO %d, want %d",
-				c.fi.File, b.ID, cur.cond, cur.ro, want)
-		}
-		if cur.cond == firstCond {
-			// The first condition block defines the board's RO positions.
-			b.X = append(b.X, cur.x)
-			b.Y = append(b.Y, cur.y)
-		}
-		b.Freq[cur.cond] = append(f, cur.freq)
-		nxt, err := c.readRow()
-		if err != nil {
-			return nil, err
-		}
-		if nxt == nil || nxt.id != b.ID {
-			c.peeked = nxt
-			break
-		}
-		cur = nxt
-	}
-	n := len(b.X)
-	maxX, maxY := 0, 0
 	for i := 0; i < n; i++ {
-		if b.X[i] > maxX {
-			maxX = b.X[i]
-		}
-		if b.Y[i] > maxY {
-			maxY = b.Y[i]
-		}
+		b.X[i] = int(le.Uint16(p[0:]))
+		b.Y[i] = int(le.Uint16(p[2:]))
+		p = p[4:]
 	}
-	b.GridW, b.GridH = maxX+1, maxY+1
-	for cond, f := range b.Freq {
-		if len(f) != n {
-			return nil, fmt.Errorf("dataset: shard %s: board %d condition %v has %d ROs, want %d",
-				c.fi.File, b.ID, cond, len(f), n)
+	for ci := 0; ci < nConds; ci++ {
+		cond := Condition{MilliVolts: int(int32(le.Uint32(p[0:]))), DeciCelsius: int(int32(le.Uint32(p[4:])))}
+		p = p[8:]
+		if _, dup := b.Freq[cond]; dup {
+			return nil, 0, fmt.Errorf("record repeats condition %v", cond)
 		}
+		f := make([]float64, n)
+		for i := range f {
+			f[i] = math.Float64frombits(le.Uint64(p))
+			p = p[8:]
+		}
+		b.Freq[cond] = f
 	}
-	c.boards++
-	c.lastID, c.anyDone = b.ID, true
-	return b, nil
+	return b, int64(nConds) * int64(n), nil
 }
-
-func (c *csvCursor) finish() error {
-	if c.peeked != nil {
-		return fmt.Errorf("dataset: shard %s has more boards than the manifest says", c.fi.File)
-	}
-	// Drain any unread tail (there should be none for a well-formed shard;
-	// draining makes the row/byte/CRC comparison meaningful for hostile
-	// ones).
-	for !c.atEOF {
-		if _, err := c.readRow(); err != nil {
-			return err
-		}
-	}
-	return finishShard(c.fi, c.cr, nil, c.boards, c.rows)
-}
-
-func (c *csvCursor) close() error { return c.file.Close() }
