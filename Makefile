@@ -100,14 +100,17 @@ fleet-bench:
 	$(GO) test -run xxx -bench 'BenchmarkFleetEnroll' -benchtime 10x .
 
 # Fuzz the verifier snapshot decoder, the WAL replay recovery runs, and
-# the shard-corpus decoders against hostile bytes (CI runs these for short
-# bursts; crashes land under the packages' testdata/fuzz directories).
+# the shard-corpus decoders against hostile bytes, and the silicon
+# environment factor against its four-pow reference formula over arbitrary
+# parameters (CI runs these for short bursts; crashes land under the
+# packages' testdata/fuzz directories).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run FuzzLoadVerifier -fuzz FuzzLoadVerifier -fuzztime $(FUZZTIME) ./internal/auth
 	$(GO) test -run FuzzReplayLog -fuzz FuzzReplayLog -fuzztime $(FUZZTIME) ./internal/auth
 	$(GO) test -run FuzzShardBin -fuzz FuzzShardBin -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run FuzzManifest -fuzz FuzzManifest -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run FuzzEnvFactor -fuzz FuzzEnvFactor -fuzztime $(FUZZTIME) ./internal/silicon
 
 # End-to-end smoke of the streaming dataset generator at paper scale
 # (199 boards x 512 ROs, 5 env boards under the 9-condition V/T sweep =

@@ -162,8 +162,8 @@ func (r *Ring) HalfPeriodPS(cfg Config, env silicon.Env) (float64, error) {
 
 // HalfPeriodNaivePS is HalfPeriodPS with the die's environment-factor cache
 // bypassed: every device recomputes its alpha-power-law factors from
-// scratch, which is the pre-cache cost model (4 math.Pow calls per device
-// per evaluation). It is kept as the reference implementation for
+// scratch, which is the pre-cache cost model (three math.Pow calls per
+// device per evaluation off nominal). It is kept as the reference implementation for
 // equivalence tests and the *Naive benchmarks; the summation order matches
 // HalfPeriodPS exactly, so the result is bit-identical.
 func (r *Ring) HalfPeriodNaivePS(cfg Config, env silicon.Env) (float64, error) {

@@ -8,6 +8,7 @@ import (
 	"ropuf/internal/fleet"
 	"ropuf/internal/measure"
 	"ropuf/internal/rngx"
+	"ropuf/internal/silicon"
 )
 
 // StreamVT generates the VT dataset one board at a time, invoking fn with
@@ -31,13 +32,13 @@ func StreamVT(cfg VTConfig, fn func(*Board) error) error {
 // streamVT is StreamVT over an explicit root generator and context; the
 // golden test drives it directly to pin the post-generation root state.
 func streamVT(ctx context.Context, cfg VTConfig, root *rngx.RNG, fn func(*Board) error) error {
-	bm := measure.NewBoardMeter(cfg.NoiseMHz)
+	bm, die := measure.NewBoardMeter(cfg.NoiseMHz), new(silicon.Die)
 	for id := 0; id < cfg.NumBoards; id++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("dataset: stream cancelled: %w", err)
 		}
 		brng := root.Split()
-		board, err := generateVTBoard(cfg, id, id >= cfg.NumBoards-cfg.NumEnvBoards, brng, bm)
+		board, err := generateVTBoard(cfg, id, id >= cfg.NumBoards-cfg.NumEnvBoards, brng, bm, die)
 		if err != nil {
 			return fmt.Errorf("dataset: board %d: %w", id, err)
 		}
@@ -102,8 +103,9 @@ func StreamVTParallel(ctx context.Context, cfg VTConfig, workers int, fn func(*B
 
 	results := make(chan streamResult, window)
 	meters := make([]*measure.BoardMeter, workers)
+	dies := make([]*silicon.Die, workers)
 	for i := range meters {
-		meters[i] = measure.NewBoardMeter(cfg.NoiseMHz)
+		meters[i], dies[i] = measure.NewBoardMeter(cfg.NoiseMHz), new(silicon.Die)
 	}
 	run := func(worker, idx int) {
 		seedMu.Lock()
@@ -115,7 +117,7 @@ func StreamVTParallel(ctx context.Context, cfg VTConfig, workers int, fn func(*B
 			// loop is about to stop, drop the job.
 			return
 		}
-		board, err := generateVTBoard(cfg, idx, idx >= n-cfg.NumEnvBoards, rngx.New(seed), meters[worker])
+		board, err := generateVTBoard(cfg, idx, idx >= n-cfg.NumEnvBoards, rngx.New(seed), meters[worker], dies[worker])
 		if err != nil {
 			err = fmt.Errorf("dataset: board %d: %w", idx, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -79,6 +80,27 @@ func TestStreamVTMatchesGenerateVT(t *testing.T) {
 	}
 	for i := range streamed {
 		equalBoards(t, "stream vs generate", ds.Boards[i], streamed[i])
+	}
+}
+
+// TestStreamVTAllocBudget bounds what the serial stream allocates per
+// board, which sets the corpus build's GC rate and peak RSS. The emitted
+// board itself owns ~12 KB (X and Y as []int plus its nominal
+// frequencies); a die allocated per board, or an env table built for a
+// nominal-only board, breaks the budget.
+func TestStreamVTAllocBudget(t *testing.T) {
+	cfg := DefaultVTConfig()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	if err := StreamVT(cfg, func(*Board) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	perBoard := (ms.TotalAlloc - before) / uint64(cfg.NumBoards)
+	t.Logf("StreamVT allocated %d B per board", perBoard)
+	if perBoard > 20000 {
+		t.Fatalf("StreamVT allocated %d B per board, budget 20000", perBoard)
 	}
 }
 

@@ -90,12 +90,13 @@ func GenerateVT(cfg VTConfig) (*Dataset, error) {
 	return ds, nil
 }
 
-// generateVTBoard fabricates one die and measures it under its conditions
-// with the board-major batch meter (one pinned env table and one noise
-// NormFill per condition; bm's scratch is reused across boards). The
-// result is bit-identical to the historical per-device loop.
-func generateVTBoard(cfg VTConfig, id int, env bool, rng *rngx.RNG, bm *measure.BoardMeter) (*Board, error) {
-	die, err := silicon.NewDie(cfg.Process, cfg.GridW, cfg.GridH, rng)
+// generateVTBoard fabricates one die into die's storage and measures it
+// under its conditions with the board-major batch meter (one pinned env
+// table and one noise NormFill per condition; bm's scratch and die's
+// devices are reused across boards, and the board keeps no reference to
+// either). The result is bit-identical to the historical per-device loop.
+func generateVTBoard(cfg VTConfig, id int, env bool, rng *rngx.RNG, bm *measure.BoardMeter, die *silicon.Die) (*Board, error) {
+	die, err := silicon.NewDieInto(die, cfg.Process, cfg.GridW, cfg.GridH, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package measure
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -84,6 +86,38 @@ func TestBoardMeterAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm MeasureInto allocates %.1f times per board, want 0", allocs)
+	}
+}
+
+// TestBoardMeterFreshDieNominalAllocFree pins the cold nominal measurement
+// a corpus pays for every nominal-only board: on a freshly fabricated die,
+// with the meter's scratch already sized, it allocates nothing.
+// testing.AllocsPerRun warms up with one call first, which would hide a
+// table built by the cold call, so each cold call is counted on its own;
+// the minimum over a few dies discounts a stray allocation by another
+// goroutine.
+func TestBoardMeterFreshDieNominalAllocFree(t *testing.T) {
+	bm := NewBoardMeter(0.01)
+	rng := rngx.New(7)
+	dst := make([]float64, 16*16)
+	if _, err := bm.MeasureInto(dst, boardTestDie(t, 16, 16, 1), silicon.Nominal, rng); err != nil {
+		t.Fatal(err) // sizes the meter's scratch
+	}
+	var ms runtime.MemStats
+	fewest := uint64(math.MaxUint64)
+	for seed := uint64(2); seed < 5; seed++ {
+		die := boardTestDie(t, 16, 16, seed)
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		_, err := bm.MeasureInto(dst, die, silicon.Nominal, rng)
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fewest = min(fewest, ms.Mallocs-before)
+	}
+	if fewest != 0 {
+		t.Fatalf("a nominal MeasureInto on a fresh die allocates %d times, want 0", fewest)
 	}
 }
 

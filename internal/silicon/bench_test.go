@@ -45,8 +45,8 @@ func BenchmarkAgedDelayPS(b *testing.B) {
 }
 
 // BenchmarkEnvFactorUncached prices one whole-die environment-factor sweep
-// computed from scratch: four math.Pow calls per device, the per-evaluation
-// cost the delay-table cache eliminates.
+// computed from scratch: three math.Pow calls per device at a swept
+// environment, the per-evaluation cost the delay-table cache eliminates.
 func BenchmarkEnvFactorUncached(b *testing.B) {
 	d, err := NewDie(DefaultParams(), 16, 16, rngx.New(3))
 	if err != nil {

@@ -86,3 +86,21 @@ func TestDelaysIntoPSStaleVthFallsBack(t *testing.T) {
 		}
 	}
 }
+
+// TestDelaysIntoPSNominalBuildsNoTable pins the nominal identity's cost: a
+// fresh die's nominal read copies Base and leaves the table store empty.
+func TestDelaysIntoPSNominalBuildsNoTable(t *testing.T) {
+	die := delaysTestDie(t)
+	dst, err := die.DelaysIntoPS(make([]float64, die.NumDevices()), Nominal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if die.current.Load() != nil || len(die.tables) != 0 {
+		t.Fatalf("nominal DelaysIntoPS cached %d tables", len(die.tables))
+	}
+	for i, dev := range die.Devices {
+		if dst[i] != dev.Base {
+			t.Fatalf("device %d: nominal delay %x != base %x", i, dst[i], dev.Base)
+		}
+	}
+}

@@ -21,6 +21,7 @@ package silicon
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -96,13 +97,23 @@ func DefaultParams() Params {
 
 // Validate reports whether the parameters are physically meaningful.
 func (p Params) Validate() error {
+	for _, v := range [...]float64{p.NominalDelayPS, p.SystematicAmp, p.RandomSigma, p.VNom, p.TNom,
+		p.Alpha, p.VthNom, p.VthSigma, p.VthTempCoeff, p.MobilityExp} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("silicon: parameters must be finite, got %+v", p)
+		}
+	}
 	switch {
 	case p.NominalDelayPS <= 0:
 		return fmt.Errorf("silicon: NominalDelayPS must be positive, got %g", p.NominalDelayPS)
 	case p.RandomSigma < 0 || p.SystematicAmp < 0 || p.VthSigma < 0:
 		return fmt.Errorf("silicon: variation magnitudes must be non-negative")
+	case p.VNom <= 0:
+		return fmt.Errorf("silicon: nominal supply must be positive, got %g V", p.VNom)
 	case p.VNom <= p.VthNom:
 		return fmt.Errorf("silicon: nominal supply %g V must exceed nominal Vth %g V", p.VNom, p.VthNom)
+	case p.TNom <= -273.15:
+		return fmt.Errorf("silicon: nominal temperature %g °C is not above absolute zero", p.TNom)
 	case p.Alpha <= 0:
 		return fmt.Errorf("silicon: Alpha must be positive, got %g", p.Alpha)
 	}
@@ -135,9 +146,11 @@ func (s surface) at(u, v float64) float64 {
 }
 
 // envTable is an immutable per-environment snapshot of every device's
-// environment factor (delay(env)/delay(nominal)) and resulting delay. One
-// table costs O(NumDevices) math.Pow calls to build; once built, any number
-// of delay queries under that environment are a multiply each.
+// environment factor (delay(env)/delay(nominal)) and resulting delay. A
+// swept table costs one math.Pow per device to build, plus one per device
+// for the die's first swept table (the nominal drive terms); a nominal
+// table costs none. Once built, any number of delay queries under that
+// environment are a multiply each.
 type envTable struct {
 	env Env
 	// vth pins the threshold voltages the factors were computed from, so
@@ -172,19 +185,42 @@ type Die struct {
 	current atomic.Pointer[envTable]
 	mu      sync.Mutex
 	tables  map[Env]*envTable
+	// nomVth/nomDrive cache each device's nominal drive term (envFactor's
+	// denominator) for swept table builds, pinned to the Vth it was
+	// computed from like the tables are. Guarded by mu.
+	nomVth, nomDrive []float64
 }
 
 // NewDie fabricates a die with w×h devices using the supplied process
 // parameters and randomness source. Fabrication is deterministic given the
 // RNG state.
 func NewDie(p Params, w, h int, rng *rngx.RNG) (*Die, error) {
+	return NewDieInto(nil, p, w, h, rng)
+}
+
+// NewDieInto is NewDie fabricating into d's storage, for callers that
+// fabricate one die after another: it overwrites d.Devices in place
+// (reallocating only when the grid outgrows them) and drops every table
+// and term d cached, so the result shares nothing with the old die. A nil
+// d allocates a new die. d must not be in use by another goroutine, and
+// pointers into its old Devices now see the new die's devices. On error d
+// is left unchanged.
+func NewDieInto(d *Die, p Params, w, h int, rng *rngx.RNG) (*Die, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("silicon: die dimensions must be positive, got %dx%d", w, h)
 	}
-	d := &Die{Params: p, W: w, H: h, Devices: make([]Device, w*h)}
+	if d == nil {
+		d = new(Die)
+	}
+	if cap(d.Devices) < w*h {
+		d.Devices = make([]Device, w*h)
+	}
+	d.Params, d.W, d.H, d.Devices = p, w, h, d.Devices[:w*h]
+	d.current.Store(nil)
+	d.tables, d.nomVth, d.nomDrive = nil, nil, nil
 	// Per-die systematic surface. The constant term models die-to-die mean
 	// shift; the polynomial terms model intra-die spatial gradients.
 	for i := range d.surf.c {
@@ -223,26 +259,43 @@ func (d *Die) NumDevices() int { return len(d.Devices) }
 // Device returns device i (row-major order).
 func (d *Die) Device(i int) *Device { return &d.Devices[i] }
 
+// nominal returns the environment at which Base delays are quoted.
+func (p Params) nominal() Env { return Env{V: p.VNom, T: p.TNom} }
+
+// drive returns env.V/(env.V − Vth(env.T))^α, the alpha-power-law delay
+// without its mobility term, for a device whose threshold voltage at the
+// nominal temperature is vth.
+func (p Params) drive(vth float64, env Env) float64 {
+	vthT := vth + p.VthTempCoeff*(env.T-p.TNom)
+	overdrive := env.V - vthT
+	if overdrive < 0.02 {
+		// Near/below threshold the alpha-power law diverges; clamp the
+		// overdrive so extreme sweep points stay finite (delay becomes
+		// very large, which is the physically right direction).
+		overdrive = 0.02
+	}
+	return env.V / pow(overdrive, p.Alpha)
+}
+
+// mobility returns the (T/T₀)^m mobility term of env, which every device
+// shares (μ ∝ T^−m ⇒ delay ∝ T^m).
+func (p Params) mobility(env Env) float64 {
+	return pow((env.T+273.15)/(p.TNom+273.15), p.MobilityExp)
+}
+
 // envFactor returns the ratio delay(env)/delay(nominal) for a device with
 // threshold voltage vth, following the alpha-power law with
-// temperature-dependent Vth and mobility.
+// temperature-dependent Vth and mobility. At the nominal environment the
+// ratio is the nominal drive divided by itself, exactly 1 for any finite
+// non-zero drive, so it returns 1 without a math.Pow (Base is the nominal
+// delay by definition); elsewhere it costs three. The nominal mobility
+// term is pow(1, m) == 1, so the denominator omits it.
 func (d *Die) envFactor(vth float64, env Env) float64 {
 	p := d.Params
-	f := func(v, tC float64) float64 {
-		vthT := vth + p.VthTempCoeff*(tC-p.TNom)
-		overdrive := v - vthT
-		if overdrive < 0.02 {
-			// Near/below threshold the alpha-power law diverges; clamp the
-			// overdrive so extreme sweep points stay finite (delay becomes
-			// very large, which is the physically right direction).
-			overdrive = 0.02
-		}
-		tK := tC + 273.15
-		t0K := p.TNom + 273.15
-		mob := pow(tK/t0K, p.MobilityExp) // μ ∝ T^−m ⇒ delay ∝ T^m
-		return v / pow(overdrive, p.Alpha) * mob
+	if env == p.nominal() {
+		return 1
 	}
-	return f(env.V, env.T) / f(p.VNom, p.TNom)
+	return p.drive(vth, env) * p.mobility(env) / p.drive(vth, p.nominal())
 }
 
 // pow is math.Pow specialized to positive bases (documents intent; the
@@ -251,12 +304,30 @@ func pow(base, exp float64) float64 {
 	if base <= 0 {
 		return 0
 	}
-	// Defer to the standard library for accuracy.
-	return mathPow(base, exp)
+	return math.Pow(base, exp)
+}
+
+// nominalDrives returns every device's nominal drive term from the die's
+// cache, computing the entries whose pinned Vth no longer matches the
+// device's. d.mu must be held.
+func (d *Die) nominalDrives() []float64 {
+	fresh := len(d.nomDrive) != len(d.Devices)
+	if fresh {
+		d.nomVth = make([]float64, len(d.Devices))
+		d.nomDrive = make([]float64, len(d.Devices))
+	}
+	for i := range d.Devices {
+		if vth := d.Devices[i].Vth; fresh || d.nomVth[i] != vth {
+			d.nomVth[i], d.nomDrive[i] = vth, d.Params.drive(vth, d.Params.nominal())
+		}
+	}
+	return d.nomDrive
 }
 
 // envTableFor returns the (possibly freshly built) delay table for env and
-// promotes it to the current slot.
+// promotes it to the current slot. A swept table computes envFactor with
+// its shared terms hoisted: the mobility term once per table and the
+// nominal drives from the per-die cache, in envFactor's multiply order.
 func (d *Die) envTableFor(env Env) *envTable {
 	if t := d.current.Load(); t != nil && t.env == env {
 		return t
@@ -273,10 +344,20 @@ func (d *Die) envTableFor(env Env) *envTable {
 		factors: make([]float64, len(d.Devices)),
 		delays:  make([]float64, len(d.Devices)),
 	}
+	p := d.Params
+	var mob float64
+	var nom []float64
+	swept := env != p.nominal()
+	if swept {
+		mob, nom = p.mobility(env), d.nominalDrives()
+	}
 	for i := range d.Devices {
 		dev := &d.Devices[i]
 		t.vth[i] = dev.Vth
-		t.factors[i] = d.envFactor(dev.Vth, env)
+		t.factors[i] = 1
+		if swept {
+			t.factors[i] = p.drive(dev.Vth, env) * mob / nom[i]
+		}
 		t.delays[i] = dev.Base * t.factors[i]
 	}
 	if d.tables == nil || len(d.tables) >= maxEnvTables {
@@ -299,9 +380,9 @@ func (d *Die) EnvFactors(env Env) []float64 {
 // building and caching it on first use. The table snapshots Device.Base at
 // build time; the returned slice is shared and must not be mutated. A
 // fixed-environment sweep should prefer this (or any whole-ring accessor,
-// which warms the same cache) over per-device DelayPS calls: the four
-// math.Pow evaluations per device are paid once per (die, environment)
-// instead of once per query.
+// which warms the same cache) over per-device DelayPS calls: a swept
+// environment's math.Pow evaluations are paid once per (die, environment)
+// instead of three per query.
 func (d *Die) DelaysPS(env Env) []float64 {
 	return d.envTableFor(env).delays
 }
@@ -314,10 +395,18 @@ func (d *Die) DelaysPS(env Env) []float64 {
 // Vth — a device mutated after the table was built falls back to a direct
 // recomputation, which is bit-identical to per-device DelayPS calls —
 // so concurrent readers may share a die while a sweep is in flight.
-// len(dst) must equal NumDevices.
+// At the nominal environment every delay is its Base, so the call copies
+// Base and neither builds nor caches a table: a fresh die's nominal
+// read allocates nothing. len(dst) must equal NumDevices.
 func (d *Die) DelaysIntoPS(dst []float64, env Env) ([]float64, error) {
 	if len(dst) != len(d.Devices) {
 		return nil, fmt.Errorf("silicon: DelaysIntoPS dst has %d entries, die has %d devices", len(dst), len(d.Devices))
+	}
+	if env == d.Params.nominal() {
+		for i := range d.Devices {
+			dst[i] = d.Devices[i].Base
+		}
+		return dst, nil
 	}
 	t := d.envTableFor(env)
 	for i := range d.Devices {
@@ -360,10 +449,10 @@ func (d *Die) DelayAtPS(dev Device, env Env) float64 {
 }
 
 // DelayAtUncachedPS is DelayAtPS with the environment-factor cache
-// bypassed: it always recomputes the alpha-power-law factors (4 math.Pow
-// calls). It is the reference path for the *Naive measurement
-// implementations and for equivalence tests; results are bit-identical to
-// the cached accessors.
+// bypassed: it always recomputes the alpha-power-law factor (three
+// math.Pow calls off nominal, none at nominal). It is the reference path
+// for the *Naive measurement implementations and for equivalence tests;
+// results are bit-identical to the cached accessors.
 func (d *Die) DelayAtUncachedPS(dev Device, env Env) float64 {
 	return dev.Base * d.envFactor(dev.Vth, env)
 }

@@ -34,6 +34,15 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.VthSigma = -0.1 },
 		func(p *Params) { p.VNom = 0.3 }, // below Vth
 		func(p *Params) { p.Alpha = 0 },
+		// Each of these once passed although it gives NaN, zero or
+		// infinite delays.
+		func(p *Params) { p.Alpha = math.NaN() },
+		func(p *Params) { p.VthTempCoeff = math.Inf(1) },
+		func(p *Params) { p.VNom = math.Inf(1) },
+		func(p *Params) { p.VNom, p.VthNom = 0, -0.1 },
+		func(p *Params) { p.TNom = -300 },
+		func(p *Params) { p.TNom = -273.15 },
+		func(p *Params) { p.RandomSigma = math.NaN() },
 	}
 	for i, mutate := range cases {
 		p := DefaultParams()
@@ -70,6 +79,45 @@ func TestFabricationDeterminism(t *testing.T) {
 	}
 	if same == a.NumDevices() {
 		t.Fatal("different seeds produced identical dies")
+	}
+}
+
+func TestNewDieIntoReusesStorage(t *testing.T) {
+	d := testDie(t, 7)
+	d.DelaysPS(Env{V: 1.08, T: 45}) // warm a table to be dropped
+	storage := &d.Devices[0]
+	for _, dim := range [][2]int{{16, 16}, {8, 4}, {32, 16}} {
+		got, err := NewDieInto(d, DefaultParams(), dim[0], dim[1], rngx.New(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewDie(DefaultParams(), dim[0], dim[1], rngx.New(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != d || got.W != want.W || got.H != want.H || len(got.Devices) != len(want.Devices) {
+			t.Fatalf("%dx%d: refabricated die is not d at the new size", dim[0], dim[1])
+		}
+		if reused := &got.Devices[0] == storage; reused != (dim[0]*dim[1] <= 256) {
+			t.Fatalf("%dx%d: device storage reused = %v", dim[0], dim[1], reused)
+		}
+		for i := range want.Devices {
+			if got.Devices[i] != want.Devices[i] {
+				t.Fatalf("%dx%d: device %d %+v, NewDie gives %+v", dim[0], dim[1], i, got.Devices[i], want.Devices[i])
+			}
+		}
+		if got.SystematicAt(1, 2) != want.SystematicAt(1, 2) || got.current.Load() != nil || got.tables != nil {
+			t.Fatalf("%dx%d: surface or cached tables survive refabrication", dim[0], dim[1])
+		}
+	}
+	before := d.Devices[3]
+	bad := DefaultParams()
+	bad.Alpha = 0
+	if _, err := NewDieInto(d, bad, 4, 4, rngx.New(9)); err == nil {
+		t.Fatal("NewDieInto accepted invalid params")
+	}
+	if d.Devices[3] != before || d.W != 32 {
+		t.Fatal("a failed NewDieInto modified the die")
 	}
 }
 
@@ -115,8 +163,8 @@ func TestDelayAtNominalEqualsBase(t *testing.T) {
 	d := testDie(t, 3)
 	env := Env{V: d.Params.VNom, T: d.Params.TNom}
 	for i := 0; i < 10; i++ {
-		if math.Abs(d.DelayPS(i, env)-d.Device(i).Base) > 1e-9 {
-			t.Fatalf("device %d: nominal delay %.6f != base %.6f", i, d.DelayPS(i, env), d.Device(i).Base)
+		if d.DelayPS(i, env) != d.Device(i).Base {
+			t.Fatalf("device %d: nominal delay %x != base %x", i, d.DelayPS(i, env), d.Device(i).Base)
 		}
 	}
 }
