@@ -57,12 +57,8 @@ bench:
 		| $(GO) run ./cmd/benchjson -o BENCH_measure.json
 	$(MAKE) bench-authserve
 
-# Serving-path perf record: boot `ropuf serve` with a persistent
-# (WAL-backed, fsync-always) store and the audit stream on, drive a
-# 1k-device enrollment + verify round through it
-# (BenchmarkAuthserveEnroll/Verify + verify latency percentiles), then
-# run the store-level enroll benchmarks against a 1k-device store
-# (BenchmarkStoreEnrollWAL vs the pre-WAL write-through model
+# Serving-path perf record: the store-level enroll benchmarks against a
+# 1k-device store (BenchmarkStoreEnrollWAL vs the pre-WAL write-through model
 # BenchmarkStoreEnrollSnapshot), the group-commit scaling curve
 # (BenchmarkStoreEnrollWALParallel at clients=1/8/64 — enrolls/s must
 # grow with concurrency; 4000x so each leg runs long enough for group
@@ -70,17 +66,10 @@ bench:
 # handler pair (BenchmarkServerVerifyAuditOn/Off — the steady-state
 # audit overhead budget is <3%, allocs/op pins the ≤8 zero-alloc verify
 # budget, and AuditOn fails outright if any event is dropped).
-# Everything lands in BENCH_authserve.json.
+# Everything lands in BENCH_authserve.json. End-to-end serving numbers
+# (HTTP, admission, store, WAL) come from perfbench's auth workload.
 bench-authserve:
-	$(GO) build -o /tmp/ropuf-bench ./cmd/ropuf
-	rm -rf /tmp/ropuf-bench-data && mkdir -p /tmp/ropuf-bench-data
-	( /tmp/ropuf-bench serve -addr 127.0.0.1:18081 -data /tmp/ropuf-bench-data \
-		-audit-out /tmp/ropuf-bench-data/audit.jsonl & \
-	SRV=$$!; sleep 1; \
-	/tmp/ropuf-bench loadgen -addr http://127.0.0.1:18081 -devices 1024 -rounds 1 \
-		-bench-out "" || { kill $$SRV; exit 1; }; \
-	kill -INT $$SRV; wait $$SRV; \
-	$(GO) test -run xxx -bench 'BenchmarkStoreEnroll(WAL|Snapshot)$$' -benchtime 50x ./internal/authserve; \
+	( $(GO) test -run xxx -bench 'BenchmarkStoreEnroll(WAL|Snapshot)$$' -benchtime 50x ./internal/authserve; \
 	$(GO) test -run xxx -bench 'BenchmarkStoreEnrollWALParallel' -benchtime 4000x ./internal/authserve; \
 	$(GO) test -run xxx -bench 'BenchmarkServerVerifyAudit' -benchtime 3000x -benchmem ./internal/authserve ) \
 		| $(GO) run ./cmd/benchjson -o BENCH_authserve.json
@@ -100,16 +89,18 @@ fleet-bench:
 	$(GO) test -run xxx -bench 'BenchmarkFleetEnroll' -benchtime 10x .
 
 # Fuzz the verifier snapshot decoder, the WAL replay recovery runs, and
-# the shard-corpus decoders against hostile bytes, and the silicon
-# environment factor against its four-pow reference formula over arbitrary
-# parameters (CI runs these for short bursts; crashes land under the
-# packages' testdata/fuzz directories).
+# the shard-corpus decoders against hostile bytes, the verify/challenge
+# request parser against encoding/json, and the silicon environment factor
+# against its four-pow reference formula over arbitrary parameters (CI
+# runs these for short bursts; crashes land under the packages'
+# testdata/fuzz directories).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run FuzzLoadVerifier -fuzz FuzzLoadVerifier -fuzztime $(FUZZTIME) ./internal/auth
 	$(GO) test -run FuzzReplayLog -fuzz FuzzReplayLog -fuzztime $(FUZZTIME) ./internal/auth
 	$(GO) test -run FuzzShardBin -fuzz FuzzShardBin -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run FuzzManifest -fuzz FuzzManifest -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run FuzzJSONRequests -fuzz FuzzJSONRequests -fuzztime $(FUZZTIME) ./internal/authserve
 	$(GO) test -run FuzzEnvFactor -fuzz FuzzEnvFactor -fuzztime $(FUZZTIME) ./internal/silicon
 
 # End-to-end smoke of the streaming dataset generator at paper scale
@@ -166,8 +157,7 @@ serve-smoke:
 		-trace-out /tmp/ropuf-smoke-data/authserve.jsonl -log-level info & \
 	SRV=$$!; sleep 1; \
 	/tmp/ropuf-smoke loadgen -addr http://127.0.0.1:18080 -devices 32 -rounds 2 \
-		-trace-out /tmp/ropuf-smoke-data/loadgen.jsonl \
-		-bench-out /tmp/ropuf-smoke-data/BENCH_authserve.json || { kill $$SRV; exit 1; }; \
+		-trace-out /tmp/ropuf-smoke-data/loadgen.jsonl || { kill $$SRV; exit 1; }; \
 	curl -sf http://127.0.0.1:18080/metrics | grep -q 'ropuf_authserve_request_duration_seconds_count{route="verify",code="200"}' \
 		|| { echo "missing verify latency metric"; kill $$SRV; exit 1; }; \
 	curl -sf http://127.0.0.1:18080/metrics | grep -q '^ropuf_audit_dropped_total 0' \
@@ -199,7 +189,7 @@ serve-smoke:
 		-trace-out /tmp/ropuf-harvest-data/authserve.jsonl & \
 	SRV=$$!; sleep 1; \
 	/tmp/ropuf-smoke loadgen -addr http://127.0.0.1:18082 -devices 4 -harvest \
-		-trace-out /tmp/ropuf-harvest-data/loadgen.jsonl -bench-out "" \
+		-trace-out /tmp/ropuf-harvest-data/loadgen.jsonl \
 		|| { echo "harvester was not flagged"; kill $$SRV; exit 1; }; \
 	curl -sf http://127.0.0.1:18082/v1/audit/flagged | grep -q '"dev-0000"' \
 		|| { echo "/v1/audit/flagged does not list the harvester"; kill $$SRV; exit 1; }; \
@@ -214,7 +204,7 @@ serve-smoke:
 	/tmp/ropuf-smoke serve -addr 127.0.0.1:18087 -data /tmp/ropuf-group-data -shards 1 & \
 	SRV=$$!; sleep 1; \
 	/tmp/ropuf-smoke loadgen -addr http://127.0.0.1:18087 -mode enroll \
-		-devices 256 -pairs 8 -concurrency 64 -bench-out "" \
+		-devices 256 -pairs 8 -concurrency 64 \
 		|| { echo "enroll-mode loadgen failed"; kill $$SRV; exit 1; }; \
 	curl -sf http://127.0.0.1:18087/metrics | awk ' \
 		/^ropuf_authserve_wal_group_commit_records_bucket\{le="1"\}/ { le1 = $$2 } \
@@ -248,7 +238,7 @@ watch-smoke:
 	/tmp/ropuf-smoke serve -addr 127.0.0.1:18085 -data /tmp/ropuf-watch-b & \
 	SRVB=$$!; sleep 1; \
 	/tmp/ropuf-smoke loadgen -addr http://127.0.0.1:18083 -devices 256 -pairs 2048 -k 8 \
-		-metrics-addr 127.0.0.1:18084 -bench-out "" > /tmp/ropuf-watch-a/loadgen.log 2>&1 & \
+		-metrics-addr 127.0.0.1:18084 > /tmp/ropuf-watch-a/loadgen.log 2>&1 & \
 	LG=$$!; sleep 1; \
 	if ! /tmp/ropuf-smoke watch -interval 500ms -duration 8s -report-every 4s \
 		-rules /tmp/ropuf-watch-a/rules.json -min-success 0.99 \

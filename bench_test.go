@@ -336,7 +336,7 @@ func BenchmarkFleetEnroll8WorkersInstrumented(b *testing.B) {
 	tracer := obs.NewTracer(obs.NewRingSink(1024))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		counters := &metrics.FleetCounters{}
+		counters := metrics.NewFleetCounters(obs.NewRegistry())
 		rep, err := fleet.Enroll(context.Background(), devices,
 			fleet.Options{Workers: 8, Mode: core.Case2, Counters: counters, Tracer: tracer})
 		if err != nil {

@@ -2,9 +2,9 @@
 // record. It reads the benchmark output on stdin, echoes it through to
 // stdout unchanged (so the human-readable numbers stay visible in CI
 // logs), and writes name → {iterations, ns/op, B/op, allocs/op} to the -o
-// file. `make bench` uses it to accumulate the repo's fleet perf
-// trajectory in BENCH_fleet.json; `ropuf loadgen` writes the same JSON
-// shape directly (both sides share internal/benchfmt).
+// file. `make bench` uses it to write every BENCH_*.json record of the
+// repo (BENCH_fleet.json, BENCH_measure.json, BENCH_authserve.json), so
+// each row comes from a Go benchmark.
 //
 // Usage:
 //

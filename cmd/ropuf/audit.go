@@ -7,7 +7,6 @@ import (
 	"os"
 	"strings"
 
-	"ropuf/internal/benchfmt"
 	"ropuf/internal/obs/audit"
 	"ropuf/internal/tracestat"
 )
@@ -23,7 +22,6 @@ func runAudit(args []string) error {
 	fs := flag.NewFlagSet("audit", flag.ContinueOnError)
 	top := fs.Int("top", 10, "show at most N top consumers (0 = all)")
 	spans := fs.String("spans", "", "comma-separated span JSONL files to correlate trace IDs against")
-	benchOut := fs.String("bench-out", "", "write audit summary stats as a benchfmt JSON record here")
 	requireMatched := fs.Float64("require-matched", 0,
 		"exit nonzero unless at least this fraction of traced audit events match an observed span trace")
 	if err := fs.Parse(args); err != nil {
@@ -61,16 +59,6 @@ func runAudit(args []string) error {
 		return err
 	}
 
-	if *benchOut != "" {
-		data, err := benchfmt.Marshal(rep.BenchResults())
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
-	}
 	if *requireMatched > 0 && rep.TraceMatchedFraction() < *requireMatched {
 		return fmt.Errorf("audit: only %.1f%% of traced audit events matched a span trace (require %.1f%%)",
 			100*rep.TraceMatchedFraction(), 100**requireMatched)

@@ -20,7 +20,6 @@ import (
 
 	"ropuf/internal/auth"
 	"ropuf/internal/authserve"
-	"ropuf/internal/benchfmt"
 	"ropuf/internal/core"
 	"ropuf/internal/fleet"
 	"ropuf/internal/obs"
@@ -40,8 +39,9 @@ import (
 //
 // Precomputing responses keeps phase 3 pure protocol load — the measured
 // req/s is the server's verify throughput, not the client's silicon
-// simulation speed. Results are printed as `go test -bench` style lines
-// and written to -bench-out in the same JSON shape cmd/benchjson produces.
+// simulation speed. The report is printed for a human; recorded perf
+// numbers come from benchmarks (perfbench's auth workload measures this
+// path), so loadgen writes no file other than the -trace-out span log.
 //
 // With -trace-out every request runs inside a client span whose identity is
 // injected as a traceparent header; point the server at its own -trace-out
@@ -60,7 +60,6 @@ func runLoadgen(ctx context.Context, args []string) error {
 	noise := fs.Float64("noise", 2, "re-measurement noise sigma (ps)")
 	seed := fs.Uint64("seed", 1, "fleet fabrication seed")
 	enrollWire := fs.String("enroll-wire", "binary", "enroll request encoding: binary (application/x-ropuf-enroll) or json")
-	benchOut := fs.String("bench-out", "BENCH_authserve.json", "write the perf record here (empty = skip)")
 	metricsAddr := fs.String("metrics-addr", "", "serve the client's own /metrics and /v1/stats on this address, so `ropuf watch` can poll the load generator alongside the server")
 	trace := fs.String("trace-out", *traceOut, "write client span events as JSON lines to this file")
 	harvest := fs.Bool("harvest", false, "adversary mode: hammer one device's challenges until the server's abuse scorer flags it, then exit")
@@ -202,26 +201,6 @@ func runLoadgen(ctx context.Context, args []string) error {
 		fmt.Printf("  latency p50 %s  p90 %s  p99 %s  max %s\n",
 			p50.Round(time.Microsecond), tracestat.Percentile(enrollLat, 0.90).Round(time.Microsecond),
 			p99.Round(time.Microsecond), enrollLat[len(enrollLat)-1].Round(time.Microsecond))
-		results := map[string]benchfmt.Result{
-			"BenchmarkAuthserveEnroll": {Iterations: int64(len(devices)),
-				NsPerOp: float64(enrollElapsed.Nanoseconds()) / float64(len(devices))},
-			"BenchmarkAuthserveEnrollLatencyP50": {Iterations: int64(len(devices)), NsPerOp: float64(p50)},
-			"BenchmarkAuthserveEnrollLatencyP99": {Iterations: int64(len(devices)), NsPerOp: float64(p99)},
-		}
-		for _, name := range []string{"BenchmarkAuthserveEnroll",
-			"BenchmarkAuthserveEnrollLatencyP50", "BenchmarkAuthserveEnrollLatencyP99"} {
-			fmt.Println(results[name].Line(name))
-		}
-		if *benchOut != "" {
-			data, err := benchfmt.Marshal(results)
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *benchOut)
-		}
 		return nil
 	}
 
@@ -333,29 +312,6 @@ func runLoadgen(ctx context.Context, args []string) error {
 		p99.Round(time.Microsecond), all[len(all)-1].Round(time.Microsecond))
 	if transport.Load() > 0 {
 		return fmt.Errorf("loadgen: %d requests failed at the transport layer", transport.Load())
-	}
-
-	results := map[string]benchfmt.Result{
-		"BenchmarkAuthserveEnroll": {Iterations: int64(len(devices)),
-			NsPerOp: float64(enrollElapsed.Nanoseconds()) / float64(len(devices))},
-		"BenchmarkAuthserveVerify": {Iterations: int64(len(all)),
-			NsPerOp: float64(verifyElapsed.Nanoseconds()) / float64(len(all))},
-		"BenchmarkAuthserveVerifyLatencyP50": {Iterations: int64(len(all)), NsPerOp: float64(p50)},
-		"BenchmarkAuthserveVerifyLatencyP99": {Iterations: int64(len(all)), NsPerOp: float64(p99)},
-	}
-	for _, name := range []string{"BenchmarkAuthserveEnroll", "BenchmarkAuthserveVerify",
-		"BenchmarkAuthserveVerifyLatencyP50", "BenchmarkAuthserveVerifyLatencyP99"} {
-		fmt.Println(results[name].Line(name))
-	}
-	if *benchOut != "" {
-		data, err := benchfmt.Marshal(results)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
 	}
 	return nil
 }

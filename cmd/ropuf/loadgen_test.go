@@ -5,8 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -146,11 +144,9 @@ func TestLoadgenEnrollMode(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	out := filepath.Join(t.TempDir(), "bench.json")
 	err = runLoadgen(context.Background(), []string{
 		"-addr", ts.URL, "-mode", "enroll",
 		"-devices", "8", "-pairs", "4", "-stages", "5", "-concurrency", "4",
-		"-bench-out", out,
 	})
 	if err != nil {
 		t.Fatalf("runLoadgen: %v", err)
@@ -161,14 +157,36 @@ func TestLoadgenEnrollMode(t *testing.T) {
 	if c := challenges.Load(); c != 0 {
 		t.Fatalf("enroll mode sent %d challenge/verify requests, want 0", c)
 	}
-	data, err := os.ReadFile(out)
+}
+
+// TestLoadgenWritesNoFiles runs the full load shape, as the README does,
+// from an empty working directory against an in-process authserve: the
+// run must succeed and leave the directory empty. Loadgen once wrote a
+// perf record there by default, overwriting a checkout's committed one.
+func TestLoadgenWritesNoFiles(t *testing.T) {
+	store, err := authserve.Open(authserve.StoreOptions{Shards: 2, Dir: t.TempDir(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"BenchmarkAuthserveEnroll", "BenchmarkAuthserveEnrollLatencyP50", "BenchmarkAuthserveEnrollLatencyP99"} {
-		if !strings.Contains(string(data), key) {
-			t.Errorf("bench output missing %s:\n%s", key, data)
-		}
+	defer store.Close()
+	ts := httptest.NewServer(authserve.NewServer(store, authserve.ServerOptions{}).Handler())
+	defer ts.Close()
+
+	dir := t.TempDir()
+	t.Chdir(dir)
+	err = runLoadgen(context.Background(), []string{
+		"-addr", ts.URL, "-devices", "4", "-pairs", "32", "-stages", "5",
+		"-k", "4", "-rounds", "1", "-concurrency", "2",
+	})
+	if err != nil {
+		t.Fatalf("runLoadgen: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("loadgen left %s in its working directory", e.Name())
 	}
 }
 

@@ -264,8 +264,7 @@ func runFleet(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	counters := &metrics.FleetCounters{}
-	counters.Bind(session.Registry)
+	counters := metrics.NewFleetCounters(session.Registry)
 	opt := fleet.Options{Workers: *workers, Mode: mode, Threshold: *threshold,
 		Counters: counters, Tracer: session.Tracer, Logger: logger}
 

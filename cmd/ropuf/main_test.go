@@ -122,10 +122,9 @@ func TestObsSessionMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer session.Close()
-	counters := &metrics.FleetCounters{}
-	counters.Bind(session.Registry)
+	counters := metrics.NewFleetCounters(session.Registry)
 	counters.DevicesEnrolled.Add(4)
-	counters.AddStageTime("enroll", 5*time.Millisecond)
+	counters.ObserveStage("enroll", 5*time.Millisecond)
 	for _, url := range []string{
 		fmt.Sprintf("http://%s/metrics", session.server.Addr()),
 		fmt.Sprintf("http://%s/healthz", session.server.Addr()),

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 
-	"ropuf/internal/benchfmt"
 	"ropuf/internal/tracestat"
 )
 
@@ -20,7 +19,6 @@ import (
 func runTracestat(args []string) error {
 	fs := flag.NewFlagSet("tracestat", flag.ContinueOnError)
 	top := fs.Int("top", 20, "show at most N span names (0 = all)")
-	benchOut := fs.String("bench-out", "", "write per-span p50/p99 as a benchfmt JSON record here")
 	requireStitched := fs.Float64("require-stitched", 0,
 		"exit nonzero unless at least this fraction of traces span multiple services")
 	if err := fs.Parse(args); err != nil {
@@ -47,16 +45,6 @@ func runTracestat(args []string) error {
 		return err
 	}
 
-	if *benchOut != "" {
-		data, err := benchfmt.Marshal(rep.BenchResults())
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
-	}
 	if *requireStitched > 0 && rep.StitchedFraction() < *requireStitched {
 		return fmt.Errorf("tracestat: only %.1f%% of traces stitched across services (require %.1f%%)",
 			100*rep.StitchedFraction(), 100**requireStitched)

@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"ropuf/internal/benchfmt"
 	"ropuf/internal/obs/flight"
 	"ropuf/internal/obs/promtext"
 )
@@ -41,7 +40,6 @@ func runWatch(ctx context.Context, args []string) error {
 	rateSeries := fs.String("rate-series", "", `counter selector for the report's rate column, e.g. 'ropuf_authserve_requests_total{route="verify"}'`)
 	latencySeries := fs.String("latency-series", "", "histogram base name for the report's p50/p90/p99 columns")
 	minSuccess := fs.Float64("min-success", 0, "fail (non-zero exit) if the overall scrape success ratio ends below this (0 = disabled)")
-	benchOut := fs.String("bench-out", "", "write scrape/rate measurements as a benchfmt JSON record")
 	capacity := fs.Int("history", 600, "per-target ring capacity (samples kept for rule windows)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -128,16 +126,6 @@ func runWatch(ctx context.Context, args []string) error {
 done:
 	w.report(ctx, os.Stdout)
 	fmt.Print(w.summary())
-	if *benchOut != "" {
-		data, err := benchfmt.Marshal(w.benchResults())
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
-	}
 	if n := w.anomalyCount(); n > 0 {
 		return fmt.Errorf("watch: %d anomaly firing(s)", n)
 	}
@@ -459,7 +447,6 @@ type watchTarget struct {
 	lastOK   time.Time
 	lastErr  error
 	failTS   []time.Time
-	scrapeNs int64
 }
 
 // snapshot feeds the recorder the most recent scrape.
@@ -573,12 +560,9 @@ func (w *watcher) allTargets() []*watchTarget {
 // parse failure counts as a failed scrape (a non-metrics answer means the
 // target is not healthy, whatever its status code said).
 func (w *watcher) scrape(ctx context.Context, t *watchTarget) {
-	t0 := w.opt.Now()
 	fams, err := scrapeMetrics(ctx, w.client, t.base)
-	elapsed := time.Since(t0)
 	t.mu.Lock()
 	t.scrapes++
-	t.scrapeNs += elapsed.Nanoseconds()
 	if err != nil {
 		t.failures++
 		t.lastErr = err
@@ -624,7 +608,7 @@ func scrapeMetrics(ctx context.Context, client *http.Client, base string) ([]fli
 func aggregate(targets []*watchTarget) []flight.Family {
 	type agg struct {
 		fam   flight.Family
-		byKey map[string]int // labelKey -> series index
+		byKey map[string]int // flight.LabelKey -> series index
 	}
 	var order []string
 	fams := make(map[string]*agg)
@@ -640,7 +624,7 @@ func aggregate(targets []*watchTarget) []flight.Family {
 				continue // same name, different kind across targets: skip
 			}
 			for _, s := range f.Series {
-				key := watchLabelKey(s.Labels)
+				key := flight.LabelKey(s.Labels)
 				i, ok := a.byKey[key]
 				if !ok {
 					a.byKey[key] = len(a.fam.Series)
@@ -668,22 +652,6 @@ func aggregate(targets []*watchTarget) []flight.Family {
 		out = append(out, fams[name].fam)
 	}
 	return out
-}
-
-func watchLabelKey(labels map[string]string) string {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('\x01')
-		b.WriteString(labels[k])
-		b.WriteByte('\x02')
-	}
-	return b.String()
 }
 
 // evalRules runs every rule against every applicable target, recording
@@ -960,12 +928,10 @@ func fetchStatsRate(ctx context.Context, client *http.Client, base string, sel s
 func (w *watcher) summary() string {
 	var b strings.Builder
 	var scrapes, failures int
-	var ns int64
 	for _, t := range w.targets {
 		t.mu.Lock()
 		scrapes += t.scrapes
 		failures += t.failures
-		ns += t.scrapeNs
 		t.mu.Unlock()
 	}
 	ratio := 0.0
@@ -1001,59 +967,6 @@ func meanRate(sel selector, rec *flight.Recorder) float64 {
 		sum += v
 	}
 	return sum / float64(len(byTS))
-}
-
-// benchResults packages the run as benchfmt records (watch -bench-out),
-// so CI trend tooling reads watch output like any other perf artifact.
-func (w *watcher) benchResults() map[string]benchfmt.Result {
-	var scrapes, failures int
-	var ns int64
-	for _, t := range w.targets {
-		t.mu.Lock()
-		scrapes += t.scrapes
-		failures += t.failures
-		ns += t.scrapeNs
-		t.mu.Unlock()
-	}
-	w.mu.Lock()
-	rounds := w.rounds
-	w.mu.Unlock()
-	res := map[string]benchfmt.Result{}
-	if scrapes > 0 {
-		res["BenchmarkWatchScrape"] = benchfmt.Result{
-			Iterations: int64(scrapes),
-			NsPerOp:    float64(ns) / float64(scrapes),
-			Extra: map[string]float64{
-				"ok-ratio":  w.successRatio(),
-				"anomalies": float64(w.anomalyCount()),
-			},
-		}
-	}
-	if !w.opt.RateSel.isZero() {
-		for _, t := range w.allTargets() {
-			if mean := meanRate(w.opt.RateSel, t.rec); !math.IsNaN(mean) {
-				res["BenchmarkWatchRate_"+sanitizeBenchName(t.name)] = benchfmt.Result{
-					Iterations: int64(rounds),
-					NsPerOp:    0,
-					Extra:      map[string]float64{"events/s": mean},
-				}
-			}
-		}
-	}
-	return res
-}
-
-func sanitizeBenchName(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
 }
 
 // tableWriter renders aligned columns without importing text/tabwriter's

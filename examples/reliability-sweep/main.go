@@ -57,8 +57,7 @@ func main() {
 		defer f.Close()
 		tracer = obs.NewTracer(obs.NewJSONLSink(f))
 	}
-	counters := &metrics.FleetCounters{}
-	counters.Bind(reg)
+	counters := metrics.NewFleetCounters(reg)
 	opt := fleet.Options{Counters: counters, Tracer: tracer}
 
 	sweepThreshold(opt)
@@ -70,7 +69,7 @@ func main() {
 // printDeviceLatencies summarizes the per-device latency histograms the
 // fleet engine recorded: observation count and mean per stage.
 func printDeviceLatencies(reg *obs.Registry) {
-	for _, f := range reg.Snapshot().Families {
+	for _, f := range reg.Snapshot() {
 		if f.Name != metrics.MetricDeviceSeconds {
 			continue
 		}

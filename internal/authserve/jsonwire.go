@@ -14,19 +14,23 @@ package authserve
 //     jsonwire_test.go hold it to that.
 //
 //   - Decoding mirrors json.Decoder.Decode into the request structs:
-//     unknown fields are skipped, duplicate keys are last-wins, a
-//     top-level null is accepted and leaves the struct zeroed, trailing
-//     data after the first value is ignored, raw control characters in
-//     strings are rejected, and \uXXXX escapes (surrogate pairs
-//     included) are decoded. The one deliberate divergence: invalid
-//     UTF-8 inside a string is passed through rather than replaced with
-//     U+FFFD — the bytes only ever name a device that cannot exist, and
-//     the error text of a 400 is not part of the wire contract.
+//     keys match field names case-insensitively under bytes.EqualFold
+//     (encoding/json's fold rule), unknown fields are skipped but still
+//     held to the JSON grammar (no leading zero in a number), duplicate
+//     keys are last-wins, a top-level null is accepted and leaves the
+//     struct zeroed, trailing data after the first value is ignored, raw
+//     control characters in strings are rejected, and \uXXXX escapes
+//     (surrogate pairs included) are decoded. The one deliberate
+//     divergence: invalid UTF-8 inside a string is passed through rather
+//     than replaced with U+FFFD — the bytes only ever name a device that
+//     cannot exist, and the error text of a 400 is not part of the wire
+//     contract. FuzzJSONRequests holds the parser to encoding/json.
 //
 // Errors are reported with enough position context to debug a client,
 // but their exact text is NOT pinned — only status codes are.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -41,8 +45,9 @@ import (
 var errJSONEOF = errors.New("unexpected end of JSON input")
 
 type jsonParser struct {
-	data []byte
-	pos  int
+	data  []byte
+	pos   int
+	depth int // objects and arrays open around pos
 	// arena accumulates unescaped string bytes; it only ever grows
 	// during one parse, so earlier views into it stay valid.
 	arena []byte
@@ -78,6 +83,7 @@ func (p *jsonParser) parseObject(field func(key []byte) error) error {
 		return p.errAt("expected object, found %q", p.data[p.pos])
 	}
 	p.pos++
+	p.depth = 1
 	p.skipWS()
 	if p.pos < len(p.data) && p.data[p.pos] == '}' {
 		p.pos++
@@ -259,19 +265,8 @@ func (p *jsonParser) parseHexRune() (rune, error) {
 // JSON number grammar is enforced first ("01" is a syntax error, not 1).
 func (p *jsonParser) parseInt() (int, error) {
 	start := p.pos
-	if p.pos < len(p.data) && p.data[p.pos] == '-' {
-		p.pos++
-	}
-	digits := 0
-	for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
-		p.pos++
-		digits++
-	}
-	if digits == 0 {
-		return 0, p.errAt("expected number")
-	}
-	if digits > 1 && p.data[p.pos-digits] == '0' {
-		return 0, p.errAt("number has a leading zero")
+	if err := p.skipIntPart(); err != nil {
+		return 0, err
 	}
 	if p.pos < len(p.data) {
 		switch p.data[p.pos] {
@@ -284,6 +279,21 @@ func (p *jsonParser) parseInt() (int, error) {
 		return 0, p.errAt("number out of range")
 	}
 	return int(n), nil
+}
+
+// maxNestingDepth is encoding/json's limit on objects and arrays open at
+// once, the top-level object included. It also bounds skipValue's
+// recursion: a 16 MiB body of '[' would otherwise overflow the goroutine
+// stack, which kills the process.
+const maxNestingDepth = 10000
+
+// descend enters one more object or array.
+func (p *jsonParser) descend() error {
+	p.depth++
+	if p.depth > maxNestingDepth {
+		return p.errAt("exceeded max depth")
+	}
+	return nil
 }
 
 // skipValue consumes any JSON value — the unknown-field path.
@@ -305,10 +315,14 @@ func (p *jsonParser) skipValue() error {
 	case c == '-' || (c >= '0' && c <= '9'):
 		return p.skipNumber()
 	case c == '{':
+		if err := p.descend(); err != nil {
+			return err
+		}
 		p.pos++
 		p.skipWS()
 		if p.pos < len(p.data) && p.data[p.pos] == '}' {
 			p.pos++
+			p.depth--
 			return nil
 		}
 		for {
@@ -333,16 +347,21 @@ func (p *jsonParser) skipValue() error {
 				p.pos++
 			case '}':
 				p.pos++
+				p.depth--
 				return nil
 			default:
 				return p.errAt("expected ',' or '}' in object")
 			}
 		}
 	case c == '[':
+		if err := p.descend(); err != nil {
+			return err
+		}
 		p.pos++
 		p.skipWS()
 		if p.pos < len(p.data) && p.data[p.pos] == ']' {
 			p.pos++
+			p.depth--
 			return nil
 		}
 		for {
@@ -358,6 +377,7 @@ func (p *jsonParser) skipValue() error {
 				p.pos++
 			case ']':
 				p.pos++
+				p.depth--
 				return nil
 			default:
 				return p.errAt("expected ',' or ']' in array")
@@ -368,7 +388,9 @@ func (p *jsonParser) skipValue() error {
 	}
 }
 
-func (p *jsonParser) skipNumber() error {
+// skipIntPart consumes a number's sign and integer digits, rejecting a
+// multi-digit integer part that starts with 0.
+func (p *jsonParser) skipIntPart() error {
 	if p.pos < len(p.data) && p.data[p.pos] == '-' {
 		p.pos++
 	}
@@ -379,6 +401,16 @@ func (p *jsonParser) skipNumber() error {
 	}
 	if digits == 0 {
 		return p.errAt("expected number")
+	}
+	if digits > 1 && p.data[p.pos-digits] == '0' {
+		return p.errAt("number has a leading zero")
+	}
+	return nil
+}
+
+func (p *jsonParser) skipNumber() error {
+	if err := p.skipIntPart(); err != nil {
+		return err
 	}
 	if p.pos < len(p.data) && p.data[p.pos] == '.' {
 		p.pos++
@@ -408,8 +440,10 @@ func (p *jsonParser) skipNumber() error {
 	return nil
 }
 
-func bytesEq(b []byte, s string) bool {
-	return string(b) == s // compiles to a comparison, no copy
+// keyIs reports whether an object key names a field, under the
+// case-insensitive match encoding/json uses for struct fields.
+func keyIs(key []byte, field string) bool {
+	return bytes.EqualFold(key, []byte(field))
 }
 
 // maybeNull consumes a null value if one is next, mirroring
@@ -434,19 +468,19 @@ func parseVerifyRequest(data []byte, arena []byte, resp *bits.Stream) (id, chall
 			return err
 		}
 		switch {
-		case bytesEq(key, "id"):
+		case keyIs(key, "id"):
 			v, err := p.parseString()
 			if err != nil {
 				return err
 			}
 			id = string(v)
-		case bytesEq(key, "challenge_id"):
+		case keyIs(key, "challenge_id"):
 			v, err := p.parseString()
 			if err != nil {
 				return err
 			}
 			challengeID = string(v)
-		case bytesEq(key, "response"):
+		case keyIs(key, "response"):
 			v, err := p.parseString()
 			if err != nil {
 				return err
@@ -469,13 +503,13 @@ func parseChallengeRequest(data []byte, arena []byte) (id string, k int, arenaOu
 			return err
 		}
 		switch {
-		case bytesEq(key, "id"):
+		case keyIs(key, "id"):
 			v, err := p.parseString()
 			if err != nil {
 				return err
 			}
 			id = string(v)
-		case bytesEq(key, "k"):
+		case keyIs(key, "k"):
 			v, err := p.parseInt()
 			if err != nil {
 				return err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"ropuf/internal/bits"
 )
@@ -134,36 +135,51 @@ var verifyDecodeCases = []string{
 	`{"id":true}`,  // bool into string field
 	`{"id":["a"]}`, // array into string field
 	`{nonsense}`,
+	`{"ID":"dev-upper","Challenge_ID":"c","RESPONSE":"01"}`, // keys fold case
+	`{"reSponse":"0"}`,
+	`{"id":"x","x":01}`, // leading zero in a skipped number
+	`{"x":-01}`,
+	`{"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`,   // at the depth limit
+	`{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`, // one past it
 }
 
 func TestParseVerifyRequestMatchesEncodingJSON(t *testing.T) {
 	for _, body := range verifyDecodeCases {
 		t.Run(fmt.Sprintf("%.40q", body), func(t *testing.T) {
-			var want VerifyRequest
-			wantErr := decodeRef(body, &want)
-
-			var stream bits.Stream
-			id, challengeID, bitsErr, _, gotErr := parseVerifyRequest([]byte(body), nil, &stream)
-
-			if (gotErr != nil) != (wantErr != nil) {
-				t.Fatalf("error parity: hand parser err=%v, encoding/json err=%v", gotErr, wantErr)
-			}
-			if gotErr != nil {
-				return
-			}
-			if id != want.ID || challengeID != want.ChallengeID {
-				t.Fatalf("fields: got id=%q challenge_id=%q, want id=%q challenge_id=%q",
-					id, challengeID, want.ID, want.ChallengeID)
-			}
-			// The reference path parses bits from the decoded string.
-			wantStream, wantBitsErr := bits.FromString(want.Response)
-			if (bitsErr != nil) != (wantBitsErr != nil) {
-				t.Fatalf("bits error parity: hand=%v reference=%v", bitsErr, wantBitsErr)
-			}
-			if bitsErr == nil && !stream.Equal(wantStream) {
-				t.Fatalf("bits: got %q want %q", stream.String(), wantStream.String())
-			}
+			checkVerifyParity(t, []byte(body))
 		})
+	}
+}
+
+// checkVerifyParity holds parseVerifyRequest to encoding/json: both accept
+// or both reject body, and on valid UTF-8 they decode the same fields and
+// bits. Invalid UTF-8 inside a string is the codec's one documented
+// divergence (passed through, not replaced with U+FFFD).
+func checkVerifyParity(t *testing.T, body []byte) {
+	t.Helper()
+	var want VerifyRequest
+	wantErr := decodeRef(string(body), &want)
+
+	var stream bits.Stream
+	id, challengeID, bitsErr, _, gotErr := parseVerifyRequest(body, nil, &stream)
+
+	if (gotErr != nil) != (wantErr != nil) {
+		t.Fatalf("error parity for %q: hand parser err=%v, encoding/json err=%v", body, gotErr, wantErr)
+	}
+	if gotErr != nil || !utf8.Valid(body) {
+		return
+	}
+	if id != want.ID || challengeID != want.ChallengeID {
+		t.Fatalf("fields for %q: got id=%q challenge_id=%q, want id=%q challenge_id=%q",
+			body, id, challengeID, want.ID, want.ChallengeID)
+	}
+	// The reference path parses bits from the decoded string.
+	wantStream, wantBitsErr := bits.FromString(want.Response)
+	if (bitsErr != nil) != (wantBitsErr != nil) {
+		t.Fatalf("bits error parity for %q: hand=%v reference=%v", body, bitsErr, wantBitsErr)
+	}
+	if bitsErr == nil && !stream.Equal(wantStream) {
+		t.Fatalf("bits for %q: got %q want %q", body, stream.String(), wantStream.String())
 	}
 }
 
@@ -188,27 +204,51 @@ var challengeDecodeCases = []string{
 	`{"unknown":1e}`,             // empty exponent in skipped number
 	`{"id":"x"}`,
 	`null`,
+	`{"ID":"dev-upper","K":2}`,       // keys fold case
+	`{"id":"x","\u212a":3}`,          // KELVIN SIGN folds to k
+	`{"id":"dev-0000","k":2,"x":01}`, // leading zero in a skipped number
 }
 
 func TestParseChallengeRequestMatchesEncodingJSON(t *testing.T) {
 	for _, body := range challengeDecodeCases {
 		t.Run(fmt.Sprintf("%.40q", body), func(t *testing.T) {
-			var want ChallengeRequest
-			wantErr := decodeRef(body, &want)
-
-			id, k, _, gotErr := parseChallengeRequest([]byte(body), nil)
-
-			if (gotErr != nil) != (wantErr != nil) {
-				t.Fatalf("error parity: hand parser err=%v, encoding/json err=%v", gotErr, wantErr)
-			}
-			if gotErr != nil {
-				return
-			}
-			if id != want.ID || k != want.K {
-				t.Fatalf("fields: got id=%q k=%d, want id=%q k=%d", id, k, want.ID, want.K)
-			}
+			checkChallengeParity(t, []byte(body))
 		})
 	}
+}
+
+// checkChallengeParity is checkVerifyParity for parseChallengeRequest.
+func checkChallengeParity(t *testing.T, body []byte) {
+	t.Helper()
+	var want ChallengeRequest
+	wantErr := decodeRef(string(body), &want)
+
+	id, k, _, gotErr := parseChallengeRequest(body, nil)
+
+	if (gotErr != nil) != (wantErr != nil) {
+		t.Fatalf("error parity for %q: hand parser err=%v, encoding/json err=%v", body, gotErr, wantErr)
+	}
+	if gotErr != nil || !utf8.Valid(body) {
+		return
+	}
+	if id != want.ID || k != want.K {
+		t.Fatalf("fields for %q: got id=%q k=%d, want id=%q k=%d", body, id, k, want.ID, want.K)
+	}
+}
+
+// FuzzJSONRequests holds both request parsers to encoding/json on
+// arbitrary bodies, seeded from the two parity tables.
+func FuzzJSONRequests(f *testing.F) {
+	for _, body := range verifyDecodeCases {
+		f.Add([]byte(body))
+	}
+	for _, body := range challengeDecodeCases {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkVerifyParity(t, body)
+		checkChallengeParity(t, body)
+	})
 }
 
 // TestParsedStringsDoNotAliasInput pins the correctness property the

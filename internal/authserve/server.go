@@ -166,7 +166,7 @@ func NewServer(store *Store, opt ServerOptions) *Server {
 		func() float64 { return float64(s.waiting.Load()) })
 	obs.RegisterRuntimeMetrics(reg)
 	obs.RegisterBuildInfo(reg)
-	s.recorder = obs.NewFlightRecorder(reg, 0)
+	s.recorder = flight.NewRecorder(reg.Snapshot, flight.Options{})
 	s.burn = obs.NewBurnTracker(opt.SLO, s.sampleRequests)
 	s.snapBurn = obs.NewBurnTracker(obs.SLO{Objective: 0.5, Window: opt.SLO.Window},
 		func() (float64, float64) {

@@ -1,9 +1,7 @@
-// Package benchfmt parses and renders `go test -bench` style measurement
-// records. It is shared by cmd/benchjson (which converts benchmark output
-// piped through it into a JSON perf record) and `ropuf loadgen` (which
-// emits its throughput/latency measurements in the same line format and
-// JSON shape, so every perf artifact in the repo — BENCH_fleet.json,
-// BENCH_authserve.json — reads identically).
+// Package benchfmt parses `go test -bench` output into the repo's JSON
+// perf records. cmd/benchjson pipes benchmark output through it to write
+// BENCH_fleet.json, BENCH_measure.json and BENCH_authserve.json, so every
+// row of those files comes from a Go benchmark.
 package benchfmt
 
 import (
@@ -27,28 +25,6 @@ type Result struct {
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	Extra       map[string]float64 `json:"extra,omitempty"`
-}
-
-// Line renders the result as one `go test -bench` output line for the
-// given benchmark name, with only the populated "<value> <unit>" pairs.
-func (r Result) Line(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\t%d\t%.0f ns/op", name, r.Iterations, r.NsPerOp)
-	if r.BytesPerOp != 0 {
-		fmt.Fprintf(&b, "\t%.0f B/op", r.BytesPerOp)
-	}
-	if r.AllocsPerOp != 0 {
-		fmt.Fprintf(&b, "\t%.0f allocs/op", r.AllocsPerOp)
-	}
-	units := make([]string, 0, len(r.Extra))
-	for unit := range r.Extra {
-		units = append(units, unit)
-	}
-	sort.Strings(units)
-	for _, unit := range units {
-		fmt.Fprintf(&b, "\t%s %s", strconv.FormatFloat(r.Extra[unit], 'g', -1, 64), unit)
-	}
-	return b.String()
 }
 
 // Parse scans benchmark lines from r, tees every line to echo, and returns

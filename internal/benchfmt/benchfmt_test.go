@@ -66,27 +66,9 @@ func TestMarshalDeterministic(t *testing.T) {
 	}
 }
 
-// TestLineRoundTrip pins that a rendered Line parses back to the same
-// Result — loadgen emits Lines, benchjson Parses them.
-func TestLineRoundTrip(t *testing.T) {
-	in := Result{Iterations: 4096, NsPerOp: 812345}
-	line := in.Line("BenchmarkLoadgenVerify")
-	parsed, err := Parse(strings.NewReader(line+"\n"), &strings.Builder{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := parsed["BenchmarkLoadgenVerify"]
-	if !ok {
-		t.Fatalf("line %q did not parse: %v", line, parsed)
-	}
-	if !reflect.DeepEqual(got, in) {
-		t.Fatalf("round trip: got %+v, want %+v", got, in)
-	}
-}
-
 // TestParseCustomUnits pins that B.ReportMetric units land in Extra — the
 // dataset benchmarks publish boards/s and bytes/board this way — and that
-// they survive Line rendering and JSON marshalling.
+// they survive JSON marshalling.
 func TestParseCustomUnits(t *testing.T) {
 	const line = "BenchmarkStreamVT-8\t5\t240000000 ns/op\t512 B/op\t3 allocs/op\t41.5 boards/s\t35840 bytes/board\n"
 	results, err := Parse(strings.NewReader(line), &strings.Builder{})
@@ -100,14 +82,6 @@ func TestParseCustomUnits(t *testing.T) {
 	want := map[string]float64{"boards/s": 41.5, "bytes/board": 35840}
 	if !reflect.DeepEqual(got.Extra, want) {
 		t.Fatalf("Extra = %v, want %v", got.Extra, want)
-	}
-
-	reparsed, err := Parse(strings.NewReader(got.Line("BenchmarkStreamVT")+"\n"), &strings.Builder{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(reparsed["BenchmarkStreamVT"].Extra, want) {
-		t.Fatalf("Line round trip lost extras: %+v", reparsed["BenchmarkStreamVT"])
 	}
 
 	data, err := Marshal(results)

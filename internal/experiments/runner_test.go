@@ -120,10 +120,10 @@ func TestRunInstrumented(t *testing.T) {
 		t.Fatalf("span = %+v", events[0])
 	}
 	snap := reg.Snapshot()
-	if len(snap.Families) != 1 || snap.Families[0].Name != MetricExperimentSeconds {
-		t.Fatalf("registry families = %+v", snap.Families)
+	if len(snap) != 1 || snap[0].Name != MetricExperimentSeconds {
+		t.Fatalf("registry families = %+v", snap)
 	}
-	s := snap.Families[0].Series[0]
+	s := snap[0].Series[0]
 	if s.Labels["experiment"] != "tableI" || s.Count != 1 {
 		t.Fatalf("histogram series = %+v", s)
 	}

@@ -159,7 +159,7 @@ func Enroll(ctx context.Context, devices []Device, opt Options) (*EnrollReport, 
 		c.DevicesFailed.Add(int64(report.Failed))
 		c.PairsKept.Add(int64(report.PairsKept))
 		c.PairsRejected.Add(int64(report.PairsRejected))
-		c.AddStageTime("enroll", report.Elapsed)
+		c.ObserveStage("enroll", report.Elapsed)
 	}
 	span.SetAttr("enrolled", strconv.Itoa(report.Enrolled))
 	span.SetAttr("failed", strconv.Itoa(report.Failed))
@@ -288,7 +288,7 @@ func Evaluate(ctx context.Context, jobs []EvalJob, opt Options) (*EvalReport, er
 		c.Evaluations.Add(int64(report.Evaluated))
 		c.EvalErrors.Add(int64(report.Failed))
 		c.BitFlips.Add(flips)
-		c.AddStageTime("evaluate", report.Elapsed)
+		c.ObserveStage("evaluate", report.Elapsed)
 	}
 	span.SetAttr("evaluated", strconv.Itoa(report.Evaluated))
 	span.SetAttr("failed", strconv.Itoa(report.Failed))

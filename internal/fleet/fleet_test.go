@@ -69,10 +69,27 @@ func TestEnrollErrorIsolation(t *testing.T) {
 	}
 }
 
+// stageSeconds reads a stage's accumulated wall-clock from the counters'
+// registry.
+func stageSeconds(reg *obs.Registry, stage string) float64 {
+	for _, f := range reg.Snapshot() {
+		if f.Name != metrics.MetricStageSeconds {
+			continue
+		}
+		for _, s := range f.Series {
+			if s.Labels["stage"] == stage {
+				return s.Sum
+			}
+		}
+	}
+	return 0
+}
+
 func TestEnrollThresholdCounters(t *testing.T) {
 	devices := testFleet(t, 10)
-	var c metrics.FleetCounters
-	rep, err := Enroll(context.Background(), devices, Options{Mode: core.Case2, Threshold: 40, Counters: &c})
+	reg := obs.NewRegistry()
+	c := metrics.NewFleetCounters(reg)
+	rep, err := Enroll(context.Background(), devices, Options{Mode: core.Case2, Threshold: 40, Counters: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +109,7 @@ func TestEnrollThresholdCounters(t *testing.T) {
 		t.Fatalf("counters (%d/%d) disagree with report (%d/%d)",
 			c.PairsKept.Load(), c.PairsRejected.Load(), rep.PairsKept, rep.PairsRejected)
 	}
-	if c.StageTime("enroll") <= 0 {
+	if stageSeconds(reg, "enroll") <= 0 {
 		t.Fatal("enroll stage wall-clock not recorded")
 	}
 }
@@ -160,8 +177,9 @@ func TestDispatchStopsAfterMidFlightCancel(t *testing.T) {
 
 func TestEvaluateReliability(t *testing.T) {
 	devices := testFleet(t, 6)
-	var c metrics.FleetCounters
-	rep, err := Enroll(context.Background(), devices, Options{Mode: core.Case1, Counters: &c})
+	reg := obs.NewRegistry()
+	c := metrics.NewFleetCounters(reg)
+	rep, err := Enroll(context.Background(), devices, Options{Mode: core.Case1, Counters: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +194,7 @@ func TestEvaluateReliability(t *testing.T) {
 			RefEnv: -1,
 		}
 	}
-	evalRep, err := Evaluate(context.Background(), jobs, Options{Workers: 2, Counters: &c})
+	evalRep, err := Evaluate(context.Background(), jobs, Options{Workers: 2, Counters: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +216,7 @@ func TestEvaluateReliability(t *testing.T) {
 	if c.Evaluations.Load() != int64(len(jobs)) {
 		t.Fatalf("Evaluations counter = %d, want %d", c.Evaluations.Load(), len(jobs))
 	}
-	if c.StageTime("evaluate") <= 0 {
+	if stageSeconds(reg, "evaluate") <= 0 {
 		t.Fatal("evaluate stage wall-clock not recorded")
 	}
 }
@@ -314,8 +332,8 @@ func TestEnrollObservability(t *testing.T) {
 	// Poison one device so the error attribute path is covered.
 	devices[3].Pairs = nil
 	ring := obs.NewRingSink(64)
-	counters := &metrics.FleetCounters{}
-	opt := Options{Workers: 2, Mode: core.Case2, Counters: counters, Tracer: obs.NewTracer(ring)}
+	reg := obs.NewRegistry()
+	opt := Options{Workers: 2, Mode: core.Case2, Counters: metrics.NewFleetCounters(reg), Tracer: obs.NewTracer(ring)}
 	rep, err := Enroll(context.Background(), devices, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -358,9 +376,8 @@ func TestEnrollObservability(t *testing.T) {
 
 	// Per-device latencies land in the counters' registry, one observation
 	// per processed device.
-	snap := counters.Registry().Snapshot()
 	found := false
-	for _, f := range snap.Families {
+	for _, f := range reg.Snapshot() {
 		if f.Name != metrics.MetricDeviceSeconds {
 			continue
 		}
@@ -391,9 +408,9 @@ func TestEvaluateObservability(t *testing.T) {
 			Envs: [][]core.Pair{Remeasure(devices[i], 1, uint64(i))}, RefEnv: -1}
 	}
 	ring := obs.NewRingSink(64)
-	counters := &metrics.FleetCounters{}
+	reg := obs.NewRegistry()
 	evalRep, err := Evaluate(context.Background(), jobs,
-		Options{Workers: 2, Counters: counters, Tracer: obs.NewTracer(ring)})
+		Options{Workers: 2, Counters: metrics.NewFleetCounters(reg), Tracer: obs.NewTracer(ring)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +424,7 @@ func TestEvaluateObservability(t *testing.T) {
 	if names["fleet.evaluate"] != 1 || names["fleet.evaluate.device"] != len(jobs) {
 		t.Fatalf("span counts = %v", names)
 	}
-	if got := counters.StageTime("evaluate"); got <= 0 {
-		t.Fatalf("StageTime(evaluate) = %v, want > 0", got)
+	if got := stageSeconds(reg, "evaluate"); got <= 0 {
+		t.Fatalf("evaluate stage time = %gs, want > 0", got)
 	}
 }

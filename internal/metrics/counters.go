@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,13 +29,9 @@ const (
 // enrollment/evaluation run. All count fields are safe for concurrent
 // update from worker goroutines.
 //
-// Stage wall-clocks live in an obs.Registry as latency histograms
-// (MetricStageSeconds for whole-batch stages, MetricDeviceSeconds for
-// per-device latencies); AddStageTime/StageTime remain as a compatibility
-// shim over the batch-stage histogram's sum. By default the counters create
-// a private registry on first use; Bind attaches them to a shared one (e.g.
-// the registry served on /metrics) instead — call it before the first
-// recording.
+// Stage wall-clocks live in the obs.Registry the counters were built on,
+// as latency histograms: MetricStageSeconds for whole-batch stages and
+// MetricDeviceSeconds for per-device latencies.
 type FleetCounters struct {
 	// DevicesEnrolled / DevicesFailed partition the enrollment batch.
 	DevicesEnrolled atomic.Int64
@@ -53,43 +48,22 @@ type FleetCounters struct {
 	EvalErrors  atomic.Int64
 	BitFlips    atomic.Int64
 
-	mu     sync.Mutex
-	reg    *obs.Registry
 	stage  *obs.HistogramVec
 	device *obs.HistogramVec
 }
 
-// Bind attaches the counters to reg: the stage and per-device latency
-// histograms are registered there, and the flat counters are exported as
-// read-on-scrape counter functions. Bind must run before the first
-// recording (it panics otherwise) and a registry should back at most one
-// FleetCounters — the counter functions are registered once per name.
-func (c *FleetCounters) Bind(reg *obs.Registry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.reg != nil {
-		panic("metrics: FleetCounters.Bind after recording started")
+// NewFleetCounters returns counters bound to reg: the stage and per-device
+// latency histograms are registered there, and the flat counters are
+// exported as read-on-scrape counter functions. A registry should back at
+// most one FleetCounters — the counter functions are registered once per
+// name.
+func NewFleetCounters(reg *obs.Registry) *FleetCounters {
+	c := &FleetCounters{
+		stage: reg.NewHistogramVec(MetricStageSeconds,
+			"Wall-clock time of whole batch stages.", nil, "stage"),
+		device: reg.NewHistogramVec(MetricDeviceSeconds,
+			"Per-device processing latency by stage.", nil, "stage"),
 	}
-	c.bindLocked(reg)
-}
-
-// Registry returns the registry backing the stage clocks, creating a
-// private one on first use.
-func (c *FleetCounters) Registry() *obs.Registry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.reg == nil {
-		c.bindLocked(obs.NewRegistry())
-	}
-	return c.reg
-}
-
-func (c *FleetCounters) bindLocked(reg *obs.Registry) {
-	c.reg = reg
-	c.stage = reg.NewHistogramVec(MetricStageSeconds,
-		"Wall-clock time of whole batch stages.", nil, "stage")
-	c.device = reg.NewHistogramVec(MetricDeviceSeconds,
-		"Per-device processing latency by stage.", nil, "stage")
 	load := func(v *atomic.Int64) func() float64 {
 		return func() float64 { return float64(v.Load()) }
 	}
@@ -100,45 +74,18 @@ func (c *FleetCounters) bindLocked(reg *obs.Registry) {
 	reg.NewCounterFunc(MetricEvaluations, "Devices evaluated successfully.", load(&c.Evaluations))
 	reg.NewCounterFunc(MetricEvalErrors, "Devices whose evaluation failed.", load(&c.EvalErrors))
 	reg.NewCounterFunc(MetricBitFlips, "Response-vs-reference bit flips across evaluations.", load(&c.BitFlips))
+	return c
 }
 
-// stageHist returns the batch-stage histogram, initializing the private
-// registry if nothing is bound yet.
-func (c *FleetCounters) stageHist() *obs.HistogramVec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.reg == nil {
-		c.bindLocked(obs.NewRegistry())
-	}
-	return c.stage
-}
-
-func (c *FleetCounters) deviceHist() *obs.HistogramVec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.reg == nil {
-		c.bindLocked(obs.NewRegistry())
-	}
-	return c.device
-}
-
-// AddStageTime records one whole-stage wall-clock observation under a named
-// stage (e.g. "enroll", "evaluate"). Compatibility shim: the observation
-// lands in the MetricStageSeconds histogram, and StageTime reads the
-// histogram sum back.
-func (c *FleetCounters) AddStageTime(stage string, d time.Duration) {
-	c.stageHist().With(stage).Observe(d.Seconds())
+// ObserveStage records one whole-stage wall-clock observation under a
+// named stage (e.g. "enroll", "evaluate").
+func (c *FleetCounters) ObserveStage(stage string, d time.Duration) {
+	c.stage.With(stage).Observe(d.Seconds())
 }
 
 // ObserveDevice records one device's processing latency under a stage.
 func (c *FleetCounters) ObserveDevice(stage string, d time.Duration) {
-	c.deviceHist().With(stage).Observe(d.Seconds())
-}
-
-// StageTime returns the accumulated wall-clock time of a stage, rounded to
-// the nanosecond the histogram sum resolves to.
-func (c *FleetCounters) StageTime(stage string) time.Duration {
-	return time.Duration(math.Round(c.stageHist().With(stage).Sum() * 1e9))
+	c.device.With(stage).Observe(d.Seconds())
 }
 
 // Stages lists the recorded stage names in sorted order. This ordering is a
@@ -146,7 +93,7 @@ func (c *FleetCounters) StageTime(stage string) time.Duration {
 // parsing either output should rely on it.
 func (c *FleetCounters) Stages() []string {
 	out := []string{}
-	for _, labels := range c.stageHist().LabelSets() {
+	for _, labels := range c.stage.LabelSets() {
 		out = append(out, labels[0])
 	}
 	return out
@@ -154,7 +101,8 @@ func (c *FleetCounters) Stages() []string {
 
 // String renders a one-look summary of the run. The format is pinned by a
 // golden test: the device/pair section always appears, the eval section
-// only once evaluations ran, and stages follow in Stages() order.
+// only once evaluations ran, and stages follow in Stages() order, each
+// with its accumulated wall-clock (the stage histogram's sum).
 func (c *FleetCounters) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "devices: %d enrolled, %d failed; pairs: %d kept, %d rejected",
@@ -165,7 +113,8 @@ func (c *FleetCounters) String() string {
 			c.Evaluations.Load(), c.EvalErrors.Load(), c.BitFlips.Load())
 	}
 	for _, s := range c.Stages() {
-		fmt.Fprintf(&b, "; %s %s", s, c.StageTime(s).Round(time.Microsecond))
+		d := time.Duration(math.Round(c.stage.With(s).Sum() * 1e9))
+		fmt.Fprintf(&b, "; %s %s", s, d.Round(time.Microsecond))
 	}
 	return b.String()
 }

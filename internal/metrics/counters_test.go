@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -9,8 +10,25 @@ import (
 	"ropuf/internal/obs"
 )
 
+// stageTime reads a stage's accumulated wall-clock back from the
+// registry's MetricStageSeconds histogram.
+func stageTime(reg *obs.Registry, stage string) time.Duration {
+	for _, f := range reg.Snapshot() {
+		if f.Name != MetricStageSeconds {
+			continue
+		}
+		for _, s := range f.Series {
+			if s.Labels["stage"] == stage {
+				return time.Duration(math.Round(s.Sum * 1e9))
+			}
+		}
+	}
+	return 0
+}
+
 func TestFleetCountersConcurrentUpdates(t *testing.T) {
-	var c FleetCounters
+	reg := obs.NewRegistry()
+	c := NewFleetCounters(reg)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -20,7 +38,7 @@ func TestFleetCountersConcurrentUpdates(t *testing.T) {
 				c.DevicesEnrolled.Add(1)
 				c.PairsKept.Add(3)
 				c.PairsRejected.Add(1)
-				c.AddStageTime("enroll", time.Millisecond)
+				c.ObserveStage("enroll", time.Millisecond)
 			}
 		}()
 	}
@@ -31,21 +49,18 @@ func TestFleetCountersConcurrentUpdates(t *testing.T) {
 	if got := c.PairsKept.Load(); got != 2400 {
 		t.Fatalf("PairsKept = %d, want 2400", got)
 	}
-	if got := c.StageTime("enroll"); got != 800*time.Millisecond {
-		t.Fatalf("StageTime(enroll) = %v, want 800ms", got)
+	if got := stageTime(reg, "enroll"); got != 800*time.Millisecond {
+		t.Fatalf("enroll stage time = %v, want 800ms", got)
 	}
 }
 
 func TestFleetCountersStagesSorted(t *testing.T) {
-	var c FleetCounters
-	c.AddStageTime("evaluate", time.Second)
-	c.AddStageTime("enroll", time.Second)
+	c := NewFleetCounters(obs.NewRegistry())
+	c.ObserveStage("evaluate", time.Second)
+	c.ObserveStage("enroll", time.Second)
 	got := c.Stages()
 	if len(got) != 2 || got[0] != "enroll" || got[1] != "evaluate" {
 		t.Fatalf("Stages() = %v, want [enroll evaluate]", got)
-	}
-	if c.StageTime("missing") != 0 {
-		t.Fatal("unknown stage should report zero time")
 	}
 }
 
@@ -54,7 +69,7 @@ func TestFleetCountersStagesSorted(t *testing.T) {
 // appended in Stages() (sorted) order. Consumers parsing this output — or
 // the Stages() slice — rely on that ordering contract.
 func TestFleetCountersStringGolden(t *testing.T) {
-	var c FleetCounters
+	c := NewFleetCounters(obs.NewRegistry())
 	c.DevicesEnrolled.Add(12)
 	c.DevicesFailed.Add(3)
 	c.PairsKept.Add(300)
@@ -68,9 +83,9 @@ func TestFleetCountersStringGolden(t *testing.T) {
 	c.EvalErrors.Add(1)
 	c.BitFlips.Add(42)
 	// Stages recorded out of order render sorted: enroll before evaluate.
-	c.AddStageTime("evaluate", 1500*time.Microsecond)
-	c.AddStageTime("enroll", 2*time.Millisecond)
-	c.AddStageTime("enroll", 1*time.Millisecond)
+	c.ObserveStage("evaluate", 1500*time.Microsecond)
+	c.ObserveStage("enroll", 2*time.Millisecond)
+	c.ObserveStage("enroll", 1*time.Millisecond)
 	want = "devices: 12 enrolled, 3 failed; pairs: 300 kept, 84 rejected" +
 		"; evals: 11 ok, 1 failed, 42 bit flips" +
 		"; enroll 3ms; evaluate 1.5ms"
@@ -79,15 +94,14 @@ func TestFleetCountersStringGolden(t *testing.T) {
 	}
 }
 
-// TestFleetCountersRegistryBacked checks the compatibility shim: stage
-// clocks live in the obs registry as histograms, and the flat counters are
-// scrapable from the same registry.
+// TestFleetCountersRegistryBacked checks the counters' registry: stage
+// clocks live there as histograms, and the flat counters are scrapable
+// from it.
 func TestFleetCountersRegistryBacked(t *testing.T) {
 	reg := obs.NewRegistry()
-	var c FleetCounters
-	c.Bind(reg)
+	c := NewFleetCounters(reg)
 	c.DevicesEnrolled.Add(7)
-	c.AddStageTime("enroll", 10*time.Millisecond)
+	c.ObserveStage("enroll", 10*time.Millisecond)
 	c.ObserveDevice("enroll", 2*time.Millisecond)
 	c.ObserveDevice("enroll", 3*time.Millisecond)
 
@@ -104,24 +118,13 @@ func TestFleetCountersRegistryBacked(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, b.String())
 		}
 	}
-	if got := c.StageTime("enroll"); got != 10*time.Millisecond {
-		t.Fatalf("StageTime = %v, want 10ms", got)
+	if got := stageTime(reg, "enroll"); got != 10*time.Millisecond {
+		t.Fatalf("enroll stage time = %v, want 10ms", got)
 	}
 }
 
-func TestFleetCountersBindAfterUsePanics(t *testing.T) {
-	var c FleetCounters
-	c.AddStageTime("enroll", time.Millisecond) // creates the private registry
-	defer func() {
-		if recover() == nil {
-			t.Fatal("late Bind did not panic")
-		}
-	}()
-	c.Bind(obs.NewRegistry())
-}
-
 func TestFleetCountersString(t *testing.T) {
-	var c FleetCounters
+	c := NewFleetCounters(obs.NewRegistry())
 	c.DevicesEnrolled.Add(5)
 	c.DevicesFailed.Add(1)
 	c.PairsKept.Add(100)

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"ropuf/internal/benchfmt"
 	"ropuf/internal/obs"
 )
 
@@ -187,29 +186,6 @@ func Analyze(events []Event, spans []obs.SpanEvent, opt Options) *Report {
 		rep.Consumers = rep.Consumers[:opt.Top]
 	}
 	return rep
-}
-
-// BenchResults renders the report's headline numbers in the shared
-// benchfmt JSON shape so they can land next to BENCH_authserve.json.
-// Counts ride in Iterations; rates abuse NsPerOp the same way tracestat's
-// percentile records do.
-func (r *Report) BenchResults() map[string]benchfmt.Result {
-	out := map[string]benchfmt.Result{
-		"BenchmarkAuditEvents":         {Iterations: int64(r.Events)},
-		"BenchmarkAuditFlaggedDevices": {Iterations: int64(len(r.Flagged))},
-		"BenchmarkAuditTraceMatchedPct": {
-			Iterations: int64(r.TraceMatched),
-			NsPerOp:    100 * r.TraceMatchedFraction(),
-		},
-	}
-	if len(r.Consumers) > 0 {
-		top := r.Consumers[0]
-		out["BenchmarkAuditTopConsumerPairs"] = benchfmt.Result{
-			Iterations: int64(top.PairsConsumed),
-			NsPerOp:    top.DrainPerSec,
-		}
-	}
-	return out
 }
 
 // WriteText renders the human-readable report: stream summary, trace

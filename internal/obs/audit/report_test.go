@@ -129,23 +129,6 @@ func TestAnalyzeTopTruncation(t *testing.T) {
 	}
 }
 
-func TestBenchResults(t *testing.T) {
-	rep := Analyze(sampleEvents(), sampleSpans(), Options{})
-	br := rep.BenchResults()
-	if br["BenchmarkAuditEvents"].Iterations != 8 {
-		t.Fatalf("BenchmarkAuditEvents = %+v", br["BenchmarkAuditEvents"])
-	}
-	if br["BenchmarkAuditFlaggedDevices"].Iterations != 1 {
-		t.Fatalf("BenchmarkAuditFlaggedDevices = %+v", br["BenchmarkAuditFlaggedDevices"])
-	}
-	if got := br["BenchmarkAuditTraceMatchedPct"].NsPerOp; math.Abs(got-100*6.0/7.0) > 1e-6 {
-		t.Fatalf("BenchmarkAuditTraceMatchedPct = %g", got)
-	}
-	if br["BenchmarkAuditTopConsumerPairs"].Iterations != 40 {
-		t.Fatalf("BenchmarkAuditTopConsumerPairs = %+v", br["BenchmarkAuditTopConsumerPairs"])
-	}
-}
-
 func TestWriteText(t *testing.T) {
 	rep := Analyze(sampleEvents(), sampleSpans(), Options{})
 	var sb strings.Builder

@@ -4,10 +4,10 @@
 // p50/p90/p99 — queryable as range vectors over HTTP (GET /v1/stats).
 //
 // The package is deliberately free of dependencies on the rest of the obs
-// stack: it consumes a neutral []Family snapshot, so internal/obs can
-// adapt its Registry to a Recorder (obs.Serve mounts one automatically)
-// without an import cycle, and internal/obs/promtext can assemble scraped
-// exposition text into the same shape for `ropuf watch`.
+// stack: []Family is the one metric-snapshot shape of the repo.
+// obs.Registry.Snapshot returns it (obs.Serve mounts a recorder on it
+// without an import cycle), and internal/obs/promtext assembles scraped
+// exposition text into it for `ropuf watch`.
 //
 // Cost model: sampling reads the registry snapshot once per tick (default
 // 1s) on a background goroutine; request hot paths are untouched. Memory
@@ -15,6 +15,7 @@
 package flight
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -22,8 +23,7 @@ import (
 	"time"
 )
 
-// Kind discriminates the metric families a snapshot can hold. The values
-// mirror obs.Kind so the adapter is a plain conversion.
+// Kind discriminates the metric families a snapshot can hold.
 type Kind int
 
 const (
@@ -31,6 +31,19 @@ const (
 	Gauge
 	Histogram
 )
+
+// String names the kind the way Prometheus exposition does.
+func (k Kind) String() string {
+	switch k {
+	case Counter:
+		return "counter"
+	case Gauge:
+		return "gauge"
+	case Histogram:
+		return "histogram"
+	}
+	return fmt.Sprintf("Kind(%d)", int(k))
+}
 
 // Bucket is one cumulative histogram bucket; UpperBound is math.Inf(1)
 // for the terminal bucket.
@@ -154,8 +167,9 @@ func (r *Recorder) Run(done <-chan struct{}) {
 	}
 }
 
-// labelKey joins a label set deterministically.
-func labelKey(labels map[string]string) string {
+// LabelKey joins a label set deterministically: names sorted, each name
+// and value closed by a control byte, so equal sets give equal keys.
+func LabelKey(labels map[string]string) string {
 	if len(labels) == 0 {
 		return ""
 	}
@@ -204,7 +218,7 @@ func (r *Recorder) Sample() {
 	next := make(map[string]rawState, len(r.prev))
 	for _, f := range fams {
 		for _, s := range f.Series {
-			lk := labelKey(s.Labels)
+			lk := LabelKey(s.Labels)
 			rawKey := f.Name + "\x00" + lk
 			switch f.Kind {
 			case Counter:
@@ -349,7 +363,7 @@ func (r *Recorder) Query(q QueryOptions) []RangeSeries {
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name
 		}
-		return labelKey(out[i].Labels) < labelKey(out[j].Labels)
+		return LabelKey(out[i].Labels) < LabelKey(out[j].Labels)
 	})
 	return out
 }

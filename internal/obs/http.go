@@ -58,30 +58,16 @@ func HealthHandler(health HealthFunc) http.HandlerFunc {
 }
 
 // NewMux builds the observability HTTP handler: /metrics serves reg in
-// Prometheus text format, /healthz answers the plain-text "ok" the batch
-// commands' consumers expect, and /debug/pprof/* exposes the standard
-// runtime profiles (CPU profile, heap, goroutines, ...).
+// Prometheus text format, /healthz answers the HealthReport JSON of an
+// always-healthy checker, and /debug/pprof/* exposes the standard runtime
+// profiles (CPU profile, heap, goroutines, ...).
 func NewMux(reg *Registry) *http.ServeMux {
-	return NewMuxHealth(reg, nil)
-}
-
-// NewMuxHealth is NewMux with a degradation-aware /healthz: with a non-nil
-// checker the endpoint serves the HealthReport JSON contract (200/503);
-// with nil it keeps the legacy plain-text "ok".
-func NewMuxHealth(reg *Registry, health HealthFunc) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WriteProm(w)
 	})
-	if health != nil {
-		mux.HandleFunc("/healthz", HealthHandler(health))
-	} else {
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintln(w, "ok")
-		})
-	}
+	mux.HandleFunc("/healthz", HealthHandler(nil))
 	// Register the pprof handlers explicitly rather than importing the
 	// package for its DefaultServeMux side effect, so the profiles are only
 	// reachable through this mux.
@@ -128,7 +114,7 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	RegisterBuildInfo(reg)
-	rec := NewFlightRecorder(reg, 0)
+	rec := flight.NewRecorder(reg.Snapshot, flight.Options{})
 	mux := NewMux(reg)
 	mux.Handle("GET /v1/stats", rec.Handler())
 	s := &Server{

@@ -49,9 +49,12 @@ func TestMuxEndpoints(t *testing.T) {
 		}
 	}
 
-	code, body, _ = get("/healthz")
-	if code != http.StatusOK || body != "ok\n" {
+	code, body, header = get("/healthz")
+	if code != http.StatusOK || body != "{\"status\":\"ok\"}\n" {
 		t.Fatalf("/healthz = %d %q", code, body)
+	}
+	if ct := header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("/healthz content type = %q", ct)
 	}
 
 	code, body, _ = get("/debug/pprof/")
@@ -113,26 +116,11 @@ func TestHealthHandlerContract(t *testing.T) {
 		t.Fatalf("recovery = %d, want 200", code)
 	}
 
-	// Nil checker is always healthy (legacy NewMux path equivalence).
+	// Nil checker is always healthy (the NewMux /healthz).
 	rec := httptest.NewRecorder()
 	HealthHandler(nil)(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("nil checker = %d", rec.Code)
-	}
-}
-
-func TestNewMuxHealthServesJSON(t *testing.T) {
-	reg := NewRegistry()
-	mux := NewMuxHealth(reg, func() []HealthReason {
-		return []HealthReason{{Code: "queue_saturated", Detail: "full"}}
-	})
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type = %q", ct)
 	}
 }
 

@@ -1,56 +1,70 @@
-// Package logx is the repo's structured logging layer: a log/slog handler
-// emitting one JSON object per line, with every record automatically
-// stamped with the trace and span IDs carried by the context (package obs).
-// A log line written while a span is open — or while handling a request
-// whose traceparent header was extracted — therefore joins the same
-// distributed trace its spans belong to, which is what lets operators pivot
-// from a log record to the full cross-process trace and back.
+// Package logx is the repo's structured logging layer: log/slog's JSON
+// handler, one object per line, with every record stamped with the trace
+// and span IDs carried by the context (package obs). A log line written
+// while a span is open — or while handling a request whose traceparent
+// header was extracted — therefore joins the same distributed trace its
+// spans belong to, which is what lets operators pivot from a log record to
+// the full cross-process trace and back.
 //
-// Record schema (field order is fixed):
+// Record schema:
 //
 //	{"ts":"2026-01-02T15:04:05.999999999Z","level":"INFO","msg":"...",
-//	 "trace_id":"<32 hex>","span_id":"<16 hex>",<attrs...>}
+//	 <attrs...>,"trace_id":"<32 hex>","span_id":"<16 hex>"}
 //
-// trace_id/span_id are present only when the context carries a span.
-// Attribute values render as JSON strings, numbers, or booleans;
-// time.Duration renders as its String() form ("4.9ms") and errors as their
-// message.
+// ts, level and msg lead every line; trace_id/span_id follow the
+// attributes and are present only when the context carries a span. Times
+// render in UTC, time.Duration as its String() form ("4.9ms"), errors as
+// their message, and groups as nested objects (a logger's open group
+// holds the trace IDs too).
 package logx
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
-	"strconv"
-	"sync"
-	"time"
 
 	"ropuf/internal/obs"
 )
 
-// Handler is the JSONL slog.Handler. Create one with NewHandler; the zero
-// value is not usable.
-type Handler struct {
-	mu     *sync.Mutex // shared across WithAttrs/WithGroup clones
-	w      io.Writer
-	level  slog.Leveler
-	attrs  []byte // preformatted ",\"key\":value" pairs from WithAttrs
-	prefix string // open group path ("a.b."), applied to subsequent keys
-}
-
-// NewHandler returns a handler writing JSON lines at or above level to w.
-func NewHandler(w io.Writer, level slog.Leveler) *Handler {
-	if level == nil {
-		level = slog.LevelInfo
-	}
-	return &Handler{mu: &sync.Mutex{}, w: w, level: level}
-}
-
-// New returns a logger over NewHandler.
+// New returns a logger writing JSON lines at or above level (nil means
+// info) to w.
 func New(w io.Writer, level slog.Leveler) *slog.Logger {
-	return slog.New(NewHandler(w, level))
+	h := slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level, ReplaceAttr: replaceAttr})
+	return slog.New(traceHandler{h})
+}
+
+// replaceAttr renames the record time to ts and renders times in UTC and
+// durations as their String() form.
+func replaceAttr(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) == 0 && a.Key == slog.TimeKey {
+		a.Key = "ts"
+	}
+	switch a.Value.Kind() {
+	case slog.KindTime:
+		a.Value = slog.TimeValue(a.Value.Time().UTC())
+	case slog.KindDuration:
+		a.Value = slog.StringValue(a.Value.Duration().String())
+	}
+	return a
+}
+
+// traceHandler adds trace_id/span_id from the record's context.
+type traceHandler struct{ slog.Handler }
+
+func (h traceHandler) Handle(ctx context.Context, r slog.Record) error {
+	if sc, ok := obs.SpanContextOf(ctx); ok {
+		r.AddAttrs(slog.String("trace_id", sc.TraceID), slog.String("span_id", sc.SpanID))
+	}
+	return h.Handler.Handle(ctx, r)
+}
+
+func (h traceHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	return traceHandler{h.Handler.WithAttrs(attrs)}
+}
+
+func (h traceHandler) WithGroup(name string) slog.Handler {
+	return traceHandler{h.Handler.WithGroup(name)}
 }
 
 // Nop returns a logger that discards everything, so instrumented code can
@@ -65,133 +79,4 @@ func ParseLevel(s string) (slog.Level, error) {
 		return 0, fmt.Errorf("logx: level %q (want debug, info, warn, or error)", s)
 	}
 	return l, nil
-}
-
-// Enabled implements slog.Handler.
-func (h *Handler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= h.level.Level()
-}
-
-// Handle implements slog.Handler: it renders the record as one JSON line,
-// stamping trace_id/span_id from ctx when a span identity is present.
-func (h *Handler) Handle(ctx context.Context, r slog.Record) error {
-	buf := make([]byte, 0, 256)
-	buf = append(buf, `{"ts":"`...)
-	t := r.Time
-	if t.IsZero() {
-		t = time.Now()
-	}
-	buf = t.UTC().AppendFormat(buf, time.RFC3339Nano)
-	buf = append(buf, `","level":`...)
-	buf = appendJSONString(buf, r.Level.String())
-	buf = append(buf, `,"msg":`...)
-	buf = appendJSONString(buf, r.Message)
-	if sc, ok := obs.SpanContextOf(ctx); ok {
-		buf = append(buf, `,"trace_id":"`...)
-		buf = append(buf, sc.TraceID...)
-		buf = append(buf, `","span_id":"`...)
-		buf = append(buf, sc.SpanID...)
-		buf = append(buf, '"')
-	}
-	buf = append(buf, h.attrs...)
-	r.Attrs(func(a slog.Attr) bool {
-		buf = appendAttr(buf, h.prefix, a)
-		return true
-	})
-	buf = append(buf, "}\n"...)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	_, err := h.w.Write(buf)
-	return err
-}
-
-// WithAttrs implements slog.Handler by preformatting the attrs once.
-func (h *Handler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	h2 := *h
-	h2.attrs = append(append([]byte(nil), h.attrs...), formatAttrs(h.prefix, attrs)...)
-	return &h2
-}
-
-// WithGroup implements slog.Handler by dot-prefixing subsequent keys.
-func (h *Handler) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return h
-	}
-	h2 := *h
-	h2.prefix = h.prefix + name + "."
-	return &h2
-}
-
-func formatAttrs(prefix string, attrs []slog.Attr) []byte {
-	var buf []byte
-	for _, a := range attrs {
-		buf = appendAttr(buf, prefix, a)
-	}
-	return buf
-}
-
-// appendAttr renders one attr as `,"key":value`. Groups flatten to dotted
-// keys; empty attrs and empty groups are elided per the slog contract.
-func appendAttr(buf []byte, prefix string, a slog.Attr) []byte {
-	v := a.Value.Resolve()
-	if v.Kind() == slog.KindGroup {
-		group := v.Group()
-		if len(group) == 0 {
-			return buf
-		}
-		p := prefix
-		if a.Key != "" {
-			p += a.Key + "."
-		}
-		for _, ga := range group {
-			buf = appendAttr(buf, p, ga)
-		}
-		return buf
-	}
-	if a.Key == "" {
-		return buf
-	}
-	buf = append(buf, ',')
-	buf = appendJSONString(buf, prefix+a.Key)
-	buf = append(buf, ':')
-	switch v.Kind() {
-	case slog.KindString:
-		buf = appendJSONString(buf, v.String())
-	case slog.KindInt64:
-		buf = strconv.AppendInt(buf, v.Int64(), 10)
-	case slog.KindUint64:
-		buf = strconv.AppendUint(buf, v.Uint64(), 10)
-	case slog.KindBool:
-		buf = strconv.AppendBool(buf, v.Bool())
-	case slog.KindFloat64:
-		f := v.Float64()
-		if data, err := json.Marshal(f); err == nil {
-			buf = append(buf, data...)
-		} else { // NaN/Inf: not representable as a JSON number
-			buf = appendJSONString(buf, strconv.FormatFloat(f, 'g', -1, 64))
-		}
-	case slog.KindDuration:
-		buf = appendJSONString(buf, v.Duration().String())
-	case slog.KindTime:
-		buf = appendJSONString(buf, v.Time().UTC().Format(time.RFC3339Nano))
-	default: // KindAny
-		switch x := v.Any().(type) {
-		case error:
-			buf = appendJSONString(buf, x.Error())
-		default:
-			if data, err := json.Marshal(x); err == nil {
-				buf = append(buf, data...)
-			} else {
-				buf = appendJSONString(buf, fmt.Sprint(x))
-			}
-		}
-	}
-	return buf
-}
-
-// appendJSONString appends s as a JSON string literal. json.Marshal of a
-// string cannot fail and produces valid escaping for control characters.
-func appendJSONString(buf []byte, s string) []byte {
-	data, _ := json.Marshal(s)
-	return append(buf, data...)
 }

@@ -35,12 +35,14 @@ func TestHandlerBasicRecord(t *testing.T) {
 	if m["n"] != float64(42) || m["ok"] != true || m["ratio"] != 0.5 || m["who"] != "world" {
 		t.Fatalf("attrs = %v", m)
 	}
-	if _, err := time.Parse(time.RFC3339Nano, m["ts"].(string)); err != nil {
-		t.Fatalf("ts %q: %v", m["ts"], err)
+	ts := m["ts"].(string)
+	if _, err := time.Parse(time.RFC3339Nano, ts); err != nil || !strings.HasSuffix(ts, "Z") {
+		t.Fatalf("ts %q is not a UTC RFC 3339 time (err %v)", ts, err)
 	}
 	// Field order is part of the schema: ts, level, msg lead the line.
-	if !strings.HasPrefix(buf.String(), `{"ts":`) {
-		t.Fatalf("line does not lead with ts: %s", buf.String())
+	if line := buf.String(); !strings.HasPrefix(line, `{"ts":"`) ||
+		!strings.Contains(line, `","level":"INFO","msg":"hello","n":42,`) {
+		t.Fatalf("line does not lead with ts, level, msg: %s", line)
 	}
 }
 
@@ -107,8 +109,8 @@ func TestHandlerAttrKinds(t *testing.T) {
 	if list, ok := m["list"].([]any); !ok || len(list) != 2 {
 		t.Fatalf("list = %v", m["list"])
 	}
-	if m["g.inner"] != "x" {
-		t.Fatalf("group flattening = %v", m)
+	if g, ok := m["g"].(map[string]any); !ok || g["inner"] != "x" {
+		t.Fatalf("group nesting = %v", m)
 	}
 }
 
@@ -120,8 +122,8 @@ func TestHandlerWithAttrsAndGroup(t *testing.T) {
 	if m["service"] != "authserve" {
 		t.Fatalf("WithAttrs lost: %v", m)
 	}
-	if m["req.route"] != "verify" {
-		t.Fatalf("WithGroup prefix lost: %v", m)
+	if req, ok := m["req"].(map[string]any); !ok || req["route"] != "verify" {
+		t.Fatalf("WithGroup nesting lost: %v", m)
 	}
 }
 

@@ -347,7 +347,7 @@ func assembleHistogram(f Family) (flight.Family, error) {
 	hists := make(map[string]*hist)
 	var order []string
 	get := func(labels map[string]string) *hist {
-		key := labelKey(labels)
+		key := flight.LabelKey(labels)
 		if h, ok := hists[key]; ok {
 			return h
 		}
@@ -395,24 +395,8 @@ func assembleHistogram(f Family) (flight.Family, error) {
 	return ff, nil
 }
 
-func labelKey(labels map[string]string) string {
-	names := make([]string, 0, len(labels))
-	for k := range labels {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, k := range names {
-		b.WriteString(k)
-		b.WriteByte('\x01')
-		b.WriteString(labels[k])
-		b.WriteByte('\x02')
-	}
-	return b.String()
-}
-
 func sortSeries(series []flight.Series) {
 	sort.Slice(series, func(i, j int) bool {
-		return labelKey(series[i].Labels) < labelKey(series[j].Labels)
+		return flight.LabelKey(series[i].Labels) < flight.LabelKey(series[j].Labels)
 	})
 }

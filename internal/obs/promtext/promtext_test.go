@@ -156,7 +156,7 @@ func TestRoundTripHostileLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := reg.FlightFamilies()
+	want := reg.Snapshot()
 	normalize(got)
 	normalize(want)
 	if !reflect.DeepEqual(got, want) {
@@ -198,7 +198,7 @@ func TestRoundTripUnlabeled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := reg.FlightFamilies()
+	want := reg.Snapshot()
 	normalize(got)
 	normalize(want)
 	if !reflect.DeepEqual(got, want) {

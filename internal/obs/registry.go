@@ -1,6 +1,7 @@
 // Package obs is the dependency-free observability core of the system:
 // a metric registry (counters, gauges, fixed-bucket latency histograms with
-// label support, Prometheus text exposition, and a structured snapshot API),
+// label support, Prometheus text exposition, and snapshots in the flight
+// recorder's []flight.Family shape),
 // a span tracer with JSONL and ring-buffer sinks, and an HTTP helper that
 // mounts /metrics, /healthz, and net/http/pprof.
 //
@@ -17,29 +18,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"ropuf/internal/obs/flight"
 )
-
-// Kind discriminates the metric families a Registry can hold.
-type Kind int
-
-const (
-	KindCounter Kind = iota
-	KindGauge
-	KindHistogram
-)
-
-// String names the kind the way Prometheus exposition does.
-func (k Kind) String() string {
-	switch k {
-	case KindCounter:
-		return "counter"
-	case KindGauge:
-		return "gauge"
-	case KindHistogram:
-		return "histogram"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
 
 // LatencyBuckets is the default histogram layout for wall-clock latencies
 // in seconds. It spans 1µs (a single cheap device enrollment) to 10s (a
@@ -70,7 +51,7 @@ func NewRegistry() *Registry {
 type family struct {
 	name    string
 	help    string
-	kind    Kind
+	kind    flight.Kind
 	labels  []string
 	buckets []float64 // histograms only; strictly increasing
 
@@ -90,7 +71,7 @@ type series struct {
 	buckets     []atomic.Int64 // histogram per-bucket (non-cumulative) counts; len = len(family.buckets)+1 for +Inf
 }
 
-func (r *Registry) register(name, help string, kind Kind, labels []string, buckets []float64, fn func() float64) *family {
+func (r *Registry) register(name, help string, kind flight.Kind, labels []string, buckets []float64, fn func() float64) *family {
 	if name == "" {
 		panic("obs: metric with empty name")
 	}
@@ -158,7 +139,7 @@ func (f *family) get(labelValues []string) *series {
 		return s
 	}
 	s = &series{labelValues: append([]string(nil), labelValues...)}
-	if f.kind == KindHistogram {
+	if f.kind == flight.Histogram {
 		s.buckets = make([]atomic.Int64, len(f.buckets)+1)
 	}
 	f.series[key] = s
@@ -228,13 +209,13 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 
 // NewCounter registers (or fetches) an unlabelled counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
-	f := r.register(name, help, KindCounter, nil, nil, nil)
+	f := r.register(name, help, flight.Counter, nil, nil, nil)
 	return &Counter{s: f.get(nil)}
 }
 
 // NewCounterVec registers (or fetches) a labelled counter family.
 func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
-	return &CounterVec{f: r.register(name, help, KindCounter, labelNames, nil, nil)}
+	return &CounterVec{f: r.register(name, help, flight.Counter, labelNames, nil, nil)}
 }
 
 // NewCounterFunc registers a read-only counter whose value is pulled from fn
@@ -244,7 +225,7 @@ func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
 	if fn == nil {
 		panic("obs: NewCounterFunc with nil fn")
 	}
-	r.register(name, help, KindCounter, nil, nil, fn)
+	r.register(name, help, flight.Counter, nil, nil, fn)
 }
 
 // --- gauges ---------------------------------------------------------------
@@ -271,13 +252,13 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge {
 
 // NewGauge registers (or fetches) an unlabelled gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	f := r.register(name, help, KindGauge, nil, nil, nil)
+	f := r.register(name, help, flight.Gauge, nil, nil, nil)
 	return &Gauge{s: f.get(nil)}
 }
 
 // NewGaugeVec registers (or fetches) a labelled gauge family.
 func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, KindGauge, labelNames, nil, nil)}
+	return &GaugeVec{f: r.register(name, help, flight.Gauge, labelNames, nil, nil)}
 }
 
 // NewGaugeFunc registers a read-only gauge pulled from fn at exposition
@@ -286,7 +267,7 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 	if fn == nil {
 		panic("obs: NewGaugeFunc with nil fn")
 	}
-	r.register(name, help, KindGauge, nil, nil, fn)
+	r.register(name, help, flight.Gauge, nil, nil, fn)
 }
 
 // --- histograms -----------------------------------------------------------
@@ -335,13 +316,13 @@ func (v *HistogramVec) LabelSets() [][]string {
 // empty buckets slice means LatencyBuckets; bounds must be strictly
 // increasing.
 func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, KindHistogram, nil, checkBuckets(name, buckets), nil)
+	f := r.register(name, help, flight.Histogram, nil, checkBuckets(name, buckets), nil)
 	return &Histogram{f: f, s: f.get(nil)}
 }
 
 // NewHistogramVec registers (or fetches) a labelled histogram family.
 func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	return &HistogramVec{f: r.register(name, help, KindHistogram, labelNames, checkBuckets(name, buckets), nil)}
+	return &HistogramVec{f: r.register(name, help, flight.Histogram, labelNames, checkBuckets(name, buckets), nil)}
 }
 
 func checkBuckets(name string, buckets []float64) []float64 {
@@ -358,65 +339,34 @@ func checkBuckets(name string, buckets []float64) []float64 {
 
 // --- snapshot -------------------------------------------------------------
 
-// Snapshot is a point-in-time copy of a registry's contents, for callers
-// that want structured values rather than exposition text. Under concurrent
-// observation the per-series count/sum/bucket triple may be mid-update by a
-// fraction of one observation; each individual value is atomically read.
-type Snapshot struct {
-	Families []FamilySnapshot
-}
-
-// FamilySnapshot is one metric family.
-type FamilySnapshot struct {
-	Name   string
-	Help   string
-	Kind   Kind
-	Series []SeriesSnapshot
-}
-
-// SeriesSnapshot is one label combination of a family. Value carries the
-// counter or gauge value; Count, Sum, and Buckets are histogram-only.
-type SeriesSnapshot struct {
-	Labels map[string]string
-	Value  float64
-	Count  int64
-	Sum    float64
-	// Buckets holds cumulative counts per upper bound, +Inf last.
-	Buckets []BucketCount
-}
-
-// BucketCount is one cumulative histogram bucket. UpperBound is
-// math.Inf(1) for the terminal bucket.
-type BucketCount struct {
-	UpperBound float64
-	Count      int64
-}
-
 // Snapshot copies the registry's current state, families and series sorted
-// by name and label values.
-func (r *Registry) Snapshot() Snapshot {
-	var snap Snapshot
+// by name and label values; histogram buckets are cumulative, +Inf last.
+// Under concurrent observation a series' count, sum and buckets may be
+// mid-update by a fraction of one observation; each value is read
+// atomically.
+func (r *Registry) Snapshot() []flight.Family {
+	var fams []flight.Family
 	for _, f := range r.sortedFamilies() {
-		fs := FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind}
+		ff := flight.Family{Name: f.name, Kind: f.kind}
 		if f.fn != nil {
-			fs.Series = []SeriesSnapshot{{Labels: map[string]string{}, Value: f.fn()}}
-			snap.Families = append(snap.Families, fs)
+			ff.Series = []flight.Series{{Labels: map[string]string{}, Value: f.fn()}}
+			fams = append(fams, ff)
 			continue
 		}
 		for _, s := range f.sortedSeries() {
-			ss := SeriesSnapshot{Labels: make(map[string]string, len(f.labels))}
+			fs := flight.Series{Labels: make(map[string]string, len(f.labels))}
 			for i, name := range f.labels {
-				ss.Labels[name] = s.labelValues[i]
+				fs.Labels[name] = s.labelValues[i]
 			}
 			switch f.kind {
-			case KindCounter:
-				ss.Value = float64(s.count.Load())
-			case KindGauge:
-				ss.Value = math.Float64frombits(s.bits.Load())
-			case KindHistogram:
-				ss.Count = s.count.Load()
-				ss.Sum = math.Float64frombits(s.bits.Load())
-				ss.Buckets = make([]BucketCount, len(f.buckets)+1)
+			case flight.Counter:
+				fs.Value = float64(s.count.Load())
+			case flight.Gauge:
+				fs.Value = math.Float64frombits(s.bits.Load())
+			case flight.Histogram:
+				fs.Count = s.count.Load()
+				fs.Sum = math.Float64frombits(s.bits.Load())
+				fs.Buckets = make([]flight.Bucket, len(f.buckets)+1)
 				cum := int64(0)
 				for i := range s.buckets {
 					cum += s.buckets[i].Load()
@@ -424,14 +374,14 @@ func (r *Registry) Snapshot() Snapshot {
 					if i < len(f.buckets) {
 						bound = f.buckets[i]
 					}
-					ss.Buckets[i] = BucketCount{UpperBound: bound, Count: cum}
+					fs.Buckets[i] = flight.Bucket{UpperBound: bound, Count: cum}
 				}
 			}
-			fs.Series = append(fs.Series, ss)
+			ff.Series = append(ff.Series, fs)
 		}
-		snap.Families = append(snap.Families, fs)
+		fams = append(fams, ff)
 	}
-	return snap
+	return fams
 }
 
 func (r *Registry) sortedFamilies() []*family {
@@ -483,13 +433,13 @@ func (f *family) writeProm(w io.Writer) error {
 
 func (f *family) writeSeries(w io.Writer, s *series) error {
 	switch f.kind {
-	case KindCounter:
+	case flight.Counter:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, f.labelString(s, ""), s.count.Load())
 		return err
-	case KindGauge:
+	case flight.Gauge:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, f.labelString(s, ""), formatValue(math.Float64frombits(s.bits.Load())))
 		return err
-	case KindHistogram:
+	case flight.Histogram:
 		cum := int64(0)
 		for i := range s.buckets {
 			cum += s.buckets[i].Load()

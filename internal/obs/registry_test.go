@@ -15,9 +15,8 @@ func TestEmptyRegistryExposition(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("empty registry rendered %q, want nothing", b.String())
 	}
-	snap := NewRegistry().Snapshot()
-	if len(snap.Families) != 0 {
-		t.Fatalf("empty registry snapshot has %d families", len(snap.Families))
+	if snap := NewRegistry().Snapshot(); len(snap) != 0 {
+		t.Fatalf("empty registry snapshot has %d families", len(snap))
 	}
 }
 
@@ -151,8 +150,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if got, want := h.Sum(), 0.1+0.10000000001+1+2-1; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Sum = %g, want %g", got, want)
 	}
-	snap := r.Snapshot()
-	buckets := snap.Families[0].Series[0].Buckets
+	buckets := r.Snapshot()[0].Series[0].Buckets
 	wantCum := []int64{2, 3, 4, 5} // cumulative per bound 0.1, 0.5, 1, +Inf
 	for i, want := range wantCum {
 		if buckets[i].Count != want {
@@ -189,7 +187,7 @@ func TestHistogramDefaultBucketsAndVec(t *testing.T) {
 	if len(sets) != 2 || sets[0][0] != "enroll" || sets[1][0] != "evaluate" {
 		t.Fatalf("LabelSets = %v", sets)
 	}
-	if n := len(r.Snapshot().Families[0].Series[0].Buckets); n != len(LatencyBuckets)+1 {
+	if n := len(r.Snapshot()[0].Series[0].Buckets); n != len(LatencyBuckets)+1 {
 		t.Fatalf("default layout has %d buckets, want %d", n, len(LatencyBuckets)+1)
 	}
 }
@@ -207,9 +205,8 @@ func TestCounterFuncSnapshotAndExposition(t *testing.T) {
 	r := NewRegistry()
 	n := 41.0
 	r.NewCounterFunc("pulled_total", "Pulled on scrape.", func() float64 { n++; return n })
-	snap := r.Snapshot()
-	if snap.Families[0].Series[0].Value != 42 {
-		t.Fatalf("snapshot value = %g, want 42", snap.Families[0].Series[0].Value)
+	if v := r.Snapshot()[0].Series[0].Value; v != 42 {
+		t.Fatalf("snapshot value = %g, want 42", v)
 	}
 	var b strings.Builder
 	if err := r.WriteProm(&b); err != nil {
@@ -260,7 +257,7 @@ func TestConcurrentObserveSnapshot(t *testing.T) {
 	close(stop)
 	<-readerDone
 	total := int64(0)
-	for _, s := range r.Snapshot().Families {
+	for _, s := range r.Snapshot() {
 		if s.Name != "lat_seconds" {
 			continue
 		}

@@ -27,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"ropuf/internal/benchfmt"
 	"ropuf/internal/obs"
 )
 
@@ -300,43 +299,6 @@ func Analyze(events []obs.SpanEvent, opt Options) *Report {
 		}
 	}
 	return rep
-}
-
-// BenchResults renders the per-name p50/p99 as benchfmt records
-// ("BenchmarkSpan<CamelName>P50" etc.), the same JSON shape as
-// BENCH_fleet.json / BENCH_authserve.json, so trace-derived latencies join
-// the repo's perf trajectory.
-func (r *Report) BenchResults() map[string]benchfmt.Result {
-	out := make(map[string]benchfmt.Result, 2*len(r.Names))
-	for _, ns := range r.Names {
-		base := "BenchmarkSpan" + camelName(ns.Name)
-		out[base+"P50"] = benchfmt.Result{Iterations: int64(ns.Count), NsPerOp: float64(ns.P50)}
-		out[base+"P99"] = benchfmt.Result{Iterations: int64(ns.Count), NsPerOp: float64(ns.P99)}
-	}
-	return out
-}
-
-// camelName turns a span name ("authserve.verify") into a benchmark-name
-// fragment ("AuthserveVerify").
-func camelName(name string) string {
-	var b strings.Builder
-	up := true
-	for _, c := range name {
-		switch {
-		case c >= 'a' && c <= 'z':
-			if up {
-				c += 'A' - 'a'
-			}
-			b.WriteRune(c)
-			up = false
-		case c >= 'A' && c <= 'Z' || c >= '0' && c <= '9':
-			b.WriteRune(c)
-			up = false
-		default:
-			up = true
-		}
-	}
-	return b.String()
 }
 
 // WriteText renders the human-readable report.
