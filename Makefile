@@ -88,12 +88,12 @@ bench-smoke:
 fleet-bench:
 	$(GO) test -run xxx -bench 'BenchmarkFleetEnroll' -benchtime 10x .
 
-# Fuzz the verifier snapshot decoder, the WAL replay recovery runs, and
-# the shard-corpus decoders against hostile bytes, the verify/challenge
-# request parser against encoding/json, and the silicon environment factor
-# against its four-pow reference formula over arbitrary parameters (CI
-# runs these for short bursts; crashes land under the packages'
-# testdata/fuzz directories).
+# Fuzz the verifier snapshot decoder, the WAL replay recovery runs, the
+# shard-corpus decoders and the binary enroll decoder against hostile
+# bytes, the verify/challenge request parser against encoding/json, and
+# the silicon environment factor against its four-pow reference formula
+# over arbitrary parameters (CI runs these for short bursts; crashes land
+# under the packages' testdata/fuzz directories).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run FuzzLoadVerifier -fuzz FuzzLoadVerifier -fuzztime $(FUZZTIME) ./internal/auth
@@ -101,6 +101,7 @@ fuzz:
 	$(GO) test -run FuzzShardBin -fuzz FuzzShardBin -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run FuzzManifest -fuzz FuzzManifest -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run FuzzJSONRequests -fuzz FuzzJSONRequests -fuzztime $(FUZZTIME) ./internal/authserve
+	$(GO) test -run FuzzEnrollBinary -fuzz FuzzEnrollBinary -fuzztime $(FUZZTIME) ./internal/authserve
 	$(GO) test -run FuzzEnvFactor -fuzz FuzzEnvFactor -fuzztime $(FUZZTIME) ./internal/silicon
 
 # End-to-end smoke of the streaming dataset generator at paper scale

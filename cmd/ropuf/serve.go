@@ -126,7 +126,6 @@ func runServe(ctx context.Context, args []string) error {
 		MaxBurnRate:  *maxBurn,
 		Tracer:       tracer,
 		Audit:        auditW,
-		Abuse:        authserve.AbuseOptions{Window: *abuseWindow},
 	}
 	srv := authserve.NewServer(store, opt)
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"ropuf/internal/bits"
 )
@@ -92,9 +91,18 @@ func decodeRef(body string, v any) error {
 }
 
 // verifyDecodeCases covers accept/reject parity for the verify request
-// parser: escapes, duplicates, unknown fields, nulls, syntax errors.
+// parser: the plain shape, each way a body leaves it, escapes,
+// duplicates, unknown fields, nulls, syntax errors and invalid UTF-8.
 var verifyDecodeCases = []string{
 	`{"id":"dev-1","challenge_id":"c1","response":"0110"}`,
+	`{"response":"0110","id":"dev-1","challenge_id":"c1"}`,             // plain in any key order
+	`{"id":"dev-1","challenge_id":"c1","response":"01","id":"dev-2"}`,  // bail-out: duplicate key
+	`{"id":"dev<1>","challenge_id":"c1","response":"01"}`,              // bail-out: < and > in a string
+	`{"id":"dev-1","challenge_id":"c&1","response":"01"}`,              // bail-out: & in a string
+	`{"id":"dev-1","challenge_id":"c1"}`,                               // bail-out: a key missing
+	`{"id":"dev-1","challenge_id":"c1","response":"01"}x`,              // bail-out: trailing data
+	"{\"id\":\"dev\xff\",\"challenge_id\":\"c1\",\"response\":\"01\"}", // invalid UTF-8
+	"{\"id\":\"\xc3\"}", // truncated UTF-8 sequence
 	"\r\n\t {\"id\" : \"dev-1\" , \"challenge_id\" : \"c1\" , \"response\" : \"01\" } \n trailing garbage ignored",
 	`{}`,
 	`null`,
@@ -152,21 +160,20 @@ func TestParseVerifyRequestMatchesEncodingJSON(t *testing.T) {
 }
 
 // checkVerifyParity holds parseVerifyRequest to encoding/json: both accept
-// or both reject body, and on valid UTF-8 they decode the same fields and
-// bits. Invalid UTF-8 inside a string is the codec's one documented
-// divergence (passed through, not replaced with U+FFFD).
+// or both reject body, and when they accept they decode the same fields
+// and bits.
 func checkVerifyParity(t *testing.T, body []byte) {
 	t.Helper()
 	var want VerifyRequest
 	wantErr := decodeRef(string(body), &want)
 
 	var stream bits.Stream
-	id, challengeID, bitsErr, _, gotErr := parseVerifyRequest(body, nil, &stream)
+	id, challengeID, bitsErr, gotErr := parseVerifyRequest(body, &stream)
 
 	if (gotErr != nil) != (wantErr != nil) {
 		t.Fatalf("error parity for %q: hand parser err=%v, encoding/json err=%v", body, gotErr, wantErr)
 	}
-	if gotErr != nil || !utf8.Valid(body) {
+	if gotErr != nil {
 		return
 	}
 	if id != want.ID || challengeID != want.ChallengeID {
@@ -185,6 +192,12 @@ func checkVerifyParity(t *testing.T, body []byte) {
 
 var challengeDecodeCases = []string{
 	`{"id":"dev-1","k":2}`,
+	" {\"k\" : -0 ,\n\t\"id\" : \"dev-1\"}\r\n", // plain with whitespace and -0
+	`{"id":"dev-1","k":2,"k":3}`,                // bail-out: duplicate key
+	`{"id":"<dev>&1","k":2}`,                    // bail-out: <, > and & in a string
+	`{"id":"dev-1","k":2e0}`,                    // bail-out: k with an exponent
+	`{"id":"dev-1","k":1E2}`,                    // bail-out: k with an exponent
+	"{\"id\":\"dev\xfe\",\"k\":2}",              // invalid UTF-8
 	`{"id":"dev-1","k":0}`,
 	`{"id":"dev-1","k":-7}`,
 	`{"k":2,"id":"dev-1","k":5}`, // duplicate int: last wins
@@ -223,12 +236,12 @@ func checkChallengeParity(t *testing.T, body []byte) {
 	var want ChallengeRequest
 	wantErr := decodeRef(string(body), &want)
 
-	id, k, _, gotErr := parseChallengeRequest(body, nil)
+	id, k, gotErr := parseChallengeRequest(body)
 
 	if (gotErr != nil) != (wantErr != nil) {
 		t.Fatalf("error parity for %q: hand parser err=%v, encoding/json err=%v", body, gotErr, wantErr)
 	}
-	if gotErr != nil || !utf8.Valid(body) {
+	if gotErr != nil {
 		return
 	}
 	if id != want.ID || k != want.K {
@@ -258,7 +271,7 @@ func FuzzJSONRequests(f *testing.F) {
 func TestParsedStringsDoNotAliasInput(t *testing.T) {
 	body := []byte(`{"id":"device-alias-check","challenge_id":"nonce-alias-check","response":"01"}`)
 	var stream bits.Stream
-	id, challengeID, bitsErr, _, err := parseVerifyRequest(body, nil, &stream)
+	id, challengeID, bitsErr, err := parseVerifyRequest(body, &stream)
 	if err != nil || bitsErr != nil {
 		t.Fatalf("parse: %v / %v", err, bitsErr)
 	}

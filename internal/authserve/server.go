@@ -29,6 +29,10 @@ import (
 // 16 MiB leaves generous headroom while capping hostile payloads.
 const maxBodyBytes = 16 << 20
 
+// minSLORequests is the in-window request count below which burn rate
+// cannot degrade health, damping flapping on trickle traffic.
+const minSLORequests = 10
+
 // ServerOptions configures NewServer.
 type ServerOptions struct {
 	// MaxInflight bounds concurrently executing requests; defaults to 64.
@@ -58,18 +62,12 @@ type ServerOptions struct {
 	// MaxBurnRate is the burn-rate threshold at which /healthz degrades;
 	// defaults to 10 (budget burning 10× too fast).
 	MaxBurnRate float64
-	// MinSLORequests is the minimum in-window request count before burn
-	// rate can degrade health, damping flapping on trickle traffic.
-	// Defaults to 10.
-	MinSLORequests int
 
 	// Audit, when non-nil, receives the security event stream (enroll,
 	// verify-fail, flag, unflag, challenge) — see internal/obs/audit. Nil
-	// disables emission; the scorer still runs.
+	// disables emission; the abuse scorer still runs over the store's
+	// TelemetryWindow.
 	Audit *audit.Writer
-	// Abuse tunes the per-device abuse scorer; the zero value uses the
-	// documented defaults over the store's telemetry window.
-	Abuse AbuseOptions
 }
 
 func (o ServerOptions) withDefaults() ServerOptions {
@@ -96,9 +94,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	}
 	if o.MaxBurnRate <= 0 {
 		o.MaxBurnRate = 10
-	}
-	if o.MinSLORequests <= 0 {
-		o.MinSLORequests = 10
 	}
 	return o
 }
@@ -151,7 +146,7 @@ func NewServer(store *Store, opt ServerOptions) *Server {
 	}
 	flagGauge := reg.NewGaugeVec("ropuf_authserve_device_flags",
 		"Devices currently flagged by the abuse scorer, by reason.", "reason")
-	s.scorer = newAbuseScorer(store, opt.Abuse, opt.Audit, flagGauge)
+	s.scorer = newAbuseScorer(store, opt.Audit, flagGauge)
 	reg.NewCounterFunc("ropuf_audit_events_total",
 		"Audit events accepted into the async writer.",
 		func() float64 { return float64(s.audit.Emitted()) })
@@ -202,7 +197,7 @@ func (s *Server) sampleRequests() (total, errors float64) {
 func (s *Server) Health() []obs.HealthReason {
 	var reasons []obs.HealthReason
 	rep := s.burn.Report()
-	if rep.Total >= float64(s.opt.MinSLORequests) && rep.BurnRate >= s.opt.MaxBurnRate {
+	if rep.Total >= minSLORequests && rep.BurnRate >= s.opt.MaxBurnRate {
 		reasons = append(reasons, obs.HealthReason{
 			Code: "error_budget_burn",
 			Detail: fmt.Sprintf("burn rate %.1f over %s: %.0f of %.0f requests were 5xx/429 (objective %g)",
@@ -299,8 +294,8 @@ func (s *Server) Handler() http.Handler {
 // setup allocations: the span name is pre-concatenated, the throttle
 // counter is pre-resolved, and the per-(route, code) metric series are
 // cached in a copy-on-write map. The request's working memory (status
-// capture, body buffer, parser arena, response encoding buffer) comes from
-// a pool; see reqScratch.
+// capture, body buffer, response bits, response encoding buffer) comes
+// from a pool; see reqScratch.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	spanName := "authserve." + route
 	series := newRouteSeries(s, route)
@@ -451,25 +446,22 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // reqScratch is the pooled per-request working set: the status capture
-// every route needs, plus the buffers the hand-coded verify/challenge
-// paths use to run without per-request allocations — request body bytes,
-// the parser's string-unescape arena, the parsed response bits, and the
-// response encoding buffer. Handlers reach it by downcasting their
-// ResponseWriter; a handler invoked with a plain writer (not through
-// instrument) falls back to allocating.
+// every route needs, plus the buffers the verify/challenge paths use to
+// run without per-request allocations — request body bytes, the parsed
+// response bits, and the response encoding buffer. Handlers reach it by
+// downcasting their ResponseWriter; a handler invoked with a plain writer
+// (not through instrument) falls back to allocating.
 type reqScratch struct {
 	statusWriter
-	body  []byte
-	arena []byte
-	resp  bits.Stream
-	out   []byte
+	body []byte
+	resp bits.Stream
+	out  []byte
 }
 
 var scratchPool = sync.Pool{New: func() any {
 	return &reqScratch{
-		body:  make([]byte, 0, 4096),
-		arena: make([]byte, 0, 256),
-		out:   make([]byte, 0, 1024),
+		body: make([]byte, 0, 4096),
+		out:  make([]byte, 0, 1024),
 	}
 }}
 
@@ -488,9 +480,6 @@ func putScratch(sc *reqScratch) {
 	sc.ResponseWriter = nil
 	if cap(sc.body) > scratchKeepBytes {
 		sc.body = nil
-	}
-	if cap(sc.arena) > scratchKeepBytes {
-		sc.arena = nil
 	}
 	if cap(sc.out) > scratchKeepBytes {
 		sc.out = nil
@@ -633,9 +622,9 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, EnrollResponse{ID: info.ID, Pairs: info.Pairs, Bits: info.Bits, Fresh: info.Fresh})
 }
 
-// handleChallenge is a hand-coded hot path: pooled body read, hand JSON
-// parse and encode (byte-identical to the generic encoder — see
-// jsonwire.go), and an inline store span instead of a closure.
+// handleChallenge is a hand-coded hot path: pooled body read, the plain
+// request fast path and hand encoding of jsonwire.go, and an inline store
+// span instead of a closure.
 func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
 	sc, _ := w.(*reqScratch)
 	body, err := readBody(sc, r)
@@ -643,16 +632,9 @@ func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
 		return
 	}
-	var arena []byte
-	if sc != nil {
-		arena = sc.arena
-	}
-	id, k, arena, perr := parseChallengeRequest(body, arena)
-	if sc != nil {
-		sc.arena = arena
-	}
-	if perr != nil {
-		writeError(w, http.StatusBadRequest, "malformed JSON body: "+perr.Error())
+	id, k, err := parseChallengeRequest(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
 		return
 	}
 	_, span := s.tracer.Start(r.Context(), "store.challenge")
@@ -672,9 +654,9 @@ func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleVerify is the hottest route and runs allocation-free apart from
-// the two identity strings the store may retain: pooled body buffer, hand
-// JSON parse straight into a pooled bit stream, pooled reference scratch
-// inside the verifier, and a hand-encoded response.
+// the two identity strings the store may retain: pooled body buffer, a
+// plain request parsed straight into a pooled bit stream, pooled
+// reference scratch inside the verifier, and a hand-encoded response.
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	sc, _ := w.(*reqScratch)
 	body, err := readBody(sc, r)
@@ -682,19 +664,14 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
 		return
 	}
-	var arena []byte
 	resp := &bits.Stream{}
 	if sc != nil {
-		arena = sc.arena
 		resp = &sc.resp
 	}
 	resp.Reset()
-	id, challengeID, bitsErr, arena, perr := parseVerifyRequest(body, arena, resp)
-	if sc != nil {
-		sc.arena = arena
-	}
-	if perr != nil {
-		writeError(w, http.StatusBadRequest, "malformed JSON body: "+perr.Error())
+	id, challengeID, bitsErr, err := parseVerifyRequest(body, resp)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
 		return
 	}
 	if bitsErr != nil {
@@ -749,7 +726,7 @@ func (s *Server) handleDevice(w http.ResponseWriter, r *http.Request) {
 // operator poll always sees current evidence).
 func (s *Server) handleFlagged(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, FlaggedResponse{
-		Window:  s.scorer.opt.Window.String(),
+		Window:  s.scorer.window.String(),
 		Devices: s.scorer.Flagged(true),
 	})
 }
@@ -787,11 +764,7 @@ func writeStoreError(w http.ResponseWriter, err error) {
 var jsonCT = []string{"application/json"}
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header()["Content-Type"] = jsonCT
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	writeWire(w, code, appendIndented(nil, v))
 }
 
 // writeWire sends a pre-encoded JSON body.

@@ -273,6 +273,40 @@ func TestMalformedRequests400(t *testing.T) {
 	}
 }
 
+// TestBodyCapBoundary pins maxBodyBytes on both sides. A challenge or
+// verify body of exactly the cap is read whole and answered on its merits
+// (404: no such device); one byte more answers 400. A binary enroll body
+// over the cap answers 400 too.
+func TestBodyCapBoundary(t *testing.T) {
+	_, ts := newTestServer(t, StoreOptions{}, ServerOptions{})
+	c := ts.Client()
+	atCap := bytes.Repeat([]byte(" "), maxBodyBytes)
+	copy(atCap, `{"id":"x","k":2}`)
+	overCap := append(atCap[:maxBodyBytes:maxBodyBytes], ' ')
+	for _, route := range []string{"challenge", "verify"} {
+		if code, body := post(t, c, ts.URL+"/v1/"+route, atCap); code != http.StatusNotFound {
+			t.Errorf("%s with a body of exactly the cap: %d %s, want 404", route, code, body)
+		}
+		code, body := post(t, c, ts.URL+"/v1/"+route, overCap)
+		if code != http.StatusBadRequest || !bytes.Contains(body, []byte("request body too large")) {
+			t.Errorf("%s with a body one byte over the cap: %d %s, want 400 request body too large", route, code, body)
+		}
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/enroll", bytes.NewReader(overCap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", EnrollContentTypeBinary)
+	resp, err := c.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("binary enroll body over the cap: %d, want 400", resp.StatusCode)
+	}
+}
+
 // TestDuplicateEnroll409 pins re-enrollment to 409 Conflict.
 func TestDuplicateEnroll409(t *testing.T) {
 	devices, _ := testFleet(t, 1, 16)
@@ -493,9 +527,8 @@ func TestHealthzOKGolden(t *testing.T) {
 func TestHealthzDegradeAndRecover(t *testing.T) {
 	srv, ts := newTestServer(t, StoreOptions{}, ServerOptions{
 		MaxInflight: 1, MaxQueue: 1,
-		SLO:            obs.SLO{Objective: 0.99, Window: 300 * time.Millisecond},
-		MaxBurnRate:    10,
-		MinSLORequests: 5,
+		SLO:         obs.SLO{Objective: 0.99, Window: 300 * time.Millisecond},
+		MaxBurnRate: 10,
 	})
 	c := ts.Client()
 	release, held := saturate(t, srv, c, ts.URL)

@@ -172,59 +172,30 @@ const (
 	FlagExhaustion = "exhaustion"
 )
 
-// AbuseOptions tunes the per-device abuse scorer. The zero value enables
-// scoring with the documented defaults (DESIGN.md §12); scoring cannot be
-// disabled, only the audit stream is optional.
-type AbuseOptions struct {
-	// Window is the rolling window rates are computed over; defaults to
-	// the store's TelemetryWindow.
-	Window time.Duration
-	// HarvestRateFactor flags a device whose challenge rate is at least
+// Abuse-scorer thresholds (DESIGN.md §12). Every rate is taken over the
+// store's TelemetryWindow, the window the device counters are summed over.
+const (
+	// harvestRateFactor flags a device whose challenge rate is at least
 	// this multiple of the fleet median (idle devices included, so a lone
-	// harvester towers over a zero median). Defaults to 8.
-	HarvestRateFactor float64
-	// MinChallenges is the window challenge count below which the harvest
-	// rate rule never fires (absolute floor against tiny-sample flapping).
-	// Defaults to 32.
-	MinChallenges int64
-	// FailRatio flags a device whose windowed verify-fail fraction
-	// reaches this value (response guessing). Defaults to 0.5.
-	FailRatio float64
-	// MinVerifies is the window verify count below which the fail-ratio
-	// rule never fires. Defaults to 16.
-	MinVerifies int64
-	// TTE flags a device whose projected time-to-empty (fresh pairs over
-	// windowed drain rate) falls below this. Defaults to 60s.
-	TTE time.Duration
-	// MinPairs is the window pair consumption below which the exhaustion
-	// rule never fires. Defaults to 32.
-	MinPairs int64
-}
-
-func (o AbuseOptions) withDefaults(window time.Duration) AbuseOptions {
-	if o.Window <= 0 {
-		o.Window = window
-	}
-	if o.HarvestRateFactor <= 0 {
-		o.HarvestRateFactor = 8
-	}
-	if o.MinChallenges <= 0 {
-		o.MinChallenges = 32
-	}
-	if o.FailRatio <= 0 {
-		o.FailRatio = 0.5
-	}
-	if o.MinVerifies <= 0 {
-		o.MinVerifies = 16
-	}
-	if o.TTE <= 0 {
-		o.TTE = time.Minute
-	}
-	if o.MinPairs <= 0 {
-		o.MinPairs = 32
-	}
-	return o
-}
+	// harvester towers over a zero median).
+	harvestRateFactor = 8
+	// harvestMinChallenges is the window challenge count below which the
+	// harvest rate rule never fires (absolute floor against tiny-sample
+	// flapping).
+	harvestMinChallenges = 32
+	// harvestFailRatio flags a device whose windowed verify-fail fraction
+	// reaches this value (response guessing).
+	harvestFailRatio = 0.5
+	// harvestMinVerifies is the window verify count below which the
+	// fail-ratio rule never fires.
+	harvestMinVerifies = 16
+	// exhaustionTTE flags a device whose projected time-to-empty (fresh
+	// pairs over windowed drain rate) falls to this or below.
+	exhaustionTTE = time.Minute
+	// exhaustionMinPairs is the window pair consumption below which the
+	// exhaustion rule never fires.
+	exhaustionMinPairs = 32
+)
 
 // FlaggedDevice is one device's open flags, the /v1/audit/flagged wire
 // payload (defined here rather than wire.go because it is born in this
@@ -256,13 +227,13 @@ type flagState struct {
 
 // abuseScorer sweeps the store's device windows into flags. Sweeps are
 // demand-driven (healthz, /v1/audit/flagged, metrics consumers calling
-// Flagged) and rate-limited to Window/32 so polling is cheap; there is no
+// Flagged) and rate-limited to window/32 so polling is cheap; there is no
 // background goroutine to drain on shutdown.
 type abuseScorer struct {
-	store *Store
-	opt   AbuseOptions
-	audit *audit.Writer
-	now   func() time.Time
+	store  *Store
+	window time.Duration // the store's TelemetryWindow
+	audit  *audit.Writer
+	now    func() time.Time
 	// gauge backs ropuf_authserve_device_flags{reason}: open flag counts,
 	// refreshed at sweep time (a labelled gauge cannot be read-on-scrape,
 	// so the value trails the last health/flagged poll by design).
@@ -274,11 +245,11 @@ type abuseScorer struct {
 	byReason  map[string]int // open flag count per reason, mirrors gauge
 }
 
-func newAbuseScorer(store *Store, opt AbuseOptions, aw *audit.Writer, gauge *obs.GaugeVec) *abuseScorer {
+func newAbuseScorer(store *Store, aw *audit.Writer, gauge *obs.GaugeVec) *abuseScorer {
 	return &abuseScorer{
-		store: store,
-		opt:   opt.withDefaults(store.opt.TelemetryWindow),
-		audit: aw,
+		store:  store,
+		window: store.opt.TelemetryWindow,
+		audit:  aw,
 		// Deref store.now per call: tests swap the store clock after
 		// construction and the scorer must follow it.
 		now:      func() time.Time { return store.now() },
@@ -323,13 +294,13 @@ func (a *abuseScorer) counts() map[string]int {
 // Caller holds a.mu.
 func (a *abuseScorer) sweepLocked(force bool) {
 	now := a.now()
-	if !force && !a.lastSweep.IsZero() && now.Sub(a.lastSweep) < a.opt.Window/32 {
+	if !force && !a.lastSweep.IsZero() && now.Sub(a.lastSweep) < a.window/32 {
 		return
 	}
 	a.lastSweep = now
 
 	windows := a.store.Windows(now)
-	winSec := a.opt.Window.Seconds()
+	winSec := a.window.Seconds()
 
 	// Fleet median challenge rate over ALL enrolled devices (idle devices
 	// count as zero — computing it over active devices only would let a
@@ -365,19 +336,19 @@ func (a *abuseScorer) sweepLocked(force bool) {
 			"fresh":             float64(w.Fresh),
 		}
 
-		harvest := w.Challenges >= a.opt.MinChallenges &&
-			rate >= a.opt.HarvestRateFactor*median
-		if w.Verifies >= a.opt.MinVerifies {
+		harvest := w.Challenges >= harvestMinChallenges &&
+			rate >= harvestRateFactor*median
+		if w.Verifies >= harvestMinVerifies {
 			failRatio := float64(w.Fails) / float64(w.Verifies)
 			evidence["fail_ratio"] = failRatio
-			harvest = harvest || failRatio >= a.opt.FailRatio
+			harvest = harvest || failRatio >= harvestFailRatio
 		}
 
 		exhaustion := false
-		if drain := float64(w.Pairs) / winSec; w.Pairs >= a.opt.MinPairs && drain > 0 {
+		if drain := float64(w.Pairs) / winSec; w.Pairs >= exhaustionMinPairs && drain > 0 {
 			tte := float64(w.Fresh) / drain
 			evidence["tte_seconds"] = tte
-			exhaustion = tte <= a.opt.TTE.Seconds()
+			exhaustion = tte <= exhaustionTTE.Seconds()
 		}
 
 		a.applyLocked(now, w.ID, FlagHarvest, harvest, evidence)
@@ -419,7 +390,7 @@ func (a *abuseScorer) applyLocked(now time.Time, id, reason string, qualifies bo
 	if st == nil || !st.reasons[reason] {
 		return
 	}
-	if now.Sub(st.lastQualify[reason]) < a.opt.Window {
+	if now.Sub(st.lastQualify[reason]) < a.window {
 		return // hysteresis: hold the flag for one clean window
 	}
 	delete(st.reasons, reason)

@@ -165,7 +165,7 @@ func TestScorerHarvestFlagAndHysteresis(t *testing.T) {
 	defer aw.Close()
 	reg := obs.NewRegistry()
 	gauge := reg.NewGaugeVec("ropuf_authserve_device_flags", "test", "reason")
-	scorer := newAbuseScorer(store, AbuseOptions{}, aw, gauge)
+	scorer := newAbuseScorer(store, aw, gauge)
 
 	// One device hammers challenges (40 draws of 1 pair) while the rest
 	// of the fleet idles: rate 40/60s ≫ the zero fleet median.
@@ -257,7 +257,7 @@ func TestScorerExhaustionFlag(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	scorer := newAbuseScorer(store, AbuseOptions{}, nil, nil)
+	scorer := newAbuseScorer(store, nil, nil)
 	flagged := scorer.Flagged(true)
 	if len(flagged) != 1 || flagged[0].ID != target.ID {
 		t.Fatalf("flagged = %+v", flagged)
@@ -280,7 +280,7 @@ func TestScorerSweepRateLimit(t *testing.T) {
 	if _, err := store.Enroll(devices[0].ID, devices[0].Pairs, core.Case2); err != nil {
 		t.Fatal(err)
 	}
-	scorer := newAbuseScorer(store, AbuseOptions{}, nil, nil)
+	scorer := newAbuseScorer(store, nil, nil)
 	if got := scorer.Flagged(false); len(got) != 0 {
 		t.Fatalf("clean fleet flagged: %+v", got)
 	}

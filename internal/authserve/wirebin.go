@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unicode/utf8"
 )
 
 // Binary enroll wire format. An enrollment body carries every pair's
@@ -19,7 +20,8 @@ import (
 //	idLen(u16) id   nPairs(u32)
 //	per pair: nAlpha(u16) alpha f64s...  nBeta(u16) beta f64s...
 //
-// All integers and floats are little-endian.
+// All integers and floats are little-endian. The id must be valid UTF-8,
+// the IDs a JSON body can carry.
 
 // EnrollContentTypeBinary selects the binary enroll encoding on POST
 // /v1/enroll.
@@ -51,6 +53,8 @@ func AppendEnrollBinary(dst []byte, req *EnrollRequest) ([]byte, error) {
 		return nil, fmt.Errorf("authserve: mode %q has no binary encoding", req.Mode)
 	case len(req.ID) > enrollWireMaxID:
 		return nil, fmt.Errorf("authserve: device ID of %d bytes exceeds the wire limit", len(req.ID))
+	case !utf8.ValidString(req.ID):
+		return nil, fmt.Errorf("authserve: device ID is not valid UTF-8")
 	case len(req.Pairs) > enrollWireMaxPairs:
 		return nil, fmt.Errorf("authserve: %d pairs exceed the wire limit", len(req.Pairs))
 	}
@@ -88,6 +92,8 @@ func AppendEnrollBinary(dst []byte, req *EnrollRequest) ([]byte, error) {
 // decodeEnrollBinary parses a binary enroll body. Errors are client
 // errors (400): the framing is length-prefixed throughout, so any
 // truncation or oversized count is detected before large allocations.
+// A pair takes at least its two u16 stage counts, so a pair count beyond
+// a quarter of the bytes left is a truncation.
 func decodeEnrollBinary(r io.Reader, req *EnrollRequest) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -113,6 +119,9 @@ func decodeEnrollBinary(r io.Reader, req *EnrollRequest) error {
 	if !need(idLen) {
 		return fmt.Errorf("authserve: truncated binary enroll body")
 	}
+	if !utf8.Valid(data[off : off+idLen]) {
+		return fmt.Errorf("authserve: device ID is not valid UTF-8")
+	}
 	req.ID = string(data[off : off+idLen])
 	off += idLen
 	if !need(4) {
@@ -122,6 +131,9 @@ func decodeEnrollBinary(r io.Reader, req *EnrollRequest) error {
 	off += 4
 	if nPairs > enrollWireMaxPairs {
 		return fmt.Errorf("authserve: %d pairs exceed the wire limit", nPairs)
+	}
+	if nPairs > (len(data)-off)/4 {
+		return fmt.Errorf("authserve: truncated binary enroll body")
 	}
 	readF64s := func() ([]float64, error) {
 		if !need(2) {

@@ -2,9 +2,40 @@ package authserve
 
 import (
 	"bytes"
+	"math"
 	"net/http"
+	"runtime/metrics"
 	"testing"
 )
+
+// claimsMaxPairs is a 10-byte binary enroll body whose header claims the
+// wire limit of 2^20 pairs and whose body holds none.
+var claimsMaxPairs = []byte{'R', 'E', enrollWireVersion, 0, 0, 0, 0, 0, 0x10, 0}
+
+// withNonUTF8ID returns a binary enroll body for pairs under the device ID
+// "dev\xff\xfe", which is not valid UTF-8 and which AppendEnrollBinary
+// refuses to encode.
+func withNonUTF8ID(t testing.TB, pairs []PairWire) []byte {
+	t.Helper()
+	body, err := AppendEnrollBinary(nil, &EnrollRequest{ID: "dev-x", Pairs: pairs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(body[6:], "dev\xff\xfe")
+	return body
+}
+
+// bytesAllocated returns the heap bytes allocated while fn runs. It reads
+// runtime/metrics, which unlike runtime.ReadMemStats does not stop the
+// world, so the fuzz target below stays fast enough to minimize inputs.
+func bytesAllocated(fn func()) uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	before := s[0].Value.Uint64()
+	fn()
+	metrics.Read(s)
+	return s[0].Value.Uint64() - before
+}
 
 // TestBinaryEnrollWire pins that the binary enroll encoding is
 // semantically identical to the JSON body: the same device enrolled
@@ -68,11 +99,17 @@ func TestBinaryEnrollWire(t *testing.T) {
 		}
 	}
 
-	// Hostile bodies answer 400, not 500 or a hang.
+	// Hostile bodies answer 400, not 500 or a hang. The non-UTF-8 ID
+	// carries a real device's pairs, so only the ID can refuse it.
+	if _, err := AppendEnrollBinary(nil, &EnrollRequest{ID: "dev\xff\xfe"}); err == nil {
+		t.Error("AppendEnrollBinary encoded a device ID that is not valid UTF-8")
+	}
 	for name, body := range map[string][]byte{
-		"truncated": bin[:len(bin)/2],
-		"garbage":   []byte("REnot really"),
-		"empty":     nil,
+		"truncated":           bin[:len(bin)/2],
+		"garbage":             []byte("REnot really"),
+		"empty":               nil,
+		"pairs beyond body":   claimsMaxPairs,
+		"non-UTF-8 device ID": withNonUTF8ID(t, req.Pairs),
 	} {
 		hr, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/enroll", bytes.NewReader(body))
 		hr.Header.Set("Content-Type", EnrollContentTypeBinary)
@@ -85,4 +122,56 @@ func TestBinaryEnrollWire(t *testing.T) {
 			t.Errorf("%s binary body = %d, want 400", name, resp.StatusCode)
 		}
 	}
+}
+
+// TestEnrollBinaryPairCountBeyondBody pins that a header's pair count is
+// checked against the bytes that follow before the pairs are allocated:
+// a 10-byte body claiming 2^20 pairs of 48 B each is rejected cheaply.
+func TestEnrollBinaryPairCountBeyondBody(t *testing.T) {
+	var req EnrollRequest
+	var err error
+	grew := bytesAllocated(func() { err = decodeEnrollBinary(bytes.NewReader(claimsMaxPairs), &req) })
+	if err == nil {
+		t.Fatal("10-byte body claiming 2^20 pairs decoded")
+	}
+	if grew > 1<<20 {
+		t.Fatalf("rejecting a 10-byte body allocated %d bytes", grew)
+	}
+}
+
+// FuzzEnrollBinary holds the binary enroll decoder, which has no reference
+// decoder to be diffed against, to two properties on arbitrary input: it
+// errors or decodes within FuzzShardBin's allocation bound, and a body it
+// accepts re-encodes byte-identically through AppendEnrollBinary.
+func FuzzEnrollBinary(f *testing.F) {
+	pairs := []PairWire{
+		{Alpha: []float64{1.5, -2, math.Inf(1)}, Beta: []float64{0, math.NaN(), 3}},
+		{Alpha: nil, Beta: []float64{1e-300}},
+	}
+	valid, err := AppendEnrollBinary(nil, &EnrollRequest{ID: "dev-0001", Mode: "case1", Pairs: pairs})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5]) // truncated mid-pair
+	f.Add(claimsMaxPairs)
+	f.Add(withNonUTF8ID(f, pairs))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req EnrollRequest
+		var err error
+		grew := bytesAllocated(func() { err = decodeEnrollBinary(bytes.NewReader(data), &req) })
+		if grew > 1<<20+64*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		back, err := AppendEnrollBinary(nil, &req)
+		if err != nil {
+			t.Fatalf("accepted body does not re-encode: %v", err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("re-encoded body differs:\n got %x\nwant %x", back, data)
+		}
+	})
 }

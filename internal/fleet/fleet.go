@@ -57,9 +57,6 @@ type Options struct {
 	// Threshold is the enrollment reliability threshold passed to
 	// core.Enroll. Ignored by Evaluate.
 	Threshold float64
-	// Select carries the per-pair selection options (e.g. RequireOddStages).
-	// Ignored by Evaluate.
-	Select core.Options
 	// Counters, when non-nil, receives per-stage progress counts plus
 	// per-device latency observations (metrics.MetricDeviceSeconds).
 	Counters *metrics.FleetCounters
@@ -209,7 +206,7 @@ func enrollOne(d Device, opt Options, sc *core.Scratch) (res DeviceResult) {
 			res.Err = fmt.Errorf("fleet: device %s: panic during enrollment: %v", d.ID, p)
 		}
 	}()
-	enr, err := core.EnrollWith(sc, d.Pairs, d.mode(opt), opt.Threshold, opt.Select)
+	enr, err := core.EnrollWith(sc, d.Pairs, d.mode(opt), opt.Threshold, core.Options{})
 	if err != nil {
 		res.Err = fmt.Errorf("fleet: device %s: %w", d.ID, err)
 		return res
