@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify race-wal perfbench-test bench bench-authserve bench-all bench-smoke fleet-bench fuzz serve-smoke watch-smoke datasetgen-smoke
+.PHONY: all build test verify deadcode race-wal perfbench-test bench bench-authserve bench-all bench-smoke fleet-bench fuzz serve-smoke watch-smoke datasetgen-smoke
 
 all: build test
 
@@ -28,6 +28,14 @@ verify:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 	$(GO) test -race ./...
+
+# Production code is what the binaries link: build every main package of
+# both modules with inlining off and fail on any function declared under
+# internal/ (outside _test.go files) that no binary links, unless
+# cmd/deadcode/allowlist.txt lists it with a reason. A stale allowlist
+# entry (linked again, or no longer declared) fails too.
+deadcode:
+	$(GO) run ./cmd/deadcode
 
 # Race stress on the WAL commit path: the group-commit, compaction, fault
 # injection and crash-recovery tests, ten times over under the race

@@ -98,26 +98,6 @@ func BenchmarkSelectCase2(b *testing.B) {
 	}
 }
 
-func BenchmarkSelectCase1Exhaustive(b *testing.B) {
-	alpha, beta := selectionInput(15)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.ExhaustiveCase1(alpha, beta, core.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSelectCase2Exhaustive(b *testing.B) {
-	alpha, beta := selectionInput(10)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.ExhaustiveCase2(alpha, beta, core.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSelectCase1OddConstraint(b *testing.B) {
 	alpha, beta := selectionInput(15)
 	opt := core.Options{RequireOddStages: true}

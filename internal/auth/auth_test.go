@@ -1,6 +1,7 @@
 package auth
 
 import (
+	"errors"
 	"testing"
 
 	"ropuf/internal/bits"
@@ -70,6 +71,64 @@ func TestEnrollDuplicate(t *testing.T) {
 	v, _, pairs := newTestVerifier(t)
 	if _, err := v.Enroll("dev0", pairs, core.Case2); err == nil {
 		t.Fatal("duplicate enrollment accepted")
+	}
+}
+
+// TestUnenrollAllowsRetry pins the rollback of an Enroll whose durability
+// write failed: the record goes, and the client's retry is not a duplicate.
+func TestUnenrollAllowsRetry(t *testing.T) {
+	v, _, pairs := newTestVerifier(t)
+	if v.NumDevices() != 1 {
+		t.Fatalf("NumDevices = %d, want 1", v.NumDevices())
+	}
+	if !v.Unenroll("dev0") {
+		t.Fatal("Unenroll of an enrolled device reported false")
+	}
+	if v.NumDevices() != 0 {
+		t.Fatalf("NumDevices after Unenroll = %d, want 0", v.NumDevices())
+	}
+	if _, err := v.Device("dev0"); !errors.Is(err, ErrUnknownDevice) {
+		t.Fatalf("Device after Unenroll: err = %v, want ErrUnknownDevice", err)
+	}
+	if v.Unenroll("dev0") {
+		t.Fatal("second Unenroll reported the device as present")
+	}
+	if _, err := v.Enroll("dev0", pairs, core.Case2); err != nil {
+		t.Fatalf("re-enrollment after Unenroll: %v", err)
+	}
+}
+
+// TestUnmarkUsedReturnsPairs pins the rollback of a NewChallenge whose
+// durability write failed: the consumed pairs become fresh again, and a bad
+// index changes nothing.
+func TestUnmarkUsedReturnsPairs(t *testing.T) {
+	v, _, _ := newTestVerifier(t)
+	before, err := v.NumFresh("dev0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := v.NewChallenge("dev0", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := v.NumFresh("dev0"); n != before-8 {
+		t.Fatalf("NumFresh after challenge = %d, want %d", n, before-8)
+	}
+	bad := append([]int{ch.Pairs[0]}, 64)
+	if err := v.UnmarkUsed("dev0", bad); err == nil {
+		t.Fatal("UnmarkUsed accepted an out-of-range pair index")
+	}
+	if n, _ := v.NumFresh("dev0"); n != before-8 {
+		t.Fatalf("rejected UnmarkUsed changed NumFresh to %d, want %d", n, before-8)
+	}
+	if err := v.UnmarkUsed("ghost", ch.Pairs); !errors.Is(err, ErrUnknownDevice) {
+		t.Fatalf("UnmarkUsed for unknown device: err = %v", err)
+	}
+	if err := v.UnmarkUsed("dev0", ch.Pairs); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := v.NumFresh("dev0"); n != before {
+		t.Fatalf("NumFresh after UnmarkUsed = %d, want %d", n, before)
 	}
 }
 

@@ -171,11 +171,6 @@ func NewServer(store *Store, opt ServerOptions) *Server {
 	return s
 }
 
-// Recorder returns the flight recorder behind GET /v1/stats. Tests (and
-// in-process embedders that never call Serve) can drive it manually via
-// Sample.
-func (s *Server) Recorder() *flight.Recorder { return s.recorder }
-
 // sampleRequests sums the request-duration series into cumulative (total,
 // errors) counts; 5xx and 429 responses count as errors.
 func (s *Server) sampleRequests() (total, errors float64) {

@@ -907,7 +907,7 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	// Handler() alone never starts the tick loop (Serve does); drive the
 	// recorder by hand so the test is deterministic.
-	srv.Recorder().Sample()
+	srv.recorder.Sample()
 
 	code, body := get(t, c, ts.URL+"/v1/stats?series=ropuf_authserve_devices")
 	if code != http.StatusOK {

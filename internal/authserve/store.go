@@ -198,10 +198,6 @@ type Store struct {
 // writes since the store was opened.
 func (s *Store) SnapshotFailures() int64 { return s.snapshotFailures.Load() }
 
-// WALFailures returns the cumulative count of failed WAL appends and
-// resets since the store was opened. Each one failed a mutating call.
-func (s *Store) WALFailures() int64 { return s.walFailures.Load() }
-
 // LatchedShards returns the labels of the shards whose WAL is latched
 // broken: their mutations fail until a restart replays the log.
 func (s *Store) LatchedShards() []string {
@@ -461,12 +457,6 @@ func (s *Store) shardFor(id string) *shard {
 	}
 	return s.shards[h%uint32(len(s.shards))]
 }
-
-// Tolerance returns the store's accepted Hamming-distance fraction.
-func (s *Store) Tolerance() float64 { return s.opt.Tolerance }
-
-// NumShards returns the shard count.
-func (s *Store) NumShards() int { return len(s.shards) }
 
 // submitLocked hands one mutation record to the shard's WAL; the caller
 // holds the shard lock. On success the caller must release the shard

@@ -393,7 +393,7 @@ func TestEnrollRetryAfterPersistFailure(t *testing.T) {
 	if _, err := store.Enroll(d.ID, d.Pairs, core.Case2); !errors.Is(err, ErrPersist) {
 		t.Fatalf("enroll on a full disk = %v, want ErrPersist", err)
 	}
-	if store.WALFailures() == 0 {
+	if store.walFailures.Load() == 0 {
 		t.Fatal("WAL failure not counted for health reporting")
 	}
 	// No ghost: the device must be unknown, not half-enrolled.
@@ -579,7 +579,7 @@ func TestMidCompactionCrashRestart(t *testing.T) {
 	if err := store.SaveAll(); err == nil {
 		t.Fatal("SaveAll reported success with a failing WAL truncate")
 	}
-	if store.WALFailures() == 0 {
+	if store.walFailures.Load() == 0 {
 		t.Fatal("failed WAL reset not counted")
 	}
 	snaps, _ := filepath.Glob(filepath.Join(dir, "shard-*.snap"))

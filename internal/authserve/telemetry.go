@@ -278,18 +278,6 @@ func (a *abuseScorer) Flagged(force bool) []FlaggedDevice {
 	return out
 }
 
-// counts returns the open-flag count per reason (gauge backing).
-func (a *abuseScorer) counts() map[string]int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.sweepLocked(false)
-	out := make(map[string]int, len(a.byReason))
-	for r, n := range a.byReason {
-		out[r] = n
-	}
-	return out
-}
-
 // sweepLocked recomputes every device's flags from the store windows.
 // Caller holds a.mu.
 func (a *abuseScorer) sweepLocked(force bool) {

@@ -77,11 +77,3 @@ func (e *CooperativeEnrollment) Evaluate(delays []float64) (*bits.Stream, error)
 	}
 	return out, nil
 }
-
-// Utilization returns the fraction of pairs that yielded a bit.
-func (e *CooperativeEnrollment) Utilization() float64 {
-	if len(e.Mask) == 0 {
-		return 0
-	}
-	return float64(e.Response.Len()) / float64(len(e.Mask))
-}

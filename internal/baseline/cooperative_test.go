@@ -26,8 +26,8 @@ func TestCooperativeKeepsStablePairs(t *testing.T) {
 	if e.Response.Len() != 1 || !e.Response.Bit(0) {
 		t.Fatalf("response = %s, want single 1", e.Response)
 	}
-	if e.Utilization() != 0.5 {
-		t.Fatalf("utilization = %g, want 0.5", e.Utilization())
+	if len(e.Mask) != 2 {
+		t.Fatalf("mask covers %d pairs, want 2", len(e.Mask))
 	}
 }
 

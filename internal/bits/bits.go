@@ -28,15 +28,6 @@ func New(n int) *Stream {
 	return &Stream{words: make([]uint64, 0, (n+63)/64)}
 }
 
-// FromBools builds a stream from a slice of booleans.
-func FromBools(bs []bool) *Stream {
-	s := New(len(bs))
-	for _, b := range bs {
-		s.Append(b)
-	}
-	return s
-}
-
 // FromString parses a string of '0'/'1' characters. Any other character is
 // an error.
 func FromString(str string) (*Stream, error) {

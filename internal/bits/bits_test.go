@@ -73,10 +73,43 @@ func TestMustFromStringPanics(t *testing.T) {
 	MustFromString("01x")
 }
 
-func TestFromBools(t *testing.T) {
-	s := FromBools([]bool{true, true, false})
-	if s.String() != "110" {
-		t.Fatalf("FromBools = %q, want 110", s.String())
+// TestResetHidesStaleBits reuses a stream of ones for zeros: after Reset
+// no earlier bit may show through, across a word boundary too.
+func TestResetHidesStaleBits(t *testing.T) {
+	s := New(0)
+	for i := 0; i < 130; i++ {
+		s.Append(true)
+	}
+	s.Reset()
+	if s.Len() != 0 || s.OnesCount() != 0 {
+		t.Fatalf("after Reset: Len %d, OnesCount %d", s.Len(), s.OnesCount())
+	}
+	for i := 0; i < 70; i++ {
+		s.Append(false)
+	}
+	if s.OnesCount() != 0 {
+		t.Fatalf("stale ones visible after Reset: %s", s.String())
+	}
+	if !s.Equal(MustFromString(strings.Repeat("0", 70))) {
+		t.Fatalf("reused stream = %s", s.String())
+	}
+}
+
+func TestAppendChars(t *testing.T) {
+	s := MustFromString("1")
+	if err := s.AppendChars([]byte("0110")); err != nil {
+		t.Fatal(err)
+	}
+	if s.String() != "10110" {
+		t.Fatalf("AppendChars = %q, want 10110", s.String())
+	}
+	// On error the bits before the offending character stay appended.
+	err := s.AppendChars([]byte("01x1"))
+	if err == nil || !strings.Contains(err.Error(), "position 2") {
+		t.Fatalf("AppendChars error = %v, want one naming position 2", err)
+	}
+	if s.String() != "1011001" {
+		t.Fatalf("after failed AppendChars = %q, want 1011001", s.String())
 	}
 }
 

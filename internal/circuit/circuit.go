@@ -51,11 +51,6 @@ func (c Config) Ones() int {
 	return n
 }
 
-// Clone returns an independent copy of c.
-func (c Config) Clone() Config {
-	return append(Config(nil), c...)
-}
-
 // String renders the vector as '1'/'0' characters, stage 0 first, matching
 // the paper's notation ("110" selects stages 0 and 1 of a 3-stage ring).
 func (c Config) String() string {
@@ -130,14 +125,6 @@ func (r *Ring) validateConfig(cfg Config) error {
 		return fmt.Errorf("circuit: configuration length %d does not match %d stages", len(cfg), len(r.Units))
 	}
 	return nil
-}
-
-// Oscillates reports whether the loop has an odd number of logical
-// inversions under cfg (selected inverters plus the enable NAND) and hence
-// actually oscillates. The paper's arithmetic ignores this constraint; the
-// selection API exposes it as an option.
-func (r *Ring) Oscillates(cfg Config) bool {
-	return (cfg.Ones()+1)%2 == 1
 }
 
 // HalfPeriodPS returns the one-way propagation delay around the loop under
@@ -216,15 +203,6 @@ func (r *Ring) PeriodPS(cfg Config, env silicon.Env) (float64, error) {
 	return 2 * hp, nil
 }
 
-// FrequencyMHz returns the oscillation frequency under cfg and env in MHz.
-func (r *Ring) FrequencyMHz(cfg Config, env silicon.Env) (float64, error) {
-	p, err := r.PeriodPS(cfg, env)
-	if err != nil {
-		return 0, err
-	}
-	return 1e6 / p, nil // 1/ps → THz; ×1e6 → MHz
-}
-
 // TrueDdiffsPS returns the ground-truth per-stage delay differences under
 // env. Tests compare the measurement protocol's estimates against this.
 func (r *Ring) TrueDdiffsPS(env silicon.Env) []float64 {
@@ -247,9 +225,6 @@ type Builder struct {
 
 // NewBuilder returns a Builder allocating devices from die sequentially.
 func NewBuilder(die *silicon.Die) *Builder { return &Builder{Die: die} }
-
-// Remaining returns how many unallocated devices are left on the die.
-func (b *Builder) Remaining() int { return b.Die.NumDevices() - b.next }
 
 // take returns the next unallocated device.
 func (b *Builder) take() (silicon.Device, error) {

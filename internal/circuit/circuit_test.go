@@ -54,15 +54,10 @@ func TestParseConfigInvalid(t *testing.T) {
 	}
 }
 
-func TestConfigOnesAndClone(t *testing.T) {
+func TestConfigOnes(t *testing.T) {
 	c, _ := ParseConfig("10110")
 	if c.Ones() != 3 {
 		t.Fatalf("Ones = %d, want 3", c.Ones())
-	}
-	cp := c.Clone()
-	cp[0] = false
-	if !c[0] {
-		t.Fatal("Clone shares storage")
 	}
 }
 
@@ -103,27 +98,12 @@ func TestPeriodTwiceHalfPeriod(t *testing.T) {
 	}
 }
 
-func TestFrequencyPeriodConsistency(t *testing.T) {
-	r := testRing(t, 5, 3)
-	cfg := AllSelected(5)
-	p, _ := r.PeriodPS(cfg, silicon.Nominal)
-	f, _ := r.FrequencyMHz(cfg, silicon.Nominal)
-	if math.Abs(f*p-1e6) > 1e-6*1e6*1e-9 {
-		if math.Abs(f*p-1e6)/1e6 > 1e-12 {
-			t.Fatalf("f·p = %.6f, want 1e6 (MHz·ps)", f*p)
-		}
-	}
-}
-
 func TestConfigLengthValidation(t *testing.T) {
 	r := testRing(t, 4, 4)
 	if _, err := r.HalfPeriodPS(NewConfig(3), silicon.Nominal); err == nil {
 		t.Fatal("accepted wrong-length configuration")
 	}
 	if _, err := r.PeriodPS(NewConfig(5), silicon.Nominal); err == nil {
-		t.Fatal("accepted wrong-length configuration")
-	}
-	if _, err := r.FrequencyMHz(NewConfig(5), silicon.Nominal); err == nil {
 		t.Fatal("accepted wrong-length configuration")
 	}
 }
@@ -165,25 +145,6 @@ func TestTrueDdiffsPS(t *testing.T) {
 	}
 }
 
-func TestOscillatesParity(t *testing.T) {
-	r := testRing(t, 5, 8)
-	cases := []struct {
-		cfg  string
-		want bool
-	}{
-		{"00000", true},  // 0 inverters + enable NAND = 1 inversion: oscillates
-		{"10000", false}, // 2 inversions
-		{"11000", true},
-		{"11111", false}, // 6 inversions
-	}
-	for _, c := range cases {
-		cfg, _ := ParseConfig(c.cfg)
-		if got := r.Oscillates(cfg); got != c.want {
-			t.Errorf("Oscillates(%s) = %v, want %v", c.cfg, got, c.want)
-		}
-	}
-}
-
 func TestConfigDelayMonotonicity(t *testing.T) {
 	// Adding a selected stage can only slow the ring (selected > bypass).
 	r := testRing(t, 8, 9)
@@ -218,17 +179,34 @@ func TestBuilderAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewBuilder(die) // 16 devices: ring of 5 stages needs 16
-	if b.Remaining() != 16 {
-		t.Fatalf("Remaining = %d, want 16", b.Remaining())
+	if b.next != 0 {
+		t.Fatalf("fresh builder has allocated %d devices", b.next)
 	}
 	if _, err := b.BuildRing(5, DefaultMuxScale, DefaultWireScale); err != nil {
 		t.Fatal(err)
 	}
-	if b.Remaining() != 0 {
-		t.Fatalf("Remaining after build = %d, want 0", b.Remaining())
+	if rem := die.NumDevices() - b.next; rem != 0 {
+		t.Fatalf("remaining after build = %d, want 0", rem)
 	}
 	if _, err := b.BuildRing(1, DefaultMuxScale, DefaultWireScale); err == nil {
 		t.Fatal("builder did not report die exhaustion")
+	}
+}
+
+// TestNumStagesSizesConfigs checks that NumStages is the configuration
+// length the ring accepts.
+func TestNumStagesSizesConfigs(t *testing.T) {
+	for _, n := range []int{1, 3, 7} {
+		r := testRing(t, n, uint64(20+n))
+		if r.NumStages() != n {
+			t.Fatalf("NumStages = %d, want %d", r.NumStages(), n)
+		}
+		if _, err := r.HalfPeriodPS(NewConfig(r.NumStages()), silicon.Nominal); err != nil {
+			t.Fatalf("%d stages: config of NumStages length rejected: %v", n, err)
+		}
+		if _, err := r.HalfPeriodPS(NewConfig(r.NumStages()+1), silicon.Nominal); err == nil {
+			t.Fatalf("%d stages: config one longer than NumStages accepted", n)
+		}
 	}
 }
 

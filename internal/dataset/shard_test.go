@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -62,6 +63,9 @@ func TestShardRoundTrip(t *testing.T) {
 			r, err := OpenShards(dir)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(r.Manifest(), man) {
+				t.Fatalf("reader manifest %+v, writer returned %+v", r.Manifest(), man)
 			}
 			var got []*Board
 			if err := r.Boards(func(b *Board) error {
@@ -316,6 +320,27 @@ func readCorpus(dir string) error {
 	return r.Boards(func(*Board) error { return nil })
 }
 
+// editManifest rewrites the corpus manifest in dir through edit.
+func editManifest(t *testing.T, dir string, edit func(*Manifest)) {
+	t.Helper()
+	path := filepath.Join(dir, ManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	edit(&m)
+	if data, err = json.Marshal(&m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestShardReaderHostileFiles(t *testing.T) {
 	ds, err := GenerateVT(tinyVTConfig())
 	if err != nil {
@@ -458,6 +483,33 @@ func TestShardReaderHostileFiles(t *testing.T) {
 				if err := os.WriteFile(mpath, mdata, 0o644); err != nil {
 					t.Fatal(err)
 				}
+			},
+		},
+		{
+			// The manifest moves a board from shard 1 to shard 0; the totals
+			// still agree, so only the per-shard count at EOF can refuse it.
+			name: "manifest moves a board between shards",
+			tamper: func(t *testing.T, dir string) {
+				editManifest(t, dir, func(m *Manifest) {
+					m.Files[0].Boards++
+					m.Files[1].Boards--
+				})
+			},
+		},
+		{
+			name: "manifest moves a row between shards",
+			tamper: func(t *testing.T, dir string) {
+				editManifest(t, dir, func(m *Manifest) {
+					m.Files[0].Rows++
+					m.Files[1].Rows--
+				})
+			},
+		},
+		{
+			// Every byte intact; only the checksum at EOF can refuse it.
+			name: "manifest checksum off",
+			tamper: func(t *testing.T, dir string) {
+				editManifest(t, dir, func(m *Manifest) { m.Files[1].CRC32C ^= 1 })
 			},
 		},
 		{

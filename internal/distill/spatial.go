@@ -3,7 +3,6 @@ package distill
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // MoransI computes Moran's I spatial autocorrelation statistic over grid
@@ -70,52 +69,4 @@ func ExpectedMoransINull(n int) float64 {
 		return 0
 	}
 	return -1 / float64(n-1)
-}
-
-// RadialProfile bins the sample-pair correlation by distance: entry k holds
-// the mean product of mean-removed values over pairs with distance in
-// (k, k+1], normalized by the variance — an empirical correlogram.
-func RadialProfile(xs, ys []int, values []float64, maxLag int) ([]float64, error) {
-	n := len(values)
-	if len(xs) != n || len(ys) != n {
-		return nil, fmt.Errorf("distill: RadialProfile length mismatch")
-	}
-	if n < 3 || maxLag < 1 {
-		return nil, errors.New("distill: RadialProfile needs >= 3 samples and maxLag >= 1")
-	}
-	var mean float64
-	for _, v := range values {
-		mean += v
-	}
-	mean /= float64(n)
-	var variance float64
-	for _, v := range values {
-		variance += (v - mean) * (v - mean)
-	}
-	variance /= float64(n)
-	if variance == 0 {
-		return nil, errors.New("distill: RadialProfile undefined for constant values")
-	}
-	sums := make([]float64, maxLag)
-	counts := make([]int, maxLag)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx := float64(xs[i] - xs[j])
-			dy := float64(ys[i] - ys[j])
-			d := math.Sqrt(dx*dx + dy*dy)
-			k := int(math.Ceil(d)) - 1
-			if k < 0 || k >= maxLag {
-				continue
-			}
-			sums[k] += (values[i] - mean) * (values[j] - mean)
-			counts[k]++
-		}
-	}
-	out := make([]float64, maxLag)
-	for k := range out {
-		if counts[k] > 0 {
-			out[k] = sums[k] / float64(counts[k]) / variance
-		}
-	}
-	return out, nil
 }

@@ -106,47 +106,3 @@ func TestExpectedMoransINull(t *testing.T) {
 		t.Fatal("degenerate n should return 0")
 	}
 }
-
-func TestRadialProfile(t *testing.T) {
-	// Smooth gradient: positive correlation at short lags.
-	f := func(x, y int) float64 { return float64(x) }
-	xs, ys, vals := gridSamples(12, 12, f)
-	prof, err := RadialProfile(xs, ys, vals, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prof) != 5 {
-		t.Fatalf("profile length %d, want 5", len(prof))
-	}
-	if prof[0] < 0.5 {
-		t.Fatalf("lag-1 correlation %.3f for smooth surface, want high", prof[0])
-	}
-	// iid noise: all lags near zero.
-	r := rngx.New(3)
-	_, _, noise := gridSamples(12, 12, func(x, y int) float64 { return r.Norm() })
-	prof, err = RadialProfile(xs, ys, noise, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range prof {
-		if math.Abs(v) > 0.2 {
-			t.Fatalf("lag-%d correlation %.3f for iid noise", k+1, v)
-		}
-	}
-}
-
-func TestRadialProfileValidation(t *testing.T) {
-	if _, err := RadialProfile([]int{1}, []int{1}, []float64{1}, 3); err == nil {
-		t.Fatal("too few samples accepted")
-	}
-	xs, ys, vals := gridSamples(4, 4, func(x, y int) float64 { return float64(x + y) })
-	if _, err := RadialProfile(xs, ys, vals, 0); err == nil {
-		t.Fatal("zero maxLag accepted")
-	}
-	if _, err := RadialProfile(xs, ys, make([]float64, len(vals)), 3); err == nil {
-		t.Fatal("constant values accepted")
-	}
-	if _, err := RadialProfile(xs[:3], ys, vals, 3); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}

@@ -362,14 +362,11 @@ func TestRunAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in short mode")
 	}
-	results, err := sharedRunner.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(IDs()) {
-		t.Fatalf("RunAll returned %d results, want %d", len(results), len(IDs()))
-	}
-	for _, r := range results {
+	for _, id := range IDs() {
+		r, err := sharedRunner.Run(id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
 		if r.Text == "" {
 			t.Errorf("experiment %s produced empty output", r.ID)
 		}

@@ -53,7 +53,6 @@ type Runner struct {
 	mu      sync.Mutex
 	vt      *dataset.Dataset
 	inhouse []*dataset.InHouseBoard
-	hist    *obs.HistogramVec
 }
 
 // NewRunner returns a Runner with default dataset parameters.
@@ -185,32 +184,16 @@ func (r *Runner) logger() *slog.Logger {
 	return logx.Nop()
 }
 
-// histogram lazily registers the per-experiment latency histogram; nil when
-// no Obs registry is configured.
+// histogram returns the per-experiment latency histogram of the current
+// Obs registry, nil when none is configured. The registry hands back the
+// family it already holds, so nothing is cached here and a Runner moved to
+// another registry records into that one.
 func (r *Runner) histogram() *obs.HistogramVec {
 	if r.Obs == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.hist == nil {
-		r.hist = r.Obs.NewHistogramVec(MetricExperimentSeconds,
-			"Wall-clock time per experiment run.", nil, "experiment")
-	}
-	return r.hist
-}
-
-// RunAll executes every experiment in presentation order.
-func (r *Runner) RunAll() ([]*Result, error) {
-	var out []*Result
-	for _, id := range IDs() {
-		res, err := r.Run(id)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	return r.Obs.NewHistogramVec(MetricExperimentSeconds,
+		"Wall-clock time per experiment run.", nil, "experiment")
 }
 
 // RunAllParallel executes every experiment concurrently (bounded by

@@ -99,39 +99,43 @@ func TestRunParallelContextCancellation(t *testing.T) {
 
 // TestRunInstrumented checks that an instrumented runner emits one span and
 // one latency observation per executed experiment, parented under the
-// RunAllParallel batch span when one is open.
+// RunAllParallel batch span when one is open. The runner is moved to a
+// second tracer and registry after the first round, and each round must see
+// only its own span and observation.
 func TestRunInstrumented(t *testing.T) {
-	ring := obs.NewRingSink(8)
-	reg := obs.NewRegistry()
-	sharedRunner.Tracer = obs.NewTracer(ring)
-	sharedRunner.Obs = reg
 	defer func() {
 		sharedRunner.Tracer = nil
 		sharedRunner.Obs = nil
 	}()
-	if _, err := sharedRunner.Run("tableI"); err != nil {
-		t.Fatal(err)
-	}
-	events := ring.Events()
-	if len(events) != 1 {
-		t.Fatalf("%d spans, want 1", len(events))
-	}
-	if events[0].Name != "experiment" || events[0].Attrs["experiment"] != "tableI" {
-		t.Fatalf("span = %+v", events[0])
-	}
-	snap := reg.Snapshot()
-	if len(snap) != 1 || snap[0].Name != MetricExperimentSeconds {
-		t.Fatalf("registry families = %+v", snap)
-	}
-	s := snap[0].Series[0]
-	if s.Labels["experiment"] != "tableI" || s.Count != 1 {
-		t.Fatalf("histogram series = %+v", s)
-	}
-	// Unknown IDs fail before any span or observation is recorded.
-	if _, err := sharedRunner.Run("nonsense"); err == nil {
-		t.Fatal("unknown ID accepted")
-	}
-	if got := len(ring.Events()); got != 1 {
-		t.Fatalf("unknown ID emitted a span (%d events)", got)
+	for round := 1; round <= 2; round++ {
+		ring := obs.NewRingSink(8)
+		reg := obs.NewRegistry()
+		sharedRunner.Tracer = obs.NewTracer(ring)
+		sharedRunner.Obs = reg
+		if _, err := sharedRunner.Run("tableI"); err != nil {
+			t.Fatal(err)
+		}
+		events := ring.Events()
+		if len(events) != 1 {
+			t.Fatalf("round %d: %d spans, want 1", round, len(events))
+		}
+		if events[0].Name != "experiment" || events[0].Attrs["experiment"] != "tableI" {
+			t.Fatalf("round %d: span = %+v", round, events[0])
+		}
+		snap := reg.Snapshot()
+		if len(snap) != 1 || snap[0].Name != MetricExperimentSeconds {
+			t.Fatalf("round %d: registry families = %+v", round, snap)
+		}
+		s := snap[0].Series[0]
+		if s.Labels["experiment"] != "tableI" || s.Count != 1 {
+			t.Fatalf("round %d: histogram series = %+v", round, s)
+		}
+		// Unknown IDs fail before any span or observation is recorded.
+		if _, err := sharedRunner.Run("nonsense"); err == nil {
+			t.Fatal("unknown ID accepted")
+		}
+		if got := len(ring.Events()); got != 1 {
+			t.Fatalf("round %d: unknown ID emitted a span (%d events)", round, got)
+		}
 	}
 }

@@ -81,13 +81,6 @@ func GolayDecode(received uint32) (data uint16, corrected int) {
 	return uint16(fixed >> golayParity), bits.OnesCount32(e)
 }
 
-// GolayParams is the Golay-code fuzzy extractor. It implements the same
-// Gen/Rep contract as the repetition extractor in this package.
-type GolayParams struct{}
-
-// KeyLen returns the number of key bits extractable from an n-bit response.
-func (GolayParams) KeyLen(n int) int { return n / golayN * golayK }
-
 // GolayGen enrolls response w: per 23-bit block, 12 fresh random key bits
 // are encoded and the codeword XOR response becomes public helper data.
 func GolayGen(w *bitstream.Stream, rng *rngx.RNG) (key, helper *bitstream.Stream, err error) {

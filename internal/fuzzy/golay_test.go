@@ -155,13 +155,6 @@ func TestGolayValidation(t *testing.T) {
 	}
 }
 
-func TestGolayKeyLen(t *testing.T) {
-	var p GolayParams
-	if p.KeyLen(23) != 12 || p.KeyLen(46) != 24 || p.KeyLen(22) != 0 {
-		t.Fatal("KeyLen arithmetic wrong")
-	}
-}
-
 func TestGolayEncodeDecodeProperty(t *testing.T) {
 	check := func(data uint16, errSel uint32) bool {
 		data &= 0xfff

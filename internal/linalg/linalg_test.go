@@ -1,10 +1,167 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// The matrix helpers, Gaussian elimination and normal-equations least
+// squares below are test references: the distiller solves by QR only, and
+// qr_test.go checks LeastSquaresQR against LeastSquares.
+
+// FromRows builds a matrix from row slices; all rows must share a length.
+func FromRows(rows [][]float64) (*Matrix, error) {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0), nil
+	}
+	cols := len(rows[0])
+	m := NewMatrix(len(rows), cols)
+	for i, r := range rows {
+		if len(r) != cols {
+			return nil, fmt.Errorf("linalg: row %d has %d columns, want %d", i, len(r), cols)
+		}
+		copy(m.Data[i*cols:(i+1)*cols], r)
+	}
+	return m, nil
+}
+
+// Transpose returns mᵀ.
+func (m *Matrix) Transpose() *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Set(j, i, m.At(i, j))
+		}
+	}
+	return t
+}
+
+// Mul returns m·b.
+func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
+	if m.Cols != b.Rows {
+		return nil, fmt.Errorf("linalg: Mul shape mismatch (%dx%d)·(%dx%d)", m.Rows, m.Cols, b.Rows, b.Cols)
+	}
+	out := NewMatrix(m.Rows, b.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for k := 0; k < m.Cols; k++ {
+			a := m.At(i, k)
+			if a == 0 {
+				continue
+			}
+			for j := 0; j < b.Cols; j++ {
+				out.Data[i*out.Cols+j] += a * b.At(k, j)
+			}
+		}
+	}
+	return out, nil
+}
+
+// MulVec returns m·v as a slice.
+func (m *Matrix) MulVec(v []float64) ([]float64, error) {
+	if m.Cols != len(v) {
+		return nil, fmt.Errorf("linalg: MulVec shape mismatch (%dx%d)·(%d)", m.Rows, m.Cols, len(v))
+	}
+	out := make([]float64, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		var s float64
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j, a := range row {
+			s += a * v[j]
+		}
+		out[i] = s
+	}
+	return out, nil
+}
+
+// Solve solves the square system a·x = b using Gaussian elimination with
+// partial pivoting. a and b are not modified.
+func Solve(a *Matrix, b []float64) ([]float64, error) {
+	n := a.Rows
+	if a.Cols != n {
+		return nil, fmt.Errorf("linalg: Solve requires a square matrix, got %dx%d", a.Rows, a.Cols)
+	}
+	if len(b) != n {
+		return nil, fmt.Errorf("linalg: Solve rhs length %d, want %d", len(b), n)
+	}
+	// Augmented working copy.
+	aug := NewMatrix(n, n+1)
+	for i := 0; i < n; i++ {
+		copy(aug.Data[i*(n+1):i*(n+1)+n], a.Data[i*n:(i+1)*n])
+		aug.Set(i, n, b[i])
+	}
+	for col := 0; col < n; col++ {
+		// Partial pivoting: pick the largest |pivot| at or below the diagonal.
+		p := col
+		maxAbs := math.Abs(aug.At(col, col))
+		for r := col + 1; r < n; r++ {
+			if v := math.Abs(aug.At(r, col)); v > maxAbs {
+				maxAbs, p = v, r
+			}
+		}
+		if maxAbs < 1e-300 {
+			return nil, ErrSingular
+		}
+		if p != col {
+			for j := col; j <= n; j++ {
+				tmp := aug.At(col, j)
+				aug.Set(col, j, aug.At(p, j))
+				aug.Set(p, j, tmp)
+			}
+		}
+		pivot := aug.At(col, col)
+		for r := col + 1; r < n; r++ {
+			f := aug.At(r, col) / pivot
+			if f == 0 {
+				continue
+			}
+			for j := col; j <= n; j++ {
+				aug.Set(r, j, aug.At(r, j)-f*aug.At(col, j))
+			}
+		}
+	}
+	// Back substitution.
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		s := aug.At(i, n)
+		for j := i + 1; j < n; j++ {
+			s -= aug.At(i, j) * x[j]
+		}
+		x[i] = s / aug.At(i, i)
+	}
+	return x, nil
+}
+
+// LeastSquares solves min‖a·x − b‖₂ via the normal equations
+// (aᵀa)x = aᵀb. a must have at least as many rows as columns.
+func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
+	if a.Rows < a.Cols {
+		return nil, fmt.Errorf("linalg: LeastSquares underdetermined (%dx%d)", a.Rows, a.Cols)
+	}
+	if len(b) != a.Rows {
+		return nil, fmt.Errorf("linalg: LeastSquares rhs length %d, want %d", len(b), a.Rows)
+	}
+	at := a.Transpose()
+	ata, err := at.Mul(a)
+	if err != nil {
+		return nil, err
+	}
+	atb, err := at.MulVec(b)
+	if err != nil {
+		return nil, err
+	}
+	return Solve(ata, atb)
+}
+
+// Identity returns the n×n identity matrix.
+func Identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
 
 func TestFromRows(t *testing.T) {
 	m, err := FromRows([][]float64{{1, 2}, {3, 4}})

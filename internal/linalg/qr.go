@@ -7,8 +7,8 @@ import (
 
 // Householder QR decomposition and a QR-based least-squares solver.
 //
-// The normal-equations path in LeastSquares squares the condition number of
-// the design matrix; for the distiller's low-degree fits on normalized
+// The normal equations (AᵀA)x = Aᵀb square the condition number of the
+// design matrix; for the distiller's low-degree fits on normalized
 // coordinates that is harmless, but high-degree polynomial bases or raw
 // (unnormalized) coordinates can push AᵀA toward singularity. QR factors A
 // directly, keeping the conditioning of the original problem.

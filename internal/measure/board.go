@@ -72,8 +72,3 @@ func (bm *BoardMeter) MeasureInto(dst []float64, die *silicon.Die, env silicon.E
 	}
 	return dst, nil
 }
-
-// Measure is MeasureInto with a freshly allocated result buffer.
-func (bm *BoardMeter) Measure(die *silicon.Die, env silicon.Env, rng *rngx.RNG) ([]float64, error) {
-	return bm.MeasureInto(make([]float64, die.NumDevices()), die, env, rng)
-}

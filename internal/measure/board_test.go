@@ -45,7 +45,7 @@ func TestBoardMeterMatchesPerDeviceLoop(t *testing.T) {
 	bm := NewBoardMeter(noise)
 	for _, env := range envs {
 		want := perDeviceReference(die, env, noise, rngx.New(42))
-		got, err := bm.Measure(die, env, rngx.New(42))
+		got, err := bm.MeasureInto(make([]float64, die.NumDevices()), die, env, rngx.New(42))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestBoardMeterMatchesPerDeviceLoop(t *testing.T) {
 func TestBoardMeterValidation(t *testing.T) {
 	die := boardTestDie(t, 2, 2, 1)
 	bm := NewBoardMeter(-0.5)
-	if _, err := bm.Measure(die, silicon.Nominal, rngx.New(1)); err == nil {
+	if _, err := bm.MeasureInto(make([]float64, die.NumDevices()), die, silicon.Nominal, rngx.New(1)); err == nil {
 		t.Fatal("accepted negative NoiseMHz")
 	}
 	bm = NewBoardMeter(0.01)
@@ -173,13 +173,13 @@ func TestBoardMeterSeesVthMutation(t *testing.T) {
 	bm := NewBoardMeter(0) // deterministic: isolate the physics
 	env := silicon.Env{V: 0.98, T: 25}
 	rng := rngx.New(1)
-	before, err := bm.Measure(die, env, rng)
+	before, err := bm.MeasureInto(make([]float64, die.NumDevices()), die, env, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const victim = 5
 	die.Device(victim).Vth += 0.02
-	after, err := bm.Measure(die, env, rng)
+	after, err := bm.MeasureInto(make([]float64, die.NumDevices()), die, env, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,10 @@
 //
 // so the whole protocol costs O(n) stage evaluations instead of O(n²). The
 // noise model is layered on top unchanged, drawing from the RNG in exactly
-// the naive order, so measurement streams stay reproducible. DdiffsNaive
-// keeps the direct n+1-whole-ring-evaluations implementation (with the
-// env-factor cache bypassed) as the reference path for equivalence tests
-// and benchmarks.
+// the naive order, so measurement streams stay reproducible. The test
+// oracle DdiffsNaive (equiv_test.go) keeps the direct n+1-whole-ring-
+// evaluations implementation, with the env-factor cache bypassed, as the
+// reference path for equivalence tests and benchmarks.
 package measure
 
 import (
@@ -115,19 +115,6 @@ func (m *Meter) HalfPeriodPS(r *circuit.Ring, cfg circuit.Config) (float64, erro
 	return truth + m.noiseAvgPS(), nil
 }
 
-// halfPeriodNaivePS is HalfPeriodPS with the env-factor cache bypassed,
-// used only by the DdiffsNaive reference path.
-func (m *Meter) halfPeriodNaivePS(r *circuit.Ring, cfg circuit.Config) (float64, error) {
-	if err := m.validate(); err != nil {
-		return 0, err
-	}
-	truth, err := r.HalfPeriodNaivePS(cfg, m.Env)
-	if err != nil {
-		return 0, err
-	}
-	return truth + m.noiseAvgPS(), nil
-}
-
 // Ddiffs runs the leave-one-out protocol on ring r and returns the
 // estimated per-stage delay differences in picoseconds.
 //
@@ -137,10 +124,10 @@ func (m *Meter) halfPeriodNaivePS(r *circuit.Ring, cfg circuit.Config) (float64,
 // each leave-one-out half-period is derived from the all-selected total,
 // so the call is O(n) rather than O(n²) stage evaluations and performs a
 // single allocation (the returned slice). Noise is drawn from the RNG in
-// exactly the same order as the direct implementation (see DdiffsNaive);
-// the only deviation is floating-point summation order on the half-period
-// truths, bounded by a few ULPs of the loop delay. Rings with a single
-// stage are measured directly (selected minus baseline).
+// exactly the same order as the direct implementation (the test oracle
+// DdiffsNaive); the only deviation is floating-point summation order on
+// the half-period truths, bounded by a few ULPs of the loop delay. Rings
+// with a single stage are measured directly (selected minus baseline).
 func (m *Meter) Ddiffs(r *circuit.Ring) ([]float64, error) {
 	n := r.NumStages()
 	if n == 0 {
@@ -183,52 +170,6 @@ func (m *Meter) Ddiffs(r *circuit.Ring) ([]float64, error) {
 	d := sum / float64(n-1)
 	for i := range out {
 		out[i] = d - out[i]
-	}
-	return out, nil
-}
-
-// DdiffsNaive is the direct reference implementation of the leave-one-out
-// protocol: n+1 whole-ring evaluations, each recomputing every device's
-// environment factors from scratch (the pre-optimization cost model,
-// O(n²) stage evaluations and O(n²) math.Pow calls). It consumes the RNG
-// identically to Ddiffs; the results agree with Ddiffs to within
-// floating-point summation order (a few ULPs of the loop delay). Kept for
-// equivalence tests and the measurement benchmarks.
-func (m *Meter) DdiffsNaive(r *circuit.Ring) ([]float64, error) {
-	n := r.NumStages()
-	if n == 0 {
-		return nil, fmt.Errorf("measure: ring has no stages")
-	}
-	if err := m.validate(); err != nil {
-		return nil, err
-	}
-	baseline, err := m.halfPeriodNaivePS(r, circuit.NewConfig(n))
-	if err != nil {
-		return nil, err
-	}
-	if n == 1 {
-		sel, err := m.halfPeriodNaivePS(r, circuit.AllSelected(1))
-		if err != nil {
-			return nil, err
-		}
-		return []float64{sel - baseline}, nil
-	}
-	a := make([]float64, n)
-	var sum float64
-	for i := 0; i < n; i++ {
-		cfg := circuit.AllSelected(n)
-		cfg[i] = false
-		mi, err := m.halfPeriodNaivePS(r, cfg)
-		if err != nil {
-			return nil, err
-		}
-		a[i] = mi - baseline
-		sum += a[i]
-	}
-	d := sum / float64(n-1)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d - a[i]
 	}
 	return out, nil
 }

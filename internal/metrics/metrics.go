@@ -1,14 +1,12 @@
 // Package metrics computes the standard PUF quality figures of merit used
 // throughout the paper's evaluation: inter-chip Hamming distance
-// (uniqueness, Fig. 3), intra-chip bit flips (reliability, Figs. 4–5),
-// uniformity and bit-aliasing (supporting randomness diagnostics), and the
-// hardware-utilization accounting behind Table V.
+// (uniqueness, Fig. 3), intra-chip bit flips (reliability, Figs. 4–5), and
+// the hardware-utilization accounting behind Table V.
 package metrics
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"ropuf/internal/bits"
 	"ropuf/internal/stats"
@@ -104,15 +102,6 @@ func ComputeReliability(enrolled *bits.Stream, regenerated []*bits.Stream) (*Rel
 	return r, nil
 }
 
-// FlipRatePercent returns flipped bits as a percentage of all compared
-// bits.
-func (r *Reliability) FlipRatePercent() float64 {
-	if r.TotalBits == 0 {
-		return 0
-	}
-	return 100 * float64(r.Flips) / float64(r.TotalBits)
-}
-
 // FlippedPositionPercent returns the percentage of enrolled bit positions
 // that flipped in at least one re-measurement — the quantity plotted in the
 // paper's Fig. 4.
@@ -121,38 +110,6 @@ func (r *Reliability) FlippedPositionPercent() float64 {
 		return 0
 	}
 	return 100 * float64(r.FlippedPositions) / float64(r.NumBits)
-}
-
-// Uniformity returns the percentage of ones in a response (ideal: 50%).
-func Uniformity(resp *bits.Stream) float64 {
-	if resp.Len() == 0 {
-		return 0
-	}
-	return 100 * float64(resp.OnesCount()) / float64(resp.Len())
-}
-
-// BitAliasing returns, per bit position, the fraction of chips whose
-// response has a one there (ideal: 0.5 everywhere). All responses must have
-// equal length.
-func BitAliasing(responses []*bits.Stream) ([]float64, error) {
-	if len(responses) == 0 {
-		return nil, errors.New("metrics: bit aliasing needs at least one response")
-	}
-	n := responses[0].Len()
-	counts := make([]int, n)
-	for i, r := range responses {
-		if r.Len() != n {
-			return nil, fmt.Errorf("metrics: response %d has %d bits, want %d", i, r.Len(), n)
-		}
-		for b := 0; b < n; b++ {
-			counts[b] += r.Int(b)
-		}
-	}
-	out := make([]float64, n)
-	for b := range counts {
-		out[b] = float64(counts[b]) / float64(len(responses))
-	}
-	return out, nil
 }
 
 // HardwareUtilization compares bit yield per RO budget across schemes:
@@ -166,19 +123,4 @@ func HardwareUtilization(bitsGenerated, rosConsumed int) (float64, error) {
 		return 0, fmt.Errorf("metrics: bitsGenerated must be non-negative, got %d", bitsGenerated)
 	}
 	return float64(bitsGenerated) / (float64(rosConsumed) / 2), nil
-}
-
-// EntropyPerBit estimates the Shannon entropy of a response's bit
-// distribution (diagnostic; ideal 1.0).
-func EntropyPerBit(resp *bits.Stream) float64 {
-	n := resp.Len()
-	if n == 0 {
-		return 0
-	}
-	p1 := float64(resp.OnesCount()) / float64(n)
-	if p1 == 0 || p1 == 1 {
-		return 0
-	}
-	p0 := 1 - p1
-	return -(p1*math.Log2(p1) + p0*math.Log2(p0))
 }

@@ -57,23 +57,6 @@ func FFT(x []complex128) []complex128 {
 	return bluestein(x)
 }
 
-// IFFT computes the inverse DFT (scaled by 1/n).
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	conj := make([]complex128, n)
-	for i, v := range x {
-		conj[i] = cmplx.Conj(v)
-	}
-	y := FFT(conj)
-	for i := range y {
-		y[i] = cmplx.Conj(y[i]) / complex(float64(n), 0)
-	}
-	return y
-}
-
 // fftPow2 performs an in-place iterative radix-2 FFT. inverse selects the
 // conjugate transform (unscaled).
 func fftPow2(a []complex128, inverse bool) {

@@ -1,6 +1,8 @@
 package nist
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"strings"
@@ -10,6 +12,24 @@ import (
 	"ropuf/internal/bits"
 	"ropuf/internal/rngx"
 )
+
+// IFFT computes the inverse DFT (scaled by 1/n): the test reference that
+// FFT round-trips against.
+func IFFT(x []complex128) []complex128 {
+	n := len(x)
+	if n == 0 {
+		return nil
+	}
+	conj := make([]complex128, n)
+	for i, v := range x {
+		conj[i] = cmplx.Conj(v)
+	}
+	y := FFT(conj)
+	for i := range y {
+		y[i] = cmplx.Conj(y[i]) / complex(float64(n), 0)
+	}
+	return y
+}
 
 func randomBits(seed uint64, n int) *bits.Stream {
 	r := rngx.New(seed)
@@ -429,6 +449,59 @@ func TestUniversalOnRandomData(t *testing.T) {
 	}
 }
 
+// TestUniversalBlockLenBoundaries derives each threshold of the §2.9 table
+// from the spec's rule n >= (Q+K)·L = 1010·2^L·L and checks that L starts
+// exactly there.
+func TestUniversalBlockLenBoundaries(t *testing.T) {
+	if got := universalBlockLen(0); got != 0 {
+		t.Fatalf("universalBlockLen(0) = %d, want 0", got)
+	}
+	for l := 6; l <= 16; l++ {
+		t.Run(fmt.Sprintf("L=%d", l), func(t *testing.T) {
+			n := 1010 * (1 << uint(l)) * l
+			if got := universalBlockLen(n); got != l {
+				t.Errorf("universalBlockLen(%d) = %d, want %d", n, got, l)
+			}
+			want := l - 1
+			if l == 6 {
+				want = 0 // below the smallest threshold the test does not apply
+			}
+			if got := universalBlockLen(n - 1); got != want {
+				t.Errorf("universalBlockLen(%d) = %d, want %d", n-1, got, want)
+			}
+		})
+	}
+	if _, err := UniversalTest().Run(randomBits(9, 387839)); !errors.Is(err, ErrTooShort) {
+		t.Fatalf("universal on 387839 bits: err = %v, want ErrTooShort", err)
+	}
+}
+
+// TestLongestRunParamsBoundaries pins the §2.4 block-size table: each row
+// starts at its threshold, and each row's category probabilities sum to 1.
+func TestLongestRunParamsBoundaries(t *testing.T) {
+	if _, err := longestRunFor(127); !errors.Is(err, ErrTooShort) {
+		t.Fatalf("longestRunFor(127): err = %v, want ErrTooShort", err)
+	}
+	for _, c := range []struct{ n, m, k int }{
+		{128, 8, 3}, {6271, 8, 3}, {6272, 128, 5}, {749999, 128, 5}, {750000, 10000, 6},
+	} {
+		p, err := longestRunFor(c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.m != c.m || p.k != c.k || len(p.pi) != p.k+1 {
+			t.Fatalf("n=%d: m=%d k=%d with %d categories, want m=%d k=%d", c.n, p.m, p.k, len(p.pi), c.m, c.k)
+		}
+		sum := 0.0
+		for _, pi := range p.pi {
+			sum += pi
+		}
+		if math.Abs(sum-1) > 1e-4 {
+			t.Fatalf("n=%d: category probabilities sum to %g", c.n, sum)
+		}
+	}
+}
+
 func TestExcursionsApplicabilityGate(t *testing.T) {
 	// A short random stream has far fewer than 500 cycles.
 	s := randomBits(5, 4096)
@@ -437,6 +510,18 @@ func TestExcursionsApplicabilityGate(t *testing.T) {
 	}
 	if _, err := RandomExcursionsVariantPValues(s, true); err == nil {
 		t.Fatal("variant applicability constraint not enforced")
+	}
+}
+
+// TestExcursionsSuiteEntriesEnforceGate checks that the suite's entries run
+// with the applicability constraint on, so a short stream is skipped as too
+// short rather than scored.
+func TestExcursionsSuiteEntriesEnforceGate(t *testing.T) {
+	s := randomBits(5, 4096)
+	for _, test := range []Test{RandomExcursionsTest(), RandomExcursionsVariantTest()} {
+		if _, err := test.Run(s); !errors.Is(err, ErrTooShort) {
+			t.Errorf("%s on %d bits: err = %v, want ErrTooShort", test.Name, s.Len(), err)
+		}
 	}
 }
 

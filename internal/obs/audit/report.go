@@ -51,16 +51,6 @@ type DeviceReport struct {
 	Flags       []FlagEpisode
 }
 
-// Flagged reports whether the device has an open flag episode.
-func (d *DeviceReport) Flagged() bool {
-	for i := range d.Flags {
-		if d.Flags[i].Active() {
-			return true
-		}
-	}
-	return false
-}
-
 // Report is the merged audit + trace analysis.
 type Report struct {
 	Files   int

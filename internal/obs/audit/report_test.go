@@ -91,14 +91,11 @@ func TestAnalyzeFlagEpisodes(t *testing.T) {
 	if ep.Evidence["challenge_rate"] != 4 || ep.TraceID != "t2" {
 		t.Fatalf("episode evidence = %+v", ep)
 	}
-	if rep.Flagged[0].Flagged() {
-		t.Fatal("cleared device still reports Flagged()")
-	}
 
 	// Drop the unflag: the episode must stay open.
 	events := sampleEvents()
 	open := Analyze(events[:len(events)-1], nil, Options{})
-	if !open.Flagged[0].Flagged() || !open.Flagged[0].Flags[0].Active() {
+	if !open.Flagged[0].Flags[0].Active() {
 		t.Fatal("open episode not reported active")
 	}
 }

@@ -148,9 +148,6 @@ func NewRecorder(snap SnapshotFunc, opt Options) *Recorder {
 	}
 }
 
-// Interval returns the configured sampling tick.
-func (r *Recorder) Interval() time.Duration { return r.opt.Interval }
-
 // Run samples on the configured tick until ctx is done. It takes one
 // sample immediately so short-lived processes still record a baseline.
 func (r *Recorder) Run(done <-chan struct{}) {
@@ -366,12 +363,4 @@ func (r *Recorder) Query(q QueryOptions) []RangeSeries {
 		return LabelKey(out[i].Labels) < LabelKey(out[j].Labels)
 	})
 	return out
-}
-
-// Samples returns how many ticks the recorder has taken (including those
-// already evicted from the ring).
-func (r *Recorder) Samples() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
 }

@@ -185,8 +185,8 @@ func TestRecorderRingEviction(t *testing.T) {
 			t.Fatalf("points out of order at %d", i)
 		}
 	}
-	if rec.Samples() != 10 {
-		t.Fatalf("Samples() = %d, want 10", rec.Samples())
+	if rec.count != 10 {
+		t.Fatalf("count = %d, want 10", rec.count)
 	}
 }
 
@@ -273,4 +273,53 @@ func TestRecorderConcurrentSampleQuery(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+func TestKindString(t *testing.T) {
+	for k, want := range map[Kind]string{Counter: "counter", Gauge: "gauge", Histogram: "histogram", Kind(7): "Kind(7)"} {
+		if got := k.String(); got != want {
+			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
+		}
+	}
+}
+
+// TestRecorderRunSamplesUntilDone drives the tick loop on a real ticker:
+// Run samples once at start and on every tick, and returns once done is
+// closed.
+func TestRecorderRunSamplesUntilDone(t *testing.T) {
+	calls := make(chan struct{}, 64)
+	snap := func() []Family {
+		select {
+		case calls <- struct{}{}:
+		default:
+		}
+		return []Family{gaugeFam("g", 1)}
+	}
+	rec := NewRecorder(snap, Options{Interval: time.Millisecond})
+	done := make(chan struct{})
+	returned := make(chan struct{})
+	go func() {
+		rec.Run(done)
+		close(returned)
+	}()
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < 3; i++ {
+		select {
+		case <-calls:
+		case <-timeout:
+			t.Fatalf("only %d samples before the timeout", i)
+		}
+	}
+	close(done)
+	select {
+	case <-returned:
+	case <-timeout:
+		t.Fatal("Run did not return after done was closed")
+	}
+	rec.mu.Lock()
+	n := rec.count
+	rec.mu.Unlock()
+	if n < 3 {
+		t.Fatalf("recorder holds %d samples, want at least 3", n)
+	}
 }

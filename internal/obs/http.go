@@ -131,9 +131,6 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Recorder returns the flight recorder backing /v1/stats.
-func (s *Server) Recorder() *flight.Recorder { return s.recorder }
-
 // Close stops the flight recorder and shuts the server down, allowing up
 // to two seconds for in-flight scrapes to finish.
 func (s *Server) Close() error {

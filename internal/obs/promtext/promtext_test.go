@@ -205,3 +205,31 @@ func TestRoundTripUnlabeled(t *testing.T) {
 		t.Fatalf("round trip drifted.\ngot:  %+v\nwant: %+v\n%s", got, want, buf.String())
 	}
 }
+
+// TestHelpEscapes pins HELP text both ways: the registry's escaping of a
+// backslash and a newline survives WriteProm → Parse, and the parser
+// leaves any other backslash sequence, and a trailing backslash, as is.
+func TestHelpEscapes(t *testing.T) {
+	reg := obs.NewRegistry()
+	help := "Counts C:\\dir reads.\nSecond line."
+	reg.NewCounter("reads_total", help).Inc()
+	var buf bytes.Buffer
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := promtext.Parse(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("%v\n%s", err, buf.String())
+	}
+	if len(fams) != 1 || fams[0].Help != help {
+		t.Fatalf("HELP round trip: got %+v, want help %q\n%s", fams, help, buf.String())
+	}
+
+	fams, err = promtext.Parse(strings.NewReader("# HELP x tab\\t stays, so does a trailing \\\nx 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `tab\t stays, so does a trailing \`; fams[0].Help != want {
+		t.Fatalf("Help = %q, want %q", fams[0].Help, want)
+	}
+}

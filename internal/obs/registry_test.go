@@ -133,6 +133,34 @@ func TestRegistrationIdempotentAndMismatchPanics(t *testing.T) {
 	r.NewGauge("x_total", "help")
 }
 
+// TestRegistrationSignatureMismatchPanics covers the rest of a family's
+// signature: the same name with other label names or other bucket bounds
+// is a programming error, not a second family.
+func TestRegistrationSignatureMismatchPanics(t *testing.T) {
+	cases := []struct {
+		name  string
+		again func(r *Registry)
+	}{
+		{"label renamed", func(r *Registry) { r.NewCounterVec("c_total", "", "path") }},
+		{"label added", func(r *Registry) { r.NewCounterVec("c_total", "", "route", "code") }},
+		{"bucket moved", func(r *Registry) { r.NewHistogram("h", "", []float64{0.1, 2}) }},
+		{"bucket added", func(r *Registry) { r.NewHistogram("h", "", []float64{0.1, 1, 10}) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			r.NewCounterVec("c_total", "", "route")
+			r.NewHistogram("h", "", []float64{0.1, 1})
+			defer func() {
+				if recover() == nil {
+					t.Fatal("re-registration with a different signature did not panic")
+				}
+			}()
+			tc.again(r)
+		})
+	}
+}
+
 // TestHistogramBucketBoundaries pins the "le" semantics: an observation
 // exactly on a bound lands in that bound's bucket (le is <=), one just
 // above lands in the next, and values beyond the last bound go to +Inf.
@@ -214,6 +242,49 @@ func TestCounterFuncSnapshotAndExposition(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "pulled_total 43\n") {
 		t.Fatalf("exposition:\n%s", b.String())
+	}
+}
+
+func TestGaugeFuncSnapshotAndExposition(t *testing.T) {
+	r := NewRegistry()
+	depth := -2.5
+	r.NewGaugeFunc("depth", "Pulled on scrape.", func() float64 { return depth })
+	if v := r.Snapshot()[0].Series[0].Value; v != -2.5 {
+		t.Fatalf("snapshot value = %g, want -2.5", v)
+	}
+	depth = 7
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "# TYPE depth gauge\ndepth 7\n") {
+		t.Fatalf("exposition:\n%s", b.String())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewGaugeFunc with a nil fn did not panic")
+		}
+	}()
+	r.NewGaugeFunc("other", "", nil)
+}
+
+// TestFormatValue pins the exposition's number format: integral values
+// without an exponent below 1e15, the shortest %g form otherwise, and the
+// spelled-out infinities.
+func TestFormatValue(t *testing.T) {
+	for v, want := range map[float64]string{
+		0:            "0",
+		-3:           "-3",
+		42:           "42",
+		0.25:         "0.25",
+		1e14:         "100000000000000",
+		1e15:         "1e+15",
+		math.Inf(1):  "+Inf",
+		math.Inf(-1): "-Inf",
+	} {
+		if got := formatValue(v); got != want {
+			t.Errorf("formatValue(%v) = %q, want %q", v, got, want)
+		}
 	}
 }
 

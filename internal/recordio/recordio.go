@@ -14,9 +14,9 @@
 // mismatch. The length is checked before any allocation, and the payload
 // buffer grows only as bytes arrive, so a hostile length costs no more
 // memory than the bytes behind it. What a tear means is the caller's
-// call: a write-ahead log truncates at TornError.Offset, while a snapshot
-// or corpus shard, written whole before anyone reads it, treats any tear
-// as corruption.
+// call: a write-ahead log truncates at Reader.Offset, the end of the last
+// good frame, while a snapshot or corpus shard, written whole before anyone
+// reads it, treats any tear as corruption.
 package recordio
 
 import (
@@ -55,10 +55,6 @@ type TornError struct {
 func (e *TornError) Error() string {
 	return fmt.Sprintf("recordio: torn frame at offset %d: %s", e.off, e.reason)
 }
-
-// Offset is the end of the last good frame: the length of the valid
-// prefix, counted from where the Reader started.
-func (e *TornError) Offset() int64 { return e.off }
 
 // Reader reads frames one at a time. It does no buffering of its own, so
 // a caller reading from a file should hand it a bufio.Reader, and can

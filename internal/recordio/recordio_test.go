@@ -3,8 +3,10 @@ package recordio
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/iotest"
 )
@@ -65,8 +67,8 @@ func TestReaderTornTails(t *testing.T) {
 			if errors.As(err, &torn) != tc.wantTorn || (err != nil && !tc.wantTorn) {
 				t.Fatalf("err = %v, want torn %v", err, tc.wantTorn)
 			}
-			if torn != nil && torn.Offset() != tc.wantValid {
-				t.Fatalf("TornError.Offset() = %d, want %d", torn.Offset(), tc.wantValid)
+			if torn != nil && torn.off != tc.wantValid {
+				t.Fatalf("TornError offset = %d, want %d", torn.off, tc.wantValid)
 			}
 			if len(recs) != tc.wantRecs || valid != tc.wantValid {
 				t.Fatalf("got %d records, valid %d; want %d records, valid %d",
@@ -149,5 +151,32 @@ func TestReaderPassesIOErrors(t *testing.T) {
 	rd = NewReader(io.MultiReader(bytes.NewReader(frame[:HeaderLen+2]), iotest.ErrReader(boom)))
 	if _, err := rd.Next(); !errors.Is(err, boom) {
 		t.Fatalf("mid-payload err = %v, want the reader's error", err)
+	}
+}
+
+// TestTornErrorMessage pins what an operator reads in a refused snapshot
+// or shard: the offset of the tear and why the frame is not whole.
+func TestTornErrorMessage(t *testing.T) {
+	r1 := Append(nil, []byte("alpha"))
+	cases := []struct {
+		name, reason string
+		data         []byte
+	}{
+		{"partial header", "3-byte header", append(append([]byte(nil), r1...), 1, 0, 0)},
+		{"partial payload", "payload cut short", Append(append([]byte(nil), r1...), []byte("beta"))[:len(r1)+HeaderLen+2]},
+		{"zero length", "payload length 0 outside", append(append([]byte(nil), r1...), make([]byte, HeaderLen)...)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := scan(tc.data)
+			var torn *TornError
+			if !errors.As(err, &torn) {
+				t.Fatalf("err = %v, want a *TornError", err)
+			}
+			want := fmt.Sprintf("recordio: torn frame at offset %d: %s", len(r1), tc.reason)
+			if !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("message %q, want prefix %q", err.Error(), want)
+			}
+		})
 	}
 }

@@ -62,17 +62,8 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// AgedDelayPS returns the delay of device i under env after the given
-// aging stress, in picoseconds.
-func (d *Die) AgedDelayPS(i int, env Env, a Aging) (float64, error) {
-	if err := a.Validate(); err != nil {
-		return 0, err
-	}
-	return d.DelayPS(i, env) * d.agingFactorVth(d.Devices[i].Vth, a), nil
-}
-
-// AgedDelayAtPS is AgedDelayPS for an explicit device value (used by
-// circuit stages holding Device copies).
+// AgedDelayAtPS returns the delay of device dev under env after the given
+// aging stress, in picoseconds (circuit stages hold Device copies).
 func (d *Die) AgedDelayAtPS(dev Device, env Env, a Aging) (float64, error) {
 	if err := a.Validate(); err != nil {
 		return 0, err

@@ -7,6 +7,16 @@ import (
 	"ropuf/internal/rngx"
 )
 
+// AgedDelayPS returns the delay of device i under env after the given
+// aging stress, in picoseconds: the per-index reference AgedDelayAtPS is
+// checked against.
+func (d *Die) AgedDelayPS(i int, env Env, a Aging) (float64, error) {
+	if err := a.Validate(); err != nil {
+		return 0, err
+	}
+	return d.DelayPS(i, env) * d.agingFactorVth(d.Devices[i].Vth, a), nil
+}
+
 func TestAgingValidate(t *testing.T) {
 	if err := (Aging{Years: -1, Activity: 0.5}).Validate(); err == nil {
 		t.Error("negative years accepted")

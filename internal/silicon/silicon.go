@@ -168,7 +168,7 @@ const maxEnvTables = 64
 
 // Die is a fabricated chip: a W×H grid of devices sharing one systematic
 // variation surface. A Die caches per-environment delay tables (see
-// DelaysPS); the cache is safe for concurrent use, so rings sharing a die
+// DelaysIntoPS); the cache is safe for concurrent use, so rings sharing a die
 // may be measured from multiple goroutines. Devices is exported for
 // inspection; mutating Base is always safe (factors do not depend on it),
 // while mutating Vth is detected per lookup and falls back to a direct
@@ -376,17 +376,6 @@ func (d *Die) EnvFactors(env Env) []float64 {
 	return d.envTableFor(env).factors
 }
 
-// DelaysPS returns the per-device delay table for env in picoseconds,
-// building and caching it on first use. The table snapshots Device.Base at
-// build time; the returned slice is shared and must not be mutated. A
-// fixed-environment sweep should prefer this (or any whole-ring accessor,
-// which warms the same cache) over per-device DelayPS calls: a swept
-// environment's math.Pow evaluations are paid once per (die, environment)
-// instead of three per query.
-func (d *Die) DelaysPS(env Env) []float64 {
-	return d.envTableFor(env).delays
-}
-
 // DelaysIntoPS fills dst with every device's delay under env, in
 // picoseconds, and returns dst. It is the board-major bulk accessor behind
 // measure.BoardMeter: one call pins a single cached environment table for
@@ -424,7 +413,7 @@ func (d *Die) DelaysIntoPS(dst []float64, env Env) ([]float64, error) {
 // picoseconds. It panics if i is out of range. When the die's current
 // cached environment matches env the lookup is a multiply; otherwise the
 // factor is recomputed directly (a point query does not build a table —
-// call DelaysPS to warm one).
+// call EnvFactors to warm one).
 func (d *Die) DelayPS(i int, env Env) float64 {
 	dev := &d.Devices[i]
 	if t := d.current.Load(); t != nil && t.env == env && t.vth[i] == dev.Vth {
@@ -455,10 +444,4 @@ func (d *Die) DelayAtPS(dev Device, env Env) float64 {
 // results are bit-identical to the cached accessors.
 func (d *Die) DelayAtUncachedPS(dev Device, env Env) float64 {
 	return dev.Base * d.envFactor(dev.Vth, env)
-}
-
-// SystematicAt returns the systematic variation fraction at grid position
-// (x, y); exported for tests and for validating the distiller.
-func (d *Die) SystematicAt(x, y int) float64 {
-	return d.surf.at(normCoord(x, d.W), normCoord(y, d.H))
 }

@@ -10,6 +10,20 @@ import (
 	"ropuf/internal/rngx"
 )
 
+// DelaysPS returns the die's cached per-device delay table for env in
+// picoseconds, building it on first use, so tests can warm and inspect the
+// cache. The table snapshots Device.Base at build time; the returned slice
+// is shared and must not be mutated.
+func (d *Die) DelaysPS(env Env) []float64 {
+	return d.envTableFor(env).delays
+}
+
+// SystematicAt returns the systematic variation fraction at grid position
+// (x, y).
+func (d *Die) SystematicAt(x, y int) float64 {
+	return d.surf.at(normCoord(x, d.W), normCoord(y, d.H))
+}
+
 func testDie(t *testing.T, seed uint64) *Die {
 	t.Helper()
 	d, err := NewDie(DefaultParams(), 16, 16, rngx.New(seed))

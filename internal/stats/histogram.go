@@ -1,92 +1,5 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
-
-// Histogram is a fixed-bin histogram over a closed interval [Lo, Hi].
-// Values below Lo or above Hi are counted in the Under/Over overflow
-// counters rather than silently dropped — the experiment harness asserts
-// that these stay zero.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int
-	Over   int
-	total  int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi].
-// It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: NewHistogram with non-positive bin count")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram with empty interval")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x > h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // x == Hi lands in the last bin
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including overflow.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of all observations that fell in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Render draws a simple ASCII bar chart, one row per bin, suitable for the
-// experiment reports. width is the maximum bar length in characters.
-func (h *Histogram) Render(width int) string {
-	if width <= 0 {
-		width = 50
-	}
-	maxC := 0
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range h.Counts {
-		barLen := 0
-		if maxC > 0 {
-			barLen = int(math.Round(float64(width) * float64(c) / float64(maxC)))
-		}
-		fmt.Fprintf(&b, "%8.2f | %-*s %d\n", h.BinCenter(i), width, strings.Repeat("#", barLen), c)
-	}
-	return b.String()
-}
-
 // IntHistogram counts occurrences of small non-negative integer values,
 // used for Hamming-distance distributions (Tables III and IV).
 type IntHistogram struct {

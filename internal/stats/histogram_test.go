@@ -1,91 +1,6 @@
 package stats
 
-import (
-	"strings"
-	"testing"
-)
-
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0, 1.9, 2, 5.5, 9.99, 10} {
-		h.Add(v)
-	}
-	want := []int{2, 1, 1, 0, 2} // 10 lands in the last bin
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Errorf("bin %d = %d, want %d", i, h.Counts[i], w)
-		}
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d, want 6", h.Total())
-	}
-}
-
-func TestHistogramOverflow(t *testing.T) {
-	h := NewHistogram(0, 1, 2)
-	h.Add(-0.5)
-	h.Add(1.5)
-	h.Add(0.5)
-	if h.Under != 1 || h.Over != 1 {
-		t.Fatalf("Under/Over = %d/%d, want 1/1", h.Under, h.Over)
-	}
-	if h.Total() != 3 {
-		t.Fatalf("Total = %d, want 3", h.Total())
-	}
-}
-
-func TestHistogramFractionAndCenter(t *testing.T) {
-	h := NewHistogram(0, 4, 4)
-	h.Add(0.5)
-	h.Add(1.5)
-	h.Add(1.7)
-	h.Add(3.5)
-	if got := h.Fraction(1); got != 0.5 {
-		t.Errorf("Fraction(1) = %g, want 0.5", got)
-	}
-	if got := h.BinCenter(0); got != 0.5 {
-		t.Errorf("BinCenter(0) = %g, want 0.5", got)
-	}
-	if got := h.BinCenter(3); got != 3.5 {
-		t.Errorf("BinCenter(3) = %g, want 3.5", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 3) },
-		func() { NewHistogram(2, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestHistogramRender(t *testing.T) {
-	h := NewHistogram(0, 2, 2)
-	h.Add(0.5)
-	h.Add(0.6)
-	h.Add(1.5)
-	out := h.Render(10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("Render produced %d lines, want 2", len(lines))
-	}
-	if !strings.Contains(lines[0], "##########") {
-		t.Errorf("largest bin should render a full-width bar: %q", lines[0])
-	}
-	// Render with non-positive width falls back to a sane default.
-	if out := h.Render(0); out == "" {
-		t.Error("Render(0) returned empty output")
-	}
-}
+import "testing"
 
 func TestIntHistogram(t *testing.T) {
 	h := NewIntHistogram()

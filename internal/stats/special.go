@@ -114,18 +114,3 @@ func Erfc(x float64) float64 { return math.Erfc(x) }
 func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
-
-// NormalSF returns the standard normal survival function 1 − Φ(x), computed
-// without cancellation for large x.
-func NormalSF(x float64) float64 {
-	return 0.5 * math.Erfc(x/math.Sqrt2)
-}
-
-// ChiSquaredSF returns the survival function (upper tail probability) of a
-// chi-squared distribution with k degrees of freedom evaluated at x.
-func ChiSquaredSF(x float64, k int) float64 {
-	if x < 0 {
-		return 1
-	}
-	return Igamc(float64(k)/2, x/2)
-}

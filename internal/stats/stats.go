@@ -1,6 +1,6 @@
-// Package stats provides the descriptive statistics, histogram utilities
-// and special functions shared by the NIST test suite, the distiller and
-// the PUF quality metrics.
+// Package stats provides the descriptive statistics, the integer histogram
+// and the special functions shared by the NIST test suite, the distiller
+// and the PUF quality metrics.
 //
 // Everything here is implemented from scratch on top of the standard math
 // package; the incomplete gamma functions follow the classical Numerical
@@ -8,11 +8,7 @@
 // reference NIST SP 800-22 C implementation uses (cephes igamc).
 package stats
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs. It returns 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -44,73 +40,3 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the unbiased sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// PopVariance returns the population variance (divisor n).
-func PopVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n)
-}
-
-// MinMax returns the smallest and largest elements of xs.
-// It panics on an empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-// Median returns the median of xs without modifying it.
-// It panics on an empty slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Median of empty slice")
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// Correlation returns the Pearson correlation coefficient of xs and ys.
-func Correlation(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: Correlation length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, errors.New("stats: Correlation needs at least two samples")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: Correlation undefined for constant input")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}

@@ -180,6 +180,42 @@ func TestReadFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFilesConcatenates reads a client and a server file in argument
+// order, each span keeping its own file's fallback service, and fails
+// whole on a missing file.
+func TestReadFilesConcatenates(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for _, name := range []string{"client", "server"} {
+		path := filepath.Join(dir, name+".jsonl")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := obs.NewJSONLSink(f)
+		sink.Emit(span("t1", name+"-a", "", "", name+".root", 0, time.Millisecond))
+		sink.Emit(span("t1", name+"-b", name+"-a", "", name+".child", 0, time.Millisecond))
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	events, err := ReadFiles(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range events {
+		got = append(got, ev.Service+"/"+ev.ID)
+	}
+	if want := "client/client-a client/client-b server/server-a server/server-b"; strings.Join(got, " ") != want {
+		t.Fatalf("events %v, want %s", got, want)
+	}
+	if _, err := ReadFiles(append(paths, filepath.Join(dir, "missing.jsonl"))); err == nil {
+		t.Fatal("ReadFiles accepted a missing file")
+	}
+}
+
 func TestWriteTextSummarizes(t *testing.T) {
 	events := []obs.SpanEvent{
 		span("t1", "c1", "", "loadgen", "loadgen.verify", 0, 10*time.Millisecond),

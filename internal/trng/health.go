@@ -66,12 +66,6 @@ func NewHealth(h float64) (*Health, error) {
 	}, nil
 }
 
-// RCTCutoff returns the repetition-count cutoff in samples.
-func (h *Health) RCTCutoff() int { return h.rctCutoff }
-
-// APTCutoff returns the adaptive-proportion cutoff within the window.
-func (h *Health) APTCutoff() int { return h.aptCutoff }
-
 // Feed processes one raw bit and reports whether it triggered a health
 // failure. Failures are counted but do not latch: the caller decides
 // whether to disable the source.

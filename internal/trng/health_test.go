@@ -17,11 +17,11 @@ func TestNewHealthValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// For H = 1: RCT cutoff = 21 per the 90B formula.
-	if m.RCTCutoff() != 21 {
-		t.Fatalf("RCT cutoff %d, want 21 for H=1", m.RCTCutoff())
+	if m.rctCutoff != 21 {
+		t.Fatalf("RCT cutoff %d, want 21 for H=1", m.rctCutoff)
 	}
-	if m.APTCutoff() <= 512 || m.APTCutoff() > 1024 {
-		t.Fatalf("APT cutoff %d implausible for H=1", m.APTCutoff())
+	if m.aptCutoff <= 512 || m.aptCutoff > 1024 {
+		t.Fatalf("APT cutoff %d implausible for H=1", m.aptCutoff)
 	}
 }
 

@@ -12,8 +12,8 @@
 // strongly biased and periodic — the classic failure mode the entropy and
 // NIST checks in this repository detect.
 //
-// The package also provides the two standard light-weight conditioners:
-// von Neumann debiasing and k-fold XOR compression.
+// The package also provides the standard light-weight conditioner, k-fold
+// XOR compression.
 package trng
 
 import (
@@ -105,19 +105,6 @@ func (g *Generator) Bits(n int) *bits.Stream {
 		s.Append(g.Bit())
 	}
 	return s
-}
-
-// VonNeumann debiases a stream: non-overlapping bit pairs map 01→0, 10→1,
-// and 00/11 are discarded. Output length is data-dependent (≈ n·p(1−p)).
-func VonNeumann(s *bits.Stream) *bits.Stream {
-	out := bits.New(s.Len() / 4)
-	for i := 0; i+1 < s.Len(); i += 2 {
-		a, b := s.Bit(i), s.Bit(i+1)
-		if a != b {
-			out.Append(b)
-		}
-	}
-	return out
 }
 
 // XORFold compresses the stream k-to-1 by XOR-ing each group of k bits,

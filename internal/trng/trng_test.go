@@ -104,29 +104,6 @@ func TestLowJitterBiasedCorrectedByConditioning(t *testing.T) {
 	}
 }
 
-func TestVonNeumannRemovesBias(t *testing.T) {
-	// Synthetic 80/20 biased i.i.d. stream.
-	r := rngx.New(5)
-	biased := bits.New(60000)
-	for i := 0; i < 60000; i++ {
-		biased.Append(r.Float64() < 0.8)
-	}
-	out := VonNeumann(biased)
-	// Expected output ≈ n·p(1−p) = 60000·0.16 = 9600 bits.
-	if out.Len() < 8000 {
-		t.Fatalf("von Neumann output too short: %d", out.Len())
-	}
-	frac := float64(out.OnesCount()) / float64(out.Len())
-	if math.Abs(frac-0.5) > 0.02 {
-		t.Fatalf("von Neumann output bias %.4f, want ~0", math.Abs(frac-0.5))
-	}
-	// Expected yield ≈ p(1−p) = 0.16 per input bit.
-	yield := float64(out.Len()) / float64(biased.Len())
-	if yield < 0.12 || yield > 0.20 {
-		t.Fatalf("von Neumann yield %.3f, want ~0.16", yield)
-	}
-}
-
 func TestXORFoldParity(t *testing.T) {
 	s := bits.MustFromString("110100")
 	out, err := XORFold(s, 3)
