@@ -41,11 +41,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec, err := verifier.Enroll("alice", alicePairs, core.Case2)
+	enr, err := verifier.Enroll("alice", alicePairs, core.Case2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	prover := &auth.Prover{Enrollment: rec.Enrollment}
+	prover := &auth.Prover{Enrollment: enr}
 	fresh, _ := verifier.NumFresh("alice")
 	fmt.Printf("enrolled alice: %d PUF pairs available\n\n", fresh)
 
@@ -75,7 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stolen := &auth.Prover{Enrollment: rec.Enrollment}
+	stolen := &auth.Prover{Enrollment: enr}
 	malMeas, err := mallory.MeasurePairs(silicon.Nominal)
 	if err != nil {
 		log.Fatal(err)

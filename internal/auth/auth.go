@@ -3,12 +3,13 @@
 // motivates ("chip authentication").
 //
 // Enrollment: the verifier measures each device once (trusted environment),
-// stores per-pair selections and reference bits in a database, and never
-// touches the device's silicon again. Authentication: the verifier sends a
-// challenge naming a random subset of the device's PUF pairs; the device
-// re-measures exactly those pairs with its frozen configurations and
-// returns the bits; the verifier accepts when the Hamming distance to the
-// reference is within a noise tolerance.
+// stores the device's binary enrollment record — whose configurations are
+// the prover's helper data — with the mask and reference bits read out of
+// it, and never touches the device's silicon again. Authentication: the
+// verifier sends a challenge naming a random subset of the device's PUF
+// pairs; the device re-measures exactly those pairs with its frozen
+// configurations and returns the bits; the verifier accepts when the
+// Hamming distance to the reference is within a noise tolerance.
 //
 // Each challenge consumes its pair subset (single-use) so a replayed
 // response is rejected, and the tolerance trades false accepts against
@@ -26,9 +27,11 @@
 package auth
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	mathbits "math/bits"
 	"sort"
 
 	"ropuf/internal/bits"
@@ -49,14 +52,34 @@ var (
 	ErrExhausted = errors.New("not enough fresh pairs")
 )
 
-// DeviceRecord is the verifier's stored state for one enrolled device.
+// DeviceRecord is the verifier's stored state for one enrolled device: its
+// enroll record's body, kept verbatim, and three bitsets over pair indices
+// (pair i is bit i%64 of word i/64).
 type DeviceRecord struct {
 	ID string
-	// Enrollment holds per-pair configurations and reference bits.
-	Enrollment *core.Enrollment
-	// used marks pair indices consumed by past challenges.
-	used []bool
+	// body is the device's binary core.Enrollment exactly as its enroll
+	// record carries it, in an allocation of its own size.
+	body []byte
+	n    int // pairs
+	// ref holds every pair's reference bit, mask the pairs enrollment
+	// kept, and used the pairs consumed by past challenges.
+	ref, mask, used []uint64
 }
+
+// NumPairs returns how many pairs the device enrolled, masked ones included.
+func (r *DeviceRecord) NumPairs() int { return r.n }
+
+// NumBits returns how many pairs enrollment kept: the usable bits.
+func (r *DeviceRecord) NumBits() int {
+	kept := 0
+	for _, w := range r.mask {
+		kept += mathbits.OnesCount64(w)
+	}
+	return kept
+}
+
+// Bit returns pair i's reference bit; i must be in [0, NumPairs()).
+func (r *DeviceRecord) Bit(i int) bool { return r.ref[i>>6]>>(i&63)&1 != 0 }
 
 // Challenge names the PUF pairs a device must evaluate, in order.
 type Challenge struct {
@@ -84,6 +107,9 @@ type Verifier struct {
 	// freshScratch is the reusable fresh-pair index buffer for
 	// NewChallenge; the chosen indices are copied out before returning.
 	freshScratch []int
+	// bodyScratch is ApplyEnroll's encoding buffer; the record keeps a
+	// copy of the right size.
+	bodyScratch []byte
 }
 
 // NewVerifier creates a verifier with the given noise tolerance fraction.
@@ -97,9 +123,11 @@ func NewVerifier(tolerance float64, rng *rngx.RNG) (*Verifier, error) {
 	return &Verifier{Tolerance: tolerance, devices: map[string]*DeviceRecord{}, rng: rng}, nil
 }
 
-// Enroll registers a device from its measured pairs. The enrollment
-// measurement happens once, in a trusted environment.
-func (v *Verifier) Enroll(id string, pairs []core.Pair, mode core.Mode) (*DeviceRecord, error) {
+// Enroll registers a device from its measured pairs and returns the
+// enrollment it built, which is the prover's state; the verifier keeps
+// only the device's record. The enrollment measurement happens once, in a
+// trusted environment.
+func (v *Verifier) Enroll(id string, pairs []core.Pair, mode core.Mode) (*core.Enrollment, error) {
 	if id == "" {
 		return nil, errors.New("auth: empty device ID")
 	}
@@ -110,37 +138,52 @@ func (v *Verifier) Enroll(id string, pairs []core.Pair, mode core.Mode) (*Device
 	if err != nil {
 		return nil, fmt.Errorf("auth: enrolling %q: %w", id, err)
 	}
-	rec := &DeviceRecord{ID: id, Enrollment: enr, used: make([]bool, len(enr.Selections))}
-	v.devices[id] = rec
-	return rec, nil
+	if err := v.ApplyEnroll(id, enr); err != nil {
+		return nil, err
+	}
+	return enr, nil
 }
 
 // Record-level apply/rollback API. A durability layer (package authserve's
 // write-ahead log) needs two things the high-level calls don't give it:
-// installing an already-built enrollment during log replay without
-// re-running the selection algorithm, and undoing an in-memory mutation
+// installing state without re-running the selection algorithm (ReplayLog
+// applies logged records this way), and undoing an in-memory mutation
 // whose durability write failed before anything escaped to the network.
 
-// ApplyEnroll installs a pre-built enrollment with no consumed pairs — the
-// replay path for a logged enrollment. Unlike Enroll it never runs the
-// selection algorithm; the enrollment is trusted as stored. It is
-// idempotent-friendly: re-applying an existing ID fails with
-// ErrDuplicateDevice, which a replayer that may see the same record twice
-// (snapshot written, log not yet truncated) skips with errors.Is.
+// ApplyEnroll installs a pre-built enrollment with no consumed pairs.
+// Unlike Enroll it never runs the selection algorithm. It encodes the
+// enrollment once and stores it as log replay stores a logged one, so an
+// enrollment the binary decoder would refuse is refused here too. Applying
+// an ID the verifier already holds fails with ErrDuplicateDevice.
 func (v *Verifier) ApplyEnroll(id string, enr *core.Enrollment) error {
-	if id == "" {
-		return errors.New("auth: empty device ID")
-	}
 	if enr == nil {
 		return fmt.Errorf("auth: device %q: nil enrollment", id)
 	}
-	if len(enr.Mask) != len(enr.Selections) {
-		return fmt.Errorf("auth: device %q: mask length %d != selections %d", id, len(enr.Mask), len(enr.Selections))
+	body, err := enr.AppendBinary(v.bodyScratch[:0])
+	if err != nil {
+		return fmt.Errorf("auth: device %q: %w", id, err)
+	}
+	v.bodyScratch = body
+	return v.applyEnroll(id, body)
+}
+
+// applyEnroll installs the device whose enroll record body is body,
+// keeping a copy of it and the bitsets one validating walk reads out of it
+// (core.ScanEnrollmentBinary). A body that does not validate fails before
+// the ID is checked, so a log replay that skips duplicate IDs still
+// validates every record.
+func (v *Verifier) applyEnroll(id string, body []byte) error {
+	n, mask, ref, err := core.ScanEnrollmentBinary(body)
+	if err != nil {
+		return fmt.Errorf("auth: device %q: %w", id, err)
+	}
+	if id == "" {
+		return errors.New("auth: empty device ID")
 	}
 	if _, ok := v.devices[id]; ok {
 		return fmt.Errorf("auth: device %q: %w", id, ErrDuplicateDevice)
 	}
-	v.devices[id] = &DeviceRecord{ID: id, Enrollment: enr, used: make([]bool, len(enr.Selections))}
+	v.devices[id] = &DeviceRecord{ID: id, body: bytes.Clone(body), n: n, ref: ref, mask: mask, used: make([]uint64, len(mask))}
 	return nil
 }
 
@@ -158,19 +201,7 @@ func (v *Verifier) Unenroll(id string) bool {
 // replaying a log over a snapshot that already contains its effects
 // converges instead of double-counting.
 func (v *Verifier) MarkUsed(id string, pairs []int) error {
-	rec, ok := v.devices[id]
-	if !ok {
-		return fmt.Errorf("auth: %w %q", ErrUnknownDevice, id)
-	}
-	for _, i := range pairs {
-		if i < 0 || i >= len(rec.used) {
-			return fmt.Errorf("auth: device %q: pair index %d outside [0, %d)", id, i, len(rec.used))
-		}
-	}
-	for _, i := range pairs {
-		rec.used[i] = true
-	}
-	return nil
+	return v.setUsed(id, pairs, true)
 }
 
 // UnmarkUsed returns pair indices to the fresh pool — the rollback for a
@@ -178,17 +209,26 @@ func (v *Verifier) MarkUsed(id string, pairs []int) error {
 // challenge never left the process: the pairs were consumed in memory but
 // no bits were exposed, so re-issuing them later leaks nothing.
 func (v *Verifier) UnmarkUsed(id string, pairs []int) error {
+	return v.setUsed(id, pairs, false)
+}
+
+// setUsed sets or clears the used bits of pairs, all or none.
+func (v *Verifier) setUsed(id string, pairs []int, used bool) error {
 	rec, ok := v.devices[id]
 	if !ok {
 		return fmt.Errorf("auth: %w %q", ErrUnknownDevice, id)
 	}
 	for _, i := range pairs {
-		if i < 0 || i >= len(rec.used) {
-			return fmt.Errorf("auth: device %q: pair index %d outside [0, %d)", id, i, len(rec.used))
+		if i < 0 || i >= rec.n {
+			return fmt.Errorf("auth: device %q: pair index %d outside [0, %d)", id, i, rec.n)
 		}
 	}
 	for _, i := range pairs {
-		rec.used[i] = false
+		if used {
+			rec.used[i>>6] |= 1 << (i & 63)
+		} else {
+			rec.used[i>>6] &^= 1 << (i & 63)
+		}
 	}
 	return nil
 }
@@ -200,10 +240,8 @@ func (v *Verifier) NumFresh(id string) (int, error) {
 		return 0, fmt.Errorf("auth: %w %q", ErrUnknownDevice, id)
 	}
 	n := 0
-	for i, u := range rec.used {
-		if !u && rec.Enrollment.Mask[i] {
-			n++
-		}
+	for w, kept := range rec.mask {
+		n += mathbits.OnesCount64(kept &^ rec.used[w])
 	}
 	return n, nil
 }
@@ -244,9 +282,9 @@ func (v *Verifier) NewChallenge(id string, k int) (*Challenge, error) {
 		return nil, fmt.Errorf("auth: challenge length %d must be positive", k)
 	}
 	fresh := v.freshScratch[:0]
-	for i, u := range rec.used {
-		if !u && rec.Enrollment.Mask[i] {
-			fresh = append(fresh, i)
+	for w, kept := range rec.mask {
+		for free := kept &^ rec.used[w]; free != 0; free &= free - 1 {
+			fresh = append(fresh, w<<6+mathbits.TrailingZeros64(free))
 		}
 	}
 	v.freshScratch = fresh
@@ -256,7 +294,7 @@ func (v *Verifier) NewChallenge(id string, k int) (*Challenge, error) {
 	v.rng.Shuffle(len(fresh), func(i, j int) { fresh[i], fresh[j] = fresh[j], fresh[i] })
 	chosen := append([]int(nil), fresh[:k]...)
 	for _, i := range chosen {
-		rec.used[i] = true
+		rec.used[i>>6] |= 1 << (i & 63)
 	}
 	return &Challenge{DeviceID: id, Pairs: chosen}, nil
 }
@@ -271,10 +309,10 @@ func (v *Verifier) referenceBits(ch *Challenge, ref *bits.Stream) error {
 	}
 	ref.Reset()
 	for _, i := range ch.Pairs {
-		if i < 0 || i >= len(rec.Enrollment.Selections) {
+		if i < 0 || i >= rec.n {
 			return fmt.Errorf("auth: challenge pair index %d out of range", i)
 		}
-		ref.Append(rec.Enrollment.Selections[i].Bit)
+		ref.Append(rec.Bit(i))
 	}
 	return nil
 }

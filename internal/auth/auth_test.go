@@ -1,11 +1,15 @@
 package auth
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"ropuf/internal/bits"
 	"ropuf/internal/core"
+	"ropuf/internal/recordio"
 	"ropuf/internal/rngx"
 )
 
@@ -41,18 +45,20 @@ func perturb(pairs []core.Pair, sigma float64, seed uint64) []core.Pair {
 	return out
 }
 
-func newTestVerifier(t *testing.T) (*Verifier, *DeviceRecord, []core.Pair) {
+// newTestVerifier enrolls one 64-pair device, "dev0", and returns the
+// verifier, the device's enrollment (the prover's state) and its pairs.
+func newTestVerifier(t *testing.T) (*Verifier, *core.Enrollment, []core.Pair) {
 	t.Helper()
 	v, err := NewVerifier(0.15, rngx.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pairs := fabPairs(2, 64, 7)
-	rec, err := v.Enroll("dev0", pairs, core.Case2)
+	enr, err := v.Enroll("dev0", pairs, core.Case2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v, rec, pairs
+	return v, enr, pairs
 }
 
 func TestNewVerifierValidation(t *testing.T) {
@@ -133,8 +139,8 @@ func TestUnmarkUsedReturnsPairs(t *testing.T) {
 }
 
 func TestGenuineDeviceAccepted(t *testing.T) {
-	v, rec, pairs := newTestVerifier(t)
-	prover := &Prover{Enrollment: rec.Enrollment}
+	v, enr, pairs := newTestVerifier(t)
+	prover := &Prover{Enrollment: enr}
 	ch, err := v.NewChallenge("dev0", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +160,9 @@ func TestGenuineDeviceAccepted(t *testing.T) {
 }
 
 func TestImpostorRejected(t *testing.T) {
-	v, rec, _ := newTestVerifier(t)
+	v, enr, _ := newTestVerifier(t)
 	// Impostor: different silicon, same stolen configurations.
-	impostor := &Prover{Enrollment: rec.Enrollment}
+	impostor := &Prover{Enrollment: enr}
 	otherSilicon := fabPairs(777, 64, 7)
 	ch, err := v.NewChallenge("dev0", 32)
 	if err != nil {
@@ -221,12 +227,12 @@ func TestChallengeValidation(t *testing.T) {
 }
 
 func TestVerifyValidation(t *testing.T) {
-	v, rec, pairs := newTestVerifier(t)
+	v, enr, pairs := newTestVerifier(t)
 	ch, err := v.NewChallenge("dev0", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prover := &Prover{Enrollment: rec.Enrollment}
+	prover := &Prover{Enrollment: enr}
 	resp, err := prover.Respond(ch, pairs)
 	if err != nil {
 		t.Fatal(err)
@@ -248,8 +254,8 @@ func TestVerifyValidation(t *testing.T) {
 }
 
 func TestProverValidation(t *testing.T) {
-	_, rec, pairs := newTestVerifier(t)
-	p := &Prover{Enrollment: rec.Enrollment}
+	_, enr, pairs := newTestVerifier(t)
+	p := &Prover{Enrollment: enr}
 	ch := &Challenge{DeviceID: "dev0", Pairs: []int{0, 1}}
 	if _, err := p.Respond(ch, pairs[:3]); err == nil {
 		t.Fatal("wrong measurement count accepted")
@@ -261,8 +267,8 @@ func TestProverValidation(t *testing.T) {
 }
 
 func TestExactResponseHasZeroDistance(t *testing.T) {
-	v, rec, pairs := newTestVerifier(t)
-	prover := &Prover{Enrollment: rec.Enrollment}
+	v, enr, pairs := newTestVerifier(t)
+	prover := &Prover{Enrollment: enr}
 	ch, err := v.NewChallenge("dev0", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -278,4 +284,62 @@ func TestExactResponseHasZeroDistance(t *testing.T) {
 	if !ok || d != 0 {
 		t.Fatalf("noiseless response: ok=%v d=%d, want true/0", ok, d)
 	}
+}
+
+// TestVerifierHeapBudget bounds the live heap one stored device costs, in
+// the style of TestStreamVTAllocBudget: 2,000 Case-2 devices of 128 pairs
+// × 13 stages, read after two GCs once they are enrolled and again once
+// their log has replayed into a fresh verifier. A device holds its enroll
+// record body (1,717 B here) and three bitsets; a decoded core.Enrollment
+// per device cost about 14 KB.
+func TestVerifierHeapBudget(t *testing.T) {
+	const devices, budget = 2000, 2500
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	check := func(phase string, grew int64) {
+		t.Helper()
+		perDevice := grew / devices
+		t.Logf("live heap after %s: %d B per device", phase, perDevice)
+		if perDevice > budget {
+			t.Errorf("live heap after %s: %d B per device, budget %d", phase, perDevice, budget)
+		}
+	}
+
+	before := live()
+	v, err := NewVerifier(0.1, rngx.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < devices; i++ {
+		if _, err := v.Enroll(fmt.Sprintf("dev-%04d", i), fabPairs(uint64(i), 128, 13), core.Case2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("Enroll", live()-before)
+
+	var log []byte
+	for _, id := range v.DeviceIDs() {
+		p, err := v.AppendEnrollRecord(nil, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = recordio.Append(log, p)
+	}
+	v = nil
+	before = live()
+	replayed, err := NewVerifier(0.1, rngx.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _, err := replayed.ReplayLog(bytes.NewReader(log)); err != nil || n != devices {
+		t.Fatalf("replayed %d records, err %v", n, err)
+	}
+	check("ReplayLog", live()-before)
+	runtime.KeepAlive(log)
+	runtime.KeepAlive(replayed)
 }

@@ -70,7 +70,7 @@ func exercise(t *testing.T, v *Verifier) {
 		}
 		resp := bits.New(len(ch.Pairs))
 		for _, i := range ch.Pairs {
-			resp.Append(rec.Enrollment.Selections[i].Bit)
+			resp.Append(rec.Bit(i))
 		}
 		ok, d, err := v.Verify(ch, resp)
 		if err != nil {
@@ -124,8 +124,7 @@ func fuzzSeedLog(t testing.TB) []byte {
 	v := fuzzSeedVerifier(t)
 	var log []byte
 	for _, id := range v.DeviceIDs() {
-		rec, _ := v.Device(id)
-		p, err := AppendEnrollRecord(nil, id, rec.Enrollment)
+		p, err := v.AppendEnrollRecord(nil, id)
 		if err != nil {
 			t.Fatal(err)
 		}

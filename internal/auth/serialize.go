@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	mathbits "math/bits"
 	"slices"
 
-	"ropuf/internal/core"
 	"ropuf/internal/recordio"
 	"ropuf/internal/rngx"
 )
@@ -56,13 +56,18 @@ func appendRecordHead(dst []byte, typ byte, id string, extra int) ([]byte, error
 	return append(dst, id...), nil
 }
 
-// AppendEnrollRecord appends the record of enrolling id with enr to dst.
-func AppendEnrollRecord(dst []byte, id string, enr *core.Enrollment) ([]byte, error) {
-	dst, err := appendRecordHead(dst, recEnroll, id, 0)
+// AppendEnrollRecord appends the record of enrolling device id to dst. Its
+// body is the one the device was enrolled or replayed with, verbatim.
+func (v *Verifier) AppendEnrollRecord(dst []byte, id string) ([]byte, error) {
+	rec, ok := v.devices[id]
+	if !ok {
+		return nil, fmt.Errorf("auth: %w %q", ErrUnknownDevice, id)
+	}
+	dst, err := appendRecordHead(dst, recEnroll, id, len(rec.body))
 	if err != nil {
 		return nil, err
 	}
-	return enr.AppendBinary(dst)
+	return append(dst, rec.body...), nil
 }
 
 // AppendConsumeRecord appends the record of id's pairs being consumed by
@@ -96,11 +101,7 @@ func (v *Verifier) apply(p []byte, dupOK bool) error {
 	id, body := string(p[3:3+idLen]), p[3+idLen:]
 	switch p[0] {
 	case recEnroll:
-		enr, err := core.LoadEnrollmentBinary(body)
-		if err != nil {
-			return fmt.Errorf("enroll %q: %w", id, err)
-		}
-		err = v.ApplyEnroll(id, enr)
+		err := v.applyEnroll(id, body)
 		if dupOK && errors.Is(err, ErrDuplicateDevice) {
 			return nil
 		}
@@ -159,12 +160,14 @@ func (v *Verifier) replay(rd *recordio.Reader, tolerant bool) (records int, vali
 }
 
 // Save writes the verifier's snapshot — every device and its consumed
-// pairs — to w. The bytes depend only on the verifier's state.
+// pairs — to w. Enroll records carry the stored bodies verbatim; the
+// decoder admits only canonical bodies, so the bytes depend only on the
+// verifier's state.
 func (v *Verifier) Save(w io.Writer) error {
 	ids := v.DeviceIDs()
 	count := len(ids)
 	for _, id := range ids {
-		if slices.Contains(v.devices[id].used, true) {
+		if slices.ContainsFunc(v.devices[id].used, func(w uint64) bool { return w != 0 }) {
 			count++
 		}
 	}
@@ -184,15 +187,14 @@ func (v *Verifier) Save(w io.Writer) error {
 	}
 	var used []int
 	for _, id := range ids {
-		rec := v.devices[id]
 		used = used[:0]
-		for i, u := range rec.used {
-			if u {
-				used = append(used, i)
+		for w, word := range v.devices[id].used {
+			for ; word != 0; word &= word - 1 {
+				used = append(used, w<<6+mathbits.TrailingZeros64(word))
 			}
 		}
 		var err error
-		if p, err = AppendEnrollRecord(p[:0], id, rec.Enrollment); err == nil {
+		if p, err = v.AppendEnrollRecord(p[:0], id); err == nil {
 			err = put(p)
 		}
 		if err == nil && len(used) > 0 {

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
+	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ropuf/internal/core"
@@ -17,7 +20,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden snapshot files")
 
 func TestVerifierSaveLoadRoundtrip(t *testing.T) {
-	v, rec, pairs := newTestVerifier(t)
+	v, enr, pairs := newTestVerifier(t)
 	// Consume a challenge so used-state is non-trivial.
 	ch, err := v.NewChallenge("dev0", 8)
 	if err != nil {
@@ -49,7 +52,7 @@ func TestVerifierSaveLoadRoundtrip(t *testing.T) {
 	// The restored verifier must verify a genuine response to the old
 	// challenge (challenge pairs were consumed, but verification of an
 	// in-flight challenge still works against stored bits).
-	prover := &Prover{Enrollment: rec.Enrollment}
+	prover := &Prover{Enrollment: enr}
 	resp, err := prover.Respond(ch, pairs)
 	if err != nil {
 		t.Fatal(err)
@@ -117,6 +120,16 @@ func snapshotOf(version byte, tolerance float64, count int, records ...[]byte) [
 	return out
 }
 
+// appendEnrollRecord appends the record of enrolling id with enr to dst,
+// as a log writer holding the enrollment would write it.
+func appendEnrollRecord(dst []byte, id string, enr *core.Enrollment) ([]byte, error) {
+	dst, err := appendRecordHead(dst, recEnroll, id, 0)
+	if err != nil {
+		return nil, err
+	}
+	return enr.AppendBinary(dst)
+}
+
 func mustRecord(t *testing.T) func([]byte, error) []byte {
 	return func(p []byte, err error) []byte {
 		t.Helper()
@@ -136,7 +149,7 @@ const jsonSnapshotV1 = `{
 `
 
 func TestLoadVerifierRejectsCorruption(t *testing.T) {
-	v, rec, _ := newTestVerifier(t)
+	v, enr, _ := newTestVerifier(t)
 	if _, err := v.NewChallenge("dev0", 4); err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +162,8 @@ func TestLoadVerifierRejectsCorruption(t *testing.T) {
 		t.Fatalf("good snapshot rejected: %v", err)
 	}
 	must := mustRecord(t)
-	enroll := must(AppendEnrollRecord(nil, "dev0", rec.Enrollment))
-	pairs := len(rec.Enrollment.Selections)
+	enroll := must(appendEnrollRecord(nil, "dev0", enr))
+	pairs := len(enr.Selections)
 
 	cases := map[string][]byte{
 		"garbage":                   []byte("{"),
@@ -249,7 +262,7 @@ func TestSnapshotGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		fresh, _ := loaded.NumFresh(id)
-		if got := rec.Enrollment.NumBits() - fresh; got != want {
+		if got := rec.NumBits() - fresh; got != want {
 			t.Errorf("%s: %d consumed pairs after load, want %d", id, got, want)
 		}
 	}
@@ -272,10 +285,10 @@ func TestReplayLog(t *testing.T) {
 	}
 	var log []byte
 	for _, p := range [][]byte{
-		must(AppendEnrollRecord(nil, "a", enrA)),
+		must(appendEnrollRecord(nil, "a", enrA)),
 		must(AppendConsumeRecord(nil, "a", []int{0, 3})),
-		must(AppendEnrollRecord(nil, "b-high-bit-ÿ", enrB)),
-		must(AppendEnrollRecord(nil, "a", enrA)), // already held: skipped
+		must(appendEnrollRecord(nil, "b-high-bit-ÿ", enrB)),
+		must(appendEnrollRecord(nil, "a", enrA)), // already held: skipped
 		must(AppendConsumeRecord(nil, "b-high-bit-ÿ", []int{7})),
 	} {
 		log = recordio.Append(log, p)
@@ -318,6 +331,159 @@ func TestReplayLog(t *testing.T) {
 		bad := recordio.Append(append([]byte(nil), log...), p)
 		if _, n, valid, err := replay(bad); err == nil || n != 5 || valid != int64(len(log)) {
 			t.Errorf("%s: %d records, valid %d, err %v; want an error after 5 records", name, n, valid, err)
+		}
+	}
+}
+
+// TestReplayEveryPrefix replays every prefix of a seeded log of enrolls
+// and consumes over 32 devices — cut at each record boundary and at a
+// point inside each frame — into a fresh verifier, and checks the result
+// against a reference model that decodes each enroll with
+// core.LoadEnrollmentBinary and keeps used pairs as []bool: the device
+// set, NumFresh, every pair's reference bit, and the Save bytes, which
+// must equal the model's re-encoded snapshot. The log also re-logs
+// enrolls already applied and consumes of used and masked pairs, as a
+// log replayed over a snapshot holds them.
+func TestReplayEveryPrefix(t *testing.T) {
+	const devices, tolerance = 32, 0.1
+	type modelDevice struct {
+		enr  *core.Enrollment
+		used []bool
+	}
+	model := map[string]*modelDevice{}
+	var ids []string // enrolled, in enroll order
+
+	// snapshot is the model's state re-encoded the way Save lays it out.
+	snapshot := func() []byte {
+		var records [][]byte
+		for _, id := range slices.Sorted(maps.Keys(model)) {
+			d := model[id]
+			p, err := appendEnrollRecord(nil, id, d.enr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			records = append(records, p)
+			var used []int
+			for i, u := range d.used {
+				if u {
+					used = append(used, i)
+				}
+			}
+			if len(used) > 0 {
+				p, err := AppendConsumeRecord(nil, id, used)
+				if err != nil {
+					t.Fatal(err)
+				}
+				records = append(records, p)
+			}
+		}
+		return snapshotOf(snapshotVersion, tolerance, len(records), records...)
+	}
+
+	// Build the script and the model's state after each of its records.
+	r := rngx.New(0x5EED)
+	var log []byte
+	bounds := []int{0}
+	want := [][]byte{snapshot()}
+	states := []map[string]*modelDevice{{}}
+	for len(ids) < devices || len(bounds) < 4*devices {
+		var p []byte
+		var err error
+		switch c := r.Float64(); {
+		case len(ids) < devices && (len(ids) == 0 || c < 0.3):
+			id := fmt.Sprintf("dev-%02d", len(ids))
+			mode := core.Case1 + core.Mode(r.Intn(2))
+			pairs := fabPairs(r.Uint64(), 5+r.Intn(140), 3+r.Intn(12))
+			enr, err := core.Enroll(pairs, mode, 0, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Mask the pairs below a random one's margin.
+			threshold := enr.Selections[r.Intn(len(pairs))].Margin
+			if enr, err = core.Enroll(pairs, mode, threshold, core.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if p, err = appendEnrollRecord(nil, id, enr); err != nil {
+				t.Fatal(err)
+			}
+			if enr, err = core.LoadEnrollmentBinary(p[3+len(id):]); err != nil {
+				t.Fatal(err)
+			}
+			model[id] = &modelDevice{enr: enr, used: make([]bool, len(enr.Selections))}
+			ids = append(ids, id)
+		case c < 0.4:
+			id := ids[r.Intn(len(ids))]
+			p, err = appendEnrollRecord(nil, id, model[id].enr) // already held: skipped
+		default:
+			id := ids[r.Intn(len(ids))]
+			d := model[id]
+			pairs := make([]int, 1+r.Intn(8))
+			for i := range pairs {
+				pairs[i] = r.Intn(len(d.used))
+				d.used[pairs[i]] = true
+			}
+			p, err = AppendConsumeRecord(nil, id, pairs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = recordio.Append(log, p)
+		bounds = append(bounds, len(log))
+		want = append(want, snapshot())
+		state := map[string]*modelDevice{}
+		for id, d := range model {
+			state[id] = &modelDevice{enr: d.enr, used: slices.Clone(d.used)}
+		}
+		states = append(states, state)
+	}
+
+	check := func(cut, records int) {
+		t.Helper()
+		v, err := NewVerifier(tolerance, rngx.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, valid, err := v.ReplayLog(bytes.NewReader(log[:cut]))
+		if err != nil || n != records || valid != int64(bounds[records]) {
+			t.Fatalf("cut at %d: %d records, valid %d, err %v; want %d records, valid %d",
+				cut, n, valid, err, records, bounds[records])
+		}
+		state := states[records]
+		if got, wantIDs := v.DeviceIDs(), slices.Sorted(maps.Keys(state)); !slices.Equal(got, wantIDs) {
+			t.Fatalf("cut at %d: devices %v, model %v", cut, got, wantIDs)
+		}
+		for id, d := range state {
+			fresh := 0
+			for i, u := range d.used {
+				if !u && d.enr.Mask[i] {
+					fresh++
+				}
+			}
+			if got, _ := v.NumFresh(id); got != fresh {
+				t.Fatalf("cut at %d: %s has %d fresh pairs, model %d", cut, id, got, fresh)
+			}
+			rec, err := v.Device(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.NumPairs() != len(d.enr.Selections) || rec.NumBits() != d.enr.NumBits() {
+				t.Fatalf("cut at %d: %s has %d pairs, %d bits; model %d, %d",
+					cut, id, rec.NumPairs(), rec.NumBits(), len(d.enr.Selections), d.enr.NumBits())
+			}
+			for i, sel := range d.enr.Selections {
+				if rec.Bit(i) != sel.Bit {
+					t.Fatalf("cut at %d: %s pair %d reference bit %v, model %v", cut, id, i, rec.Bit(i), sel.Bit)
+				}
+			}
+		}
+		if got := saved(t, v); !bytes.Equal(got, want[records]) {
+			t.Fatalf("cut at %d: Save gives %d bytes that differ from the model's %d", cut, len(got), len(want[records]))
+		}
+	}
+	for j, b := range bounds {
+		check(b, j)
+		if j+1 < len(bounds) {
+			check(b+1+r.Intn(bounds[j+1]-b-1), j) // inside frame j+1: a torn tail
 		}
 	}
 }

@@ -508,7 +508,7 @@ func (s *Store) recordAppended(rec *obs.Counter, payloadLen int) {
 func (s *Store) Enroll(id string, pairs []core.Pair, mode core.Mode) (DeviceInfo, error) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	rec, err := sh.v.Enroll(id, pairs, mode)
+	enr, err := sh.v.Enroll(id, pairs, mode)
 	if err != nil {
 		sh.mu.Unlock()
 		return DeviceInfo{}, err
@@ -516,7 +516,7 @@ func (s *Store) Enroll(id string, pairs []core.Pair, mode core.Mode) (DeviceInfo
 	var pend *walPending
 	payloadLen := 0
 	if sh.wal != nil {
-		payload, err := auth.AppendEnrollRecord(nil, id, rec.Enrollment)
+		payload, err := sh.v.AppendEnrollRecord(nil, id)
 		if err == nil {
 			pend, err = s.submitLocked(sh, payload)
 			payloadLen = len(payload)
@@ -532,8 +532,8 @@ func (s *Store) Enroll(id string, pairs []core.Pair, mode core.Mode) (DeviceInfo
 	fresh, _ := sh.v.NumFresh(id)
 	info := DeviceInfo{
 		ID:    id,
-		Pairs: len(rec.Enrollment.Selections),
-		Bits:  rec.Enrollment.NumBits(),
+		Pairs: len(enr.Selections),
+		Bits:  enr.NumBits(),
 		Fresh: fresh,
 	}
 	sh.mu.Unlock()
@@ -691,8 +691,8 @@ func (s *Store) Device(id string) (DeviceInfo, error) {
 	}
 	return DeviceInfo{
 		ID:          id,
-		Pairs:       len(rec.Enrollment.Selections),
-		Bits:        rec.Enrollment.NumBits(),
+		Pairs:       rec.NumPairs(),
+		Bits:        rec.NumBits(),
 		Fresh:       fresh,
 		Outstanding: out,
 	}, nil

@@ -121,7 +121,7 @@ func consumed(t *testing.T, v *auth.Verifier, id string) int {
 		t.Fatal(err)
 	}
 	fresh, _ := v.NumFresh(id)
-	return rec.Enrollment.NumBits() - fresh
+	return rec.NumBits() - fresh
 }
 
 // frames scans a WAL file's bytes with recordio alone, returning the

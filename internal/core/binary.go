@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	mathbits "math/bits"
 
 	"ropuf/internal/bits"
-	"ropuf/internal/circuit"
 )
 
 // Binary enrollment codec. A deployed verifier stores each device's
@@ -26,8 +26,11 @@ import (
 //	               [x: ceil(stages/8)] [y: ceil(stages/8)]
 //	respBits(u32) response: ceil(respBits/8) bytes, LSB-first
 //
-// The decoder funnels through validateEnrollment, so it admits exactly
-// the states Enroll can produce.
+// One validating walk (walkBinary) reads the format for both decoders,
+// LoadEnrollmentBinary and the verifier's ScanEnrollmentBinary. It admits
+// only canonical bodies — unused flag bits and the padding bits of every
+// packed vector are zero — so an accepted body is exactly what
+// AppendBinary writes for its decoded state.
 
 const (
 	binaryMagic   = 0xE5 // first byte, so misrouted payloads fail fast
@@ -78,10 +81,10 @@ func (e *Enrollment) AppendBinary(dst []byte) ([]byte, error) {
 	for _, sel := range e.Selections {
 		flags := byte(0)
 		if sel.X != nil {
-			flags |= 1
+			flags |= flagConfig
 		}
 		if sel.Bit {
-			flags |= 2
+			flags |= flagBit
 		}
 		dst = append(dst, flags)
 		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(sel.Margin))
@@ -116,73 +119,195 @@ func (e *Enrollment) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// LoadEnrollmentBinary decodes an enrollment written by AppendBinary and
-// validates it.
+// LoadEnrollmentBinary decodes an enrollment written by AppendBinary. It
+// accepts exactly the bodies walkBinary does, so re-encoding what it
+// returns gives back data byte for byte.
 func LoadEnrollmentBinary(data []byte) (*Enrollment, error) {
-	d := binCursor{data: data}
-	magic, version, mode := d.byte(), d.byte(), d.byte()
-	if d.err == nil && (magic != binaryMagic || version != binaryVersion) {
-		return nil, fmt.Errorf("core: not a binary enrollment (magic %#x version %d)", magic, version)
-	}
-	threshold := math.Float64frombits(d.u64())
-	n := int(d.u32())
-	stages := int(d.u16())
-	if d.err == nil && n > maxBinaryVectors {
-		return nil, fmt.Errorf("core: selection count %d exceeds the binary format limit", n)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	// Every selection takes at least 9 bytes (flags and margin): a count
-	// the remaining bytes cannot hold is truncation, caught before the
-	// count sizes an allocation.
-	if n > (len(d.data)-d.off)/9 {
-		return nil, errors.New("core: truncated binary enrollment")
-	}
-	e := &Enrollment{
-		Mode:       Mode(mode),
-		Threshold:  threshold,
-		Selections: make([]Selection, 0, n),
-		Mask:       d.packedBools(n),
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		flags := d.byte()
-		sel := Selection{
-			Margin: math.Float64frombits(d.u64()),
-			Bit:    flags&2 != 0,
+	var e *Enrollment
+	stages := 0
+	err := walkBinary(data, func(h binaryHeader) {
+		e = &Enrollment{
+			Mode:       h.mode,
+			Threshold:  h.threshold,
+			Selections: make([]Selection, h.n),
+			Mask:       make([]bool, h.n),
+			Response:   bits.New(h.kept),
 		}
-		if flags&1 != 0 {
-			if stages == 0 {
-				return nil, errors.New("core: selection with zero-length ring configuration")
-			}
-			sel.X = circuit.Config(d.packedBools(stages))
-			sel.Y = circuit.Config(d.packedBools(stages))
+		stages = h.stages
+	}, func(i int, s binarySel) {
+		e.Mask[i] = s.kept
+		sel := &e.Selections[i]
+		sel.Margin, sel.Bit = s.margin, s.bit
+		if s.x != nil {
+			sel.X, sel.Y = unpackBools(s.x, stages), unpackBools(s.y, stages)
 		}
-		e.Selections = append(e.Selections, sel)
-	}
-	respLen := int(d.u32())
-	if d.err == nil && respLen > maxBinaryVectors {
-		return nil, fmt.Errorf("core: response length %d exceeds the binary format limit", respLen)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	packed := d.bytes((respLen + 7) / 8)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.data[d.off:]) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes after binary enrollment", len(d.data[d.off:]))
-	}
-	resp := bits.New(respLen)
-	for i := 0; i < respLen; i++ {
-		resp.Append(packed[i>>3]&(1<<(i&7)) != 0)
-	}
-	e.Response = resp
-	if err := validateEnrollment(e); err != nil {
+		if s.kept {
+			e.Response.Append(s.bit)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	return e, nil
+}
+
+// ScanEnrollmentBinary validates a binary enrollment in place, accepting
+// exactly the bodies LoadEnrollmentBinary accepts, and returns what a
+// verifier keeps of it without decoding a configuration: the pair count
+// and two bitsets over pair indices, the mask and every pair's reference
+// bit. Pair i is bit i%64 of word i/64; both bitsets share one allocation.
+func ScanEnrollmentBinary(data []byte) (n int, mask, ref []uint64, err error) {
+	err = walkBinary(data, func(h binaryHeader) {
+		n = h.n
+		w := (n + 63) / 64
+		words := make([]uint64, 2*w)
+		mask, ref = words[:w:w], words[w:]
+	}, func(i int, s binarySel) {
+		if s.kept {
+			mask[i>>6] |= 1 << (i & 63)
+		}
+		if s.bit {
+			ref[i>>6] |= 1 << (i & 63)
+		}
+	})
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return n, mask, ref, nil
+}
+
+// Selection flag bits; the other six must be zero.
+const (
+	flagConfig = 1 << 0 // X and Y follow the margin
+	flagBit    = 1 << 1 // the selection's bit
+)
+
+// binaryHeader is what walkBinary reads before the selections.
+type binaryHeader struct {
+	mode      Mode
+	threshold float64
+	n, stages int
+	kept      int // pairs the mask keeps: the response length
+}
+
+// binarySel is one selection as walkBinary reads it in place.
+type binarySel struct {
+	kept, bit bool
+	margin    float64
+	x, y      []byte // packed configurations; nil when none is stored
+}
+
+// walkBinary is the one reader of the binary enrollment grammar. In a
+// single pass it checks every rule the format has, structural and
+// semantic, and so admits exactly the bodies AppendBinary writes for a
+// state Enroll can produce: a kept pair stores a configuration, the
+// response holds the kept pairs' bits in order, and every padding bit and
+// unused flag bit is zero. The body is therefore canonical: re-encoding
+// its decoded state gives it back byte for byte. begin runs once, after
+// the mask, and sel once per selection in order; both may run before a
+// later byte fails the walk, so a caller keeps nothing from a walk that
+// returns an error.
+//
+// The response sits at a known distance from the end of data (the mask
+// fixes its length), so the walk reads it first and checks each kept
+// pair's bit against it as the selections go by.
+func walkBinary(data []byte, begin func(binaryHeader), sel func(int, binarySel)) error {
+	d := binCursor{data: data}
+	magic, version, mode := d.byte(), d.byte(), d.byte()
+	if d.err == nil && (magic != binaryMagic || version != binaryVersion) {
+		return fmt.Errorf("core: not a binary enrollment (magic %#x version %d)", magic, version)
+	}
+	h := binaryHeader{
+		mode:      Mode(mode),
+		threshold: math.Float64frombits(d.u64()),
+		n:         int(d.u32()),
+		stages:    int(d.u16()),
+	}
+	switch {
+	case d.err != nil:
+		return d.err
+	case h.mode != Case1 && h.mode != Case2:
+		return fmt.Errorf("core: invalid mode %d", int(h.mode))
+	case h.threshold < 0:
+		return fmt.Errorf("core: negative threshold %g", h.threshold)
+	case h.n > maxBinaryVectors:
+		return fmt.Errorf("core: selection count %d exceeds the binary format limit", h.n)
+	case h.n > (len(data)-d.off)/9:
+		// Every selection takes at least 9 bytes (flags and margin): a
+		// count the remaining bytes cannot hold is truncation, caught
+		// before the count sizes an allocation.
+		return errors.New("core: truncated binary enrollment")
+	}
+	mask := d.bytes((h.n + 7) / 8)
+	if d.err != nil {
+		return d.err
+	}
+	if padded(mask, h.n) {
+		return errors.New("core: nonzero padding bits after the mask")
+	}
+	for _, b := range mask {
+		h.kept += mathbits.OnesCount8(b)
+	}
+	if h.kept == 0 {
+		return errors.New("core: enrollment has no bits")
+	}
+	resp := (h.kept + 7) / 8
+	tail := len(data) - 4 - resp // where the response length sits
+	if tail < d.off {
+		return errors.New("core: truncated binary enrollment")
+	}
+	if got := binary.LittleEndian.Uint32(data[tail:]); uint64(got) != uint64(h.kept) {
+		return fmt.Errorf("core: mask keeps %d pairs but response has %d bits", h.kept, got)
+	}
+	response := data[tail+4:]
+	if padded(response, h.kept) {
+		return errors.New("core: nonzero padding bits after the response")
+	}
+	d.data = data[:tail]
+	begin(h)
+
+	cfgLen := (h.stages + 7) / 8
+	ri := 0 // the next response bit
+	for i := 0; i < h.n; i++ {
+		flags := d.byte()
+		s := binarySel{kept: mask[i>>3]>>(i&7)&1 != 0, bit: flags&flagBit != 0, margin: math.Float64frombits(d.u64())}
+		switch {
+		case d.err != nil:
+			return d.err
+		case flags&^(flagConfig|flagBit) != 0:
+			return fmt.Errorf("core: selection %d has unknown flag bits %#x", i, flags)
+		case flags&flagConfig != 0:
+			if h.stages == 0 {
+				return errors.New("core: selection with zero-length ring configuration")
+			}
+			s.x, s.y = d.bytes(cfgLen), d.bytes(cfgLen)
+			if d.err != nil {
+				return d.err
+			}
+			if padded(s.x, h.stages) || padded(s.y, h.stages) {
+				return fmt.Errorf("core: selection %d has nonzero configuration padding bits", i)
+			}
+		case s.kept:
+			return fmt.Errorf("core: selection %d kept by mask but has no configuration", i)
+		}
+		if s.kept {
+			if response[ri>>3]>>(ri&7)&1 != 0 != s.bit {
+				return fmt.Errorf("core: response bit %d inconsistent with selection %d", ri, i)
+			}
+			ri++
+		}
+		sel(i, s)
+	}
+	if rest := len(d.data) - d.off; rest != 0 {
+		return fmt.Errorf("core: %d trailing bytes after the selections", rest)
+	}
+	return nil
+}
+
+// padded reports whether the bits after the first n of the packed vector
+// p, up to its last byte's end, are not all zero.
+func padded(p []byte, n int) bool {
+	return n&7 != 0 && p[len(p)-1]>>(n&7) != 0
 }
 
 func hasAnyConfig(sels []Selection) bool {
@@ -266,71 +391,11 @@ func (d *binCursor) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-func (d *binCursor) packedBools(n int) []bool {
-	packed := d.bytes((n + 7) / 8)
-	if d.err != nil {
-		return nil
-	}
+// unpackBools expands the first n bits of the packed vector p.
+func unpackBools(p []byte, n int) []bool {
 	bs := make([]bool, n)
 	for i := range bs {
-		bs[i] = packed[i>>3]&(1<<(i&7)) != 0
+		bs[i] = p[i>>3]&(1<<(i&7)) != 0
 	}
 	return bs
-}
-
-// validateEnrollment is the semantic gate the decoder funnels through: a
-// decoded enrollment is admitted only if Enroll could have produced it.
-func validateEnrollment(e *Enrollment) error {
-	if e.Mode != Case1 && e.Mode != Case2 {
-		return fmt.Errorf("core: invalid mode %d", int(e.Mode))
-	}
-	if e.Threshold < 0 {
-		return fmt.Errorf("core: negative threshold %g", e.Threshold)
-	}
-	if len(e.Mask) != len(e.Selections) {
-		return fmt.Errorf("core: mask length %d != selections %d", len(e.Mask), len(e.Selections))
-	}
-	// A device has one physical ring length, so every stored configuration
-	// must share one stage count n (masked pairs store no configuration and
-	// are exempt). Mixed lengths mean the file was corrupted or hand-edited
-	// and would otherwise surface later as confusing per-pair Evaluate
-	// length errors — or silently mix ring sizes.
-	stageCount := -1
-	kept := 0
-	for i, sel := range e.Selections {
-		if sel.X != nil {
-			if len(sel.X) != len(sel.Y) {
-				return fmt.Errorf("core: selection %d config lengths differ (%d vs %d)", i, len(sel.X), len(sel.Y))
-			}
-			if stageCount == -1 {
-				stageCount = len(sel.X)
-			} else if len(sel.X) != stageCount {
-				return fmt.Errorf("core: selection %d has %d stages but earlier selections have %d (mixed ring sizes)",
-					i, len(sel.X), stageCount)
-			}
-		} else if e.Mask[i] {
-			return fmt.Errorf("core: selection %d kept by mask but has no configuration", i)
-		}
-		if e.Mask[i] {
-			kept++
-		}
-	}
-	if kept != e.Response.Len() {
-		return fmt.Errorf("core: mask keeps %d pairs but response has %d bits", kept, e.Response.Len())
-	}
-	if e.Response.Len() == 0 {
-		return errors.New("core: enrollment has no bits")
-	}
-	// Reference bits must match the stored selections' bits.
-	bi := 0
-	for i, sel := range e.Selections {
-		if !e.Mask[i] {
-			continue
-		}
-		if e.Response.Bit(bi) != sel.Bit {
-			return fmt.Errorf("core: response bit %d inconsistent with selection %d", bi, i)
-		}
-		bi++
-	}
-	return nil
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	mathbits "math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -13,7 +16,7 @@ import (
 
 // binaryTestPairs fabricates deterministic per-stage delay vectors; the
 // fleet package can't be used here (it imports core).
-func binaryTestPairs(t *testing.T, n, stages int, seed int64) []Pair {
+func binaryTestPairs(t testing.TB, n, stages int, seed int64) []Pair {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pairs := make([]Pair, n)
@@ -57,6 +60,18 @@ func TestBinaryRoundTrip(t *testing.T) {
 		}
 		if len(got.Selections) != len(enr.Selections) {
 			t.Fatalf("device %d: %d selections, want %d", di, len(got.Selections), len(enr.Selections))
+		}
+		if again, err := got.AppendBinary(nil); err != nil || !slices.Equal(again, data) {
+			t.Fatalf("device %d: decoded enrollment re-encodes to different bytes (err %v)", di, err)
+		}
+		n, mask, ref, err := ScanEnrollmentBinary(data)
+		if err != nil || n != len(enr.Selections) {
+			t.Fatalf("device %d: scan gives %d pairs, err %v", di, n, err)
+		}
+		for i, sel := range enr.Selections {
+			if mask[i/64]>>(i%64)&1 != 0 != enr.Mask[i] || ref[i/64]>>(i%64)&1 != 0 != sel.Bit {
+				t.Fatalf("device %d pair %d: scanned mask or reference bit differs", di, i)
+			}
 		}
 		for i, sel := range enr.Selections {
 			g := got.Selections[i]
@@ -122,10 +137,12 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every prefix is truncated somewhere; none may panic or succeed.
+	// Every prefix is truncated somewhere; neither decoder may panic or
+	// accept one.
 	for n := 0; n < len(valid); n++ {
-		if _, err := LoadEnrollmentBinary(valid[:n]); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", n)
+		_, err := LoadEnrollmentBinary(valid[:n])
+		if _, _, _, scanErr := ScanEnrollmentBinary(valid[:n]); err == nil || scanErr == nil {
+			t.Fatalf("truncation to %d bytes accepted (errors %v, %v)", n, err, scanErr)
 		}
 	}
 	cases := map[string][]byte{
@@ -137,8 +154,9 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 		"bad mode":         append([]byte{valid[0], valid[1], 7}, valid[3:]...),
 	}
 	for name, data := range cases {
-		if _, err := LoadEnrollmentBinary(data); err == nil {
-			t.Errorf("%s accepted", name)
+		_, err := LoadEnrollmentBinary(data)
+		if _, _, _, scanErr := ScanEnrollmentBinary(data); err == nil || scanErr == nil {
+			t.Errorf("%s accepted (errors %v, %v)", name, err, scanErr)
 		}
 	}
 
@@ -151,9 +169,10 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestValidateEnrollmentRejectsInconsistentState drives the semantic gate
-// with states no encoder writes but a corrupt record could decode to.
-func TestValidateEnrollmentRejectsInconsistentState(t *testing.T) {
+// TestBinaryRejectsInconsistentState drives the codec with states Enroll
+// never produces: AppendBinary refuses the ones the format cannot express,
+// and the decoder rejects every other one it wrote.
+func TestBinaryRejectsInconsistentState(t *testing.T) {
 	cfg := func(s string) circuit.Config {
 		c, err := circuit.ParseConfig(s)
 		if err != nil {
@@ -170,7 +189,7 @@ func TestValidateEnrollmentRejectsInconsistentState(t *testing.T) {
 	}
 	sel := func(x, y string, bit bool) Selection {
 		if x == "" {
-			return Selection{}
+			return Selection{Bit: bit}
 		}
 		return Selection{X: cfg(x), Y: cfg(y), Margin: 2, Bit: bit}
 	}
@@ -182,16 +201,32 @@ func TestValidateEnrollmentRejectsInconsistentState(t *testing.T) {
 			Selections: []Selection{sel("101", "101", true)}, Mask: []bool{true, true}, Response: resp("11")}},
 		{"x/y lengths differ", "config lengths differ", Enrollment{Mode: Case1,
 			Selections: []Selection{sel("101", "10", true)}, Mask: []bool{true}, Response: resp("1")}},
-		{"mixed stage counts", "mixed ring sizes", Enrollment{Mode: Case1,
+		{"mixed stage counts", "earlier selections", Enrollment{Mode: Case1,
 			Selections: []Selection{sel("101", "101", true), sel("1011", "1011", true)},
 			Mask:       []bool{true, true}, Response: resp("11")}},
 		{"bad mode", "invalid mode", Enrollment{Mode: 7,
 			Selections: []Selection{sel("101", "101", true)}, Mask: []bool{true}, Response: resp("1")}},
+		{"negative threshold", "negative threshold", Enrollment{Mode: Case2, Threshold: -1,
+			Selections: []Selection{sel("101", "101", true)}, Mask: []bool{true}, Response: resp("1")}},
 		{"flipped response bit", "inconsistent", Enrollment{Mode: Case1,
 			Selections: []Selection{sel("101", "101", true)}, Mask: []bool{true}, Response: resp("0")}},
+		{"kept pair without configuration", "no configuration", Enrollment{Mode: Case1,
+			Selections: []Selection{sel("", "", true), sel("101", "101", true)},
+			Mask:       []bool{true, true}, Response: resp("11")}},
+		{"response longer than the kept pairs", "response has", Enrollment{Mode: Case1,
+			Selections: []Selection{sel("101", "101", true), sel("101", "101", false)},
+			Mask:       []bool{true, false}, Response: resp("10")}},
+		{"no kept pair", "no bits", Enrollment{Mode: Case1,
+			Selections: []Selection{sel("101", "101", true)}, Mask: []bool{false}, Response: resp("")}},
 	}
 	for _, c := range cases {
-		err := validateEnrollment(&c.e)
+		data, err := c.e.AppendBinary(nil)
+		if err == nil {
+			_, err = LoadEnrollmentBinary(data)
+			if _, _, _, serr := ScanEnrollmentBinary(data); (serr == nil) != (err == nil) {
+				t.Errorf("%s: LoadEnrollmentBinary err %v, ScanEnrollmentBinary err %v", c.name, err, serr)
+			}
+		}
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("%s: err = %v, want it to mention %q", c.name, err, c.wantErr)
 		}
@@ -200,7 +235,81 @@ func TestValidateEnrollmentRejectsInconsistentState(t *testing.T) {
 	// stage-count check.
 	ok := Enrollment{Mode: Case1, Selections: []Selection{sel("", "", false), sel("1011", "1011", true)},
 		Mask: []bool{false, true}, Response: resp("1")}
-	if err := validateEnrollment(&ok); err != nil {
+	data, err := ok.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadEnrollmentBinary(data); err != nil {
 		t.Fatalf("masked empty selection rejected: %v", err)
+	}
+}
+
+// nonCanonical returns copies of body, each with one bit set that
+// AppendBinary always leaves zero: an unused flag bit of pair 0, a padding
+// bit of pair 0's X configuration, and — where the pair and kept counts
+// leave room — a padding bit of the response and one of the mask, the
+// latter also with a response length raised to count it, so that no
+// length disagrees with the bit. Pair 0 must store a configuration whose
+// stage count is not a multiple of 8.
+func nonCanonical(t testing.TB, body []byte) map[string][]byte {
+	n := int(binary.LittleEndian.Uint32(body[11:]))
+	stages := int(binary.LittleEndian.Uint16(body[15:]))
+	maskEnd := 17 + (n+7)/8
+	if stages%8 == 0 || body[maskEnd]&flagConfig == 0 {
+		t.Fatalf("pair 0 of a %d-stage body has no configuration padding", stages)
+	}
+	kept := 0
+	for _, b := range body[17:maskEnd] {
+		kept += mathbits.OnesCount8(b)
+	}
+	with := func(off int, bit byte) []byte {
+		b := bytes.Clone(body)
+		if b[off]&bit != 0 {
+			t.Fatalf("bit %#x of byte %d is already set", bit, off)
+		}
+		b[off] |= bit
+		return b
+	}
+	out := map[string][]byte{
+		"unknown flag bit": with(maskEnd, 1<<2),
+		"config padding":   with(maskEnd+9+(stages+7)/8-1, 0x80),
+	}
+	if kept%8 != 0 {
+		out["response padding"] = with(len(body)-1, 0x80)
+	}
+	if n%8 != 0 {
+		out["mask padding"] = with(maskEnd-1, 0x80)
+	}
+	if n%8 != 0 && kept%8 != 0 {
+		b := with(maskEnd-1, 0x80)
+		binary.LittleEndian.PutUint32(b[len(b)-4-(kept+7)/8:], uint32(kept+1))
+		out["mask padding, counted"] = b
+	}
+	return out
+}
+
+// TestBinaryRejectsNonCanonical pins the canonical-body rule: a bit the
+// encoder always leaves zero fails the decode, where it used to decode
+// and re-encode to different bytes.
+func TestBinaryRejectsNonCanonical(t *testing.T) {
+	enr, err := Enroll(binaryTestPairs(t, 10, 13, 0xB3), Case2, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := enr.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutants := nonCanonical(t, body)
+	if len(mutants) != 5 {
+		t.Fatalf("a 10-pair body gave %d of the 5 mutations", len(mutants))
+	}
+	for name, data := range mutants {
+		if _, err := LoadEnrollmentBinary(data); err == nil {
+			t.Errorf("%s: LoadEnrollmentBinary accepted it", name)
+		}
+		if _, _, _, err := ScanEnrollmentBinary(data); err == nil {
+			t.Errorf("%s: ScanEnrollmentBinary accepted it", name)
+		}
 	}
 }
