@@ -80,6 +80,9 @@ func runLoadgen(ctx context.Context, args []string) error {
 	if *harvest && *mode != "full" {
 		return fmt.Errorf("loadgen: -harvest needs -mode full")
 	}
+	if *concurrency < 1 {
+		return fmt.Errorf("loadgen: -concurrency must be at least 1, got %d", *concurrency)
+	}
 	// The client keeps its own request metrics: during an incident the
 	// delta between client-observed and server-observed rate/latency is
 	// what separates a slow server from a slow network or client. The
@@ -261,36 +264,24 @@ func runLoadgen(ctx context.Context, args []string) error {
 	bo := backoff{base: 25 * time.Millisecond, cap: 2 * time.Second}
 	var accepted, rejected, throttled, transport atomic.Int64
 	latencies := make([][]time.Duration, *concurrency)
-	next := atomic.Int64{}
 	verifyStart := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < *concurrency; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) || ctx.Err() != nil {
-					return
-				}
-				t0 := time.Now()
-				var vr authserve.VerifyResponse
-				code, err := lg.postJSONBackoff(ctx, "verify", "/v1/verify", jobs[i].req, &vr, bo, 8)
-				latencies[w] = append(latencies[w], time.Since(t0))
-				switch {
-				case err != nil:
-					transport.Add(1)
-				case code == http.StatusTooManyRequests:
-					throttled.Add(1)
-				case code == http.StatusOK && vr.OK:
-					accepted.Add(1)
-				default:
-					rejected.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	// A cancellation is reported from ctx below, after the counts settle.
+	_ = fleet.Dispatch(ctx, len(jobs), *concurrency, func(w, i int) {
+		t0 := time.Now()
+		var vr authserve.VerifyResponse
+		code, err := lg.postJSONBackoff(ctx, "verify", "/v1/verify", jobs[i].req, &vr, bo, 8)
+		latencies[w] = append(latencies[w], time.Since(t0))
+		switch {
+		case err != nil:
+			transport.Add(1)
+		case code == http.StatusTooManyRequests:
+			throttled.Add(1)
+		case code == http.StatusOK && vr.OK:
+			accepted.Add(1)
+		default:
+			rejected.Add(1)
+		}
+	})
 	verifyElapsed := time.Since(verifyStart)
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("loadgen: cancelled mid-verify: %w", err)
@@ -326,34 +317,23 @@ type loadgen struct {
 	reqDur   *obs.HistogramVec // client-observed latency by route and code
 }
 
-// forEach runs fn(0..n-1) across `workers` goroutines, stopping early on
-// the first error or on context cancellation. It serves both the HTTP
-// load phases and the CPU-bound local prover preparation.
+// forEach runs fn(0..n-1) on a fleet.Dispatch pool of `workers`
+// goroutines. The first error cancels the batch's context, so no further
+// index starts, and is returned; so is a cancellation of ctx. It serves
+// both the HTTP load phases and the CPU-bound local prover preparation.
 func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
-	next := atomic.Int64{}
-	var firstErr atomic.Value
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil || firstErr.Load() != nil {
-					return
-				}
-				if err := fn(i); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err, _ := firstErr.Load().(error); err != nil {
-		return err
-	}
-	return ctx.Err()
+	batch, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
+	// The cause returned below says why the batch stopped, if it did.
+	_ = fleet.Dispatch(batch, n, workers, func(_, i int) {
+		if batch.Err() != nil {
+			return
+		}
+		if err := fn(i); err != nil {
+			stop(err)
+		}
+	})
+	return context.Cause(batch)
 }
 
 func (lg *loadgen) postJSON(ctx context.Context, route, path string, in, out any) (int, error) {

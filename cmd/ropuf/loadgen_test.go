@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -159,6 +160,36 @@ func TestLoadgenEnrollMode(t *testing.T) {
 	}
 }
 
+// TestLoadgenStopsAtFirstEnrollError answers 500 to every enroll: the
+// phase must fail with an error that names a device, and the first
+// failure must stop the fan-out, so about the four requests in flight on
+// the four workers reach the server, not all 64 (the bound of 8 leaves
+// room for scheduling).
+func TestLoadgenStopsAtFirstEnrollError(t *testing.T) {
+	var enrolls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/enroll" {
+			enrolls.Add(1)
+		}
+		http.Error(w, "injected failure", http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+
+	err := runLoadgen(context.Background(), []string{
+		"-addr", ts.URL, "-mode", "enroll",
+		"-devices", "64", "-pairs", "4", "-stages", "5", "-concurrency", "4",
+	})
+	if err == nil {
+		t.Fatal("loadgen succeeded against a server that fails every enroll")
+	}
+	if !regexp.MustCompile(`dev-\d+`).MatchString(err.Error()) {
+		t.Fatalf("error %q does not name a device", err)
+	}
+	if n := enrolls.Load(); n > 8 {
+		t.Fatalf("%d enroll requests reached the server after the first failure, want <= 8", n)
+	}
+}
+
 // TestLoadgenWritesNoFiles runs the full load shape, as the README does,
 // from an empty working directory against an in-process authserve: the
 // run must succeed and leave the directory empty. Loadgen once wrote a
@@ -190,12 +221,16 @@ func TestLoadgenWritesNoFiles(t *testing.T) {
 	}
 }
 
-// TestLoadgenModeValidation rejects unknown modes and harvest+enroll.
+// TestLoadgenModeValidation rejects unknown modes, harvest+enroll and a
+// worker count below one.
 func TestLoadgenModeValidation(t *testing.T) {
 	if err := runLoadgen(context.Background(), []string{"-mode", "sideways"}); err == nil {
 		t.Fatal("unknown -mode accepted")
 	}
 	if err := runLoadgen(context.Background(), []string{"-mode", "enroll", "-harvest"}); err == nil {
 		t.Fatal("-harvest with -mode enroll accepted")
+	}
+	if err := runLoadgen(context.Background(), []string{"-concurrency", "0"}); err == nil {
+		t.Fatal("-concurrency 0 accepted")
 	}
 }

@@ -443,9 +443,9 @@ func (w *statusWriter) WriteHeader(code int) {
 // reqScratch is the pooled per-request working set: the status capture
 // every route needs, plus the buffers the verify/challenge paths use to
 // run without per-request allocations — request body bytes, the parsed
-// response bits, and the response encoding buffer. Handlers reach it by
-// downcasting their ResponseWriter; a handler invoked with a plain writer
-// (not through instrument) falls back to allocating.
+// response bits, and the response encoding buffer. Every route runs
+// through instrument, so handlers reach it by downcasting their
+// ResponseWriter.
 type reqScratch struct {
 	statusWriter
 	body []byte
@@ -482,14 +482,11 @@ func putScratch(sc *reqScratch) {
 	scratchPool.Put(sc)
 }
 
-// readBody reads the whole request body into the scratch buffer (or a
-// fresh one without scratch), enforcing the maxBodyBytes cap the way
-// http.MaxBytesReader did on the generic path.
+// readBody reads the whole request body into the scratch buffer,
+// enforcing the maxBodyBytes cap the way http.MaxBytesReader did on the
+// generic path.
 func readBody(sc *reqScratch, r *http.Request) ([]byte, error) {
-	var buf []byte
-	if sc != nil {
-		buf = sc.body[:0]
-	}
+	buf := sc.body[:0]
 	for {
 		if len(buf) >= maxBodyBytes {
 			// A body of exactly maxBodyBytes is legal; reject only when
@@ -516,9 +513,7 @@ func readBody(sc *reqScratch, r *http.Request) ([]byte, error) {
 		}
 		n, err := r.Body.Read(buf[len(buf):end])
 		buf = buf[:len(buf)+n]
-		if sc != nil {
-			sc.body = buf
-		}
+		sc.body = buf
 		switch {
 		case err == io.EOF:
 			return buf, nil
@@ -621,7 +616,7 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 // request fast path and hand encoding of jsonwire.go, and an inline store
 // span instead of a closure.
 func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
-	sc, _ := w.(*reqScratch)
+	sc := w.(*reqScratch)
 	body, err := readBody(sc, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
@@ -645,7 +640,7 @@ func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
 	s.emitAudit(r.Context(), audit.EventChallenge, ch.DeviceID, "", map[string]float64{
 		"k": float64(len(ch.Pairs)), "fresh_after": float64(fresh),
 	})
-	writeChallengeJSON(w, sc, ChallengeResponse{ChallengeID: nonce, ID: ch.DeviceID, Pairs: ch.Pairs, Fresh: fresh})
+	writeChallengeJSON(sc, ChallengeResponse{ChallengeID: nonce, ID: ch.DeviceID, Pairs: ch.Pairs, Fresh: fresh})
 }
 
 // handleVerify is the hottest route and runs allocation-free apart from
@@ -653,16 +648,13 @@ func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
 // plain request parsed straight into a pooled bit stream, pooled
 // reference scratch inside the verifier, and a hand-encoded response.
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	sc, _ := w.(*reqScratch)
+	sc := w.(*reqScratch)
 	body, err := readBody(sc, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
 		return
 	}
-	resp := &bits.Stream{}
-	if sc != nil {
-		resp = &sc.resp
-	}
+	resp := &sc.resp
 	resp.Reset()
 	id, challengeID, bitsErr, err := parseVerifyRequest(body, resp)
 	if err != nil {
@@ -689,7 +681,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			"distance": float64(dist), "limit": float64(limit),
 		})
 	}
-	writeVerifyJSON(w, sc, VerifyResponse{OK: ok, Distance: dist, Limit: limit, Bits: resp.Len()})
+	writeVerifyJSON(sc, VerifyResponse{OK: ok, Distance: dist, Limit: limit, Bits: resp.Len()})
 }
 
 func (s *Server) handleDevice(w http.ResponseWriter, r *http.Request) {
@@ -769,28 +761,14 @@ func writeWire(w http.ResponseWriter, code int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-func writeVerifyJSON(w http.ResponseWriter, sc *reqScratch, v VerifyResponse) {
-	var out []byte
-	if sc != nil {
-		out = sc.out[:0]
-	}
-	out = appendVerifyResponse(out, v)
-	if sc != nil {
-		sc.out = out
-	}
-	writeWire(w, http.StatusOK, out)
+func writeVerifyJSON(sc *reqScratch, v VerifyResponse) {
+	sc.out = appendVerifyResponse(sc.out[:0], v)
+	writeWire(sc, http.StatusOK, sc.out)
 }
 
-func writeChallengeJSON(w http.ResponseWriter, sc *reqScratch, v ChallengeResponse) {
-	var out []byte
-	if sc != nil {
-		out = sc.out[:0]
-	}
-	out = appendChallengeResponse(out, v)
-	if sc != nil {
-		sc.out = out
-	}
-	writeWire(w, http.StatusOK, out)
+func writeChallengeJSON(sc *reqScratch, v ChallengeResponse) {
+	sc.out = appendChallengeResponse(sc.out[:0], v)
+	writeWire(sc, http.StatusOK, sc.out)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

@@ -527,7 +527,6 @@ func (s *Store) Enroll(id string, pairs []core.Pair, mode core.Mode) (DeviceInfo
 			return DeviceInfo{}, err
 		}
 	}
-	sh.statsFor(id).enrolls++
 	s.shardDevices.With(sh.label).Add(1)
 	fresh, _ := sh.v.NumFresh(id)
 	info := DeviceInfo{
@@ -540,7 +539,6 @@ func (s *Store) Enroll(id string, pairs []core.Pair, mode core.Mode) (DeviceInfo
 	if err := s.waitDurable(pend); err != nil {
 		sh.mu.Lock()
 		sh.v.Unenroll(id)
-		sh.statsFor(id).enrolls--
 		s.shardDevices.With(sh.label).Add(-1)
 		sh.mu.Unlock()
 		return DeviceInfo{}, err
@@ -657,14 +655,12 @@ func (s *Store) Verify(id, challengeID string, response *bits.Stream) (ok bool, 
 		return false, 0, 0, err
 	}
 	d := sh.statsFor(id)
-	d.verifies++
 	now := s.now()
 	d.lastVerify = now.Unix()
 	d.advance(bucketStep(now, s.bucketWidth))
 	b := &d.ring[d.lastStep%telemetryBuckets]
 	b.verifies++
 	if !ok {
-		d.fails++
 		b.fails++
 	}
 	return ok, distance, int(s.opt.Tolerance * float64(len(ch.Pairs))), nil

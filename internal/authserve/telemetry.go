@@ -38,13 +38,11 @@ type telemetryBucket struct {
 	fails      int64
 }
 
-// devStats is one device's counters: cumulative totals since process
-// start plus the rolling ring.
+// devStats is one device's telemetry since process start: the challenges
+// issued, the time of the last verify, and the rolling ring the abuse
+// scorer reads. A device gets one on its first challenge or verify.
 type devStats struct {
-	enrolls    int64
 	challenges int64
-	verifies   int64
-	fails      int64
 	lastVerify int64 // unix seconds; 0 = never this process
 
 	lastStep int64 // ring position of the most recent write
@@ -105,10 +103,7 @@ func (sh *shard) statsFor(id string) *devStats {
 // DeviceTelemetry is the cumulative (process-lifetime) per-device counter
 // view behind GET /v1/devices/{id}.
 type DeviceTelemetry struct {
-	Enrolls          int64
 	ChallengesIssued int64
-	Verifies         int64
-	VerifyFails      int64
 	LastVerifyUnix   int64 // 0 = never this process
 }
 
@@ -122,13 +117,7 @@ func (s *Store) Telemetry(id string) DeviceTelemetry {
 	if d == nil {
 		return DeviceTelemetry{}
 	}
-	return DeviceTelemetry{
-		Enrolls:          d.enrolls,
-		ChallengesIssued: d.challenges,
-		Verifies:         d.verifies,
-		VerifyFails:      d.fails,
-		LastVerifyUnix:   d.lastVerify,
-	}
+	return DeviceTelemetry{ChallengesIssued: d.challenges, LastVerifyUnix: d.lastVerify}
 }
 
 // DeviceWindow is one device's rolling-window consumption snapshot, the

@@ -3,9 +3,7 @@ package dataset
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"ropuf/internal/fleet"
 	"ropuf/internal/measure"
 	"ropuf/internal/rngx"
 	"ropuf/internal/silicon"
@@ -49,22 +47,33 @@ func streamVT(ctx context.Context, cfg VTConfig, root *rngx.RNG, fn func(*Board)
 	return nil
 }
 
-// streamResult carries one generated board from a worker to the in-order
-// emitter.
-type streamResult struct {
-	idx   int
+// boardResult is one board's outcome, delivered through the board's own
+// one-slot channel.
+type boardResult struct {
 	board *Board
 	err   error
 }
 
-// StreamVTParallel is StreamVT with board fabrication fanned out over a
-// bounded worker pool (fleet.Dispatch). Per-board RNG seeds are drawn
-// serially in dispatch order through the prepare hook, so the emitted
-// board sequence — order and bits — is identical to StreamVT regardless of
-// worker count or scheduling. fn is always invoked from the calling
-// goroutine, in board-ID order, with completed boards held in a reorder
-// window bounded by the worker count (dispatch is window-throttled, so
-// memory stays constant in the board count even when one board runs slow).
+// boardJob hands one board to a worker: its ID, the seed drawn for it in
+// serial order, and the slot its result goes to.
+type boardJob struct {
+	id   int
+	seed uint64
+	slot chan<- boardResult
+}
+
+// StreamVTParallel is StreamVT with board fabrication fanned out over
+// workers, each owning one die and one meter. It is an ordered pipeline:
+// one goroutine draws every board's seed from the root generator
+// (rngx.RNG.SplitSeed, the serial stream's order), queues a one-slot
+// result channel for the board, and then hands the board to a worker. The
+// calling goroutine takes the slots off the queue in board order and calls
+// fn with each board as it lands, so the emitted sequence — order and
+// bits — is identical to StreamVT whatever the worker count or scheduling.
+// The queue holds 2·workers+2 slots, which bounds the boards generated
+// but not yet emitted: memory stays constant in the board count even when
+// one board runs slow. StreamVTParallel returns the first board error,
+// sink error or cancellation, after every board in flight has finished.
 // workers <= 1 degrades to the serial generator.
 func StreamVTParallel(ctx context.Context, cfg VTConfig, workers int, fn func(*Board) error) error {
 	if err := cfg.Validate(); err != nil {
@@ -79,98 +88,56 @@ func StreamVTParallel(ctx context.Context, cfg VTConfig, workers int, fn func(*B
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	root := rngx.New(cfg.Seed)
 	n := cfg.NumBoards
-
-	// The prepare hook draws seeds in strictly increasing board order (the
-	// serial Split stream) and throttles dispatch to the reorder window:
-	// a board is only handed to a worker once fewer than `window` boards
-	// are dispatched-but-unemitted, which bounds worker-side buffering.
-	window := 2*workers + 2
-	tokens := make(chan struct{}, window)
-	var seedMu sync.Mutex
-	seeds := make(map[int]uint64, window)
-	prepare := func(idx int) {
-		select {
-		case tokens <- struct{}{}:
-		case <-ctx.Done():
-			return
-		}
-		seedMu.Lock()
-		seeds[idx] = root.SplitSeed()
-		seedMu.Unlock()
-	}
-
-	results := make(chan streamResult, window)
-	meters := make([]*measure.BoardMeter, workers)
-	dies := make([]*silicon.Die, workers)
-	for i := range meters {
-		meters[i], dies[i] = measure.NewBoardMeter(cfg.NoiseMHz), new(silicon.Die)
-	}
-	run := func(worker, idx int) {
-		seedMu.Lock()
-		seed, ok := seeds[idx]
-		delete(seeds, idx)
-		seedMu.Unlock()
-		if !ok {
-			// prepare was cancelled before drawing this seed; the dispatch
-			// loop is about to stop, drop the job.
-			return
-		}
-		board, err := generateVTBoard(cfg, idx, idx >= n-cfg.NumEnvBoards, rngx.New(seed), meters[worker], dies[worker])
-		if err != nil {
-			err = fmt.Errorf("dataset: board %d: %w", idx, err)
-		}
-		select {
-		case results <- streamResult{idx: idx, board: board, err: err}:
-		case <-ctx.Done():
-		}
-	}
-
-	var dispatchErr error
+	// The queue's capacity bounds the boards generated but not yet emitted.
+	slots := make(chan chan boardResult, 2*workers+2)
+	jobs := make(chan boardJob)
 	go func() {
-		dispatchErr = fleet.Dispatch(ctx, n, workers, prepare, run)
-		close(results)
+		defer close(slots)
+		defer close(jobs)
+		root := rngx.New(cfg.Seed)
+		for id := 0; id < n; id++ {
+			slot := make(chan boardResult, 1)
+			slots <- slot
+			if err := ctx.Err(); err != nil {
+				slot <- boardResult{err: fmt.Errorf("dataset: stream cancelled: %w", err)}
+				return
+			}
+			jobs <- boardJob{id: id, seed: root.SplitSeed(), slot: slot}
+		}
 	}()
+	for w := 0; w < workers; w++ {
+		go func() {
+			bm, die := measure.NewBoardMeter(cfg.NoiseMHz), new(silicon.Die)
+			for j := range jobs {
+				board, err := generateVTBoard(cfg, j.id, j.id >= n-cfg.NumEnvBoards, rngx.New(j.seed), bm, die)
+				if err != nil {
+					err = fmt.Errorf("dataset: board %d: %w", j.id, err)
+				}
+				j.slot <- boardResult{board: board, err: err}
+			}
+		}()
+	}
 
-	pending := make(map[int]streamResult, window)
-	next := 0
-	var emitErr error
-	for r := range results {
-		pending[r.idx] = r
-		for {
-			cur, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			select {
-			case <-tokens:
-			default:
-			}
-			if emitErr != nil {
-				continue // drain so workers never block on a full channel
-			}
-			if cur.err != nil {
-				emitErr = cur.err
-				cancel()
-				continue
-			}
-			if err := fn(cur.board); err != nil {
-				emitErr = err
-				cancel()
-			}
+	// Every slot is drained, after a failure too: no send above blocks for
+	// good, and each board in flight has finished by the time this returns.
+	var err error
+	for slot := range slots {
+		r := <-slot
+		if err != nil {
+			continue
+		}
+		switch {
+		case r.err != nil:
+			err = r.err
+		case ctx.Err() != nil:
+			err = fmt.Errorf("dataset: stream cancelled: %w", ctx.Err())
+		default:
+			err = fn(r.board)
+		}
+		if err != nil {
+			cancel()
 		}
 	}
-	if emitErr != nil {
-		return emitErr
-	}
-	if dispatchErr != nil {
-		return dispatchErr
-	}
-	if next != n {
-		return fmt.Errorf("dataset: stream emitted %d of %d boards", next, n)
-	}
-	return nil
+	return err
 }

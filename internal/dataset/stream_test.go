@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"ropuf/internal/rngx"
 )
@@ -172,6 +173,76 @@ func TestStreamVTParallelCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled in the chain", err)
 	}
+}
+
+// TestStreamVTParallelLeavesNoGoroutines pins the pipeline's shutdown in
+// each way StreamVTParallel can end: success, a sink error, a context
+// cancelled before the call, and a context the sink cancels mid-stream.
+// After it returns, the goroutine count must fall back to its baseline;
+// the poll only allows for a goroutine's last step on its way out.
+func TestStreamVTParallelLeavesNoGoroutines(t *testing.T) {
+	cfg := smallVTConfig()
+	cfg.NumBoards = 24
+	sinkErr := errors.New("sink full")
+	cases := []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		sink func(seen int, cancel context.CancelFunc) error
+		want error
+	}{
+		{"success", plainContext, func(int, context.CancelFunc) error { return nil }, nil},
+		{"sink error at board 3", plainContext, func(seen int, _ context.CancelFunc) error {
+			if seen == 3 {
+				// Let the workers refill the slot queue first, so a caller
+				// that stopped draining it would strand the seed goroutine.
+				time.Sleep(20 * time.Millisecond)
+				return sinkErr
+			}
+			return nil
+		}, sinkErr},
+		{"cancelled before the call", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ctx, cancel
+		}, func(int, context.CancelFunc) error { return nil }, context.Canceled},
+		{"sink cancels at board 5", plainContext, func(seen int, cancel context.CancelFunc) error {
+			if seen == 5 {
+				cancel()
+			}
+			return nil
+		}, context.Canceled},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			seen := 0
+			err := StreamVTParallel(ctx, cfg, 2, func(*Board) error {
+				seen++
+				return tc.sink(seen, cancel)
+			})
+			switch {
+			case tc.want == nil && err != nil:
+				t.Fatal(err)
+			case tc.want == nil && seen != cfg.NumBoards:
+				t.Fatalf("sink saw %d of %d boards", seen, cfg.NumBoards)
+			case tc.want != nil && !errors.Is(err, tc.want):
+				t.Fatalf("err = %v, want %v in the chain", err, tc.want)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > baseline {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines left after return, baseline %d", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+func plainContext() (context.Context, context.CancelFunc) {
+	return context.WithCancel(context.Background())
 }
 
 // goldenStreamConfig is deliberately tiny so the golden file stays small.

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ropuf/internal/dataset"
+	"ropuf/internal/fleet"
 	"ropuf/internal/obs"
 	"ropuf/internal/obs/logx"
 )
@@ -222,50 +223,28 @@ func (r *Runner) RunAllParallel(ctx context.Context, workers int) ([]*Result, er
 }
 
 // runParallel is the worker-pool core of RunAllParallel, split out so tests
-// can inject failing experiments.
+// can inject failing experiments. The first failure cancels the batch's
+// context, which stops fleet.Dispatch from handing out more experiments.
 func runParallel(ctx context.Context, ids []string, workers int, run func(string) (*Result, error)) ([]*Result, error) {
-	if workers <= 0 || workers > len(ids) {
+	if workers <= 0 {
 		workers = len(ids)
 	}
 	results := make([]*Result, len(ids))
 	errs := make([]error, len(ids))
-	failed := make(chan struct{})
-	var failOnce sync.Once
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				// A job dispatched in the same instant the batch failed or
-				// was cancelled is skipped, not run.
-				select {
-				case <-failed:
-					continue
-				case <-ctx.Done():
-					continue
-				default:
-				}
-				results[i], errs[i] = run(ids[i])
-				if errs[i] != nil {
-					failOnce.Do(func() { close(failed) })
-				}
-			}
-		}()
-	}
-dispatching:
-	for i := range ids {
-		select {
-		case jobs <- i:
-		case <-failed:
-			break dispatching
-		case <-ctx.Done():
-			break dispatching
+	batch, stop := context.WithCancel(ctx)
+	defer stop()
+	// Dispatch's error would only repeat batch's cancellation, which a
+	// failed experiment causes too; ctx's own error is reported below.
+	_ = fleet.Dispatch(batch, len(ids), workers, func(_, i int) {
+		// An experiment handed over in the same instant the batch failed
+		// or was cancelled is skipped, not run.
+		if batch.Err() != nil {
+			return
 		}
-	}
-	close(jobs)
-	wg.Wait()
+		if results[i], errs[i] = run(ids[i]); errs[i] != nil {
+			stop()
+		}
+	})
 	var agg []error
 	for i, err := range errs {
 		if err != nil {

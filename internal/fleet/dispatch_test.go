@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"context"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -10,7 +10,7 @@ import (
 func TestDispatchRunsEveryJobOnce(t *testing.T) {
 	const n = 200
 	var ran [n]atomic.Int32
-	err := Dispatch(context.Background(), n, 8, nil, func(worker, idx int) {
+	err := Dispatch(context.Background(), n, 8, func(worker, idx int) {
 		if worker < 0 || worker >= 8 {
 			t.Errorf("job %d ran on worker %d", idx, worker)
 		}
@@ -26,39 +26,26 @@ func TestDispatchRunsEveryJobOnce(t *testing.T) {
 	}
 }
 
-// TestDispatchPrepareIsSerialAndOrdered pins the contract the deterministic
-// streaming generator depends on: prepare hooks run one at a time, in
-// strictly increasing index order, before the job is handed to any worker.
-func TestDispatchPrepareIsSerialAndOrdered(t *testing.T) {
-	const n = 150
-	var inPrepare atomic.Int32
-	var order []int
-	var mu sync.Mutex
-	prepared := make([]atomic.Bool, n)
-	err := Dispatch(context.Background(), n, 6, func(idx int) {
-		if inPrepare.Add(1) != 1 {
-			t.Error("prepare hooks overlap")
-		}
-		mu.Lock()
-		order = append(order, idx)
-		mu.Unlock()
-		prepared[idx].Store(true)
-		inPrepare.Add(-1)
-	}, func(worker, idx int) {
-		if !prepared[idx].Load() {
-			t.Errorf("job %d ran before its prepare hook", idx)
-		}
+// TestDispatchWorkerIndexIsExclusive pins what per-worker scratch relies
+// on: a worker index runs one job at a time, so run may mutate state
+// indexed by it without synchronization. The counters are plain ints; the
+// race detector reports any two jobs that share an index concurrently.
+func TestDispatchWorkerIndexIsExclusive(t *testing.T) {
+	const n, workers = 500, 6
+	counts := make([]int, workers)
+	err := Dispatch(context.Background(), n, workers, func(worker, idx int) {
+		counts[worker]++
+		runtime.Gosched()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != n {
-		t.Fatalf("prepare ran %d times, want %d", len(order), n)
+	sum := 0
+	for _, c := range counts {
+		sum += c
 	}
-	for i, idx := range order {
-		if idx != i {
-			t.Fatalf("prepare order[%d] = %d, want strictly increasing", i, idx)
-		}
+	if sum != n {
+		t.Fatalf("per-worker counters sum to %d, want %d", sum, n)
 	}
 }
 
@@ -67,7 +54,7 @@ func TestDispatchClampsWorkerCount(t *testing.T) {
 	// workers < 1 and workers > n must both still complete every job.
 	for _, workers := range []int{-3, 0, 50} {
 		ran.Store(0)
-		if err := Dispatch(context.Background(), 10, workers, nil, func(worker, idx int) {
+		if err := Dispatch(context.Background(), 10, workers, func(worker, idx int) {
 			ran.Add(1)
 		}); err != nil {
 			t.Fatal(err)
@@ -82,7 +69,7 @@ func TestDispatchCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int32
-	err := Dispatch(ctx, 100, 4, nil, func(worker, idx int) { ran.Add(1) })
+	err := Dispatch(ctx, 100, 4, func(worker, idx int) { ran.Add(1) })
 	if err == nil {
 		t.Fatal("cancelled dispatch reported success")
 	}

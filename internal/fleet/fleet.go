@@ -137,7 +137,7 @@ func Enroll(ctx context.Context, devices []Device, opt Options) (*EnrollReport, 
 			return report.Results[i].Err
 		})
 	}
-	err := dispatch(ctx, len(devices), opt.workers(), run)
+	err := Dispatch(ctx, len(devices), opt.workers(), run)
 	report.Elapsed = time.Since(start)
 	for i := range report.Results {
 		res := &report.Results[i]
@@ -269,7 +269,7 @@ func Evaluate(ctx context.Context, jobs []EvalJob, opt Options) (*EvalReport, er
 			return report.Results[i].Err
 		})
 	}
-	err := dispatch(ctx, len(jobs), opt.workers(), run)
+	err := Dispatch(ctx, len(jobs), opt.workers(), run)
 	report.Elapsed = time.Since(start)
 	var flips int64
 	for _, res := range report.Results {
@@ -345,23 +345,18 @@ func evalOne(j EvalJob) (res EvalResult) {
 	return res
 }
 
-// dispatch is Dispatch without a prepare hook (the enroll/evaluate batch
-// paths need none).
-func dispatch(ctx context.Context, n, workers int, run func(worker, idx int)) error {
-	return Dispatch(ctx, n, workers, nil, run)
-}
-
-// Dispatch feeds job indices 0..n-1 to a bounded worker pool. run receives
-// the worker's index alongside the job index so callers can maintain
-// per-worker scratch state without synchronization. prepare, when non-nil,
-// runs serially in the dispatching goroutine, in strictly increasing index
-// order, immediately before the job is handed to a worker — the hook batch
-// generators use to draw per-job RNG seeds in the exact serial stream
-// order (rngx.RNG.SplitSeed) while the work itself fans out. Dispatch
-// stops dispatching once ctx is cancelled (in-flight jobs finish, prepared
-// but undelivered jobs are dropped) and returns the context's error, if
-// any.
-func Dispatch(ctx context.Context, n, workers int, prepare func(idx int), run func(worker, idx int)) error {
+// Dispatch is the repository's unordered bounded worker pool: it feeds
+// job indices 0..n-1 to min(workers, n) goroutines (at least one) and
+// returns once every dispatched job has finished. run receives the
+// worker's index alongside the job index, and a worker index runs one job
+// at a time, so callers keep per-worker scratch state in a slice without
+// synchronization. Jobs run in no particular order; callers that need
+// order write results by index. Dispatch stops dispatching once ctx is
+// cancelled and returns the context's error after the jobs in flight
+// finish; one job handed over as the cancellation lands may still start,
+// so run checks ctx itself where that matters. A caller that stops at its
+// first failure cancels a context derived for the batch.
+func Dispatch(ctx context.Context, n, workers int, run func(worker, idx int)) error {
 	if workers > n {
 		workers = n
 	}
@@ -379,18 +374,10 @@ func Dispatch(ctx context.Context, n, workers int, prepare func(idx int), run fu
 			}
 		}(w)
 	}
-dispatching:
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		if prepare != nil {
-			prepare(i)
-		}
+	for i := 0; i < n && ctx.Err() == nil; i++ {
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
-			break dispatching
 		}
 	}
 	close(jobs)

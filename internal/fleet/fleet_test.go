@@ -161,7 +161,7 @@ func TestEnrollCancelledBeforeStart(t *testing.T) {
 func TestDispatchStopsAfterMidFlightCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var processed atomic.Int64
-	err := dispatch(ctx, 16, 1, func(_, i int) {
+	err := Dispatch(ctx, 16, 1, func(_, i int) {
 		processed.Add(1)
 		cancel() // first completed job cancels the batch
 	})

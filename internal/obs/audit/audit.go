@@ -76,7 +76,6 @@ type Writer struct {
 
 	emitted atomic.Int64
 	dropped atomic.Int64
-	written atomic.Int64
 
 	closeOnce sync.Once
 
@@ -152,10 +151,10 @@ func (w *Writer) drain() {
 	}
 }
 
+// write encodes one event. The stream is best-effort: an event that fails
+// to encode or write is lost, and neither Dropped nor Close reports it.
 func (w *Writer) write(ev Event) {
-	if err := w.enc.Encode(ev); err == nil {
-		w.written.Add(1)
-	}
+	_ = w.enc.Encode(ev)
 }
 
 // Emit enqueues one event without blocking. When the buffer is full the

@@ -104,7 +104,6 @@ func (o Options) withDefaults() Options {
 type seriesMeta struct {
 	Name   string
 	Labels map[string]string
-	key    string // Name + sorted labels, the column identity
 }
 
 // sample is one tick of the ring: a timestamp plus column-indexed values.
@@ -132,7 +131,6 @@ type Recorder struct {
 	metas []seriesMeta   // column index -> identity
 	ring  []sample       // capacity-bounded, ring[head] is the oldest
 	head  int
-	count int
 	prev  map[string]rawState // raw-series key -> last cumulative reading
 	prevT time.Time           // timestamp of the previous Sample
 }
@@ -206,7 +204,7 @@ func (r *Recorder) Sample() {
 		if !ok {
 			idx = len(r.metas)
 			r.cols[key] = idx
-			r.metas = append(r.metas, seriesMeta{Name: name, Labels: labels, key: key})
+			r.metas = append(r.metas, seriesMeta{Name: name, Labels: labels})
 			vals = append(vals, v)
 			return
 		}
@@ -269,7 +267,6 @@ func (r *Recorder) Sample() {
 		r.ring[r.head] = sm
 		r.head = (r.head + 1) % len(r.ring)
 	}
-	r.count++
 }
 
 // Point is one (timestamp, value) reading of a derived series.

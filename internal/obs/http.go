@@ -94,10 +94,9 @@ func HardenServer(srv *http.Server) *http.Server {
 
 // Server is a background observability HTTP server.
 type Server struct {
-	ln       net.Listener
-	srv      *http.Server
-	recorder *flight.Recorder
-	stopRec  chan struct{}
+	ln      net.Listener
+	srv     *http.Server
+	stopRec chan struct{}
 }
 
 // Serve binds addr (e.g. ":9090", "127.0.0.1:0") and serves the NewMux
@@ -118,10 +117,9 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	mux := NewMux(reg)
 	mux.Handle("GET /v1/stats", rec.Handler())
 	s := &Server{
-		ln:       ln,
-		srv:      HardenServer(&http.Server{Handler: mux}),
-		recorder: rec,
-		stopRec:  make(chan struct{}),
+		ln:      ln,
+		srv:     HardenServer(&http.Server{Handler: mux}),
+		stopRec: make(chan struct{}),
 	}
 	go rec.Run(s.stopRec)
 	go func() { _ = s.srv.Serve(ln) }()
