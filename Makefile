@@ -73,13 +73,16 @@ bench:
 # commit to reach steady state) and the audit-on vs audit-off verify
 # handler pair (BenchmarkServerVerifyAuditOn/Off — the steady-state
 # audit overhead budget is <3%, allocs/op pins the ≤8 zero-alloc verify
-# budget, and AuditOn fails outright if any event is dropped).
+# budget, and AuditOn fails outright if any event is dropped), and the
+# binary enroll decode of a 128-pair × 13-stage body with a cold and a
+# pooled float backing (B/op and allocs/op are its numbers).
 # Everything lands in BENCH_authserve.json. End-to-end serving numbers
 # (HTTP, admission, store, WAL) come from perfbench's auth workload.
 bench-authserve:
 	( $(GO) test -run xxx -bench 'BenchmarkStoreEnroll(WAL|Snapshot)$$' -benchtime 50x ./internal/authserve; \
 	$(GO) test -run xxx -bench 'BenchmarkStoreEnrollWALParallel' -benchtime 4000x ./internal/authserve; \
-	$(GO) test -run xxx -bench 'BenchmarkServerVerifyAudit' -benchtime 3000x -benchmem ./internal/authserve ) \
+	$(GO) test -run xxx -bench 'BenchmarkServerVerifyAudit' -benchtime 3000x -benchmem ./internal/authserve; \
+	$(GO) test -run xxx -bench 'BenchmarkEnrollDecodeBinary' -benchtime 2000x -benchmem ./internal/authserve ) \
 		| $(GO) run ./cmd/benchjson -o BENCH_authserve.json
 
 # Every benchmark in the tree, one iteration each (smoke, not measurement).

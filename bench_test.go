@@ -6,6 +6,7 @@ package ropuf_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"ropuf/internal/bits"
@@ -88,13 +89,21 @@ func BenchmarkSelectCase1(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectCase2 covers both of the stage sort's paths: insertion
+// sort up to 32 stages (the cutoff in internal/core's scratch.go; 33 is one
+// past it) and slices.SortFunc beyond, with 4,096 stages standing for the
+// long rings the binary enroll wire admits.
 func BenchmarkSelectCase2(b *testing.B) {
-	alpha, beta := selectionInput(15)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SelectCase2(alpha, beta, core.Options{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{5, 13, 15, 33, 4096} {
+		b.Run(fmt.Sprintf("stages=%d", n), func(b *testing.B) {
+			alpha, beta := selectionInput(n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.SelectCase2(alpha, beta, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

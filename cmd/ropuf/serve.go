@@ -95,10 +95,15 @@ func runServe(ctx context.Context, args []string) error {
 		defer func() {
 			// Drain the async writer before closing the file so the last
 			// events of a graceful shutdown are on disk.
-			_ = auditW.Close()
-			_ = f.Close()
+			err := auditW.Close()
+			if cerr := f.Close(); err == nil && cerr != nil {
+				err = fmt.Errorf("audit: %w", cerr)
+			}
 			fmt.Fprintf(os.Stderr, "audit: %d events emitted, %d dropped\n",
 				auditW.Emitted(), auditW.Dropped())
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+			}
 		}()
 	}
 	store, err := authserve.Open(authserve.StoreOptions{

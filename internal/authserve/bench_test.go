@@ -281,3 +281,38 @@ func benchmarkServerVerify(b *testing.B, auditOn bool) {
 
 func BenchmarkServerVerifyAuditOn(b *testing.B)  { benchmarkServerVerify(b, true) }
 func BenchmarkServerVerifyAuditOff(b *testing.B) { benchmarkServerVerify(b, false) }
+
+// BenchmarkEnrollDecodeBinary prices the binary enroll decode of a
+// paper-shaped body (128 pairs × 13 stages, 27 KB). With backing=cold every
+// call allocates its float backing array, as a request does when the pool
+// hands out a fresh scratch; with backing=pooled each call reuses the array
+// the last one returned, the server's steady state. B/op and allocs/op are
+// the numbers to watch.
+func BenchmarkEnrollDecodeBinary(b *testing.B) {
+	devices, err := fleet.Synthetic(1, 128, 13, 0x5EED)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := binaryEnrollBody(b, devices[0], devices[0].ID)
+	for _, pooled := range []bool{false, true} {
+		name := "backing=cold"
+		if pooled {
+			name = "backing=pooled"
+		}
+		b.Run(name, func(b *testing.B) {
+			var floats []float64
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var req EnrollRequest
+				back, err := decodeEnrollBinary(body, &req, floats)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if pooled {
+					floats = back
+				}
+			}
+		})
+	}
+}

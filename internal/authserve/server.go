@@ -151,7 +151,7 @@ func NewServer(store *Store, opt ServerOptions) *Server {
 		"Audit events accepted into the async writer.",
 		func() float64 { return float64(s.audit.Emitted()) })
 	reg.NewCounterFunc("ropuf_audit_dropped_total",
-		"Audit events dropped because the writer buffer was full.",
+		"Audit events dropped because the writer buffer was full or the write failed.",
 		func() float64 { return float64(s.audit.Dropped()) })
 	reg.NewGaugeFunc("ropuf_authserve_devices",
 		"Devices currently enrolled in the store.",
@@ -443,14 +443,18 @@ func (w *statusWriter) WriteHeader(code int) {
 // reqScratch is the pooled per-request working set: the status capture
 // every route needs, plus the buffers the verify/challenge paths use to
 // run without per-request allocations — request body bytes, the parsed
-// response bits, and the response encoding buffer. Every route runs
-// through instrument, so handlers reach it by downcasting their
-// ResponseWriter.
+// response bits, and the response encoding buffer — and the binary enroll
+// path's delay backing. Every route runs through instrument, so handlers
+// reach it by downcasting their ResponseWriter.
 type reqScratch struct {
 	statusWriter
 	body []byte
 	resp bits.Stream
 	out  []byte
+	// floats backs every α/β vector of a decoded binary enroll body.
+	// Nothing holds them once Store.Enroll returns: the selection reads
+	// them, and the verifier keeps only the encoded enroll record.
+	floats []float64
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -478,6 +482,9 @@ func putScratch(sc *reqScratch) {
 	}
 	if cap(sc.out) > scratchKeepBytes {
 		sc.out = nil
+	}
+	if cap(sc.floats)*8 > scratchKeepBytes {
+		sc.floats = nil
 	}
 	scratchPool.Put(sc)
 }
@@ -570,18 +577,27 @@ func verifyFailReason(err error) string {
 	}
 }
 
+// handleEnroll decodes a binary body from the pooled body buffer into the
+// pooled float backing; a JSON body keeps the generic reflective decoding
+// path, capped the classic way.
 func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
-	// Enrollment is the one route with a legitimately large body; it keeps
-	// the generic reflective decoding path, capped the classic way.
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req EnrollRequest
 	if r.Header.Get("Content-Type") == EnrollContentTypeBinary {
-		if err := decodeEnrollBinary(r.Body, &req); err != nil {
+		sc := w.(*reqScratch)
+		body, err := readBody(sc, r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "authserve: reading enroll body: "+err.Error())
+			return
+		}
+		if sc.floats, err = decodeEnrollBinary(body, &req, sc.floats); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-	} else if !decode(w, r, &req) {
-		return
+	} else {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		if !decode(w, r, &req) {
+			return
+		}
 	}
 	var mode core.Mode
 	switch req.Mode {

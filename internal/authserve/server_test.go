@@ -301,9 +301,13 @@ func TestBodyCapBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("binary enroll body over the cap: %d, want 400", resp.StatusCode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("request body too large")) {
+		t.Errorf("binary enroll body over the cap: %d %s, want 400 request body too large", resp.StatusCode, body)
 	}
 }
 

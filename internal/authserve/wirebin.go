@@ -3,7 +3,6 @@ package authserve
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"unicode/utf8"
 )
@@ -89,52 +88,57 @@ func AppendEnrollBinary(dst []byte, req *EnrollRequest) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeEnrollBinary parses a binary enroll body. Errors are client
-// errors (400): the framing is length-prefixed throughout, so any
-// truncation or oversized count is detected before large allocations.
-// A pair takes at least its two u16 stage counts, so a pair count beyond
-// a quarter of the bytes left is a truncation.
-func decodeEnrollBinary(r io.Reader, req *EnrollRequest) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("authserve: reading enroll body: %w", err)
-	}
+// decodeEnrollBinary parses a binary enroll body into req. Every α and β
+// vector is carved out of one backing array: floats when its capacity
+// suffices, else a fresh one, and the array used is returned for reuse
+// (the vectors alias it until then). Errors are client errors (400): the
+// framing is length-prefixed throughout, so any truncation or oversized
+// count is detected before large allocations. A pair takes at least its
+// two u16 stage counts, so a pair count beyond a quarter of the bytes
+// left is a truncation.
+func decodeEnrollBinary(data []byte, req *EnrollRequest, floats []float64) ([]float64, error) {
 	if len(data) < 10 || data[0] != 'R' || data[1] != 'E' {
-		return fmt.Errorf("authserve: not a binary enroll body")
+		return floats, fmt.Errorf("authserve: not a binary enroll body")
 	}
 	if data[2] != enrollWireVersion {
-		return fmt.Errorf("authserve: unsupported binary enroll version %d", data[2])
+		return floats, fmt.Errorf("authserve: unsupported binary enroll version %d", data[2])
 	}
 	if int(data[3]) >= len(enrollWireModes) {
-		return fmt.Errorf("authserve: unknown binary enroll mode %d", data[3])
+		return floats, fmt.Errorf("authserve: unknown binary enroll mode %d", data[3])
 	}
 	req.Mode = enrollWireModes[data[3]]
 	off := 4
 	need := func(n int) bool { return len(data)-off >= n }
 	if !need(2) {
-		return fmt.Errorf("authserve: truncated binary enroll body")
+		return floats, fmt.Errorf("authserve: truncated binary enroll body")
 	}
 	idLen := int(binary.LittleEndian.Uint16(data[off:]))
 	off += 2
 	if !need(idLen) {
-		return fmt.Errorf("authserve: truncated binary enroll body")
+		return floats, fmt.Errorf("authserve: truncated binary enroll body")
 	}
 	if !utf8.Valid(data[off : off+idLen]) {
-		return fmt.Errorf("authserve: device ID is not valid UTF-8")
+		return floats, fmt.Errorf("authserve: device ID is not valid UTF-8")
 	}
 	req.ID = string(data[off : off+idLen])
 	off += idLen
 	if !need(4) {
-		return fmt.Errorf("authserve: truncated binary enroll body")
+		return floats, fmt.Errorf("authserve: truncated binary enroll body")
 	}
 	nPairs := int(binary.LittleEndian.Uint32(data[off:]))
 	off += 4
 	if nPairs > enrollWireMaxPairs {
-		return fmt.Errorf("authserve: %d pairs exceed the wire limit", nPairs)
+		return floats, fmt.Errorf("authserve: %d pairs exceed the wire limit", nPairs)
 	}
 	if nPairs > (len(data)-off)/4 {
-		return fmt.Errorf("authserve: truncated binary enroll body")
+		return floats, fmt.Errorf("authserve: truncated binary enroll body")
 	}
+	// Each delay takes 8 of the bytes left, so they bound the delays the
+	// pairs carry and the appends below never grow the backing array.
+	if n := (len(data) - off) / 8; cap(floats) < n {
+		floats = make([]float64, 0, n)
+	}
+	floats = floats[:0]
 	readF64s := func() ([]float64, error) {
 		if !need(2) {
 			return nil, fmt.Errorf("authserve: truncated binary enroll body")
@@ -144,24 +148,25 @@ func decodeEnrollBinary(r io.Reader, req *EnrollRequest) error {
 		if !need(n * 8) {
 			return nil, fmt.Errorf("authserve: truncated binary enroll body")
 		}
-		vs := make([]float64, n)
-		for i := range vs {
-			vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+		start := len(floats)
+		for range n {
+			floats = append(floats, math.Float64frombits(binary.LittleEndian.Uint64(data[off:])))
 			off += 8
 		}
-		return vs, nil
+		return floats[start:len(floats):len(floats)], nil
 	}
 	req.Pairs = make([]PairWire, nPairs)
+	var err error
 	for i := range req.Pairs {
 		if req.Pairs[i].Alpha, err = readF64s(); err != nil {
-			return err
+			return floats, err
 		}
 		if req.Pairs[i].Beta, err = readF64s(); err != nil {
-			return err
+			return floats, err
 		}
 	}
 	if off != len(data) {
-		return fmt.Errorf("authserve: %d trailing bytes after binary enroll body", len(data)-off)
+		return floats, fmt.Errorf("authserve: %d trailing bytes after binary enroll body", len(data)-off)
 	}
-	return nil
+	return floats, nil
 }

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"math"
 	"net/http"
+	"runtime"
 	"runtime/metrics"
 	"testing"
+
+	"ropuf/internal/core"
+	"ropuf/internal/fleet"
 )
 
 // claimsMaxPairs is a 10-byte binary enroll body whose header claims the
@@ -85,7 +89,7 @@ func TestBinaryEnrollWire(t *testing.T) {
 	// Round-trip through the decoder directly: the parsed request must
 	// match what was encoded.
 	var back EnrollRequest
-	if err := decodeEnrollBinary(bytes.NewReader(bin), &back); err != nil {
+	if _, err := decodeEnrollBinary(bin, &back, nil); err != nil {
 		t.Fatal(err)
 	}
 	if back.ID != req.ID || back.Mode != req.Mode || len(back.Pairs) != len(req.Pairs) {
@@ -130,12 +134,123 @@ func TestBinaryEnrollWire(t *testing.T) {
 func TestEnrollBinaryPairCountBeyondBody(t *testing.T) {
 	var req EnrollRequest
 	var err error
-	grew := bytesAllocated(func() { err = decodeEnrollBinary(bytes.NewReader(claimsMaxPairs), &req) })
+	grew := bytesAllocated(func() { _, err = decodeEnrollBinary(claimsMaxPairs, &req, nil) })
 	if err == nil {
 		t.Fatal("10-byte body claiming 2^20 pairs decoded")
 	}
 	if grew > 1<<20 {
 		t.Fatalf("rejecting a 10-byte body allocated %d bytes", grew)
+	}
+}
+
+// binaryEnrollBody encodes device d's pairs as a Case-2 binary enroll
+// body under the given ID.
+func binaryEnrollBody(t testing.TB, d fleet.Device, id string) []byte {
+	t.Helper()
+	req := EnrollRequest{ID: id, Mode: "case2"}
+	for _, p := range d.Pairs {
+		req.Pairs = append(req.Pairs, PairWire{Alpha: p.Alpha, Beta: p.Beta})
+	}
+	body, err := AppendEnrollBinary(nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// heapAllocated returns the heap bytes fn allocates, the least of three
+// runs. runtime.ReadMemStats flushes every P's allocation cache, so small
+// objects count at once; the runtime/metrics counter bytesAllocated reads
+// sees them only when a cache is flushed, and reads 0 for this decode.
+func heapAllocated(fn func()) uint64 {
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestEnrollBinaryDecodeAllocs gates the decode of a paper-shaped body
+// (128 pairs × 13 stages, 27 KB). With a cold float buffer it allocates
+// the backing array, the pair slice and the ID: at most 1.5× the body in
+// at most 4 allocations. Reading into a fresh vector per α and β took 272
+// allocations and 5.5× the body. Handed the backing it returned, a second
+// decode allocates no floats, and each vector it carves ends at its own
+// length.
+func TestEnrollBinaryDecodeAllocs(t *testing.T) {
+	devices, _ := testFleet(t, 1, 128)
+	body := binaryEnrollBody(t, devices[0], devices[0].ID)
+	var req EnrollRequest
+	var floats []float64
+	var err error
+	cold := heapAllocated(func() { floats, err = decodeEnrollBinary(body, &req, nil) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := uint64(len(body)) * 3 / 2; cold > limit {
+		t.Errorf("cold decode of a %d B body allocated %d B, want at most %d", len(body), cold, limit)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, err = decodeEnrollBinary(body, &req, nil) }); n > 4 {
+		t.Errorf("cold decode made %v allocations, want at most 4", n)
+	}
+	warm := heapAllocated(func() { _, err = decodeEnrollBinary(body, &req, floats) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm >= uint64(len(body))/2 {
+		t.Errorf("decode into a warm backing allocated %d B of a %d B body", warm, len(body))
+	}
+	beta := req.Pairs[0].Beta[0]
+	_ = append(req.Pairs[0].Alpha, -1)
+	if req.Pairs[0].Beta[0] != beta {
+		t.Error("appending to a decoded α overwrote the β after it in the backing")
+	}
+}
+
+// TestBinaryEnrollReusesBackingAcrossShapes enrolls a 13-stage and then a
+// 5-stage device through the binary wire, one after the other, so the
+// second request may decode into the backing the first one grew. Each
+// answer must carry the pair and bit counts an in-process core.Enroll of
+// the same measurements yields.
+func TestBinaryEnrollReusesBackingAcrossShapes(t *testing.T) {
+	long, _ := testFleet(t, 1, 128)
+	short, err := fleet.Synthetic(1, 128, 5, 0x5EED)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, StoreOptions{}, ServerOptions{})
+	c := ts.Client()
+	for _, dev := range []struct {
+		id string
+		d  fleet.Device
+	}{{"dev-13", long[0]}, {"dev-5", short[0]}} {
+		want, err := core.Enroll(dev.d.Pairs, core.Case2, 0, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/enroll", bytes.NewReader(binaryEnrollBody(t, dev.d, dev.id)))
+		hr.Header.Set("Content-Type", EnrollContentTypeBinary)
+		resp, err := c.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: binary enroll = %d %s", dev.id, resp.StatusCode, buf.Bytes())
+		}
+		got := mustUnmarshal[EnrollResponse](t, buf.Bytes())
+		if got.ID != dev.id || got.Pairs != len(want.Selections) || got.Bits != want.NumBits() {
+			t.Fatalf("%s: answered %+v, want %d pairs and %d bits", dev.id, got, len(want.Selections), want.NumBits())
+		}
 	}
 }
 
@@ -159,7 +274,7 @@ func FuzzEnrollBinary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req EnrollRequest
 		var err error
-		grew := bytesAllocated(func() { err = decodeEnrollBinary(bytes.NewReader(data), &req) })
+		grew := bytesAllocated(func() { _, err = decodeEnrollBinary(data, &req, nil) })
 		if grew > 1<<20+64*uint64(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), grew)
 		}

@@ -131,7 +131,7 @@ func (r *Ring) validateConfig(cfg Config) error {
 // cfg and env, in picoseconds. The oscillation period is twice this (the
 // edge must travel the loop once per half-cycle).
 //
-// The call warms the die's per-environment delay table, so a whole-ring
+// The call warms the die's per-environment factor table, so a whole-ring
 // evaluation costs O(die devices) math.Pow calls the first time an
 // environment is seen and O(stages) multiplies afterwards. Results are
 // bit-identical to HalfPeriodNaivePS, which bypasses the cache.

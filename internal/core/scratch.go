@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"ropuf/internal/circuit"
 )
@@ -17,7 +17,6 @@ import (
 // give each worker its own.
 type Scratch struct {
 	aIdx, bIdx []int
-	sorter     idxSorter
 	arena      []bool
 }
 
@@ -44,22 +43,18 @@ func (s *Scratch) config(n int) circuit.Config {
 	return circuit.Config(s.arena[base : base+n : base+n])
 }
 
-// idxSorter sorts an index slice by ascending backing values. One instance
-// is reused through Scratch so repeated sorts stay allocation-free (a
-// pointer receiver in a sort.Interface does not allocate per call, unlike
-// sort.Slice's closure path).
-type idxSorter struct {
-	idx  []int
-	vals []float64
-}
-
-func (s *idxSorter) Len() int           { return len(s.idx) }
-func (s *idxSorter) Less(a, b int) bool { return s.vals[s.idx[a]] < s.vals[s.idx[b]] }
-func (s *idxSorter) Swap(a, b int)      { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
+// insertionSortMaxStages is the longest ring ascIdx sorts by insertion.
+// The paper's rings have 13–15 stages, one above the 12 elements below
+// which the standard library's pdqsort already uses insertion sort, so a
+// generic sort spent most of an enrollment partitioning. Insertion sort is
+// quadratic, though, and the binary enroll wire admits 65,535 stages per
+// ring, selected under a shard lock: longer rings take slices.SortFunc.
+const insertionSortMaxStages = 32
 
 // ascIdx fills idx (reusing its capacity) with the indices of v sorted by
-// ascending value and returns it.
-func (s *Scratch) ascIdx(idx []int, v []float64) []int {
+// ascending value, equal values by ascending index, and returns it. Both
+// sort paths produce that one order.
+func ascIdx(idx []int, v []float64) []int {
 	if cap(idx) < len(v) {
 		idx = make([]int, len(v))
 	}
@@ -67,8 +62,28 @@ func (s *Scratch) ascIdx(idx []int, v []float64) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	s.sorter.idx, s.sorter.vals = idx, v
-	sort.Sort(&s.sorter)
-	s.sorter.idx, s.sorter.vals = nil, nil
+	if len(v) > insertionSortMaxStages {
+		// Selection rejects NaN delays first, so < and > order every pair.
+		slices.SortFunc(idx, func(a, b int) int {
+			switch va, vb := v[a], v[b]; {
+			case va < vb:
+				return -1
+			case va > vb:
+				return 1
+			}
+			return a - b
+		})
+		return idx
+	}
+	// Stable insertion: an index moves left only past strictly larger
+	// values, so ties keep the ascending index order idx starts in.
+	for i := 1; i < len(idx); i++ {
+		x, vx := idx[i], v[idx[i]]
+		j := i
+		for ; j > 0 && v[idx[j-1]] > vx; j-- {
+			idx[j] = idx[j-1]
+		}
+		idx[j] = x
+	}
 	return idx
 }

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
+	"time"
 
 	"ropuf/internal/rngx"
 )
@@ -12,6 +16,124 @@ func randVec(r *rngx.RNG, n int) []float64 {
 		v[i] = 200 + 5*r.Norm()
 	}
 	return v
+}
+
+// idxSorter is the sort.Interface through which Case-2 once ordered a
+// ring's stages with sort.Sort, kept as the reference order. sort.Sort is
+// not stable: from 13 stages up it partitions, so it breaks ties in no
+// fixed order, while at 12 and fewer it runs a stable insertion sort.
+type idxSorter struct {
+	idx  []int
+	vals []float64
+}
+
+func (s *idxSorter) Len() int           { return len(s.idx) }
+func (s *idxSorter) Less(a, b int) bool { return s.vals[s.idx[a]] < s.vals[s.idx[b]] }
+func (s *idxSorter) Swap(a, b int)      { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
+
+// identity returns 0, 1, …, n−1.
+func identity(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// oracleAscIdx is v's stage order under sort.Sort and idxSorter.
+func oracleAscIdx(v []float64) []int {
+	idx := identity(len(v))
+	sort.Sort(&idxSorter{idx: idx, vals: v})
+	return idx
+}
+
+// stableAscIdx is the stage order ascIdx promises: ascending delay, equal
+// delays (−0 and +0 among them) by ascending stage index.
+func stableAscIdx(v []float64) []int {
+	idx := identity(len(v))
+	sort.SliceStable(idx, func(a, b int) bool { return v[idx[a]] < v[idx[b]] })
+	return idx
+}
+
+// TestAscIdxMatchesSortOracle pins the typed sort to the sort.Sort order
+// it replaced on tie-free rings, either side of the insertion-sort cutoff.
+// A tie-free ring has exactly one ascending order, so on such rings every
+// selection, and with them every golden, is unchanged.
+func TestAscIdxMatchesSortOracle(t *testing.T) {
+	r := rngx.New(0x50B7)
+	var idx []int
+	for _, n := range []int{5, 12, 13, 15, insertionSortMaxStages, insertionSortMaxStages + 1, 64, 256} {
+		v := make([]float64, n)
+		for trial := 0; trial < 10000; trial++ {
+			for i := range v {
+				v[i] = 200 + 5*r.Norm()
+			}
+			want := oracleAscIdx(v)
+			for i := 1; i < n; i++ {
+				if v[want[i-1]] == v[want[i]] {
+					t.Fatalf("n=%d trial %d: ring has a tie; this battery needs tie-free rings", n, trial)
+				}
+			}
+			if idx = ascIdx(idx, v); !slices.Equal(idx, want) {
+				t.Fatalf("n=%d trial %d: ascIdx %v, sort.Sort %v\nv=%v", n, trial, idx, want, v)
+			}
+		}
+	}
+}
+
+// TestAscIdxTiesResolveByIndex pins the tie rule on tie-rich rings of
+// 2–300 stages, whose delays are drawn from {−0, +0, 1, 2, 3}: equal
+// delays keep ascending stage order, as sort.SliceStable keeps them, on
+// both sides of the cutoff. Up to 12 stages that is also what sort.Sort
+// did, so short rings select exactly as before.
+func TestAscIdxTiesResolveByIndex(t *testing.T) {
+	r := rngx.New(0x71E5)
+	var idx []int
+	for n := 2; n <= 300; n++ {
+		v := make([]float64, n)
+		for trial := 0; trial < 10; trial++ {
+			for i := range v {
+				switch k := r.Intn(5); k {
+				case 0:
+					v[i] = math.Copysign(0, -1)
+				default:
+					v[i] = float64(k - 1)
+				}
+			}
+			idx = ascIdx(idx, v)
+			if want := stableAscIdx(v); !slices.Equal(idx, want) {
+				t.Fatalf("n=%d trial %d: ascIdx %v, stable order %v\nv=%v", n, trial, idx, want, v)
+			}
+			if n <= 12 {
+				if want := oracleAscIdx(v); !slices.Equal(idx, want) {
+					t.Fatalf("n=%d trial %d: ascIdx %v, sort.Sort %v\nv=%v", n, trial, idx, want, v)
+				}
+			}
+		}
+	}
+}
+
+// TestSelectCase2LongestWireRing selects a descending pair of the longest
+// ring the binary enroll wire carries (65,535 stages). An insertion sort of
+// such a ring took seconds; above the cutoff the sort is O(n log n).
+func TestSelectCase2LongestWireRing(t *testing.T) {
+	const n = 65535
+	alpha, beta := make([]float64, n), make([]float64, n)
+	for i := range alpha {
+		alpha[i] = float64(n - i)
+		beta[i] = float64(n-i) + 0.5
+	}
+	start := time.Now()
+	sel, err := SelectCase2(alpha, beta, Options{})
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("a %d-stage Case-2 selection took %v, want under 1s", n, elapsed)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.X.Ones() != sel.Y.Ones() || sel.X.Ones() == 0 || sel.Margin <= 0 {
+		t.Fatalf("selection of %d/%d stages, margin %g", sel.X.Ones(), sel.Y.Ones(), sel.Margin)
+	}
 }
 
 func selectionsEqual(a, b Selection) bool {

@@ -229,7 +229,9 @@ func bestOddCase1(alpha, beta []float64, s *Scratch) (circuit.Config, error) {
 
 // SelectCase2 solves the Case-2 selection problem: independent
 // configuration vectors for the two rings, constrained to select the same
-// number of stages in each.
+// number of stages in each. Each ring's stages rank by ascending delay and
+// equal delays by ascending stage index, so among equal stages the k
+// fastest take the lowest indices and the k slowest the highest.
 func SelectCase2(alpha, beta []float64, opt Options) (Selection, error) {
 	return selectCase2(alpha, beta, opt, new(Scratch))
 }
@@ -271,8 +273,8 @@ func selectCase2(alpha, beta []float64, opt Options, s *Scratch) (Selection, err
 		return Selection{}, err
 	}
 
-	s.aIdx = s.ascIdx(s.aIdx, alpha)
-	s.bIdx = s.ascIdx(s.bIdx, beta)
+	s.aIdx = ascIdx(s.aIdx, alpha)
+	s.bIdx = ascIdx(s.bIdx, beta)
 	aAsc, bAsc := s.aIdx, s.bIdx
 
 	kTop, mTop := case2Direction(alpha, beta, aAsc, bAsc, opt.RequireOddStages) // top slower

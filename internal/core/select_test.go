@@ -114,6 +114,36 @@ func TestSelectCase2OddMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// TestSelectCase2TiesMatchExhaustive runs Case-2 on tie-rich integer
+// rings (randVecs kind 2), unconstrained and odd, against the exhaustive
+// solver at 2–12 stages. Ties decide which of several equal stages a
+// selection takes, never its margin. The exhaustive solver is O(4^n), so
+// 11 and 12 stages get one ring each.
+func TestSelectCase2TiesMatchExhaustive(t *testing.T) {
+	r := rngx.New(6)
+	for _, opt := range []Options{{}, {RequireOddStages: true}} {
+		for trial := 0; trial < 204; trial++ {
+			n := 2 + trial%9
+			if trial >= 200 {
+				n = 11 + trial%2
+			}
+			alpha, beta := randVecs(r, n, 2)
+			fast, errFast := SelectCase2(alpha, beta, opt)
+			ref, errRef := ExhaustiveCase2(alpha, beta, opt)
+			if errFast != nil || errRef != nil {
+				t.Fatalf("odd=%v trial %d: errors fast=%v ref=%v", opt.RequireOddStages, trial, errFast, errRef)
+			}
+			if opt.RequireOddStages && fast.X.Ones()%2 != 1 {
+				t.Fatalf("trial %d: odd constraint violated", trial)
+			}
+			if math.Abs(fast.Margin-ref.Margin) > 1e-9 {
+				t.Fatalf("odd=%v trial %d (n=%d): fast margin %.9f != exhaustive %.9f\nα=%v\nβ=%v",
+					opt.RequireOddStages, trial, n, fast.Margin, ref.Margin, alpha, beta)
+			}
+		}
+	}
+}
+
 func TestCase2EqualCountInvariant(t *testing.T) {
 	r := rngx.New(5)
 	check := func(seed uint64) bool {

@@ -8,12 +8,13 @@
 // path never blocks on disk: Emit is a non-blocking channel send, a
 // single background goroutine drains to the underlying file, and when the
 // buffer is full the event is dropped and counted rather than stalling a
-// request (the Dropped counter backs the ropuf_audit_dropped_total
-// metric). The file is opened in append mode by the caller, so restarts
-// extend the stream instead of truncating it — the events are
-// observations, never replayed into state, which is what makes the stream
-// safe to keep beside the WAL without participating in its recovery
-// protocol.
+// request. Events lost to a failed write are counted the same way, and
+// Close returns the error (the Dropped counter backs the
+// ropuf_audit_dropped_total metric). The file is opened in append mode by
+// the caller, so restarts extend the stream instead of truncating it — the
+// events are observations, never replayed into state, which is what makes
+// the stream safe to keep beside the WAL without participating in its
+// recovery protocol.
 //
 // Each event carries the W3C trace ID of the request that caused it (when
 // one was in flight), so `ropuf audit` can stitch the stream to the span
@@ -23,6 +24,7 @@ package audit
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -79,9 +81,20 @@ type Writer struct {
 
 	closeOnce sync.Once
 
-	bw  *bufio.Writer
-	enc *json.Encoder
+	// The drain goroutine owns the rest; Close reads err once it exits.
+	out  io.Writer
+	buf  bytes.Buffer  // whole encoded lines not yet written to out
+	ends []int         // end offset in buf of each buffered event
+	enc  *json.Encoder // encodes into buf
+	err  error         // first encode or write error
+	// failed is set by the first write error: out may hold a torn line,
+	// so every later event is dropped rather than appended to it.
+	failed bool
 }
+
+// flushBytes is the batch size at which drain writes buffered events out
+// before the channel empties.
+const flushBytes = 4096
 
 // WriterOptions configures NewWriter.
 type WriterOptions struct {
@@ -101,9 +114,9 @@ func NewWriter(w io.Writer, opt WriterOptions) *Writer {
 		ch:      make(chan Event, opt.Buffer),
 		done:    make(chan struct{}),
 		flushed: make(chan struct{}),
-		bw:      bufio.NewWriter(w),
+		out:     w,
 	}
-	aw.enc = json.NewEncoder(aw.bw)
+	aw.enc = json.NewEncoder(&aw.buf)
 	go aw.drain()
 	return aw
 }
@@ -118,9 +131,10 @@ func OpenFile(path string, opt WriterOptions) (*Writer, *os.File, error) {
 	return NewWriter(f, opt), f, nil
 }
 
-// drain is the single consumer: it writes each event as one JSON line and
-// flushes whenever the channel momentarily empties, so the file trails the
-// stream by at most one burst while steady-state writes stay buffered.
+// drain is the single consumer: it encodes each event as one JSON line and
+// writes the batch whenever the channel momentarily empties, so the file
+// trails the stream by at most one burst while steady-state writes stay
+// batched.
 func (w *Writer) drain() {
 	defer close(w.flushed)
 	for {
@@ -134,13 +148,13 @@ func (w *Writer) drain() {
 				case ev := <-w.ch:
 					w.write(ev)
 				default:
-					_ = w.bw.Flush()
+					w.flush()
 					return
 				}
 			}
 		default:
-			// Channel empty: flush the buffer, then block for more work.
-			_ = w.bw.Flush()
+			// Channel empty: write the batch, then block for more work.
+			w.flush()
 			select {
 			case ev := <-w.ch:
 				w.write(ev)
@@ -151,10 +165,49 @@ func (w *Writer) drain() {
 	}
 }
 
-// write encodes one event. The stream is best-effort: an event that fails
-// to encode or write is lost, and neither Dropped nor Close reports it.
+// write adds one event to the batch. An event that fails to encode is
+// dropped alone; after a write error every event is dropped.
 func (w *Writer) write(ev Event) {
-	_ = w.enc.Encode(ev)
+	if w.failed {
+		w.dropped.Add(1)
+		return
+	}
+	if err := w.enc.Encode(ev); err != nil {
+		w.latch(fmt.Errorf("audit: encoding %s event: %w", ev.Event, err))
+		w.dropped.Add(1)
+		return
+	}
+	w.ends = append(w.ends, w.buf.Len())
+	if w.buf.Len() >= flushBytes {
+		w.flush()
+	}
+}
+
+// flush writes the batch to out in one call, so an event never straddles
+// two writes. On a write error the events whose lines did not reach out
+// whole count as dropped.
+func (w *Writer) flush() {
+	if w.buf.Len() == 0 {
+		return
+	}
+	n, err := w.buf.WriteTo(w.out)
+	if err != nil {
+		w.latch(fmt.Errorf("audit: writing events: %w", err))
+		w.failed = true
+		for _, end := range w.ends {
+			if int64(end) > n {
+				w.dropped.Add(1)
+			}
+		}
+	}
+	w.buf.Reset()
+	w.ends = w.ends[:0]
+}
+
+func (w *Writer) latch(err error) {
+	if w.err == nil {
+		w.err = err
+	}
 }
 
 // Emit enqueues one event without blocking. When the buffer is full the
@@ -183,9 +236,11 @@ func (w *Writer) Emitted() int64 {
 	return w.emitted.Load()
 }
 
-// Dropped counts events discarded because the buffer was full — the value
-// behind ropuf_audit_dropped_total. A non-zero value means the stream has
-// holes and per-device counts derived from it are lower bounds.
+// Dropped counts events that never reached the underlying writer because
+// the buffer was full or the write failed — the value behind
+// ropuf_audit_dropped_total. A buffer-full drop was never accepted, so
+// Emitted does not count it; a failed one was. A non-zero value means the
+// stream has holes and per-device counts derived from it are lower bounds.
 func (w *Writer) Dropped() int64 {
 	if w == nil {
 		return 0
@@ -195,16 +250,17 @@ func (w *Writer) Dropped() int64 {
 
 // Close stops accepting the guarantee of asynchrony: it signals the drain
 // goroutine, waits for every already-enqueued event to reach the
-// underlying writer, and flushes. Emit calls racing Close may still be
-// accepted (and are then written) or dropped; none block. Safe to call
-// more than once and on a nil Writer.
+// underlying writer, and flushes. It returns the first encode or write
+// error the stream met, if any; Dropped counts the events it cost. Emit
+// calls racing Close may still be accepted (and are then written) or
+// dropped; none block. Safe to call more than once and on a nil Writer.
 func (w *Writer) Close() error {
 	if w == nil {
 		return nil
 	}
 	w.closeOnce.Do(func() { close(w.done) })
 	<-w.flushed
-	return nil
+	return w.err
 }
 
 // --- reading ---------------------------------------------------------------

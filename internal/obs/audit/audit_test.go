@@ -1,6 +1,10 @@
 package audit
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -114,6 +118,114 @@ func TestWriterDropsWhenFull(t *testing.T) {
 	close(block)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var errDiskFull = errors.New("no space left on device")
+
+// failingWriter takes writes until it holds limit bytes and fails the
+// write that would cross it. A short one stores the part of that write
+// which fits, as a full disk does; otherwise the write stores nothing. One
+// that recovers takes every later write, as a disk does once space is
+// freed.
+type failingWriter struct {
+	out      bytes.Buffer
+	limit    int
+	short    bool
+	recovers bool
+	failed   bool
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	left := w.limit - w.out.Len()
+	if len(p) <= left || w.failed && w.recovers {
+		return w.out.Write(p)
+	}
+	w.failed = true
+	if !w.short {
+		return 0, errDiskFull
+	}
+	w.out.Write(p[:left])
+	return left, errDiskFull
+}
+
+// A sink that refuses every write loses every event: Dropped counts them
+// and Close reports why.
+func TestWriterReportsFailedWrites(t *testing.T) {
+	w := NewWriter(&failingWriter{}, WriterOptions{})
+	for i := 0; i < 5; i++ {
+		w.Emit(Event{Event: EventChallenge, DeviceID: "dev-0000"})
+	}
+	if err := w.Close(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Close = %v, want %v", err, errDiskFull)
+	}
+	if w.Emitted() != 5 || w.Dropped() != 5 {
+		t.Fatalf("Emitted %d, Dropped %d; want 5 and 5", w.Emitted(), w.Dropped())
+	}
+}
+
+// A sink that fills up part way holds exactly the events Dropped does not
+// count, each as a whole line. Nothing is written after the failure, even
+// to a sink that would take it again: a short write leaves a torn line,
+// and the next line would be appended to it.
+func TestWriterCountsEventsLostToFullSink(t *testing.T) {
+	for _, sink := range []*failingWriter{
+		{limit: 5000},
+		{limit: 5000, short: true},
+		{limit: 5000, recovers: true},
+		{limit: 5000, short: true, recovers: true},
+	} {
+		name := fmt.Sprintf("short=%v recovers=%v", sink.short, sink.recovers)
+		const total = 300
+		w := NewWriter(sink, WriterOptions{Buffer: total})
+		for i := 0; i < total; i++ {
+			w.Emit(Event{Event: EventVerifyFail, DeviceID: "dev-0000", Reason: "mismatch",
+				Detail: map[string]float64{"distance": float64(i), "limit": 6}})
+		}
+		if err := w.Close(); !errors.Is(err, errDiskFull) {
+			t.Fatalf("%s: Close = %v, want %v", name, err, errDiskFull)
+		}
+		if w.Emitted() != total || w.Dropped() == 0 {
+			t.Fatalf("%s: Emitted %d, Dropped %d; want %d and some", name, w.Emitted(), w.Dropped(), total)
+		}
+		out := sink.out.Bytes()
+		whole := out[:bytes.LastIndexByte(out, '\n')+1]
+		if !sink.short && len(whole) != len(out) {
+			t.Fatalf("%s: a sink that refuses whole writes holds a torn line: %q", name, out[len(whole):])
+		}
+		events, err := Read(bytes.NewReader(whole), "sink")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if int64(len(events)) != w.Emitted()-w.Dropped() {
+			t.Fatalf("%s: sink holds %d events, Emitted %d − Dropped %d = %d",
+				name, len(events), w.Emitted(), w.Dropped(), w.Emitted()-w.Dropped())
+		}
+		for i, ev := range events {
+			if ev.Detail["distance"] != float64(i) {
+				t.Fatalf("%s: event %d carries distance %g", name, i, ev.Detail["distance"])
+			}
+		}
+	}
+}
+
+// An event JSON cannot encode is dropped alone: the events around it are
+// written, and Close reports the encode error.
+func TestWriterDropsUnencodableEvent(t *testing.T) {
+	var sink bytes.Buffer
+	w := NewWriter(&sink, WriterOptions{})
+	w.Emit(Event{Event: EventFlag, DeviceID: "dev-0000"})
+	w.Emit(Event{Event: EventFlag, DeviceID: "dev-0001", Detail: map[string]float64{"challenge_rate": math.NaN()}})
+	w.Emit(Event{Event: EventFlag, DeviceID: "dev-0002"})
+	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "unsupported value") {
+		t.Fatalf("Close = %v, want the encode error", err)
+	}
+	events, err := Read(&sink, "sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 || events[0].DeviceID != "dev-0000" || events[1].DeviceID != "dev-0002" || w.Dropped() != 1 {
+		t.Fatalf("sink holds %+v with Dropped %d; want dev-0000 and dev-0002, 1 dropped", events, w.Dropped())
 	}
 }
 

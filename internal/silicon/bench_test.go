@@ -65,19 +65,25 @@ func BenchmarkEnvFactorUncached(b *testing.B) {
 }
 
 // BenchmarkEnvFactorCached prices the same whole-die sweep through the
-// cached delay table (built once, then a slice read per device).
+// cached factor table (built once, then a multiply per device into a
+// reused slice).
 func BenchmarkEnvFactorCached(b *testing.B) {
 	d, err := NewDie(DefaultParams(), 16, 16, rngx.New(3))
 	if err != nil {
 		b.Fatal(err)
 	}
 	env := Env{V: 1.08, T: 45}
-	d.DelaysPS(env) // build outside the timed region
+	delays := make([]float64, d.NumDevices())
+	if _, err := d.DelaysIntoPS(delays, env); err != nil { // build outside the timed region
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		delays := d.DelaysPS(env)
+		if _, err := d.DelaysIntoPS(delays, env); err != nil {
+			b.Fatal(err)
+		}
 		for _, v := range delays {
 			sink += v
 		}

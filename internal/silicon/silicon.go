@@ -146,18 +146,17 @@ func (s surface) at(u, v float64) float64 {
 }
 
 // envTable is an immutable per-environment snapshot of every device's
-// environment factor (delay(env)/delay(nominal)) and resulting delay. A
-// swept table costs one math.Pow per device to build, plus one per device
-// for the die's first swept table (the nominal drive terms); a nominal
-// table costs none. Once built, any number of delay queries under that
-// environment are a multiply each.
+// environment factor (delay(env)/delay(nominal)); a delay is the device's
+// Base times its factor. A swept table costs one math.Pow per device to
+// build, plus one per device for the die's first swept table (the nominal
+// drive terms); a nominal table costs none. Once built, any number of
+// delay queries under that environment are a multiply each.
 type envTable struct {
 	env Env
 	// vth pins the threshold voltages the factors were computed from, so
 	// lookups can detect a stale entry if a caller mutated Devices.
 	vth     []float64
 	factors []float64
-	delays  []float64
 }
 
 // maxEnvTables bounds the per-die table store. A V/T sweep visits a few
@@ -167,7 +166,7 @@ type envTable struct {
 const maxEnvTables = 64
 
 // Die is a fabricated chip: a W×H grid of devices sharing one systematic
-// variation surface. A Die caches per-environment delay tables (see
+// variation surface. A Die caches per-environment factor tables (see
 // DelaysIntoPS); the cache is safe for concurrent use, so rings sharing a die
 // may be measured from multiple goroutines. Devices is exported for
 // inspection; mutating Base is always safe (factors do not depend on it),
@@ -324,7 +323,7 @@ func (d *Die) nominalDrives() []float64 {
 	return d.nomDrive
 }
 
-// envTableFor returns the (possibly freshly built) delay table for env and
+// envTableFor returns the (possibly freshly built) factor table for env and
 // promotes it to the current slot. A swept table computes envFactor with
 // its shared terms hoisted: the mobility term once per table and the
 // nominal drives from the per-die cache, in envFactor's multiply order.
@@ -342,7 +341,6 @@ func (d *Die) envTableFor(env Env) *envTable {
 		env:     env,
 		vth:     make([]float64, len(d.Devices)),
 		factors: make([]float64, len(d.Devices)),
-		delays:  make([]float64, len(d.Devices)),
 	}
 	p := d.Params
 	var mob float64
@@ -358,7 +356,6 @@ func (d *Die) envTableFor(env Env) *envTable {
 		if swept {
 			t.factors[i] = p.drive(dev.Vth, env) * mob / nom[i]
 		}
-		t.delays[i] = dev.Base * t.factors[i]
 	}
 	if d.tables == nil || len(d.tables) >= maxEnvTables {
 		d.tables = make(map[Env]*envTable, 8)

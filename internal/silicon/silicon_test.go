@@ -10,12 +10,16 @@ import (
 	"ropuf/internal/rngx"
 )
 
-// DelaysPS returns the die's cached per-device delay table for env in
-// picoseconds, building it on first use, so tests can warm and inspect the
-// cache. The table snapshots Device.Base at build time; the returned slice
-// is shared and must not be mutated.
+// DelaysPS returns every device's delay under env in picoseconds, as its
+// Base times the cached environment factor, building the die's table for
+// env on first use so tests can warm and inspect the cache.
 func (d *Die) DelaysPS(env Env) []float64 {
-	return d.envTableFor(env).delays
+	t := d.envTableFor(env)
+	delays := make([]float64, len(d.Devices))
+	for i := range delays {
+		delays[i] = d.Devices[i].Base * t.factors[i]
+	}
+	return delays
 }
 
 // SystematicAt returns the systematic variation fraction at grid position
