@@ -37,12 +37,13 @@ verify:
 deadcode:
 	$(GO) run ./cmd/deadcode
 
-# Race stress on the WAL commit path: the group-commit, compaction, fault
-# injection and crash-recovery tests, ten times over under the race
-# detector. Commits run in whichever waiter leads, so interleavings vary
-# run to run; one -race pass in `verify` sees only a few of them.
+# Race stress on the WAL commit path: the group-commit, compaction, fold
+# (snapshot and WAL read back into a new snapshot), fault injection and
+# crash-recovery tests, ten times over under the race detector. Commits
+# run in whichever waiter leads, so interleavings vary run to run; one
+# -race pass in `verify` sees only a few of them.
 race-wal:
-	$(GO) test -race -count=10 -run 'GroupCommit|WAL|Compaction|OpenFailure|Kill9|FsyncOff|Rollback|Retry|Hammer' ./internal/authserve
+	$(GO) test -race -count=10 -run 'GroupCommit|WAL|Compaction|Fold|OpenFailure|Kill9|FsyncOff|Rollback|Retry|Hammer' ./internal/authserve
 
 # The benchmark (perfbench/, see BENCHMARK.json) is its own module, so the
 # root `go test ./...` never reaches it; vet and test it against this
@@ -163,7 +164,15 @@ datasetgen-smoke:
 # ropuf_authserve_wal_group_commit_records histogram must show fewer
 # than half of its commits carrying a single record (p50 > 1) — if
 # batching never engaged, every commit lands in the le="1" bucket and
-# the awk gate fails the build.
+# the awk gate fails the build. A fold leg runs a single-shard server
+# whose WAL folds into its snapshot at every 4 KiB, so loadgen's enrolls
+# and challenges drive several folds, each reading the bodies back from
+# the old snapshot and the WAL while other requests wait on the shard; it
+# requires at least 3 folds and a healthy /healthz, then kill -9s the
+# server and requires all 32 devices back after a restart. Four loadgen
+# workers put at most four ~1.7 KB enroll records in a group commit, so
+# a fold follows every batch or two (8 folds in local runs); at loadgen's
+# default 32 one batch can carry most of the fleet, and 3 or 4 ran.
 serve-smoke:
 	$(GO) build -o /tmp/ropuf-smoke ./cmd/ropuf
 	rm -rf /tmp/ropuf-smoke-data && mkdir -p /tmp/ropuf-smoke-data
@@ -230,6 +239,29 @@ serve-smoke:
 				printf "group commit not engaging: %d of %d commits were single-record\n", le1, count; exit 1 } \
 			printf "group commit engaged: %d commits, %d single-record\n", count, le1 }' \
 		|| { kill $$SRV; exit 1; }; \
+	kill -INT $$SRV; wait $$SRV
+	rm -rf /tmp/ropuf-fold-data && mkdir -p /tmp/ropuf-fold-data
+	/tmp/ropuf-smoke serve -addr 127.0.0.1:18088 -data /tmp/ropuf-fold-data -shards 1 -wal-compact-bytes 4096 & \
+	SRV=$$!; sleep 1; \
+	/tmp/ropuf-smoke loadgen -addr http://127.0.0.1:18088 -devices 32 -rounds 2 -concurrency 4 \
+		|| { echo "loadgen against the folding server failed"; kill $$SRV; exit 1; }; \
+	curl -sf http://127.0.0.1:18088/metrics | awk ' \
+		/^ropuf_authserve_wal_compactions_total / { folds = $$2 } \
+		END { \
+			if (folds + 0 < 3) { printf "%d WAL folds ran, want at least 3\n", folds; exit 1 } \
+			printf "%d WAL folds ran\n", folds }' \
+		|| { kill $$SRV; exit 1; }; \
+	curl -sf http://127.0.0.1:18088/healthz | grep -q '"status":"ok"' \
+		|| { echo "healthz not ok after the folds"; kill $$SRV; exit 1; }; \
+	kill -9 $$SRV; wait $$SRV 2>/dev/null || true; \
+	/tmp/ropuf-smoke serve -addr 127.0.0.1:18088 -data /tmp/ropuf-fold-data -shards 1 -wal-compact-bytes 4096 & \
+	SRV=$$!; sleep 1; \
+	for i in $$(seq 0 31); do \
+		curl -sf http://127.0.0.1:18088/v1/devices/$$(printf 'dev-%04d' $$i) >/dev/null \
+			|| { echo "device $$i lost across kill -9 after the folds"; kill $$SRV; exit 1; }; \
+	done; \
+	curl -sf http://127.0.0.1:18088/metrics | grep -q '^ropuf_authserve_shard_devices{shard="0000"} 32$$' \
+		|| { echo "restarted fold server does not hold exactly 32 devices"; kill $$SRV; exit 1; }; \
 	kill -INT $$SRV; wait $$SRV
 	$(MAKE) watch-smoke
 

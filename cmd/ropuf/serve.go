@@ -87,9 +87,12 @@ func runServe(ctx context.Context, args []string) error {
 	}
 	var auditW *audit.Writer
 	if *auditOut != "" {
-		w, f, err := audit.OpenFile(*auditOut, audit.WriterOptions{})
+		w, f, cut, err := audit.OpenFile(*auditOut, audit.WriterOptions{})
 		if err != nil {
 			return fmt.Errorf("serve: audit output: %w", err)
+		}
+		if cut > 0 {
+			fmt.Fprintf(os.Stderr, "audit: cut a torn last line of %d bytes from %s\n", cut, *auditOut)
 		}
 		auditW = w
 		defer func() {

@@ -5,7 +5,9 @@
 // Enrollment: the verifier measures each device once (trusted environment),
 // stores the device's binary enrollment record — whose configurations are
 // the prover's helper data — with the mask and reference bits read out of
-// it, and never touches the device's silicon again. Authentication: the
+// it, and never touches the device's silicon again. A bodiless verifier
+// keeps only the mask and reference bits, and leaves the record to the
+// snapshot and log files its owner keeps. Authentication: the
 // verifier sends a challenge naming a random subset of the device's PUF
 // pairs; the device re-measures exactly those pairs with its frozen
 // configurations and returns the bits; the verifier accepts when the
@@ -53,12 +55,13 @@ var (
 )
 
 // DeviceRecord is the verifier's stored state for one enrolled device: its
-// enroll record's body, kept verbatim, and three bitsets over pair indices
-// (pair i is bit i%64 of word i/64).
+// enroll record's body, kept verbatim unless the verifier is bodiless, and
+// three bitsets over pair indices (pair i is bit i%64 of word i/64).
 type DeviceRecord struct {
 	ID string
 	// body is the device's binary core.Enrollment exactly as its enroll
-	// record carries it, in an allocation of its own size.
+	// record carries it, in an allocation of its own size; nil in a
+	// verifier that keeps no bodies (NewBodilessVerifier).
 	body []byte
 	n    int // pairs
 	// ref holds every pair's reference bit, mask the pairs enrollment
@@ -98,6 +101,10 @@ type Verifier struct {
 
 	devices map[string]*DeviceRecord
 	rng     *rngx.RNG
+	// bodiless marks a verifier whose enroll bodies live only in its
+	// owner's snapshot and log files: it keeps none, and SaveFrom reads
+	// them back from those files.
+	bodiless bool
 
 	// refScratch is reused across Verify calls for the reference bits so
 	// the verify hot path does not allocate. Single-threaded use (see
@@ -123,11 +130,60 @@ func NewVerifier(tolerance float64, rng *rngx.RNG) (*Verifier, error) {
 	return &Verifier{Tolerance: tolerance, devices: map[string]*DeviceRecord{}, rng: rng}, nil
 }
 
+// NewBodilessVerifier creates a verifier that keeps no enroll bodies: a
+// stored device is its ID, its pair count and its three bitsets. It is
+// for a store whose snapshot and write-ahead log hold every body (package
+// authserve): Save refuses it, and SaveFrom writes its snapshot with the
+// bodies read back from those files.
+func NewBodilessVerifier(tolerance float64, rng *rngx.RNG) (*Verifier, error) {
+	v, err := NewVerifier(tolerance, rng)
+	if err != nil {
+		return nil, err
+	}
+	v.bodiless = true
+	return v, nil
+}
+
 // Enroll registers a device from its measured pairs and returns the
 // enrollment it built, which is the prover's state; the verifier keeps
 // only the device's record. The enrollment measurement happens once, in a
 // trusted environment.
 func (v *Verifier) Enroll(id string, pairs []core.Pair, mode core.Mode) (*core.Enrollment, error) {
+	enr, err := v.enrollNew(id, pairs, mode)
+	if err != nil {
+		return nil, err
+	}
+	if err := v.ApplyEnroll(id, enr); err != nil {
+		return nil, err
+	}
+	return enr, nil
+}
+
+// EnrollRecord enrolls a device as Enroll does and appends to dst the
+// enroll record it applied: the mutation record a write-ahead log keeps
+// for the enrollment (see serialize.go). The enrollment is encoded once,
+// into the record, and the verifier keeps no reference to the record.
+func (v *Verifier) EnrollRecord(dst []byte, id string, pairs []core.Pair, mode core.Mode) (*core.Enrollment, []byte, error) {
+	enr, err := v.enrollNew(id, pairs, mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec, err := appendRecordHead(dst, recEnroll, id, 0)
+	bodyAt := len(rec)
+	if err == nil {
+		rec, err = enr.AppendBinary(rec)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("auth: device %q: %w", id, err)
+	}
+	if err := v.applyEnroll(id, rec[bodyAt:]); err != nil {
+		return nil, nil, err
+	}
+	return enr, rec, nil
+}
+
+// enrollNew runs the selection for a device v does not hold yet.
+func (v *Verifier) enrollNew(id string, pairs []core.Pair, mode core.Mode) (*core.Enrollment, error) {
 	if id == "" {
 		return nil, errors.New("auth: empty device ID")
 	}
@@ -137,9 +193,6 @@ func (v *Verifier) Enroll(id string, pairs []core.Pair, mode core.Mode) (*core.E
 	enr, err := core.Enroll(pairs, mode, 0, core.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("auth: enrolling %q: %w", id, err)
-	}
-	if err := v.ApplyEnroll(id, enr); err != nil {
-		return nil, err
 	}
 	return enr, nil
 }
@@ -168,10 +221,10 @@ func (v *Verifier) ApplyEnroll(id string, enr *core.Enrollment) error {
 }
 
 // applyEnroll installs the device whose enroll record body is body,
-// keeping a copy of it and the bitsets one validating walk reads out of it
-// (core.ScanEnrollmentBinary). A body that does not validate fails before
-// the ID is checked, so a log replay that skips duplicate IDs still
-// validates every record.
+// keeping the bitsets one validating walk reads out of it
+// (core.ScanEnrollmentBinary) and, unless v is bodiless, a copy of it. A
+// body that does not validate fails before the ID is checked, so a log
+// replay that skips duplicate IDs still validates every record.
 func (v *Verifier) applyEnroll(id string, body []byte) error {
 	n, mask, ref, err := core.ScanEnrollmentBinary(body)
 	if err != nil {
@@ -183,7 +236,11 @@ func (v *Verifier) applyEnroll(id string, body []byte) error {
 	if _, ok := v.devices[id]; ok {
 		return fmt.Errorf("auth: device %q: %w", id, ErrDuplicateDevice)
 	}
-	v.devices[id] = &DeviceRecord{ID: id, body: bytes.Clone(body), n: n, ref: ref, mask: mask, used: make([]uint64, len(mask))}
+	rec := &DeviceRecord{ID: id, n: n, ref: ref, mask: mask, used: make([]uint64, len(mask))}
+	if !v.bodiless {
+		rec.body = bytes.Clone(body)
+	}
+	v.devices[id] = rec
 	return nil
 }
 

@@ -2,6 +2,7 @@ package auth
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,6 +35,10 @@ import (
 // count makes a snapshot cut at a frame boundary fail to load like any
 // other truncation. Version 1 was the retired JSON snapshot. The RNG
 // state is not persisted; pass a fresh source to LoadVerifier.
+//
+// One writer lays a snapshot out. Save hands it the bodies a verifier
+// keeps in memory; SaveFrom, for a bodiless verifier, reads them back
+// from the snapshot and log its state was recovered from.
 
 const (
 	recEnroll  byte = 1
@@ -56,20 +61,6 @@ func appendRecordHead(dst []byte, typ byte, id string, extra int) ([]byte, error
 	return append(dst, id...), nil
 }
 
-// AppendEnrollRecord appends the record of enrolling device id to dst. Its
-// body is the one the device was enrolled or replayed with, verbatim.
-func (v *Verifier) AppendEnrollRecord(dst []byte, id string) ([]byte, error) {
-	rec, ok := v.devices[id]
-	if !ok {
-		return nil, fmt.Errorf("auth: %w %q", ErrUnknownDevice, id)
-	}
-	dst, err := appendRecordHead(dst, recEnroll, id, len(rec.body))
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, rec.body...), nil
-}
-
 // AppendConsumeRecord appends the record of id's pairs being consumed by
 // a challenge to dst.
 func AppendConsumeRecord(dst []byte, id string, pairs []int) ([]byte, error) {
@@ -87,19 +78,29 @@ func AppendConsumeRecord(dst []byte, id string, pairs []int) ([]byte, error) {
 	return dst, nil
 }
 
+// splitRecord splits a mutation record into its type, device ID and body,
+// which alias p.
+func splitRecord(p []byte) (typ byte, id, body []byte, err error) {
+	if len(p) < 3 {
+		return 0, nil, nil, fmt.Errorf("record %d bytes, need at least 3", len(p))
+	}
+	idLen := int(binary.LittleEndian.Uint16(p[1:3]))
+	if 3+idLen > len(p) {
+		return 0, nil, nil, fmt.Errorf("device-ID length %d overruns the record", idLen)
+	}
+	return p[0], p[3 : 3+idLen], p[3+idLen:], nil
+}
+
 // apply decodes one mutation record and applies it to v. dupOK skips an
 // enroll for a device v already holds, as log replay must; a snapshot
 // holds each device once and refuses the duplicate.
 func (v *Verifier) apply(p []byte, dupOK bool) error {
-	if len(p) < 3 {
-		return fmt.Errorf("record %d bytes, need at least 3", len(p))
+	typ, idBytes, body, err := splitRecord(p)
+	if err != nil {
+		return err
 	}
-	idLen := int(binary.LittleEndian.Uint16(p[1:3]))
-	if 3+idLen > len(p) {
-		return fmt.Errorf("device-ID length %d overruns the record", idLen)
-	}
-	id, body := string(p[3:3+idLen]), p[3+idLen:]
-	switch p[0] {
+	id := string(idBytes)
+	switch typ {
 	case recEnroll:
 		err := v.applyEnroll(id, body)
 		if dupOK && errors.Is(err, ErrDuplicateDevice) {
@@ -120,7 +121,7 @@ func (v *Verifier) apply(p []byte, dupOK bool) error {
 		}
 		return v.MarkUsed(id, pairs)
 	default:
-		return fmt.Errorf("unknown record type %d", p[0])
+		return fmt.Errorf("unknown record type %d", typ)
 	}
 }
 
@@ -162,8 +163,56 @@ func (v *Verifier) replay(rd *recordio.Reader, tolerant bool) (records int, vali
 // Save writes the verifier's snapshot — every device and its consumed
 // pairs — to w. Enroll records carry the stored bodies verbatim; the
 // decoder admits only canonical bodies, so the bytes depend only on the
-// verifier's state.
+// verifier's state. A bodiless verifier holds no bodies to write, so Save
+// fails on its first device; SaveFrom writes its snapshot.
 func (v *Verifier) Save(w io.Writer) error {
+	return v.save(w, func(id string) ([]byte, error) {
+		if body := v.devices[id].body; body != nil {
+			return body, nil
+		}
+		return nil, errors.New("the verifier keeps no enroll bodies (see SaveFrom)")
+	})
+}
+
+// SaveFrom writes the bytes Save would write for v's state, taking each
+// device's enroll body from the files v's state was recovered from and
+// extends: snapshot, the previous snapshot (nil if there is none), and
+// log, the write-ahead log's committed records since it. A device's body
+// comes from its first enroll record in replay order, snapshot then log,
+// which is the record replay applied. The snapshot streams past in its
+// sorted-ID order, so SaveFrom holds no body of it beyond the record it
+// is copying; it holds the log's enroll bodies, at most the log's size.
+// It fails, leaving w partly written, if a device v holds has no enroll
+// record in either file, if the snapshot holds a device v does not, or if
+// a frame of either file is torn or a record does not decode.
+func (v *Verifier) SaveFrom(w io.Writer, snapshot, log io.Reader) error {
+	logged, err := loggedBodies(log)
+	if err != nil {
+		return fmt.Errorf("auth: reading the log: %w", err)
+	}
+	m := &mergedBodies{logged: logged}
+	if snapshot != nil {
+		m.snap = recordio.NewReader(bufio.NewReader(snapshot))
+		if _, _, err = readHeader(m.snap); err != nil {
+			return err
+		}
+		if m.nextID, m.nextBody, err = nextEnroll(m.snap); err != nil {
+			return fmt.Errorf("auth: reading the snapshot: %w", err)
+		}
+	}
+	if err := v.save(w, m.body); err != nil {
+		return err
+	}
+	if m.nextID != nil {
+		return fmt.Errorf("auth: the snapshot holds device %q, which the verifier does not", m.nextID)
+	}
+	return nil
+}
+
+// save writes the snapshot of v's state to w, taking each device's enroll
+// body from body, which it calls once per device in ascending ID order and
+// whose result it copies out before the next call.
+func (v *Verifier) save(w io.Writer, body func(id string) ([]byte, error)) error {
 	ids := v.DeviceIDs()
 	count := len(ids)
 	for _, id := range ids {
@@ -193,8 +242,12 @@ func (v *Verifier) Save(w io.Writer) error {
 				used = append(used, w<<6+mathbits.TrailingZeros64(word))
 			}
 		}
-		var err error
-		if p, err = v.AppendEnrollRecord(p[:0], id); err == nil {
+		b, err := body(id)
+		if err == nil {
+			p, err = appendRecordHead(p[:0], recEnroll, id, len(b))
+		}
+		if err == nil {
+			p = append(p, b...)
 			err = put(p)
 		}
 		if err == nil && len(used) > 0 {
@@ -209,27 +262,124 @@ func (v *Verifier) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
+// loggedBodies reads a write-ahead log to its end and returns a copy of
+// the body of each device's first enroll record.
+func loggedBodies(log io.Reader) (map[string][]byte, error) {
+	bodies := map[string][]byte{}
+	rd := recordio.NewReader(bufio.NewReader(log))
+	for {
+		id, body, err := nextEnroll(rd)
+		if err != nil || id == nil {
+			return bodies, err
+		}
+		if _, ok := bodies[string(id)]; !ok {
+			bodies[string(id)] = bytes.Clone(body)
+		}
+	}
+}
+
+// nextEnroll reads rd on to its next enroll record, skipping consume
+// records, and returns its device ID and body, which alias rd's buffer;
+// both are nil at the end. Any tear is an error: a fold reads a snapshot
+// and a log's committed records, both written whole.
+func nextEnroll(rd *recordio.Reader) (id, body []byte, err error) {
+	for {
+		p, err := rd.Next()
+		if err == io.EOF {
+			return nil, nil, nil
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		typ, id, body, err := splitRecord(p)
+		if err != nil {
+			return nil, nil, err
+		}
+		switch typ {
+		case recEnroll:
+			return id, body, nil
+		case recConsume:
+		default:
+			return nil, nil, fmt.Errorf("unknown record type %d", typ)
+		}
+	}
+}
+
+// mergedBodies hands SaveFrom's writer each device's enroll body in
+// ascending ID order. A device in the previous snapshot, which is sorted
+// by ID too, gets the body of its record there, read in step; any other
+// gets its first one in the log.
+type mergedBodies struct {
+	snap *recordio.Reader // the previous snapshot's records after its header
+	// nextID and nextBody are the snapshot's next enroll record, nil at
+	// its end or without a snapshot; they alias snap's buffer.
+	nextID, nextBody []byte
+	copied           []byte // the body handed out last, copied out of snap's buffer
+	logged           map[string][]byte
+}
+
+// body returns device id's enroll body. Its callers ask in ascending ID
+// order, so a snapshot record whose ID sorts first names a device the
+// verifier does not hold.
+func (m *mergedBodies) body(id string) ([]byte, error) {
+	if m.nextID == nil || string(m.nextID) > id {
+		if body, ok := m.logged[id]; ok {
+			return body, nil
+		}
+		return nil, errors.New("no enroll record in the snapshot or the log")
+	}
+	if string(m.nextID) != id {
+		return nil, fmt.Errorf("the snapshot holds device %q, which the verifier does not", m.nextID)
+	}
+	m.copied = append(m.copied[:0], m.nextBody...)
+	var err error
+	if m.nextID, m.nextBody, err = nextEnroll(m.snap); err != nil {
+		return nil, fmt.Errorf("reading the snapshot: %w", err)
+	}
+	return m.copied, nil
+}
+
+// readHeader reads a snapshot's header record and returns the tolerance
+// and record count it holds.
+func readHeader(rd *recordio.Reader) (tolerance float64, count uint32, err error) {
+	p, err := rd.Next()
+	if err != nil {
+		return 0, 0, fmt.Errorf("auth: reading snapshot header: %w", err)
+	}
+	if len(p) != headerLen || p[0] != recHeader {
+		return 0, 0, errors.New("auth: not a verifier snapshot (no header record)")
+	}
+	if p[1] != snapshotVersion {
+		return 0, 0, fmt.Errorf("auth: unsupported snapshot version %d, want %d", p[1], snapshotVersion)
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(p[2:])), binary.LittleEndian.Uint32(p[10:]), nil
+}
+
 // LoadVerifier restores a verifier from a snapshot written by Save. rng
 // supplies the challenge randomness for the restored instance. Any tear,
 // a missing or surplus record, a duplicate device or an out-of-range pair
 // index fails the load: a snapshot is written whole before it is read.
 func LoadVerifier(r io.Reader, rng *rngx.RNG) (*Verifier, error) {
+	return load(r, rng, false)
+}
+
+// LoadBodilessVerifier restores a bodiless verifier (NewBodilessVerifier)
+// from a snapshot as LoadVerifier does, copying no enroll body.
+func LoadBodilessVerifier(r io.Reader, rng *rngx.RNG) (*Verifier, error) {
+	return load(r, rng, true)
+}
+
+func load(r io.Reader, rng *rngx.RNG, bodiless bool) (*Verifier, error) {
 	rd := recordio.NewReader(bufio.NewReader(r))
-	p, err := rd.Next()
-	if err != nil {
-		return nil, fmt.Errorf("auth: reading snapshot header: %w", err)
-	}
-	if len(p) != headerLen || p[0] != recHeader {
-		return nil, errors.New("auth: not a verifier snapshot (no header record)")
-	}
-	if p[1] != snapshotVersion {
-		return nil, fmt.Errorf("auth: unsupported snapshot version %d, want %d", p[1], snapshotVersion)
-	}
-	count := binary.LittleEndian.Uint32(p[10:]) // p is only valid until the next read
-	v, err := NewVerifier(math.Float64frombits(binary.LittleEndian.Uint64(p[2:])), rng)
+	tolerance, count, err := readHeader(rd)
 	if err != nil {
 		return nil, err
 	}
+	v, err := NewVerifier(tolerance, rng)
+	if err != nil {
+		return nil, err
+	}
+	v.bodiless = bodiless
 	n, _, err := v.replay(rd, false)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"io"
 	"maps"
 	"math"
 	"os"
@@ -128,6 +129,20 @@ func appendEnrollRecord(dst []byte, id string, enr *core.Enrollment) ([]byte, er
 		return nil, err
 	}
 	return enr.AppendBinary(dst)
+}
+
+// AppendEnrollRecord appends the record of enrolling device id to dst,
+// with the body v keeps for it, as a log holding v's devices carries it.
+func (v *Verifier) AppendEnrollRecord(dst []byte, id string) ([]byte, error) {
+	rec, ok := v.devices[id]
+	if !ok {
+		return nil, fmt.Errorf("auth: %w %q", ErrUnknownDevice, id)
+	}
+	dst, err := appendRecordHead(dst, recEnroll, id, len(rec.body))
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, rec.body...), nil
 }
 
 func mustRecord(t *testing.T) func([]byte, error) []byte {
@@ -344,6 +359,13 @@ func TestReplayLog(t *testing.T) {
 // must equal the model's re-encoded snapshot. The log also re-logs
 // enrolls already applied and consumes of used and masked pairs, as a
 // log replayed over a snapshot holds them.
+//
+// At each record boundary it also folds: the prefix splits into a
+// snapshot, the model's at a random earlier boundary, and a log from a
+// boundary at or before that one, so the two overlap as they do after a
+// crash between a fold's rename and its truncate. A bodiless verifier
+// recovered from both must refuse Save, and SaveFrom over the same two
+// files must write the prefix's snapshot bytes.
 func TestReplayEveryPrefix(t *testing.T) {
 	const devices, tolerance = 32, 0.1
 	type modelDevice struct {
@@ -480,8 +502,32 @@ func TestReplayEveryPrefix(t *testing.T) {
 			t.Fatalf("cut at %d: Save gives %d bytes that differ from the model's %d", cut, len(got), len(want[records]))
 		}
 	}
+	fold := func(records int) {
+		t.Helper()
+		at := r.Intn(records + 1)
+		snap, wal := want[at], log[bounds[r.Intn(at+1)]:bounds[records]]
+		v, err := LoadBodilessVerifier(bytes.NewReader(snap), rngx.New(1))
+		if err != nil {
+			t.Fatalf("fold at %d: loading the snapshot at record %d: %v", records, at, err)
+		}
+		if _, _, err := v.ReplayLog(bytes.NewReader(wal)); err != nil {
+			t.Fatalf("fold at %d: replaying %d log bytes: %v", records, len(wal), err)
+		}
+		if err := v.Save(io.Discard); (err == nil) != (v.NumDevices() == 0) {
+			t.Fatalf("fold at %d: Save of a bodiless verifier holding %d devices: err %v", records, v.NumDevices(), err)
+		}
+		var got bytes.Buffer
+		if err := v.SaveFrom(&got, bytes.NewReader(snap), bytes.NewReader(wal)); err != nil {
+			t.Fatalf("fold at %d: snapshot at record %d, %d log bytes: %v", records, at, len(wal), err)
+		}
+		if !bytes.Equal(got.Bytes(), want[records]) {
+			t.Fatalf("fold at %d: snapshot at record %d, %d log bytes: %d bytes that differ from the model's %d",
+				records, at, len(wal), got.Len(), len(want[records]))
+		}
+	}
 	for j, b := range bounds {
 		check(b, j)
+		fold(j)
 		if j+1 < len(bounds) {
 			check(b+1+r.Intn(bounds[j+1]-b-1), j) // inside frame j+1: a torn tail
 		}

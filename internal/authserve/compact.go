@@ -2,8 +2,8 @@ package authserve
 
 // WAL compaction. The log keeps mutations O(record), but an unbounded log
 // makes recovery O(history); compaction bounds it by folding any shard
-// log past StoreOptions.CompactBytes back into the shard's auth.Save
-// snapshot. No goroutine does this in the background: the request whose
+// log past StoreOptions.CompactBytes back into the shard's snapshot. No
+// goroutine does this in the background: the request whose
 // commit carries the log to the threshold runs the fold itself, after its
 // own commit succeeded and before it answers.
 //
@@ -18,8 +18,15 @@ package authserve
 //     waits until every previously submitted record has a verdict —
 //     and holding the shard lock guarantees no new ones race in.
 //  1. snapshot: write the verifier state durably (temp file, fsync,
-//     rename, directory fsync — persistLocked). The snapshot now
-//     contains everything the log does.
+//     rename, directory fsync — persistLocked). The verifier keeps no
+//     enroll bodies, so the writer (auth's SaveFrom) merges: it streams
+//     the old snapshot in its sorted-ID order and copies each device's
+//     body from there, or else from the device's first enroll record in
+//     the log's committed records, which it reads first and holds. A
+//     device with no record in either file, a snapshot device the
+//     verifier does not hold, or a torn frame fails the fold before the
+//     rename, like a failed write. The snapshot now contains everything
+//     the log does.
 //  2. truncate: reset the WAL to empty and fsync the truncation.
 //
 // Crash anywhere before step 1's rename finishes: the old snapshot plus

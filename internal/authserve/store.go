@@ -47,15 +47,17 @@
 // enroll record whose device is already in the snapshot is skipped, a
 // consume record re-marks already-consumed pairs — so the crash window
 // between a compaction's snapshot rename and its log truncation is safe.
-// Snapshot and log are one format: a shard snapshot (shard-NNNN.snap,
-// auth.Save) is the log compacted to one enroll record per device plus
-// one consume record per device with consumed pairs, and both load
-// through auth's one record decoder. The request whose commit carries a
-// log past a size threshold folds it into the snapshot (compact.go): the
-// snapshot is written durably first (temp file, fsync, rename, directory
-// fsync — under FsyncAlways the crash leaves either the old or the new
-// snapshot, both with enough log to reconstruct the state), then the log
-// is truncated.
+// Snapshot and log are one format: a shard snapshot (shard-NNNN.snap) is
+// the log compacted to one enroll record per device plus one consume
+// record per device with consumed pairs, and both load through auth's one
+// record decoder. The two files are also where each device's enroll body
+// lives: a shard's verifier keeps only its bitsets, and a fold copies the
+// bodies from the old snapshot and the log. The request whose commit
+// carries a log past a size threshold folds it into the snapshot
+// (compact.go): the snapshot is written durably first (temp file, fsync,
+// rename, directory fsync — under FsyncAlways the crash leaves either the
+// old or the new snapshot, both with enough log to reconstruct the
+// state), then the log is truncated.
 //
 // Outstanding challenge IDs are deliberately NOT persisted: a restart
 // invalidates every issued-but-unverified challenge, so responses to
@@ -229,7 +231,7 @@ func (s *Store) CompactBytes() int64 { return s.opt.CompactBytes }
 
 type shard struct {
 	mu          sync.RWMutex
-	v           *auth.Verifier
+	v           *auth.Verifier // bodiless: the snapshot and WAL hold the enroll bodies
 	nonceRNG    *rngx.RNG
 	outstanding map[string]*auth.Challenge // challenge ID -> issued challenge
 	stats       map[string]*devStats       // rolling consumption telemetry (memory-only)
@@ -240,6 +242,9 @@ type shard struct {
 	// walSize mirrors wal.size for lock-free reads (metrics, compaction
 	// backlog checks); the authoritative value lives in wal under mu.
 	walSize atomic.Int64
+	// enrollRec is the buffer Enroll encodes an enroll record into, under
+	// mu; the WAL copies the record out before the lock is released.
+	enrollRec []byte
 }
 
 type manifestJSON struct {
@@ -353,7 +358,7 @@ func (s *Store) openShard(i int, parent *rngx.RNG) (sh *shard, replayed int, tor
 	if opt.Dir != "" {
 		sh.path = filepath.Join(opt.Dir, fmt.Sprintf("shard-%04d.snap", i))
 		if f, err := os.Open(sh.path); err == nil {
-			sh.v, err = auth.LoadVerifier(f, parent.Split())
+			sh.v, err = auth.LoadBodilessVerifier(f, parent.Split())
 			f.Close()
 			if err != nil {
 				return nil, 0, 0, fmt.Errorf("authserve: loading %s: %w", sh.path, err)
@@ -366,7 +371,7 @@ func (s *Store) openShard(i int, parent *rngx.RNG) (sh *shard, replayed int, tor
 		}
 	}
 	if sh.v == nil {
-		if sh.v, err = auth.NewVerifier(opt.Tolerance, parent.Split()); err != nil {
+		if sh.v, err = auth.NewBodilessVerifier(opt.Tolerance, parent.Split()); err != nil {
 			return nil, 0, 0, fmt.Errorf("authserve: %w", err)
 		}
 	}
@@ -508,25 +513,21 @@ func (s *Store) recordAppended(rec *obs.Counter, payloadLen int) {
 func (s *Store) Enroll(id string, pairs []core.Pair, mode core.Mode) (DeviceInfo, error) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	enr, err := sh.v.Enroll(id, pairs, mode)
+	enr, payload, err := sh.v.EnrollRecord(sh.enrollRec[:0], id, pairs, mode)
 	if err != nil {
 		sh.mu.Unlock()
 		return DeviceInfo{}, err
 	}
+	sh.enrollRec = payload
 	var pend *walPending
-	payloadLen := 0
 	if sh.wal != nil {
-		payload, err := sh.v.AppendEnrollRecord(nil, id)
-		if err == nil {
-			pend, err = s.submitLocked(sh, payload)
-			payloadLen = len(payload)
-		}
-		if err != nil {
+		if pend, err = s.submitLocked(sh, payload); err != nil {
 			sh.v.Unenroll(id)
 			sh.mu.Unlock()
 			return DeviceInfo{}, err
 		}
 	}
+	payloadLen := len(payload)
 	s.shardDevices.With(sh.label).Add(1)
 	fresh, _ := sh.v.NumFresh(id)
 	info := DeviceInfo{
@@ -719,13 +720,28 @@ func (s *Store) SaveAll() error {
 }
 
 // persistLocked writes the shard's snapshot through atomicWrite. The
-// caller holds the shard lock. Empty shards are skipped (no file until
-// the first device lands).
+// verifier keeps no enroll bodies, so auth's SaveFrom copies each one from
+// the old snapshot or from the WAL's committed records, which together
+// hold every device the verifier does. The caller holds the shard lock
+// and has run the WAL barrier, so neither file changes while they are
+// read. Empty shards are skipped (no file until the first device lands).
 func (sh *shard) persistLocked() error {
 	if sh.path == "" || sh.v.NumDevices() == 0 {
 		return nil
 	}
-	if err := atomicWrite(sh.path, sh.syncWrites, sh.v.Save); err != nil {
+	var snap io.Reader
+	f, err := os.Open(sh.path)
+	if err == nil {
+		defer f.Close()
+		snap = f
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("authserve: snapshot: %w", err)
+	}
+	log := io.NewSectionReader(sh.wal.f, 0, sh.wal.committedSize())
+	err = atomicWrite(sh.path, sh.syncWrites, func(w io.Writer) error {
+		return sh.v.SaveFrom(w, snap, log)
+	})
+	if err != nil {
 		return fmt.Errorf("authserve: snapshot: %w", err)
 	}
 	return nil

@@ -821,3 +821,83 @@ func TestStoreTornWALTailRecovery(t *testing.T) {
 		t.Fatalf("post-tear enroll lost: %d devices, want 4", got)
 	}
 }
+
+// TestStoreHeapBudget bounds the live heap an enrolled device costs a
+// durable store, read after two GCs: 2,000 Case-2 devices of 128 pairs ×
+// 13 stages in 16 shards, once enrolled, once their WALs have replayed
+// into a fresh store, and once that store's folded snapshots have loaded
+// into another. A shard verifier keeps a device's ID, pair count and
+// three bitsets, not its 1,717 B enroll body, which the snapshot and WAL
+// hold; keeping the body cost ~2.0 KB per device.
+func TestStoreHeapBudget(t *testing.T) {
+	const devices, budget = 2000, 400
+	pool, err := fleet.Synthetic(16, 128, 13, 0x4EA9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	check := func(phase string, grew int64) {
+		t.Helper()
+		perDevice := grew / devices
+		t.Logf("live heap after %s: %d B per device", phase, perDevice)
+		if perDevice > budget {
+			t.Errorf("live heap after %s: %d B per device, budget %d", phase, perDevice, budget)
+		}
+	}
+	opt := StoreOptions{Shards: 16, Dir: t.TempDir(), Fsync: FsyncOff}
+	reopen := func() *Store {
+		t.Helper()
+		s, err := Open(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.NumDevices(); got != devices {
+			t.Fatalf("reopened store holds %d devices, want %d", got, devices)
+		}
+		return s
+	}
+
+	before := live()
+	s, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < devices; i++ {
+		if _, err := s.Enroll(fmt.Sprintf("dev-%04d", i), pool[i%len(pool)].Pairs, core.Case2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("Enroll", live()-before)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = nil
+	before = live()
+	s = reopen()
+	check("WAL replay", live()-before)
+	if err := s.SaveAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = nil
+	before = live()
+	s = reopen()
+	check("snapshot load", live()-before)
+	if n := s.WALBacklogBytes(); n != 0 {
+		t.Fatalf("the snapshot load replayed a %d-byte WAL", n)
+	}
+	runtime.KeepAlive(pool)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -3,6 +3,7 @@ package authserve
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -113,10 +114,12 @@ func (p FsyncPolicy) String() string {
 // (see the failure model above).
 var ErrWALBroken = errors.New("authserve: WAL broken, shard mutations disabled")
 
-// walFile is the part of an open file the log writes through. *os.File is
+// walFile is the part of an open file the log writes through, and reads
+// its committed records back through for a fold (compact.go). *os.File is
 // the only implementation outside tests, which wrap it to inject real I/O
 // errors.
 type walFile interface {
+	io.ReaderAt
 	Write([]byte) (int, error)
 	Sync() error
 	Truncate(size int64) error

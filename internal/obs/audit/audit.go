@@ -122,13 +122,47 @@ func NewWriter(w io.Writer, opt WriterOptions) *Writer {
 }
 
 // OpenFile opens (creating if absent) an append-mode audit file and wraps
-// it in a Writer. Close closes the file too.
-func OpenFile(path string, opt WriterOptions) (*Writer, *os.File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// it in a Writer; the caller closes the file after the Writer. A last line
+// without its newline is a write a full disk cut short, whose event the
+// writer already counted as dropped: OpenFile cuts it off, so the next
+// event starts a line of its own, and returns how many bytes it cut.
+func OpenFile(path string, opt WriterOptions) (w *Writer, f *os.File, cut int64, err error) {
+	f, err = os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("audit: %w", err)
+		return nil, nil, 0, fmt.Errorf("audit: %w", err)
 	}
-	return NewWriter(f, opt), f, nil
+	if cut, err = cutTornLine(f); err != nil {
+		f.Close()
+		return nil, nil, 0, fmt.Errorf("audit: %s: %w", path, err)
+	}
+	return NewWriter(f, opt), f, cut, nil
+}
+
+// cutTornLine truncates f to just after its last newline, or to empty if
+// it has none, and returns how many bytes that removed.
+func cutTornLine(f *os.File) (int64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	size := st.Size()
+	end := size
+	buf := make([]byte, 4096)
+	for end > 0 {
+		n := min(end, int64(len(buf)))
+		if _, err := f.ReadAt(buf[:n], end-n); err != nil {
+			return 0, err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			end -= n - int64(i) - 1
+			break
+		}
+		end -= n
+	}
+	if end == size {
+		return 0, nil
+	}
+	return size - end, f.Truncate(end)
 }
 
 // drain is the single consumer: it encodes each event as one JSON line and

@@ -16,7 +16,7 @@ import (
 func TestWriterRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "audit.jsonl")
-	w, f, err := OpenFile(path, WriterOptions{})
+	w, f, _, err := OpenFile(path, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestWriterAppendsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "audit.jsonl")
 	for run := 0; run < 2; run++ {
-		w, f, err := OpenFile(path, WriterOptions{})
+		w, f, _, err := OpenFile(path, WriterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,6 +85,70 @@ func TestWriterAppendsAcrossReopen(t *testing.T) {
 	}
 	if len(events) != 2 {
 		t.Fatalf("after two runs got %d events, want 2 (restart must append, not truncate)", len(events))
+	}
+}
+
+// TestOpenFileCutsTornLine reopens a stream whose last write a full disk
+// cut short: OpenFile truncates the file after its last newline, so the
+// next run's events follow whole lines and the file reads back. A file
+// that ends in a newline stays byte-identical, and one without any is
+// emptied.
+func TestOpenFileCutsTornLine(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		events   int
+		fragment string
+	}{
+		{"whole lines", 3, ""},
+		{"short fragment", 3, `{"ts":"2026-10-18T06:00:00Z","event":"enr`},
+		{"fragment longer than a read", 3, `{"ts":"` + strings.Repeat("x", 5000)},
+		{"fragment only", 0, `{"event":"flag","de`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "audit.jsonl")
+			w, f, _, err := OpenFile(path, WriterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.events; i++ {
+				w.Emit(Event{Event: EventEnroll, DeviceID: fmt.Sprintf("dev-%04d", i)})
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(tc.fragment); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			whole, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole = whole[:len(whole)-len(tc.fragment)]
+
+			w, f, cut, err := OpenFile(path, WriterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cut != int64(len(tc.fragment)) {
+				t.Errorf("cut %d bytes, want the %d-byte fragment", cut, len(tc.fragment))
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, whole) {
+				t.Errorf("reopened file holds %q (err %v), want its whole lines %q", got, err, whole)
+			}
+			w.Emit(Event{Event: EventFlag, DeviceID: "dev-after"})
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			events, err := ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(events) != tc.events+1 || events[tc.events].DeviceID != "dev-after" {
+				t.Fatalf("read %d events, want %d ending with dev-after", len(events), tc.events+1)
+			}
+		})
 	}
 }
 
@@ -239,7 +303,7 @@ func (b blockingWriter) Write(p []byte) (int, error) {
 func TestWriterConcurrentEmit(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "audit.jsonl")
-	w, f, err := OpenFile(path, WriterOptions{Buffer: 4096})
+	w, f, _, err := OpenFile(path, WriterOptions{Buffer: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +366,7 @@ func TestReadFiles(t *testing.T) {
 		if i == 1 {
 			p = filepath.Join(dir, "b.jsonl")
 		}
-		w, f, err := OpenFile(p, WriterOptions{})
+		w, f, _, err := OpenFile(p, WriterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
