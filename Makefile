@@ -104,15 +104,17 @@ fleet-bench:
 # binary enrollment codec (canonical bodies only, and the verifier's
 # in-place walk against the full decoder), the shard-corpus decoders and
 # the binary enroll decoder against hostile bytes, the verify/challenge
-# request parser against encoding/json, and the silicon environment factor
-# against its four-pow reference formula over arbitrary parameters (CI
-# runs these for short bursts; crashes land under the packages'
-# testdata/fuzz directories).
+# request parser against encoding/json, the Case-2 stage order (sorting
+# network and fallback) against a stable sort over arbitrary delays, and
+# the silicon environment factor against its four-pow reference formula
+# over arbitrary parameters (CI runs these for short bursts; crashes land
+# under the packages' testdata/fuzz directories).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run FuzzLoadVerifier -fuzz FuzzLoadVerifier -fuzztime $(FUZZTIME) ./internal/auth
 	$(GO) test -run FuzzReplayLog -fuzz FuzzReplayLog -fuzztime $(FUZZTIME) ./internal/auth
 	$(GO) test -run FuzzEnrollmentBinary -fuzz FuzzEnrollmentBinary -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run FuzzAscIdx -fuzz FuzzAscIdx -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run FuzzShardBin -fuzz FuzzShardBin -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run FuzzManifest -fuzz FuzzManifest -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run FuzzJSONRequests -fuzz FuzzJSONRequests -fuzztime $(FUZZTIME) ./internal/authserve

@@ -89,17 +89,28 @@ func BenchmarkSelectCase1(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectCase2 covers both of the stage sort's paths: insertion
-// sort up to 32 stages (the cutoff in internal/core's scratch.go; 33 is one
-// past it) and slices.SortFunc beyond, with 4,096 stages standing for the
-// long rings the binary enroll wire admits.
+// BenchmarkSelectCase2 covers both of the stage sort's paths: the sorting
+// network up to 16 stages (the paper's rings have 13–15) and
+// slices.SortFunc beyond, with 4,096 stages standing for the long rings the
+// binary enroll wire admits. Each iteration selects the next of up to 1,024
+// distinct pairs, so a sort whose branches depend on the delays
+// mispredicts as it would on a fleet of devices instead of learning one
+// ring.
 func BenchmarkSelectCase2(b *testing.B) {
-	for _, n := range []int{5, 13, 15, 33, 4096} {
+	for _, n := range []int{5, 13, 15, 16, 17, 33, 4096} {
 		b.Run(fmt.Sprintf("stages=%d", n), func(b *testing.B) {
-			alpha, beta := selectionInput(n)
+			r := rngx.New(uint64(n))
+			rings := min(b.N, 1024)
+			alpha, beta := make([]float64, rings*n), make([]float64, rings*n)
+			for i := range alpha {
+				alpha[i] = 10000 + 100*r.Norm()
+				beta[i] = 10000 + 100*r.Norm()
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.SelectCase2(alpha, beta, core.Options{}); err != nil {
+				off := i % rings * n
+				if _, err := core.SelectCase2(alpha[off:off+n], beta[off:off+n], core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

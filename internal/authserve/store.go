@@ -591,27 +591,29 @@ func (s *Store) Challenge(id string, k int) (string, *auth.Challenge, int, error
 	d := sh.statsFor(id)
 	d.challenges++
 	d.advance(bucketStep(s.now(), s.bucketWidth))
-	b := &d.ring[d.lastStep%telemetryBuckets]
+	step := d.lastStep
+	b := &d.ring[step%telemetryBuckets]
 	b.challenges++
-	b.pairs += int64(len(ch.Pairs))
+	b.pairs += uint32(len(ch.Pairs))
 	fresh, _ := sh.v.NumFresh(id)
 	sh.mu.Unlock()
 	if err := s.waitDurable(pend); err != nil {
-		// Roll back under a fresh lock hold. The telemetry unwind is
-		// best-effort: if the ring advanced during the wait the counts
-		// come off the current bucket — acceptable skew on a path that
-		// only runs when the disk is failing. UnmarkUsed can report
-		// unknown-device if the device's own enroll record died in the
-		// same failed batch and its caller rolled back first; the end
-		// state (device gone, pairs moot) is consistent either way.
+		// Roll back under a fresh lock hold, taking the counts off the
+		// bucket they went into. If the ring has since moved a whole
+		// window past that bucket, advance zeroed it and there is nothing
+		// left to take; the unsigned counters never go below zero.
+		// UnmarkUsed can report unknown-device if the device's own enroll
+		// record died in the same failed batch and its caller rolled back
+		// first; the end state (device gone, pairs moot) is consistent
+		// either way.
 		sh.mu.Lock()
 		delete(sh.outstanding, nonce)
 		rerr := sh.v.UnmarkUsed(id, ch.Pairs)
-		d := sh.statsFor(id)
 		d.challenges--
-		b := &d.ring[d.lastStep%telemetryBuckets]
-		b.challenges--
-		b.pairs -= int64(len(ch.Pairs))
+		if d.lastStep-step < telemetryBuckets {
+			b.challenges--
+			b.pairs -= uint32(len(ch.Pairs))
+		}
 		sh.mu.Unlock()
 		if rerr != nil && !errors.Is(rerr, auth.ErrUnknownDevice) {
 			err = errors.Join(err, rerr)

@@ -828,7 +828,10 @@ func TestStoreTornWALTailRecovery(t *testing.T) {
 // into a fresh store, and once that store's folded snapshots have loaded
 // into another. A shard verifier keeps a device's ID, pair count and
 // three bitsets, not its 1,717 B enroll body, which the snapshot and WAL
-// hold; keeping the body cost ~2.0 KB per device.
+// hold; keeping the body cost ~2.0 KB per device. A last phase challenges
+// and verifies every device once, which adds its telemetry record: 288 B
+// with uint32 counters (~370 B per device with the map slots), ~650 B
+// with int64 ones.
 func TestStoreHeapBudget(t *testing.T) {
 	const devices, budget = 2000, 400
 	pool, err := fleet.Synthetic(16, 128, 13, 0x4EA9)
@@ -896,6 +899,24 @@ func TestStoreHeapBudget(t *testing.T) {
 	if n := s.WALBacklogBytes(); n != 0 {
 		t.Fatalf("the snapshot load replayed a %d-byte WAL", n)
 	}
+
+	// A challenge and a verify give a device its telemetry record (§12).
+	before = live()
+	for i := 0; i < devices; i++ {
+		id := fmt.Sprintf("dev-%04d", i)
+		nonce, ch, _, err := s.Challenge(id, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := bits.New(len(ch.Pairs))
+		for range ch.Pairs {
+			resp.Append(false)
+		}
+		if _, _, _, err := s.Verify(id, nonce, resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("a challenge and a verify", live()-before)
 	runtime.KeepAlive(pool)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

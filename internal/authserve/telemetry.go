@@ -31,18 +31,27 @@ import (
 // coalescing accepts.
 const telemetryBuckets = 16
 
+// telemetryBucket's counters and devStats.challenges are uint32, which
+// halves a challenged device's record (280 B, against 536 B with int64s).
+// None can overflow. A stored device has at most 2^24 pairs
+// (maxBinaryVectors in internal/core); each challenge consumes at least
+// one fresh pair and a pair is never reissued, so a device sees at most
+// 2^24 challenges and 2^24 challenged pairs in all; each verify consumes
+// one outstanding challenge, so verifies and fails stay below that too;
+// and a rolled-back challenge (Store.Challenge) subtracts only what it
+// added, from the bucket it added it to.
 type telemetryBucket struct {
-	challenges int64
-	pairs      int64
-	verifies   int64
-	fails      int64
+	challenges uint32
+	pairs      uint32
+	verifies   uint32
+	fails      uint32
 }
 
 // devStats is one device's telemetry since process start: the challenges
 // issued, the time of the last verify, and the rolling ring the abuse
 // scorer reads. A device gets one on its first challenge or verify.
 type devStats struct {
-	challenges int64
+	challenges uint32
 	lastVerify int64 // unix seconds; 0 = never this process
 
 	lastStep int64 // ring position of the most recent write
@@ -80,10 +89,10 @@ func (d *devStats) windowSum(s int64) (challenges, pairs, verifies, fails int64)
 		t := d.lastStep - ((d.lastStep-i)%telemetryBuckets+telemetryBuckets)%telemetryBuckets
 		if t > s-telemetryBuckets && t <= s {
 			b := &d.ring[i]
-			challenges += b.challenges
-			pairs += b.pairs
-			verifies += b.verifies
-			fails += b.fails
+			challenges += int64(b.challenges)
+			pairs += int64(b.pairs)
+			verifies += int64(b.verifies)
+			fails += int64(b.fails)
 		}
 	}
 	return challenges, pairs, verifies, fails
@@ -117,7 +126,7 @@ func (s *Store) Telemetry(id string) DeviceTelemetry {
 	if d == nil {
 		return DeviceTelemetry{}
 	}
-	return DeviceTelemetry{ChallengesIssued: d.challenges, LastVerifyUnix: d.lastVerify}
+	return DeviceTelemetry{ChallengesIssued: int64(d.challenges), LastVerifyUnix: d.lastVerify}
 }
 
 // DeviceWindow is one device's rolling-window consumption snapshot, the

@@ -2,13 +2,16 @@ package authserve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"ropuf/internal/bits"
 	"ropuf/internal/core"
+	"ropuf/internal/fleet"
 	"ropuf/internal/obs"
 	"ropuf/internal/obs/audit"
 )
@@ -379,5 +382,57 @@ func TestServerAbuseEndToEnd(t *testing.T) {
 	if counts[audit.EventEnroll] != 2 || counts[audit.EventChallenge] != 40 ||
 		counts[audit.EventFlag] == 0 || counts[audit.EventUnflag] == 0 {
 		t.Fatalf("audit event counts = %v", counts)
+	}
+}
+
+// TestChallengeRollbackAfterRingMoved fails a challenge's commit while the
+// device's ring moves a whole window on: a verify two windows later lands
+// during the fsync. The rollback must take the challenge's counts off the
+// bucket it added them to, which that verify's advance already zeroed,
+// and not off the verify's bucket, where the unsigned counters would wrap
+// to 2^32−1 (the int64 counters once went to −1).
+func TestChallengeRollbackAfterRingMoved(t *testing.T) {
+	devices, err := fleet.Synthetic(1, 16, 7, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := devices[0]
+	clock := &fakeClock{t: time.Unix(1754650000, 0)}
+	store, err := Open(StoreOptions{Shards: 1, Dir: t.TempDir(), CompactBytes: -1, TelemetryWindow: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	store.now = clock.now
+	ff := injectFaults(store.shardFor(d.ID).wal)
+	if _, err := store.Enroll(d.ID, d.Pairs, core.Case2); err != nil {
+		t.Fatal(err)
+	}
+	nonce, ch, _, err := store.Challenge(d.ID, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff.mu.Lock()
+	ff.failSync = syscall.EIO
+	ff.onSync = func() {
+		clock.advance(2 * time.Minute)
+		resp := bits.New(len(ch.Pairs))
+		for range ch.Pairs {
+			resp.Append(false)
+		}
+		if _, _, _, err := store.Verify(d.ID, nonce, resp); err != nil {
+			t.Errorf("verify during the failing commit: %v", err)
+		}
+	}
+	ff.mu.Unlock()
+	if _, _, _, err := store.Challenge(d.ID, 2); !errors.Is(err, ErrPersist) {
+		t.Fatalf("challenge with failing fsync = %v, want ErrPersist", err)
+	}
+	w := store.Windows(clock.now())
+	if len(w) != 1 || w[0].Challenges != 0 || w[0].Pairs != 0 || w[0].Verifies != 1 {
+		t.Fatalf("window after the rollback = %+v, want 0 challenges, 0 pairs, 1 verify", w)
+	}
+	if got := store.Telemetry(d.ID).ChallengesIssued; got != 1 {
+		t.Fatalf("challenges issued after the rollback = %d, want 1", got)
 	}
 }

@@ -29,13 +29,15 @@ func (w *wal) appendSync(payload []byte) error {
 // error is returned by every matching call until it is disarmed, the way
 // a failing disk keeps failing; a failing Write first writes half its
 // buffer, the short write a full disk leaves behind. Sync calls are
-// counted whether or not they fail.
+// counted whether or not they fail, and each runs onSync, when set,
+// before its verdict: what other requests do while a commit waits.
 type faultFile struct {
 	*os.File
 
 	mu                             sync.Mutex
 	failWrite, failSync, failTrunc error
 	syncs                          int
+	onSync                         func()
 }
 
 // injectFaults puts a faultFile under w. Call it before the log sees
@@ -71,8 +73,11 @@ func (f *faultFile) Write(p []byte) (int, error) {
 func (f *faultFile) Sync() error {
 	f.mu.Lock()
 	f.syncs++
-	err := f.failSync
+	err, hook := f.failSync, f.onSync
 	f.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
 	if err != nil {
 		return err
 	}

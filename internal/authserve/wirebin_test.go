@@ -2,8 +2,10 @@ package authserve
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -285,4 +287,48 @@ func FuzzEnrollBinary(f *testing.F) {
 			t.Fatalf("re-encoded body differs:\n got %x\nwant %x", back, data)
 		}
 	})
+}
+
+// TestEnrollScratchSurvivesGC checks that the binary enroll route keeps its
+// pooled request scratch across a GC. sync.Pool holds what it pools through
+// one collection in its victim cache, so an enroll sent straight after a GC
+// finds the scratch an earlier enroll grew: a 27 KB body buffer and a 26 KB
+// float backing for 128 pairs × 13 stages. It may allocate at most 8 KB
+// more than one sent without a GC between. Each side takes the least of
+// eight enrolls of fresh devices, which filters out a scratch the race
+// detector's pool drops on purpose (one Put in four) and one left behind on
+// another P.
+func TestEnrollScratchSurvivesGC(t *testing.T) {
+	devices, _ := testFleet(t, 1, 128)
+	store, err := Open(StoreOptions{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	h := NewServer(store, ServerOptions{}).Handler()
+	var bodies [][]byte
+	for i := 0; i < 17; i++ {
+		bodies = append(bodies, binaryEnrollBody(t, devices[0], fmt.Sprintf("dev-gc-%02d", i)))
+	}
+	send := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/enroll", bytes.NewReader(bodies[0]))
+		req.Header.Set("Content-Type", EnrollContentTypeBinary)
+		bodies = bodies[1:]
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("binary enroll = %d %s", rec.Code, rec.Body)
+		}
+	}
+	send() // grows a scratch's body buffer and float backing
+	straight := heapAllocated(8, send)
+	afterGC := heapAllocated(8, func() {
+		runtime.GC()
+		send()
+	})
+	t.Logf("enroll allocated %d B straight after the last, %d B after a GC", straight, afterGC)
+	if afterGC > straight+8<<10 {
+		t.Errorf("an enroll after a GC allocated %d B, %d B more than one straight after the last: the pool lost its scratch",
+			afterGC, afterGC-straight)
+	}
 }

@@ -320,19 +320,19 @@ func hasAnyConfig(sels []Selection) bool {
 }
 
 // appendPackedBools appends bs bit-packed LSB-first, ceil(len/8) bytes.
+// It packs up to 64 bools into a word with no branch per bit, then
+// appends the word's bytes.
 func appendPackedBools(dst []byte, bs []bool) []byte {
-	var cur byte
-	for i, b := range bs {
-		if b {
-			cur |= 1 << (i & 7)
+	for len(bs) > 0 {
+		chunk := bs[:min(len(bs), 64)]
+		var w uint64
+		for i, b := range chunk {
+			w |= b2u(b) << i
 		}
-		if i&7 == 7 {
-			dst = append(dst, cur)
-			cur = 0
+		for i := 0; i < len(chunk); i += 8 {
+			dst = append(dst, byte(w>>i))
 		}
-	}
-	if len(bs)&7 != 0 {
-		dst = append(dst, cur)
+		bs = bs[len(chunk):]
 	}
 	return dst
 }

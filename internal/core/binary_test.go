@@ -313,3 +313,73 @@ func TestBinaryRejectsNonCanonical(t *testing.T) {
 		}
 	}
 }
+
+// appendPackedBoolsPerBit is appendPackedBools as it was before it packed
+// a word at a time: a branch per bit, a byte appended per eight.
+func appendPackedBoolsPerBit(dst []byte, bs []bool) []byte {
+	var cur byte
+	for i, b := range bs {
+		if b {
+			cur |= 1 << (i & 7)
+		}
+		if i&7 == 7 {
+			dst = append(dst, cur)
+			cur = 0
+		}
+	}
+	if len(bs)&7 != 0 {
+		dst = append(dst, cur)
+	}
+	return dst
+}
+
+// TestAppendPackedBoolsMatchesPerBit holds the word-at-a-time packer to
+// the per-bit one, zero padding bits included, for every length 0–200
+// with random, all-true and all-false patterns, appended after a prefix
+// that must stay as it was.
+func TestAppendPackedBoolsMatchesPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xB175))
+	prefix := []byte{0xA5, 0x5A}
+	for n := 0; n <= 200; n++ {
+		bs := make([]bool, n)
+		for pattern := 0; pattern < 12; pattern++ {
+			for i := range bs {
+				switch pattern {
+				case 0:
+					bs[i] = false
+				case 1:
+					bs[i] = true
+				default:
+					bs[i] = rng.Intn(2) == 1
+				}
+			}
+			want := appendPackedBoolsPerBit(slices.Clone(prefix), bs)
+			if got := appendPackedBools(slices.Clone(prefix), bs); !bytes.Equal(got, want) {
+				t.Fatalf("n=%d pattern %d: packed %x, per-bit packer %x", n, pattern, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkAppendBinary encodes 64 distinct 128-pair × 13-stage Case-2
+// enrollments in turn into one reused buffer, so the packer sees a new
+// bit pattern on every call.
+func BenchmarkAppendBinary(b *testing.B) {
+	enrs := make([]*Enrollment, 64)
+	for i := range enrs {
+		enr, err := Enroll(binaryTestPairs(b, 128, 13, int64(0xAB00+i)), Case2, 0, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		enrs[i] = enr
+	}
+	var dst []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if dst, err = enrs[i%len(enrs)].AppendBinary(dst[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -58,6 +61,42 @@ func FuzzEnrollmentBinary(f *testing.F) {
 			if mask[i/64]>>(i%64)&1 != 0 != enr.Mask[i] || ref[i/64]>>(i%64)&1 != 0 != sel.Bit {
 				t.Fatalf("pair %d: scan and decode disagree on its mask or reference bit", i)
 			}
+		}
+	})
+}
+
+// FuzzAscIdx holds the stage order to the stable order on rings of up to
+// 40 delays read from the input (8 little-endian bytes each; a ring with a
+// NaN is skipped, since selection rejects one before it sorts). The binary
+// enroll wire hands ascIdx such delays under a shard lock.
+func FuzzAscIdx(f *testing.F) {
+	ring := func(v ...float64) []byte {
+		var b []byte
+		for _, x := range v {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	negZero := math.Copysign(0, -1)
+	f.Add(ring(2, negZero, 1, 0, 2, 3, 1, negZero, 0, 3))   // tie-rich
+	f.Add(ring(-200, 201, -199.5, 200, 0, -200))            // mixed signs
+	f.Add(ring(1.5, 3, 1.999, 2, 0.5, 2.5))                 // both sides of 2
+	f.Add(ring(200, 201, 200, 199, 202, 200, 198, 201, 199, // 16 stages
+		200, 203, 197, 200, 201, 199, 200))
+	f.Add(ring(200, 201, 200, 199, 202, 200, 198, 201, 199, // 17 stages
+		200, 203, 197, 200, 201, 199, 200, 196))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v := make([]float64, 0, 40)
+		for len(data) >= 8 && len(v) < 40 {
+			x := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			if math.IsNaN(x) {
+				return
+			}
+			v = append(v, x)
+			data = data[8:]
+		}
+		if got, want := ascIdx(nil, v), stableAscIdx(v); !slices.Equal(got, want) {
+			t.Fatalf("ascIdx %v, stable order %v\nv=%v", got, want, v)
 		}
 	})
 }

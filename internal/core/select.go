@@ -64,19 +64,28 @@ func (s Selection) Evaluate(alpha, beta []float64) (bit bool, margin float64, er
 		return false, 0, fmt.Errorf("core: Evaluate length mismatch: have α=%d β=%d, want %d/%d",
 			len(alpha), len(beta), len(s.X), len(s.Y))
 	}
+	// Each sum runs in index order, an unselected stage adding +0 through
+	// a mask instead of a branch. A sum that starts at +0 never becomes −0,
+	// and x + (+0) = x for every other x, so the bits are those of summing
+	// the selected stages alone, which AppendBinary stores.
 	var top, bottom float64
 	for i, sel := range s.X {
-		if sel {
-			top += alpha[i]
-		}
+		top += math.Float64frombits(math.Float64bits(alpha[i]) & -b2u(sel))
 	}
 	for i, sel := range s.Y {
-		if sel {
-			bottom += beta[i]
-		}
+		bottom += math.Float64frombits(math.Float64bits(beta[i]) & -b2u(sel))
 	}
 	d := top - bottom
 	return d > 0, math.Abs(d), nil
+}
+
+// b2u is 1 for true and 0 for false. Go compiles it to a zero extension
+// of the bool's byte, with no branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ErrDegenerate is returned when no stage offers any usable delay

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ropuf/internal/circuit"
 	"ropuf/internal/rngx"
 )
 
@@ -465,6 +466,74 @@ func TestSelectRejectsNonFiniteInputs(t *testing.T) {
 		}
 		if _, err := SelectCase2(c[0], c[1], Options{}); err == nil {
 			t.Errorf("case %d: SelectCase2 accepted non-finite input", i)
+		}
+	}
+}
+
+// branchyEvaluate is Selection.Evaluate as it was before its sums went
+// through a mask: each sum adds the selected stages alone, branching on
+// every selection bit.
+func branchyEvaluate(s Selection, alpha, beta []float64) (bit bool, margin float64) {
+	var top, bottom float64
+	for i, sel := range s.X {
+		if sel {
+			top += alpha[i]
+		}
+	}
+	for i, sel := range s.Y {
+		if sel {
+			bottom += beta[i]
+		}
+	}
+	d := top - bottom
+	return d > 0, math.Abs(d)
+}
+
+// TestEvaluateMatchesBranchySum holds Evaluate's masked sums to the
+// branchy ones bit for bit, a NaN margin matching any NaN, over 1,000,000
+// random pairs of 1–20 stages. A quarter of the delays are special (±0,
+// ±Inf, NaN, ±1e308, ±MaxFloat64, subnormals), the rest ordinary values
+// near a picosecond delay or spread over ±1000.
+func TestEvaluateMatchesBranchySum(t *testing.T) {
+	special := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		1e308, -1e308, math.MaxFloat64, -math.MaxFloat64,
+		5e-324, -5e-324, 1e-310, -2.5e-320,
+	}
+	r := rngx.New(0xE7A1)
+	var values [4096]float64
+	for i := range values {
+		switch i & 3 {
+		case 0:
+			values[i] = special[(i>>2)%len(special)]
+		case 1:
+			values[i] = 200 + 5*r.Norm()
+		default:
+			values[i] = 1e3 * r.Norm()
+		}
+	}
+	alphaBuf, betaBuf := make([]float64, 20), make([]float64, 20)
+	xBuf, yBuf := make(circuit.Config, 20), make(circuit.Config, 20)
+	for trial := 0; trial < 1_000_000; trial++ {
+		n := 1 + r.Intn(20)
+		alpha, beta := alphaBuf[:n], betaBuf[:n]
+		sel := Selection{X: xBuf[:n], Y: yBuf[:n]}
+		picks := r.Uint64()
+		for i := 0; i < n; i++ {
+			u := r.Uint64()
+			alpha[i], beta[i] = values[u%4096], values[u>>12%4096]
+			sel.X[i], sel.Y[i] = picks>>i&1 != 0, picks>>(32+i)&1 != 0
+		}
+		bit, margin, err := sel.Evaluate(alpha, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBit, wantMargin := branchyEvaluate(sel, alpha, beta)
+		same := math.Float64bits(margin) == math.Float64bits(wantMargin) ||
+			math.IsNaN(margin) && math.IsNaN(wantMargin)
+		if bit != wantBit || !same {
+			t.Fatalf("trial %d: Evaluate (%v, %v), branchy sum (%v, %v)\nα=%v\nβ=%v\nX=%s Y=%s",
+				trial, bit, margin, wantBit, wantMargin, alpha, beta, sel.X, sel.Y)
 		}
 	}
 }
