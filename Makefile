@@ -92,13 +92,14 @@ bench-all:
 
 # Race-checked single-iteration pass over every benchmark in the tree. This
 # is a PR gate, not a measurement: it drives the benchmark-only code paths
-# (scratch reuse, cached env tables, worker pools) under the race detector.
+# (cached env tables, worker pools) under the race detector.
 bench-smoke:
 	$(GO) test -race -run xxx -bench . -benchtime 1x ./...
 
-# Serial-vs-parallel fleet enrollment comparison.
+# Serial-vs-parallel fleet enrollment comparison, with the bytes and
+# allocations each path costs.
 fleet-bench:
-	$(GO) test -run xxx -bench 'BenchmarkFleetEnroll' -benchtime 10x .
+	$(GO) test -run xxx -bench 'BenchmarkFleetEnroll' -benchtime 10x -benchmem .
 
 # Fuzz the verifier snapshot decoder, the WAL replay recovery runs, the
 # binary enrollment codec (canonical bodies only, and the verifier's

@@ -263,14 +263,14 @@ func runLoadgen(ctx context.Context, args []string) error {
 	// after the last attempt lands in the throttled bucket.
 	bo := backoff{base: 25 * time.Millisecond, cap: 2 * time.Second}
 	var accepted, rejected, throttled, transport atomic.Int64
-	latencies := make([][]time.Duration, *concurrency)
+	all := make([]time.Duration, len(jobs))
 	verifyStart := time.Now()
 	// A cancellation is reported from ctx below, after the counts settle.
-	_ = fleet.Dispatch(ctx, len(jobs), *concurrency, func(w, i int) {
+	_ = fleet.Dispatch(ctx, len(jobs), *concurrency, func(i int) {
 		t0 := time.Now()
 		var vr authserve.VerifyResponse
 		code, err := lg.postJSONBackoff(ctx, "verify", "/v1/verify", jobs[i].req, &vr, bo, 8)
-		latencies[w] = append(latencies[w], time.Since(t0))
+		all[i] = time.Since(t0)
 		switch {
 		case err != nil:
 			transport.Add(1)
@@ -287,10 +287,6 @@ func runLoadgen(ctx context.Context, args []string) error {
 		return fmt.Errorf("loadgen: cancelled mid-verify: %w", err)
 	}
 
-	var all []time.Duration
-	for _, l := range latencies {
-		all = append(all, l...)
-	}
 	slices.Sort(all)
 	p50, p99 := tracestat.Percentile(all, 0.50), tracestat.Percentile(all, 0.99)
 	rps := float64(len(all)) / verifyElapsed.Seconds()
@@ -325,7 +321,7 @@ func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	batch, stop := context.WithCancelCause(ctx)
 	defer stop(nil)
 	// The cause returned below says why the batch stopped, if it did.
-	_ = fleet.Dispatch(batch, n, workers, func(_, i int) {
+	_ = fleet.Dispatch(batch, n, workers, func(i int) {
 		if batch.Err() != nil {
 			return
 		}

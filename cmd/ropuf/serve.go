@@ -87,7 +87,7 @@ func runServe(ctx context.Context, args []string) error {
 	}
 	var auditW *audit.Writer
 	if *auditOut != "" {
-		w, f, cut, err := audit.OpenFile(*auditOut, audit.WriterOptions{})
+		w, f, cut, err := audit.OpenFile(*auditOut)
 		if err != nil {
 			return fmt.Errorf("serve: audit output: %w", err)
 		}

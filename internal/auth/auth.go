@@ -114,8 +114,8 @@ type Verifier struct {
 	// freshScratch is the reusable fresh-pair index buffer for
 	// NewChallenge; the chosen indices are copied out before returning.
 	freshScratch []int
-	// bodyScratch is ApplyEnroll's encoding buffer; the record keeps a
-	// copy of the right size.
+	// bodyScratch is the encoding buffer of Enroll and ApplyEnroll; the
+	// record keeps a copy of the right size.
 	bodyScratch []byte
 }
 
@@ -147,26 +147,29 @@ func NewBodilessVerifier(tolerance float64, rng *rngx.RNG) (*Verifier, error) {
 // Enroll registers a device from its measured pairs and returns the
 // enrollment it built, which is the prover's state; the verifier keeps
 // only the device's record. The enrollment measurement happens once, in a
-// trusted environment.
+// trusted environment. The ID must be non-empty, new to v and at most
+// math.MaxUint16 bytes, the most a record's length field holds.
 func (v *Verifier) Enroll(id string, pairs []core.Pair, mode core.Mode) (*core.Enrollment, error) {
-	enr, err := v.enrollNew(id, pairs, mode)
+	enr, rec, err := v.EnrollRecord(v.bodyScratch[:0], id, pairs, mode)
 	if err != nil {
 		return nil, err
 	}
-	if err := v.ApplyEnroll(id, enr); err != nil {
-		return nil, err
-	}
+	v.bodyScratch = rec
 	return enr, nil
 }
 
 // EnrollRecord enrolls a device as Enroll does and appends to dst the
 // enroll record it applied: the mutation record a write-ahead log keeps
-// for the enrollment (see serialize.go). The enrollment is encoded once,
-// into the record, and the verifier keeps no reference to the record.
+// for the enrollment (see serialize.go). It checks the ID before it runs
+// the selection. The enrollment is encoded once, into the record, and the
+// verifier keeps no reference to the record.
 func (v *Verifier) EnrollRecord(dst []byte, id string, pairs []core.Pair, mode core.Mode) (*core.Enrollment, []byte, error) {
-	enr, err := v.enrollNew(id, pairs, mode)
-	if err != nil {
+	if err := v.checkNewID(id); err != nil {
 		return nil, nil, err
+	}
+	enr, err := core.Enroll(pairs, mode, 0, core.Options{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("auth: enrolling %q: %w", id, err)
 	}
 	rec, err := appendRecordHead(dst, recEnroll, id, 0)
 	bodyAt := len(rec)
@@ -182,19 +185,18 @@ func (v *Verifier) EnrollRecord(dst []byte, id string, pairs []core.Pair, mode c
 	return enr, rec, nil
 }
 
-// enrollNew runs the selection for a device v does not hold yet.
-func (v *Verifier) enrollNew(id string, pairs []core.Pair, mode core.Mode) (*core.Enrollment, error) {
-	if id == "" {
-		return nil, errors.New("auth: empty device ID")
+// checkNewID refuses an ID that v cannot enroll (see Enroll).
+func (v *Verifier) checkNewID(id string) error {
+	switch {
+	case id == "":
+		return errors.New("auth: empty device ID")
+	case len(id) > math.MaxUint16:
+		return fmt.Errorf("auth: device ID %d bytes, record limit %d", len(id), math.MaxUint16)
 	}
 	if _, ok := v.devices[id]; ok {
-		return nil, fmt.Errorf("auth: device %q: %w", id, ErrDuplicateDevice)
+		return fmt.Errorf("auth: device %q: %w", id, ErrDuplicateDevice)
 	}
-	enr, err := core.Enroll(pairs, mode, 0, core.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("auth: enrolling %q: %w", id, err)
-	}
-	return enr, nil
+	return nil
 }
 
 // Record-level apply/rollback API. A durability layer (package authserve's
@@ -206,8 +208,9 @@ func (v *Verifier) enrollNew(id string, pairs []core.Pair, mode core.Mode) (*cor
 // ApplyEnroll installs a pre-built enrollment with no consumed pairs.
 // Unlike Enroll it never runs the selection algorithm. It encodes the
 // enrollment once and stores it as log replay stores a logged one, so an
-// enrollment the binary decoder would refuse is refused here too. Applying
-// an ID the verifier already holds fails with ErrDuplicateDevice.
+// enrollment the binary decoder would refuse is refused here too, and so
+// is an ID Enroll would refuse: one the verifier already holds fails with
+// ErrDuplicateDevice.
 func (v *Verifier) ApplyEnroll(id string, enr *core.Enrollment) error {
 	if enr == nil {
 		return fmt.Errorf("auth: device %q: nil enrollment", id)
@@ -230,11 +233,8 @@ func (v *Verifier) applyEnroll(id string, body []byte) error {
 	if err != nil {
 		return fmt.Errorf("auth: device %q: %w", id, err)
 	}
-	if id == "" {
-		return errors.New("auth: empty device ID")
-	}
-	if _, ok := v.devices[id]; ok {
-		return fmt.Errorf("auth: device %q: %w", id, ErrDuplicateDevice)
+	if err := v.checkNewID(id); err != nil {
+		return err
 	}
 	rec := &DeviceRecord{ID: id, n: n, ref: ref, mask: mask, used: make([]uint64, len(mask))}
 	if !v.bodiless {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ropuf/internal/bits"
@@ -77,6 +79,58 @@ func TestEnrollDuplicate(t *testing.T) {
 	v, _, pairs := newTestVerifier(t)
 	if _, err := v.Enroll("dev0", pairs, core.Case2); err == nil {
 		t.Fatal("duplicate enrollment accepted")
+	}
+}
+
+// TestEnrollIDRecordLimit pins that an ID is checked at enroll time
+// against the u16 length field of a record: Enroll, ApplyEnroll and
+// EnrollRecord refuse a 65,536-byte ID and hold no device, EnrollRecord
+// before it runs any selection, while a 65,535-byte ID enrolls and
+// survives Save and LoadVerifier.
+func TestEnrollIDRecordLimit(t *testing.T) {
+	pairs := fabPairs(3, 16, 7)
+	enr, err := core.Enroll(pairs, core.Case2, 0, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewVerifier(0.15, rngx.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("d", math.MaxUint16+1)
+	if _, err := v.Enroll(long, pairs, core.Case2); err == nil {
+		t.Fatal("Enroll accepted a 65,536-byte ID")
+	}
+	if err := v.ApplyEnroll(long, enr); err == nil {
+		t.Fatal("ApplyEnroll accepted a 65,536-byte ID")
+	}
+	// No pairs: only an ID check ahead of the selection names the limit.
+	if _, _, err := v.EnrollRecord(nil, long, nil, core.Case2); err == nil || !strings.Contains(err.Error(), "record limit") {
+		t.Fatalf("EnrollRecord of a 65,536-byte ID: %v, want the record limit", err)
+	}
+	if n := v.NumDevices(); n != 0 {
+		t.Fatalf("NumDevices = %d after refused enrolls, want 0", n)
+	}
+
+	id := long[:math.MaxUint16]
+	if _, err := v.Enroll(id, pairs, core.Case2); err != nil {
+		t.Fatalf("Enroll of a 65,535-byte ID: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := v.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	w, err := LoadVerifier(&buf, rngx.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := w.Device(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.NumDevices() != 1 || d.NumPairs() != len(pairs) || d.NumBits() != enr.NumBits() {
+		t.Fatalf("reloaded %d devices, %d pairs, %d bits; want 1, %d, %d",
+			w.NumDevices(), d.NumPairs(), d.NumBits(), len(pairs), enr.NumBits())
 	}
 }
 

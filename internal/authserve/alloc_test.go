@@ -48,7 +48,7 @@ func TestServerVerifyAllocBudget(t *testing.T) {
 		t.Run(fmt.Sprintf("audit=%v", auditOn), func(t *testing.T) {
 			var w *audit.Writer
 			if auditOn {
-				w = audit.NewWriter(io.Discard, audit.WriterOptions{Buffer: 4096})
+				w = audit.NewWriter(io.Discard)
 				defer w.Close()
 			}
 			store, err := Open(StoreOptions{Shards: 4, Seed: 1})

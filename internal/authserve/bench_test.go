@@ -233,7 +233,7 @@ func benchmarkServerVerify(b *testing.B, auditOn bool) {
 	const nDevices = 1024
 	var w *audit.Writer
 	if auditOn {
-		w = audit.NewWriter(io.Discard, audit.WriterOptions{Buffer: 4096})
+		w = audit.NewWriter(io.Discard)
 		defer w.Close()
 	}
 	store, err := Open(StoreOptions{Shards: 16, Seed: 1})

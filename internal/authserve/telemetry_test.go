@@ -164,7 +164,7 @@ func TestScorerHarvestFlagAndHysteresis(t *testing.T) {
 	}
 
 	var rec strings.Builder
-	aw := audit.NewWriter(&rec, audit.WriterOptions{})
+	aw := audit.NewWriter(&rec)
 	defer aw.Close()
 	reg := obs.NewRegistry()
 	gauge := reg.NewGaugeVec("ropuf_authserve_device_flags", "test", "reason")
@@ -309,7 +309,7 @@ func TestScorerSweepRateLimit(t *testing.T) {
 func TestServerAbuseEndToEnd(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1754650000, 0)}
 	var rec strings.Builder
-	aw := audit.NewWriter(&rec, audit.WriterOptions{})
+	aw := audit.NewWriter(&rec)
 	defer aw.Close()
 
 	devices, _ := testFleet(t, 2, 256)

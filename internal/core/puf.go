@@ -31,18 +31,22 @@ func (m Mode) String() string {
 	}
 }
 
-// Select dispatches to SelectCase1 or SelectCase2.
+// Select dispatches to SelectCase1 or SelectCase2. Its one allocation is
+// the 2·len(alpha) bools of the two configurations.
 func Select(mode Mode, alpha, beta []float64, opt Options) (Selection, error) {
-	return selectWith(mode, alpha, beta, opt, new(Scratch))
+	return selectInto(make([]bool, 2*len(alpha)), mode, alpha, beta, opt)
 }
 
-// selectWith is Select drawing buffers from s.
-func selectWith(mode Mode, alpha, beta []float64, opt Options, s *Scratch) (Selection, error) {
+// selectInto is Select writing the configurations into cfg, exactly
+// 2·len(alpha) zeroed bools with no spare capacity: X is cfg[:n:n] and Y
+// is cfg[n:], so each capacity ends at its length and an append to either
+// configuration copies it out.
+func selectInto(cfg []bool, mode Mode, alpha, beta []float64, opt Options) (Selection, error) {
 	switch mode {
 	case Case1:
-		return selectCase1(alpha, beta, opt, s)
+		return selectCase1(alpha, beta, opt, cfg)
 	case Case2:
-		return selectCase2(alpha, beta, opt, s)
+		return selectCase2(alpha, beta, opt, cfg)
 	default:
 		return Selection{}, fmt.Errorf("core: unknown mode %d", int(mode))
 	}
@@ -71,24 +75,21 @@ type Enrollment struct {
 // Enroll configures every pair and extracts the enrolled response.
 // Pairs with margin < threshold are masked. threshold 0 keeps every pair
 // (margins are non-negative). Degenerate pairs (ErrDegenerate) are masked
-// rather than failing the whole device.
+// rather than failing the whole device. The configurations of all pairs
+// share one allocation, pair i taking the next 2·len(pairs[i].Alpha) bools
+// of it whatever its outcome.
 func Enroll(pairs []Pair, mode Mode, threshold float64, opt Options) (*Enrollment, error) {
-	return EnrollWith(new(Scratch), pairs, mode, threshold, opt)
-}
-
-// EnrollWith is Enroll drawing sort scratch and configuration storage from
-// sc, so a caller enrolling many devices (the fleet engine) reuses one
-// Scratch per worker instead of allocating per pair. The returned
-// Enrollment's configuration vectors alias sc's arena; they stay valid
-// indefinitely (the arena is never rewound), but sc must not be shared
-// across goroutines.
-func EnrollWith(sc *Scratch, pairs []Pair, mode Mode, threshold float64, opt Options) (*Enrollment, error) {
 	if len(pairs) == 0 {
 		return nil, errors.New("core: Enroll with no pairs")
 	}
-	if threshold < 0 {
-		return nil, fmt.Errorf("core: negative enrollment threshold %g", threshold)
+	if !(threshold >= 0) {
+		return nil, fmt.Errorf("core: enrollment threshold %g, want a non-negative number", threshold)
 	}
+	stages := 0
+	for _, p := range pairs {
+		stages += len(p.Alpha)
+	}
+	cfg := make([]bool, 2*stages)
 	e := &Enrollment{
 		Mode:       mode,
 		Threshold:  threshold,
@@ -97,7 +98,9 @@ func EnrollWith(sc *Scratch, pairs []Pair, mode Mode, threshold float64, opt Opt
 		Response:   bits.New(len(pairs)),
 	}
 	for i, p := range pairs {
-		sel, err := selectWith(mode, p.Alpha, p.Beta, opt, sc)
+		n := 2 * len(p.Alpha)
+		sel, err := selectInto(cfg[:n:n], mode, p.Alpha, p.Beta, opt)
+		cfg = cfg[n:]
 		if errors.Is(err, ErrDegenerate) {
 			continue // masked
 		}

@@ -112,12 +112,12 @@ func validateFinite(alpha, beta []float64) error {
 // SelectCase1 solves the Case-1 selection problem for measured per-stage
 // delay differences alpha (top ring) and beta (bottom ring).
 func SelectCase1(alpha, beta []float64, opt Options) (Selection, error) {
-	return selectCase1(alpha, beta, opt, new(Scratch))
+	return Select(Case1, alpha, beta, opt)
 }
 
-// selectCase1 is SelectCase1 drawing configuration storage and sort scratch
-// from s (the enrollment hot path shares one Scratch per worker).
-func selectCase1(alpha, beta []float64, opt Options, s *Scratch) (Selection, error) {
+// selectCase1 is SelectCase1 writing the configurations into cfg (see
+// selectInto).
+func selectCase1(alpha, beta []float64, opt Options, cfg []bool) (Selection, error) {
 	if len(alpha) != len(beta) {
 		return Selection{}, fmt.Errorf("core: SelectCase1 length mismatch %d vs %d", len(alpha), len(beta))
 	}
@@ -140,26 +140,22 @@ func selectCase1(alpha, beta []float64, opt Options, s *Scratch) (Selection, err
 	if pos == 0 && neg == 0 {
 		return Selection{}, ErrDegenerate
 	}
-	var cfg circuit.Config
+	x, y := circuit.Config(cfg[:n:n]), circuit.Config(cfg[n:])
 	if opt.RequireOddStages {
-		var err error
-		cfg, err = bestOddCase1(alpha, beta, s)
-		if err != nil {
+		if err := bestOddCase1(alpha, beta, x, y); err != nil {
 			return Selection{}, err
 		}
 	} else {
 		takePositive := pos > -neg
-		cfg = s.config(n)
 		for i := range alpha {
 			d := alpha[i] - beta[i]
 			if takePositive && d > 0 || !takePositive && d < 0 {
-				cfg[i] = true
+				x[i] = true
 			}
 		}
+		copy(y, x)
 	}
-	y := s.config(n)
-	copy(y, cfg)
-	sel := Selection{X: cfg, Y: y}
+	sel := Selection{X: x, Y: y}
 	bit, margin, err := sel.Evaluate(alpha, beta)
 	if err != nil {
 		return Selection{}, err
@@ -172,15 +168,10 @@ func selectCase1(alpha, beta []float64, opt Options, s *Scratch) (Selection, err
 // stages it keeps. Starting from each sign class taken whole, an even class
 // is repaired either by dropping its smallest-|Δd| member or by adding the
 // smallest-|Δd| member of the opposite class — whichever costs less margin.
-func bestOddCase1(alpha, beta []float64, s *Scratch) (circuit.Config, error) {
-	n := len(alpha)
-	type classState struct {
-		cfg    circuit.Config
-		margin float64
-		ok     bool
-	}
-	build := func(positive bool) classState {
-		cfg := s.config(n)
+// It builds the positive class into x and the negative class into y, both
+// zeroed, then copies the winner over the loser.
+func bestOddCase1(alpha, beta []float64, x, y circuit.Config) error {
+	build := func(positive bool, cfg circuit.Config) (margin float64, ok bool) {
 		var sum float64
 		count := 0
 		minIn := math.Inf(1)
@@ -203,7 +194,7 @@ func bestOddCase1(alpha, beta []float64, s *Scratch) (circuit.Config, error) {
 			}
 		}
 		if count%2 == 1 {
-			return classState{cfg: cfg, margin: sum, ok: count > 0}
+			return sum, count > 0
 		}
 		// Even count: repair parity.
 		dropCost, addCost := math.Inf(1), math.Inf(1)
@@ -215,25 +206,26 @@ func bestOddCase1(alpha, beta []float64, s *Scratch) (circuit.Config, error) {
 		}
 		switch {
 		case count == 0 && minOppIdx < 0:
-			return classState{}
+			return 0, false
 		case dropCost <= addCost:
 			cfg[minInIdx] = false
-			return classState{cfg: cfg, margin: sum - dropCost, ok: count-1 > 0}
+			return sum - dropCost, count-1 > 0
 		default:
 			cfg[minOppIdx] = true
-			return classState{cfg: cfg, margin: sum - addCost, ok: true}
+			return sum - addCost, true
 		}
 	}
-	p := build(true)
-	q := build(false)
+	pMargin, pOK := build(true, x)
+	qMargin, qOK := build(false, y)
 	switch {
-	case !p.ok && !q.ok:
-		return nil, ErrDegenerate
-	case !q.ok || (p.ok && p.margin >= q.margin):
-		return p.cfg, nil
+	case !pOK && !qOK:
+		return ErrDegenerate
+	case !qOK || (pOK && pMargin >= qMargin):
+		copy(y, x)
 	default:
-		return q.cfg, nil
+		copy(x, y)
 	}
+	return nil
 }
 
 // SelectCase2 solves the Case-2 selection problem: independent
@@ -242,7 +234,7 @@ func bestOddCase1(alpha, beta []float64, s *Scratch) (circuit.Config, error) {
 // equal delays by ascending stage index, so among equal stages the k
 // fastest take the lowest indices and the k slowest the highest.
 func SelectCase2(alpha, beta []float64, opt Options) (Selection, error) {
-	return selectCase2(alpha, beta, opt, new(Scratch))
+	return Select(Case2, alpha, beta, opt)
 }
 
 // case2Direction builds the best prefix pairing the slow side's largest
@@ -268,9 +260,10 @@ func case2Direction(slowVals, fastVals []float64, slowAsc, fastAsc []int, odd bo
 	return bestK, bestMargin
 }
 
-// selectCase2 is SelectCase2 drawing configuration storage and sort scratch
-// from s (the enrollment hot path shares one Scratch per worker).
-func selectCase2(alpha, beta []float64, opt Options, s *Scratch) (Selection, error) {
+// selectCase2 is SelectCase2 writing the configurations into cfg (see
+// selectInto). The stage orders of a ring of up to 16 stages stay on the
+// stack; a longer ring's are allocated.
+func selectCase2(alpha, beta []float64, opt Options, cfg []bool) (Selection, error) {
 	if len(alpha) != len(beta) {
 		return Selection{}, fmt.Errorf("core: SelectCase2 length mismatch %d vs %d", len(alpha), len(beta))
 	}
@@ -282,15 +275,14 @@ func selectCase2(alpha, beta []float64, opt Options, s *Scratch) (Selection, err
 		return Selection{}, err
 	}
 
-	s.aIdx = ascIdx(s.aIdx, alpha)
-	s.bIdx = ascIdx(s.bIdx, beta)
-	aAsc, bAsc := s.aIdx, s.bIdx
+	var aBuf, bBuf [16]int
+	aAsc := ascIdx(aBuf[:0], alpha)
+	bAsc := ascIdx(bBuf[:0], beta)
 
 	kTop, mTop := case2Direction(alpha, beta, aAsc, bAsc, opt.RequireOddStages) // top slower
 	kBot, mBot := case2Direction(beta, alpha, bAsc, aAsc, opt.RequireOddStages) // bottom slower
 
-	x := s.config(n)
-	y := s.config(n)
+	x, y := circuit.Config(cfg[:n:n]), circuit.Config(cfg[n:])
 	if mTop >= mBot {
 		for i := 0; i < kTop; i++ {
 			x[aAsc[n-1-i]] = true // k slowest top stages

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"context"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,6 +13,8 @@ import (
 	"ropuf/internal/core"
 	"ropuf/internal/dataset"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden experiment output")
 
 // sharedRunner caches datasets across tests in this package.
 var sharedRunner = NewRunner()
@@ -358,10 +363,14 @@ func TestSummaryExperiment(t *testing.T) {
 	}
 }
 
+// TestRunAllExperiments runs every experiment and compares the ID, title
+// and text of each, in IDs() order, with testdata/experiments_v1.golden:
+// the reproduction's whole rendered output, pinned byte for byte.
 func TestRunAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in short mode")
 	}
+	var b strings.Builder
 	for _, id := range IDs() {
 		r, err := sharedRunner.Run(id)
 		if err != nil {
@@ -370,6 +379,34 @@ func TestRunAllExperiments(t *testing.T) {
 		if r.Text == "" {
 			t.Errorf("experiment %s produced empty output", r.ID)
 		}
+		fmt.Fprintf(&b, "=== %s: %s\n%s\n", r.ID, r.Title, r.Text)
+	}
+	got := b.String()
+
+	path := filepath.Join("testdata", "experiments_v1.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update to generate): %v", err)
+	}
+	if got != string(want) {
+		gl := strings.Split(got, "\n")
+		wl := strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("golden mismatch at line %d:\n got %q\nwant %q\n"+
+					"if intentional, regenerate with: go test ./internal/experiments -run TestRunAllExperiments -update",
+					i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("golden length mismatch: got %d lines, want %d", len(gl), len(wl))
 	}
 }
 

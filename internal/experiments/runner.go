@@ -235,7 +235,7 @@ func runParallel(ctx context.Context, ids []string, workers int, run func(string
 	defer stop()
 	// Dispatch's error would only repeat batch's cancellation, which a
 	// failed experiment causes too; ctx's own error is reported below.
-	_ = fleet.Dispatch(batch, len(ids), workers, func(_, i int) {
+	_ = fleet.Dispatch(batch, len(ids), workers, func(i int) {
 		// An experiment handed over in the same instant the batch failed
 		// or was cancelled is skipped, not run.
 		if batch.Err() != nil {

@@ -113,8 +113,8 @@ func Enroll(ctx context.Context, devices []Device, opt Options) (*EnrollReport, 
 	if len(devices) == 0 {
 		return nil, errors.New("fleet: Enroll with no devices")
 	}
-	if opt.Threshold < 0 {
-		return nil, fmt.Errorf("fleet: negative enrollment threshold %g", opt.Threshold)
+	if !(opt.Threshold >= 0) {
+		return nil, fmt.Errorf("fleet: enrollment threshold %g, want a non-negative number", opt.Threshold)
 	}
 	for i, d := range devices {
 		mode := d.mode(opt)
@@ -127,13 +127,9 @@ func Enroll(ctx context.Context, devices []Device, opt Options) (*EnrollReport, 
 		obs.KV("devices", strconv.Itoa(len(devices))),
 		obs.KV("workers", strconv.Itoa(opt.workers())))
 	report := &EnrollReport{Results: make([]DeviceResult, len(devices))}
-	// One selection Scratch per worker: sort and configuration buffers are
-	// reused across every device a worker processes, which is where the
-	// enrollment hot path's allocation savings come from.
-	scratch := make([]core.Scratch, opt.workers())
-	run := func(worker, i int) {
+	run := func(i int) {
 		timeDevice(ctx, opt, "enroll", devices[i].ID, func() error {
-			report.Results[i] = enrollOne(devices[i], opt, &scratch[worker])
+			report.Results[i] = enrollOne(devices[i], opt)
 			return report.Results[i].Err
 		})
 	}
@@ -198,7 +194,7 @@ func (d Device) mode(opt Options) core.Mode {
 
 // enrollOne enrolls a single device, converting panics from poisoned input
 // into per-device errors so one bad device cannot take down the batch.
-func enrollOne(d Device, opt Options, sc *core.Scratch) (res DeviceResult) {
+func enrollOne(d Device, opt Options) (res DeviceResult) {
 	res.ID = d.ID
 	defer func() {
 		if p := recover(); p != nil {
@@ -206,7 +202,7 @@ func enrollOne(d Device, opt Options, sc *core.Scratch) (res DeviceResult) {
 			res.Err = fmt.Errorf("fleet: device %s: panic during enrollment: %v", d.ID, p)
 		}
 	}()
-	enr, err := core.EnrollWith(sc, d.Pairs, d.mode(opt), opt.Threshold, core.Options{})
+	enr, err := core.Enroll(d.Pairs, d.mode(opt), opt.Threshold, core.Options{})
 	if err != nil {
 		res.Err = fmt.Errorf("fleet: device %s: %w", d.ID, err)
 		return res
@@ -263,7 +259,7 @@ func Evaluate(ctx context.Context, jobs []EvalJob, opt Options) (*EvalReport, er
 		obs.KV("jobs", strconv.Itoa(len(jobs))),
 		obs.KV("workers", strconv.Itoa(opt.workers())))
 	report := &EvalReport{Results: make([]EvalResult, len(jobs))}
-	run := func(_, i int) {
+	run := func(i int) {
 		timeDevice(ctx, opt, "evaluate", jobs[i].ID, func() error {
 			report.Results[i] = evalOne(jobs[i])
 			return report.Results[i].Err
@@ -347,16 +343,14 @@ func evalOne(j EvalJob) (res EvalResult) {
 
 // Dispatch is the repository's unordered bounded worker pool: it feeds
 // job indices 0..n-1 to min(workers, n) goroutines (at least one) and
-// returns once every dispatched job has finished. run receives the
-// worker's index alongside the job index, and a worker index runs one job
-// at a time, so callers keep per-worker scratch state in a slice without
-// synchronization. Jobs run in no particular order; callers that need
-// order write results by index. Dispatch stops dispatching once ctx is
-// cancelled and returns the context's error after the jobs in flight
-// finish; one job handed over as the cancellation lands may still start,
-// so run checks ctx itself where that matters. A caller that stops at its
-// first failure cancels a context derived for the batch.
-func Dispatch(ctx context.Context, n, workers int, run func(worker, idx int)) error {
+// returns once every dispatched job has finished. Jobs run in no
+// particular order; callers that need order write results by index.
+// Dispatch stops dispatching once ctx is cancelled and returns the
+// context's error after the jobs in flight finish; one job handed over as
+// the cancellation lands may still start, so run checks ctx itself where
+// that matters. A caller that stops at its first failure cancels a context
+// derived for the batch.
+func Dispatch(ctx context.Context, n, workers int, run func(idx int)) error {
 	if workers > n {
 		workers = n
 	}
@@ -365,14 +359,14 @@ func Dispatch(ctx context.Context, n, workers int, run func(worker, idx int)) er
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				run(worker, i)
+				run(i)
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < n && ctx.Err() == nil; i++ {
 		select {

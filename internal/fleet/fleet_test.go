@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -142,6 +143,23 @@ func TestEnrollValidation(t *testing.T) {
 	}
 }
 
+// TestEnrollRejectsNaNThreshold pins that a NaN threshold, which passes a
+// "< 0" test, fails the batch up front with no report, before any device
+// is dispatched to fail with "no bits".
+func TestEnrollRejectsNaNThreshold(t *testing.T) {
+	c := metrics.NewFleetCounters(obs.NewRegistry())
+	rep, err := Enroll(context.Background(), testFleet(t, 3), Options{Mode: core.Case2, Threshold: math.NaN(), Counters: c})
+	if err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("NaN threshold: %v, want an error naming NaN", err)
+	}
+	if rep != nil {
+		t.Fatalf("NaN threshold returned a report: %+v", rep)
+	}
+	if n := c.DevicesEnrolled.Load() + c.DevicesFailed.Load(); n != 0 {
+		t.Fatalf("NaN threshold dispatched %d devices", n)
+	}
+}
+
 func TestEnrollCancelledBeforeStart(t *testing.T) {
 	devices := testFleet(t, 8)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -161,7 +179,7 @@ func TestEnrollCancelledBeforeStart(t *testing.T) {
 func TestDispatchStopsAfterMidFlightCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var processed atomic.Int64
-	err := Dispatch(ctx, 16, 1, func(_, i int) {
+	err := Dispatch(ctx, 16, 1, func(i int) {
 		processed.Add(1)
 		cancel() // first completed job cancels the batch
 	})

@@ -96,22 +96,17 @@ type Writer struct {
 // before the channel empties.
 const flushBytes = 4096
 
-// WriterOptions configures NewWriter.
-type WriterOptions struct {
-	// Buffer is the event channel capacity; events arriving while it is
-	// full are dropped and counted. Defaults to 1024.
-	Buffer int
-}
+// bufferEvents is the event channel's capacity. Emit never waits on the
+// sink, so this buffer is what rides out a slow write: an event that finds
+// it full is dropped and counted.
+const bufferEvents = 1024
 
 // NewWriter starts the background drain goroutine over w. Callers that
 // want the stream to survive restarts should open the file with
 // os.O_APPEND (see OpenFile).
-func NewWriter(w io.Writer, opt WriterOptions) *Writer {
-	if opt.Buffer <= 0 {
-		opt.Buffer = 1024
-	}
+func NewWriter(w io.Writer) *Writer {
 	aw := &Writer{
-		ch:      make(chan Event, opt.Buffer),
+		ch:      make(chan Event, bufferEvents),
 		done:    make(chan struct{}),
 		flushed: make(chan struct{}),
 		out:     w,
@@ -126,7 +121,7 @@ func NewWriter(w io.Writer, opt WriterOptions) *Writer {
 // without its newline is a write a full disk cut short, whose event the
 // writer already counted as dropped: OpenFile cuts it off, so the next
 // event starts a line of its own, and returns how many bytes it cut.
-func OpenFile(path string, opt WriterOptions) (w *Writer, f *os.File, cut int64, err error) {
+func OpenFile(path string) (w *Writer, f *os.File, cut int64, err error) {
 	f, err = os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("audit: %w", err)
@@ -135,7 +130,7 @@ func OpenFile(path string, opt WriterOptions) (w *Writer, f *os.File, cut int64,
 		f.Close()
 		return nil, nil, 0, fmt.Errorf("audit: %s: %w", path, err)
 	}
-	return NewWriter(f, opt), f, cut, nil
+	return NewWriter(f), f, cut, nil
 }
 
 // cutTornLine truncates f to just after its last newline, or to empty if

@@ -16,7 +16,7 @@ import (
 func TestWriterRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "audit.jsonl")
-	w, f, _, err := OpenFile(path, WriterOptions{})
+	w, f, _, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestWriterAppendsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "audit.jsonl")
 	for run := 0; run < 2; run++ {
-		w, f, _, err := OpenFile(path, WriterOptions{})
+		w, f, _, err := OpenFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestOpenFileCutsTornLine(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "audit.jsonl")
-			w, f, _, err := OpenFile(path, WriterOptions{})
+			w, f, _, err := OpenFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestOpenFileCutsTornLine(t *testing.T) {
 			}
 			whole = whole[:len(whole)-len(tc.fragment)]
 
-			w, f, cut, err := OpenFile(path, WriterOptions{})
+			w, f, cut, err := OpenFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,11 +156,11 @@ func TestOpenFileCutsTornLine(t *testing.T) {
 // and counted while every Emit returns immediately.
 func TestWriterDropsWhenFull(t *testing.T) {
 	block := make(chan struct{})
-	w := NewWriter(blockingWriter{block}, WriterOptions{Buffer: 4})
+	w := NewWriter(blockingWriter{block})
 
 	// First write is pulled from the channel by the drain goroutine and
 	// blocks inside Write; wait until the buffer alone absorbs the rest.
-	total := 64
+	total := 2 * bufferEvents
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -174,7 +174,7 @@ func TestWriterDropsWhenFull(t *testing.T) {
 		t.Fatal("Emit blocked on a wedged sink")
 	}
 	if w.Dropped() == 0 {
-		t.Fatalf("Dropped = 0 after %d emits into a wedged 4-slot writer", total)
+		t.Fatalf("Dropped = 0 after %d emits into a wedged %d-slot writer", total, bufferEvents)
 	}
 	if w.Emitted()+w.Dropped() != int64(total) {
 		t.Fatalf("Emitted %d + Dropped %d != %d", w.Emitted(), w.Dropped(), total)
@@ -216,7 +216,7 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 // A sink that refuses every write loses every event: Dropped counts them
 // and Close reports why.
 func TestWriterReportsFailedWrites(t *testing.T) {
-	w := NewWriter(&failingWriter{}, WriterOptions{})
+	w := NewWriter(&failingWriter{})
 	for i := 0; i < 5; i++ {
 		w.Emit(Event{Event: EventChallenge, DeviceID: "dev-0000"})
 	}
@@ -241,7 +241,7 @@ func TestWriterCountsEventsLostToFullSink(t *testing.T) {
 	} {
 		name := fmt.Sprintf("short=%v recovers=%v", sink.short, sink.recovers)
 		const total = 300
-		w := NewWriter(sink, WriterOptions{Buffer: total})
+		w := NewWriter(sink)
 		for i := 0; i < total; i++ {
 			w.Emit(Event{Event: EventVerifyFail, DeviceID: "dev-0000", Reason: "mismatch",
 				Detail: map[string]float64{"distance": float64(i), "limit": 6}})
@@ -277,7 +277,7 @@ func TestWriterCountsEventsLostToFullSink(t *testing.T) {
 // written, and Close reports the encode error.
 func TestWriterDropsUnencodableEvent(t *testing.T) {
 	var sink bytes.Buffer
-	w := NewWriter(&sink, WriterOptions{})
+	w := NewWriter(&sink)
 	w.Emit(Event{Event: EventFlag, DeviceID: "dev-0000"})
 	w.Emit(Event{Event: EventFlag, DeviceID: "dev-0001", Detail: map[string]float64{"challenge_rate": math.NaN()}})
 	w.Emit(Event{Event: EventFlag, DeviceID: "dev-0002"})
@@ -303,7 +303,7 @@ func (b blockingWriter) Write(p []byte) (int, error) {
 func TestWriterConcurrentEmit(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "audit.jsonl")
-	w, f, _, err := OpenFile(path, WriterOptions{Buffer: 4096})
+	w, f, _, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestReadFiles(t *testing.T) {
 		if i == 1 {
 			p = filepath.Join(dir, "b.jsonl")
 		}
-		w, f, _, err := OpenFile(p, WriterOptions{})
+		w, f, _, err := OpenFile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
