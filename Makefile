@@ -54,15 +54,15 @@ perfbench-test:
 # Perf trajectory: run the fleet enrollment/evaluation benchmarks with
 # -benchmem and record name -> ns/op, B/op, allocs/op in BENCH_fleet.json,
 # then the measurement-engine benchmarks (incremental vs naive leave-one-out,
-# env-factor cache, whole-ring evaluation, whole-board batch measurement,
-# streaming corpus generation — the last two also report boards/s and
-# bytes/board via B.ReportMetric, captured in the JSON's "extra" map) into
-# BENCH_measure.json (cmd/benchjson echoes the raw output so CI logs keep
-# the numbers).
+# whole-ring evaluation, whole-board batch measurement of a warm die and of
+# a freshly fabricated swept board, streaming corpus generation — the last
+# two also report boards/s and bytes/board via B.ReportMetric, captured in
+# the JSON's "extra" map) into BENCH_measure.json (cmd/benchjson echoes the
+# raw output so CI logs keep the numbers).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkFleet(Enroll|Evaluate)' -benchmem -benchtime 3x . | $(GO) run ./cmd/benchjson -o BENCH_fleet.json
-	$(GO) test -run xxx -bench 'BenchmarkDdiffs(Naive|Fast)|BenchmarkPairDdiffs|BenchmarkEnvFactor|BenchmarkHalfPeriod|BenchmarkBoardMeter|BenchmarkStreamVT' \
-		-benchmem -benchtime 20x ./internal/measure ./internal/silicon ./internal/circuit ./internal/dataset \
+	$(GO) test -run xxx -bench 'BenchmarkDdiffs(Naive|Fast)|BenchmarkPairDdiffs|BenchmarkHalfPeriod|BenchmarkBoardMeter|BenchmarkStreamVT' \
+		-benchmem -benchtime 20x ./internal/measure ./internal/circuit ./internal/dataset \
 		| $(GO) run ./cmd/benchjson -o BENCH_measure.json
 	$(MAKE) bench-authserve
 
@@ -92,7 +92,7 @@ bench-all:
 
 # Race-checked single-iteration pass over every benchmark in the tree. This
 # is a PR gate, not a measurement: it drives the benchmark-only code paths
-# (cached env tables, worker pools) under the race detector.
+# (board measurement, worker pools) under the race detector.
 bench-smoke:
 	$(GO) test -race -run xxx -bench . -benchtime 1x ./...
 

@@ -283,6 +283,46 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 }
 
+// TestNaNThresholdRefused pins that a verifier refuses an enrollment whose
+// threshold is NaN, through ApplyEnroll and through log replay, and holds
+// no device for it.
+func TestNaNThresholdRefused(t *testing.T) {
+	must := mustRecord(t)
+	enrA, err := core.Enroll(fabPairs(0x73, 8, 5), core.Case2, 0, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := core.Enroll(fabPairs(0x74, 8, 5), core.Case2, 0, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Threshold = math.NaN()
+
+	v, err := NewVerifier(0.1, rngx.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.ApplyEnroll("nan", bad); err == nil {
+		t.Fatal("ApplyEnroll accepted a NaN threshold")
+	}
+	if n := v.NumDevices(); n != 0 {
+		t.Fatalf("NumDevices = %d after a refused ApplyEnroll, want 0", n)
+	}
+
+	log := recordio.Append(nil, must(appendEnrollRecord(nil, "a", enrA)))
+	log = recordio.Append(log, must(appendEnrollRecord(nil, "nan", bad)))
+	v, err = NewVerifier(0.1, rngx.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _, err := v.ReplayLog(bytes.NewReader(log)); err == nil || n != 1 {
+		t.Fatalf("ReplayLog of a NaN-threshold enroll: %d records, err %v; want 1 record and an error", n, err)
+	}
+	if ids := v.DeviceIDs(); !slices.Equal(ids, []string{"a"}) {
+		t.Fatalf("devices after the refused replay %v, want [a]", ids)
+	}
+}
+
 // TestReplayLog pins the tolerant replay write-ahead-log recovery uses:
 // records apply in order, an enroll the verifier already holds is
 // skipped, a torn tail ends the valid prefix without error, and a whole

@@ -3,6 +3,7 @@ package authserve
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -397,22 +398,11 @@ func healthDetail(flagged []FlaggedDevice) string {
 		if i == 3 {
 			break
 		}
-		ids = append(ids, fmt.Sprintf("%s(%s)", fd.ID, joinReasons(fd.Reasons)))
+		ids = append(ids, fmt.Sprintf("%s(%s)", fd.ID, strings.Join(fd.Reasons, ",")))
 	}
 	more := ""
 	if len(flagged) > 3 {
 		more = fmt.Sprintf(" and %d more", len(flagged)-3)
 	}
-	return fmt.Sprintf("%d devices flagged for abuse: %s%s", len(flagged), joinReasons(ids), more)
-}
-
-func joinReasons(rs []string) string {
-	out := ""
-	for i, r := range rs {
-		if i > 0 {
-			out += ","
-		}
-		out += r
-	}
-	return out
+	return fmt.Sprintf("%d devices flagged for abuse: %s%s", len(flagged), strings.Join(ids, ","), more)
 }

@@ -436,3 +436,27 @@ func TestChallengeRollbackAfterRingMoved(t *testing.T) {
 		t.Fatalf("challenges issued after the rollback = %d, want 1", got)
 	}
 }
+
+// TestHealthDetail pins the device_abuse /healthz reason text: at most
+// three devices, each with its reasons comma-joined, then a count of the
+// rest.
+func TestHealthDetail(t *testing.T) {
+	flagged := []FlaggedDevice{
+		{ID: "dev-a", Reasons: []string{"harvest", "fail_burst"}},
+		{ID: "dev-b", Reasons: []string{"harvest"}},
+		{ID: "dev-c", Reasons: nil},
+		{ID: "dev-d", Reasons: []string{"fail_burst"}},
+	}
+	for _, c := range []struct {
+		n    int
+		want string
+	}{
+		{1, "1 devices flagged for abuse: dev-a(harvest,fail_burst)"},
+		{3, "3 devices flagged for abuse: dev-a(harvest,fail_burst),dev-b(harvest),dev-c()"},
+		{4, "4 devices flagged for abuse: dev-a(harvest,fail_burst),dev-b(harvest),dev-c() and 1 more"},
+	} {
+		if got := healthDetail(flagged[:c.n]); got != c.want {
+			t.Errorf("%d devices: %q, want %q", c.n, got, c.want)
+		}
+	}
+}

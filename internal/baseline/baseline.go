@@ -39,8 +39,8 @@ func EnrollTraditional(delays []float64, threshold float64) (*TraditionalEnrollm
 	if len(delays) < 2 {
 		return nil, errors.New("baseline: EnrollTraditional needs at least two ROs")
 	}
-	if threshold < 0 {
-		return nil, fmt.Errorf("baseline: negative threshold %g", threshold)
+	if !(threshold >= 0) {
+		return nil, fmt.Errorf("baseline: threshold %g, want a non-negative number", threshold)
 	}
 	pairs := len(delays) / 2
 	e := &TraditionalEnrollment{

@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -87,6 +88,16 @@ func TestTraditionalValidation(t *testing.T) {
 	// Identical delays with threshold 0: pair yields no bit (d == 0).
 	if _, err := EnrollTraditional([]float64{3, 3}, 0); err == nil {
 		t.Fatal("all-equal delays should produce no bits and error")
+	}
+}
+
+// TestTraditionalRefusesNaNThreshold pins that a NaN threshold, which a
+// test for a negative one lets through, is refused and named, not read as
+// a threshold that masks every pair.
+func TestTraditionalRefusesNaNThreshold(t *testing.T) {
+	_, err := EnrollTraditional([]float64{1, 2, 4, 3}, math.NaN())
+	if err == nil || !strings.Contains(err.Error(), "threshold NaN") {
+		t.Fatalf("EnrollTraditional with a NaN threshold: err %v, want it to name the threshold", err)
 	}
 }
 

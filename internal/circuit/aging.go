@@ -56,10 +56,6 @@ func (r *Ring) AgedHalfPeriodPS(cfg Config, env silicon.Env, a silicon.Aging) (f
 	if err := r.validateConfig(cfg); err != nil {
 		return 0, err
 	}
-	// The aged accessors sit on top of DelayAtPS; warming the env table here
-	// makes a whole-loop aged evaluation O(stages) multiplies like the
-	// un-aged path.
-	r.Die.EnvFactors(env)
 	sum, err := r.Die.AgedDelayAtPS(r.Enable, env, a)
 	if err != nil {
 		return 0, err

@@ -130,16 +130,10 @@ func (r *Ring) validateConfig(cfg Config) error {
 // HalfPeriodPS returns the one-way propagation delay around the loop under
 // cfg and env, in picoseconds. The oscillation period is twice this (the
 // edge must travel the loop once per half-cycle).
-//
-// The call warms the die's per-environment factor table, so a whole-ring
-// evaluation costs O(die devices) math.Pow calls the first time an
-// environment is seen and O(stages) multiplies afterwards. Results are
-// bit-identical to HalfPeriodNaivePS, which bypasses the cache.
 func (r *Ring) HalfPeriodPS(cfg Config, env silicon.Env) (float64, error) {
 	if err := r.validateConfig(cfg); err != nil {
 		return 0, err
 	}
-	r.Die.EnvFactors(env)
 	sum := r.Die.DelayAtPS(r.Enable, env)
 	for i := range r.Units {
 		sum += r.Units[i].DelayPS(cfg[i], env)
@@ -147,41 +141,17 @@ func (r *Ring) HalfPeriodPS(cfg Config, env silicon.Env) (float64, error) {
 	return sum, nil
 }
 
-// HalfPeriodNaivePS is HalfPeriodPS with the die's environment-factor cache
-// bypassed: every device recomputes its alpha-power-law factors from
-// scratch, which is the pre-cache cost model (three math.Pow calls per
-// device per evaluation off nominal). It is kept as the reference implementation for
-// equivalence tests and the *Naive benchmarks; the summation order matches
-// HalfPeriodPS exactly, so the result is bit-identical.
-func (r *Ring) HalfPeriodNaivePS(cfg Config, env silicon.Env) (float64, error) {
-	if err := r.validateConfig(cfg); err != nil {
-		return 0, err
-	}
-	sum := r.Die.DelayAtUncachedPS(r.Enable, env)
-	for i := range r.Units {
-		u := &r.Units[i]
-		if cfg[i] {
-			sum += r.Die.DelayAtUncachedPS(u.Inverter, env) + r.Die.DelayAtUncachedPS(u.Path1, env)
-		} else {
-			sum += r.Die.DelayAtUncachedPS(u.Path0, env)
-		}
-	}
-	return sum, nil
-}
-
 // StageDelaysPS fills sel1 and sel0 (each of length NumStages) with every
 // stage's selected and bypassed delay under env, in picoseconds, and
-// returns the enable gate's delay. It warms the die's per-environment
-// table once, so the whole call is O(stages) multiplies on a warm cache —
-// this is the bulk primitive behind the incremental leave-one-out
-// measurement in package measure. sel1[i] is bit-identical to
-// Units[i].DelayPS(true, env) and sel0[i] to Units[i].DelayPS(false, env).
+// returns the enable gate's delay. It is the bulk primitive behind the
+// incremental leave-one-out measurement in package measure. sel1[i] is
+// bit-identical to Units[i].DelayPS(true, env) and sel0[i] to
+// Units[i].DelayPS(false, env).
 func (r *Ring) StageDelaysPS(env silicon.Env, sel1, sel0 []float64) (float64, error) {
 	if len(sel1) != len(r.Units) || len(sel0) != len(r.Units) {
 		return 0, fmt.Errorf("circuit: stage-delay buffer lengths %d/%d do not match %d stages",
 			len(sel1), len(sel0), len(r.Units))
 	}
-	r.Die.EnvFactors(env)
 	for i := range r.Units {
 		u := &r.Units[i]
 		sel1[i] = r.Die.DelayAtPS(u.Inverter, env) + r.Die.DelayAtPS(u.Path1, env)
@@ -206,7 +176,6 @@ func (r *Ring) PeriodPS(cfg Config, env silicon.Env) (float64, error) {
 // TrueDdiffsPS returns the ground-truth per-stage delay differences under
 // env. Tests compare the measurement protocol's estimates against this.
 func (r *Ring) TrueDdiffsPS(env silicon.Env) []float64 {
-	r.Die.EnvFactors(env)
 	out := make([]float64, len(r.Units))
 	for i := range r.Units {
 		out[i] = r.Units[i].DdiffPS(env)

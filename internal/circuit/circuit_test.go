@@ -247,34 +247,6 @@ func TestBuilderDistinctDevices(t *testing.T) {
 	}
 }
 
-func TestHalfPeriodNaiveBitIdenticalToCached(t *testing.T) {
-	envs := []silicon.Env{silicon.Nominal, {V: 1.08, T: 45}, {V: 1.32, T: -20}}
-	for _, stages := range []int{1, 3, 8, 20} {
-		r := testRing(t, stages, uint64(40+stages))
-		rng := rngx.New(uint64(stages))
-		for trial := 0; trial < 20; trial++ {
-			cfg := NewConfig(stages)
-			for i := range cfg {
-				cfg[i] = rng.Bool()
-			}
-			for _, env := range envs {
-				cached, err := r.HalfPeriodPS(cfg, env)
-				if err != nil {
-					t.Fatal(err)
-				}
-				naive, err := r.HalfPeriodNaivePS(cfg, env)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cached != naive {
-					t.Fatalf("stages=%d cfg=%s env=%+v: cached %x, naive %x",
-						stages, cfg, env, math.Float64bits(cached), math.Float64bits(naive))
-				}
-			}
-		}
-	}
-}
-
 func TestStageDelaysPSMatchesPerStageAccessors(t *testing.T) {
 	envs := []silicon.Env{silicon.Nominal, {V: 0.96, T: 85}}
 	for _, stages := range []int{1, 5, 17} {
@@ -311,25 +283,13 @@ func TestStageDelaysPSBufferLengthError(t *testing.T) {
 	}
 }
 
-func BenchmarkHalfPeriodCached(b *testing.B) {
+func BenchmarkHalfPeriod(b *testing.B) {
 	r := benchHalfPeriodRing(b)
 	cfg := AllSelected(64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.HalfPeriodPS(cfg, silicon.Nominal); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHalfPeriodNaive(b *testing.B) {
-	r := benchHalfPeriodRing(b)
-	cfg := AllSelected(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.HalfPeriodNaivePS(cfg, silicon.Nominal); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -228,8 +228,8 @@ func walkBinary(data []byte, begin func(binaryHeader), sel func(int, binarySel))
 		return d.err
 	case h.mode != Case1 && h.mode != Case2:
 		return fmt.Errorf("core: invalid mode %d", int(h.mode))
-	case h.threshold < 0:
-		return fmt.Errorf("core: negative threshold %g", h.threshold)
+	case !(h.threshold >= 0):
+		return fmt.Errorf("core: enrollment threshold %g, want a non-negative number", h.threshold)
 	case h.n > maxBinaryVectors:
 		return fmt.Errorf("core: selection count %d exceeds the binary format limit", h.n)
 	case h.n > (len(data)-d.off)/9:

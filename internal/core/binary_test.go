@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	mathbits "math/bits"
 	"math/rand"
 	"reflect"
@@ -206,7 +207,7 @@ func TestBinaryRejectsInconsistentState(t *testing.T) {
 			Mask:       []bool{true, true}, Response: resp("11")}},
 		{"bad mode", "invalid mode", Enrollment{Mode: 7,
 			Selections: []Selection{sel("101", "101", true)}, Mask: []bool{true}, Response: resp("1")}},
-		{"negative threshold", "negative threshold", Enrollment{Mode: Case2, Threshold: -1,
+		{"negative threshold", "threshold -1, want a non-negative number", Enrollment{Mode: Case2, Threshold: -1,
 			Selections: []Selection{sel("101", "101", true)}, Mask: []bool{true}, Response: resp("1")}},
 		{"flipped response bit", "inconsistent", Enrollment{Mode: Case1,
 			Selections: []Selection{sel("101", "101", true)}, Mask: []bool{true}, Response: resp("0")}},
@@ -241,6 +242,34 @@ func TestBinaryRejectsInconsistentState(t *testing.T) {
 	}
 	if _, err := LoadEnrollmentBinary(data); err != nil {
 		t.Fatalf("masked empty selection rejected: %v", err)
+	}
+}
+
+// nanThresholdBody returns the body of an 8-pair Case-2 enrollment that is
+// valid but for its threshold, which is NaN.
+func nanThresholdBody(t testing.TB) []byte {
+	t.Helper()
+	enr, err := Enroll(binaryTestPairs(t, 8, 13, 0xB5), Case2, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enr.Threshold = math.NaN()
+	body, err := enr.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestBinaryRefusesNaNThreshold pins that both decoders refuse a NaN
+// threshold, which a test for a negative one lets through, and name it.
+func TestBinaryRefusesNaNThreshold(t *testing.T) {
+	body := nanThresholdBody(t)
+	if _, err := LoadEnrollmentBinary(body); err == nil || !strings.Contains(err.Error(), "threshold NaN") {
+		t.Fatalf("LoadEnrollmentBinary of a NaN threshold: err %v, want it to name the threshold", err)
+	}
+	if _, _, _, err := ScanEnrollmentBinary(body); err == nil || !strings.Contains(err.Error(), "threshold NaN") {
+		t.Fatalf("ScanEnrollmentBinary of a NaN threshold: err %v, want it to name the threshold", err)
 	}
 }
 

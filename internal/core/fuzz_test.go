@@ -31,6 +31,7 @@ func FuzzEnrollmentBinary(f *testing.F) {
 			f.Add(mutant)
 		}
 	}
+	f.Add(nanThresholdBody(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)

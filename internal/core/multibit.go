@@ -25,8 +25,8 @@ func SelectMulti(mode Mode, alpha, beta []float64, maxBits int, minMargin float6
 	if maxBits <= 0 {
 		return nil, fmt.Errorf("core: SelectMulti needs maxBits > 0, got %d", maxBits)
 	}
-	if minMargin < 0 {
-		return nil, errors.New("core: SelectMulti needs a non-negative margin threshold")
+	if !(minMargin >= 0) {
+		return nil, fmt.Errorf("core: SelectMulti margin threshold %g, want a non-negative number", minMargin)
 	}
 	n := len(alpha)
 	if n == 0 {

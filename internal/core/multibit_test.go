@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -132,6 +134,19 @@ func TestSelectMultiEvaluateConsistent(t *testing.T) {
 		if bit != s.Bit || margin != s.Margin {
 			t.Fatalf("selection %d: Evaluate disagrees with stored (%.3f/%v vs %.3f/%v)",
 				i, margin, bit, s.Margin, s.Bit)
+		}
+	}
+}
+
+// TestSelectMultiRefusesNaNMargin pins that a NaN margin floor, which a
+// test for a negative one lets through, is refused and named rather than
+// read as no floor at all.
+func TestSelectMultiRefusesNaNMargin(t *testing.T) {
+	alpha, beta := multiVecs(7, 10)
+	for _, mode := range []Mode{Case1, Case2} {
+		sels, err := SelectMulti(mode, alpha, beta, 10, math.NaN(), Options{})
+		if err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Fatalf("mode %v: SelectMulti with a NaN margin floor gave %d selections, err %v", mode, len(sels), err)
 		}
 	}
 }

@@ -87,8 +87,8 @@ func TestStreamVTMatchesGenerateVT(t *testing.T) {
 // TestStreamVTAllocBudget bounds what the serial stream allocates per
 // board, which sets the corpus build's GC rate and peak RSS. The emitted
 // board itself owns ~12 KB (X and Y as []int plus its nominal
-// frequencies); a die allocated per board, or an env table built for a
-// nominal-only board, breaks the budget.
+// frequencies); a die allocated per board, or nominal drive terms cached
+// for a nominal-only board, breaks the budget.
 func TestStreamVTAllocBudget(t *testing.T) {
 	cfg := DefaultVTConfig()
 	var ms runtime.MemStats

@@ -39,13 +39,6 @@ func TestIDsAndDispatch(t *testing.T) {
 	if len(ids) != 26 {
 		t.Fatalf("IDs() has %d entries, want 26 (10 paper + 16 extensions)", len(ids))
 	}
-	// Every listed ID must dispatch.
-	fns := sharedRunner.experimentFns()
-	for _, id := range ids {
-		if fns[id] == nil {
-			t.Errorf("experiment %q listed but not registered", id)
-		}
-	}
 	if _, err := sharedRunner.Run("nonsense"); err == nil {
 		t.Fatal("Run accepted unknown experiment ID")
 	}

@@ -3,8 +3,7 @@
 // plain-text report mirroring the paper's presentation; EXPERIMENTS.md
 // records paper-vs-measured values.
 //
-// Experiment IDs: tableI, tableII, fig3, tableIII, tableIV, fig4, fig5,
-// tableV, threshold, summary.
+// Experiment IDs: `ropuf list` prints them in presentation order.
 package experiments
 
 import (
@@ -95,50 +94,48 @@ func (r *Runner) InHouse() ([]*dataset.InHouseBoard, error) {
 	return r.inhouse, nil
 }
 
-// experimentFns maps experiment IDs to their implementations.
-func (r *Runner) experimentFns() map[string]func() (*Result, error) {
-	return map[string]func() (*Result, error){
-		"tableI":    r.TableI,
-		"tableII":   r.TableII,
-		"fig3":      r.Fig3,
-		"tableIII":  r.TableIII,
-		"tableIV":   r.TableIV,
-		"fig4":      r.Fig4,
-		"fig5":      r.Fig5,
-		"tableV":    r.TableV,
-		"threshold": r.Threshold,
-		"summary":   r.Summary,
-		// Extensions beyond the paper's published evaluation.
-		"security":    r.Security,
-		"nistlong":    r.NISTLong,
-		"maiti":       r.Maiti,
-		"parity":      r.Parity,
-		"utilization": r.Utilization,
-		"distiller":   r.Distiller,
-		"aging":       r.Aging,
-		"modeling":    r.Modeling,
-		"entropy":     r.Entropy,
-		"ecc":         r.ECC,
-		"sensitivity": r.Sensitivity,
-		"trng":        r.TRNG,
-		"pairing":     r.Pairing,
-		"multibit":    r.Multibit,
-		"measurement": r.Measurement,
-		"fig4case2":   r.Fig4Case2,
-	}
+// registry lists every experiment by ID, in presentation order: first the
+// paper's tables and figures, then the extension analyses.
+var registry = []struct {
+	id  string
+	run func(*Runner) (*Result, error)
+}{
+	{"tableI", (*Runner).TableI},
+	{"tableII", (*Runner).TableII},
+	{"fig3", (*Runner).Fig3},
+	{"tableIII", (*Runner).TableIII},
+	{"tableIV", (*Runner).TableIV},
+	{"fig4", (*Runner).Fig4},
+	{"fig5", (*Runner).Fig5},
+	{"tableV", (*Runner).TableV},
+	{"threshold", (*Runner).Threshold},
+	{"summary", (*Runner).Summary},
+	// Extensions beyond the paper's published evaluation.
+	{"security", (*Runner).Security},
+	{"nistlong", (*Runner).NISTLong},
+	{"maiti", (*Runner).Maiti},
+	{"parity", (*Runner).Parity},
+	{"utilization", (*Runner).Utilization},
+	{"distiller", (*Runner).Distiller},
+	{"aging", (*Runner).Aging},
+	{"modeling", (*Runner).Modeling},
+	{"entropy", (*Runner).Entropy},
+	{"ecc", (*Runner).ECC},
+	{"sensitivity", (*Runner).Sensitivity},
+	{"trng", (*Runner).TRNG},
+	{"pairing", (*Runner).Pairing},
+	{"multibit", (*Runner).Multibit},
+	{"measurement", (*Runner).Measurement},
+	{"fig4case2", (*Runner).Fig4Case2},
 }
 
-// IDs lists the available experiment IDs in presentation order: first the
-// paper's tables and figures, then the extension analyses.
+// IDs lists the available experiment IDs in presentation order.
 func IDs() []string {
-	return []string{
-		"tableI", "tableII", "fig3", "tableIII", "tableIV",
-		"fig4", "fig5", "tableV", "threshold", "summary",
-		"security", "nistlong", "maiti", "parity",
-		"utilization", "distiller", "aging", "modeling",
-		"entropy", "ecc", "sensitivity", "trng", "pairing",
-		"multibit", "measurement", "fig4case2",
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
+	return ids
 }
 
 // Run executes one experiment by ID.
@@ -149,18 +146,24 @@ func (r *Runner) Run(id string) (*Result, error) {
 // runCtx executes one experiment, wrapping it in a span (parented by ctx)
 // and a latency observation when the runner is instrumented.
 func (r *Runner) runCtx(ctx context.Context, id string) (*Result, error) {
-	fn, ok := r.experimentFns()[id]
-	if !ok {
+	var run func(*Runner) (*Result, error)
+	for _, e := range registry {
+		if e.id == id {
+			run = e.run
+			break
+		}
+	}
+	if run == nil {
 		known := IDs()
 		sort.Strings(known)
 		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, known)
 	}
 	if r.Tracer == nil && r.Obs == nil && r.Logger == nil {
-		return fn()
+		return run(r)
 	}
 	expCtx, span := r.Tracer.Start(ctx, "experiment", obs.KV("experiment", id))
 	start := time.Now()
-	res, err := fn()
+	res, err := run(r)
 	elapsed := time.Since(start)
 	if h := r.histogram(); h != nil {
 		h.With(id).Observe(elapsed.Seconds())

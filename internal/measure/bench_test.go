@@ -31,8 +31,8 @@ func benchRing(b *testing.B, stages int) *circuit.Ring {
 var benchSizes = []int{16, 64, 256}
 
 // BenchmarkDdiffsNaive measures the direct leave-one-out protocol: n+1
-// whole-ring evaluations, each recomputing every device's alpha-power-law
-// environment factors (the pre-optimization cost model).
+// whole-ring evaluations, each computing every device's delay (the
+// pre-optimization cost model).
 func BenchmarkDdiffsNaive(b *testing.B) {
 	for _, stages := range benchSizes {
 		b.Run(fmt.Sprintf("stages=%d", stages), func(b *testing.B) {
@@ -50,8 +50,8 @@ func BenchmarkDdiffsNaive(b *testing.B) {
 }
 
 // BenchmarkDdiffsFast measures the incremental protocol: stage delays
-// tabulated once off the cached environment table, leave-one-out
-// half-periods derived from the all-selected total.
+// tabulated once, leave-one-out half-periods derived from the all-selected
+// total.
 func BenchmarkDdiffsFast(b *testing.B) {
 	for _, stages := range benchSizes {
 		b.Run(fmt.Sprintf("stages=%d", stages), func(b *testing.B) {
@@ -95,14 +95,27 @@ func BenchmarkPairDdiffs(b *testing.B) {
 	}
 }
 
+// sweptBoardEnvs are the VT dataset's nine conditions: nominal, the
+// voltage sweep at 25 °C and the temperature sweep at 1.20 V. Package
+// dataset imports measure, so its sweep lists cannot be used here.
+var sweptBoardEnvs = []silicon.Env{
+	silicon.Nominal,
+	{V: 0.98, T: 25}, {V: 1.08, T: 25}, {V: 1.32, T: 25}, {V: 1.44, T: 25},
+	{V: 1.20, T: 35}, {V: 1.20, T: 45}, {V: 1.20, T: 55}, {V: 1.20, T: 65},
+}
+
 // BenchmarkBoardMeter measures whole-board batch measurement (the VT
-// dataset's hot loop): one pinned env table + one NormFill per board,
-// zero warm allocations. boards/s is the fleet-scale throughput figure.
+// dataset's hot loop). The ros=N rows re-read one warm die at one swept
+// environment: one DelaysIntoPS and one NormFill per board, zero
+// allocations. The swept-board row has a corpus's swept-board shape: each
+// op refabricates a 512-RO die with NewDieInto and reads it under the nine
+// VT conditions, paying the die's nominal-drive cache once. boards/s is
+// the fleet-scale throughput figure.
 func BenchmarkBoardMeter(b *testing.B) {
+	p := silicon.DefaultParams()
+	p.NominalDelayPS = 5208
 	for _, grid := range [][2]int{{16, 16}, {16, 32}} {
 		b.Run(fmt.Sprintf("ros=%d", grid[0]*grid[1]), func(b *testing.B) {
-			p := silicon.DefaultParams()
-			p.NominalDelayPS = 5208
 			die, err := silicon.NewDie(p, grid[0], grid[1], rngx.New(0xB0A2D))
 			if err != nil {
 				b.Fatal(err)
@@ -124,4 +137,29 @@ func BenchmarkBoardMeter(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "boards/s")
 		})
 	}
+	b.Run("swept-board", func(b *testing.B) {
+		die, err := silicon.NewDie(p, 16, 32, rngx.New(0xB0A2D))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bm := NewBoardMeter(0.01)
+		fab, rng := rngx.New(0xFAB), rngx.New(7)
+		dst := make([]float64, die.NumDevices())
+		if _, err := bm.MeasureInto(dst, die, silicon.Nominal, rng); err != nil {
+			b.Fatal(err) // sizes the meter's scratch
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := silicon.NewDieInto(die, p, 16, 32, fab); err != nil {
+				b.Fatal(err)
+			}
+			for _, env := range sweptBoardEnvs {
+				if _, err := bm.MeasureInto(dst, die, env, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "boards/s")
+	})
 }

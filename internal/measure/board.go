@@ -14,9 +14,10 @@ import (
 //
 // The point of the batch API is the cost model. One MeasureInto call
 //
-//   - pins a single cached silicon environment table for the die
-//     (silicon.Die.DelaysIntoPS) — the alpha-power-law factors are paid
-//     once per (die, environment), not once per device;
+//   - reads every delay with one silicon.Die.DelaysIntoPS call, which
+//     hoists the terms a board's devices share (the environment's mobility
+//     term, and the die's nominal drive terms, cached on its first swept
+//     read) out of the per-device loop;
 //   - draws the whole board's measurement noise with one rngx.NormFill —
 //     one batched call per board instead of one Norm call per device;
 //   - writes into caller-provided flat board-major scratch and reuses its
@@ -26,12 +27,11 @@ import (
 // Results are bit-identical to the per-device loop it replaces
 // (freq_i = 1e6/(2·DelayPS(i,env)) + NormMeanStd(0, NoiseMHz), devices in
 // index order): NormFill is stream-identical to sequential NormMeanStd
-// calls and a table hit is bit-identical to the direct factor computation.
+// calls and DelaysIntoPS is bit-identical to DelayPS.
 //
 // A BoardMeter owns scratch buffers and is not safe for concurrent use;
-// give each goroutine its own (they may share one die — the underlying
-// env-table cache is concurrency-safe, which is what makes board-parallel
-// measurement against one pinned table work).
+// give each goroutine its own. They may share one die, whose swept
+// DelaysIntoPS reads then run one at a time.
 type BoardMeter struct {
 	// NoiseMHz is the standard deviation of one frequency reading's error.
 	NoiseMHz float64

@@ -77,7 +77,7 @@ func TestBoardMeterAllocs(t *testing.T) {
 	dst := make([]float64, die.NumDevices())
 	env := silicon.Env{V: 1.08, T: 45}
 	if _, err := bm.MeasureInto(dst, die, env, rng); err != nil {
-		t.Fatal(err) // warm-up: grows scratch, pins the env table
+		t.Fatal(err) // warm-up: grows scratch, caches the nominal drive terms
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := bm.MeasureInto(dst, die, env, rng); err != nil {
@@ -92,8 +92,8 @@ func TestBoardMeterAllocs(t *testing.T) {
 // TestBoardMeterFreshDieNominalAllocFree pins the cold nominal measurement
 // a corpus pays for every nominal-only board: on a freshly fabricated die,
 // with the meter's scratch already sized, it allocates nothing.
-// testing.AllocsPerRun warms up with one call first, which would hide a
-// table built by the cold call, so each cold call is counted on its own;
+// testing.AllocsPerRun warms up with one call first, which would hide
+// anything the cold call caches, so each cold call is counted on its own;
 // the minimum over a few dies discounts a stray allocation by another
 // goroutine.
 func TestBoardMeterFreshDieNominalAllocFree(t *testing.T) {
@@ -123,8 +123,8 @@ func TestBoardMeterFreshDieNominalAllocFree(t *testing.T) {
 
 // TestBoardMeterConcurrentSharedDie drives several per-goroutine meters
 // against one shared die and environment set (run under -race): the die's
-// env-table cache is the only shared state, and every goroutine must still
-// read bit-identical physics.
+// nominal-drive cache is the only shared state, and every goroutine must
+// still read bit-identical physics.
 func TestBoardMeterConcurrentSharedDie(t *testing.T) {
 	die := boardTestDie(t, 8, 8, 0xCC)
 	const noise = 0.02
@@ -165,9 +165,9 @@ func TestBoardMeterConcurrentSharedDie(t *testing.T) {
 }
 
 // TestBoardMeterSeesVthMutation mutates one device between measurements of
-// the same environment: the pinned env table is now stale for that device
-// and the meter must fall back to fresh physics rather than serve the
-// cached factor.
+// the same environment: the die's cached nominal drive term is now stale
+// for that device and the meter must read fresh physics rather than the
+// cached term.
 func TestBoardMeterSeesVthMutation(t *testing.T) {
 	die := boardTestDie(t, 4, 4, 9)
 	bm := NewBoardMeter(0) // deterministic: isolate the physics
@@ -187,7 +187,7 @@ func TestBoardMeterSeesVthMutation(t *testing.T) {
 		t.Fatal("mutated device still reads the stale cached frequency")
 	}
 	dev := die.Device(victim)
-	wantDelay := die.DelayAtUncachedPS(*dev, env)
+	wantDelay := die.DelayAtPS(*dev, env)
 	if want := 1e6 / (2 * wantDelay); after[victim] != want {
 		t.Fatalf("mutated device reads %x, fresh physics says %x", after[victim], want)
 	}

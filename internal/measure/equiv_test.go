@@ -19,9 +19,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden measurement files")
 
 // DdiffsNaive is the direct reference implementation of the leave-one-out
-// protocol: n+1 whole-ring evaluations, each recomputing every device's
-// environment factors from scratch (the pre-optimization cost model,
-// O(n²) stage evaluations and O(n²) math.Pow calls). It consumes the RNG
+// protocol: n+1 whole-ring evaluations, each computing every device's
+// delay (the pre-optimization cost model, O(n²) stage evaluations and,
+// off nominal, O(n²) math.Pow calls). It consumes the RNG
 // identically to Ddiffs; the results agree with Ddiffs to within
 // floating-point summation order (a few ULPs of the loop delay). It is the
 // reference for the equivalence tests and the measurement benchmarks.
@@ -33,12 +33,12 @@ func (m *Meter) DdiffsNaive(r *circuit.Ring) ([]float64, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
 	}
-	baseline, err := m.halfPeriodNaivePS(r, circuit.NewConfig(n))
+	baseline, err := m.HalfPeriodPS(r, circuit.NewConfig(n))
 	if err != nil {
 		return nil, err
 	}
 	if n == 1 {
-		sel, err := m.halfPeriodNaivePS(r, circuit.AllSelected(1))
+		sel, err := m.HalfPeriodPS(r, circuit.AllSelected(1))
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +49,7 @@ func (m *Meter) DdiffsNaive(r *circuit.Ring) ([]float64, error) {
 	for i := 0; i < n; i++ {
 		cfg := circuit.AllSelected(n)
 		cfg[i] = false
-		mi, err := m.halfPeriodNaivePS(r, cfg)
+		mi, err := m.HalfPeriodPS(r, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -62,19 +62,6 @@ func (m *Meter) DdiffsNaive(r *circuit.Ring) ([]float64, error) {
 		out[i] = d - a[i]
 	}
 	return out, nil
-}
-
-// halfPeriodNaivePS is HalfPeriodPS with the env-factor cache bypassed,
-// used only by DdiffsNaive.
-func (m *Meter) halfPeriodNaivePS(r *circuit.Ring, cfg circuit.Config) (float64, error) {
-	if err := m.validate(); err != nil {
-		return 0, err
-	}
-	truth, err := r.HalfPeriodNaivePS(cfg, m.Env)
-	if err != nil {
-		return 0, err
-	}
-	return truth + m.noiseAvgPS(), nil
 }
 
 // ulpTolerance bounds the divergence the incremental protocol may introduce:

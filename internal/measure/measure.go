@@ -21,7 +21,7 @@
 // samples per configuration.
 //
 // Ddiffs runs the protocol incrementally: the per-stage selected/bypassed
-// delays are tabulated once (O(n) cached env-factor lookups via
+// delays are tabulated once (O(n) device delays via
 // circuit.Ring.StageDelaysPS), the all-selected loop sum is computed once,
 // and each leave-one-out half-period is derived as
 //
@@ -31,8 +31,8 @@
 // noise model is layered on top unchanged, drawing from the RNG in exactly
 // the naive order, so measurement streams stay reproducible. The test
 // oracle DdiffsNaive (equiv_test.go) keeps the direct n+1-whole-ring-
-// evaluations implementation, with the env-factor cache bypassed, as the
-// reference path for equivalence tests and benchmarks.
+// evaluations implementation as the reference path for equivalence tests
+// and benchmarks.
 package measure
 
 import (

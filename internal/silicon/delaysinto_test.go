@@ -45,7 +45,7 @@ func TestDelaysIntoPSAllocFree(t *testing.T) {
 	env := Env{V: 1.08, T: 45}
 	dst := make([]float64, die.NumDevices())
 	if _, err := die.DelaysIntoPS(dst, env); err != nil {
-		t.Fatal(err) // pins the env table
+		t.Fatal(err) // caches the nominal drive terms
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := die.DelaysIntoPS(dst, env); err != nil {
@@ -57,10 +57,49 @@ func TestDelaysIntoPSAllocFree(t *testing.T) {
 	}
 }
 
-// TestDelaysIntoPSStaleVthFallsBack mutates one device after the env table
-// is pinned: the batch read must recompute that device from its live Vth
-// (bit-identical to the scalar accessor, which shares the staleness rule)
-// while still serving the others from the table.
+// TestDelaysIntoPSAllocs pins what a swept board costs: a fresh die's
+// first swept read allocates the nominal-drive cache (two slices) and
+// nothing else, while a second swept condition and every point read
+// allocate nothing.
+func TestDelaysIntoPSAllocs(t *testing.T) {
+	die := delaysTestDie(t)
+	p, rng := die.Params, rngx.New(0xFAB)
+	first, second := Env{V: 1.08, T: 45}, Env{V: 1.20, T: 65}
+	dst := make([]float64, die.NumDevices())
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := NewDieInto(die, p, die.W, die.H, rng); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := die.DelaysIntoPS(dst, first); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("a fresh die's first swept DelaysIntoPS allocates %.1f times, want 2", allocs)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, err := die.DelaysIntoPS(dst, second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a second swept DelaysIntoPS allocates %.1f times, want 0", allocs)
+	}
+	var sink float64
+	allocs = testing.AllocsPerRun(100, func() {
+		for _, dev := range die.Devices {
+			sink += die.DelayAtPS(dev, first) + die.DelayAtPS(dev, Nominal)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DelayAtPS allocates %.1f times per die, want 0 (sink %g)", allocs, sink)
+	}
+}
+
+// TestDelaysIntoPSStaleVthFallsBack mutates one device after the die's
+// nominal drive terms are cached: the batch read must recompute that
+// device's term from its live Vth (bit-identical to the scalar accessor)
+// while the other devices keep theirs.
 func TestDelaysIntoPSStaleVthFallsBack(t *testing.T) {
 	die := delaysTestDie(t)
 	env := Env{V: 0.98, T: 25}
@@ -77,7 +116,7 @@ func TestDelaysIntoPSStaleVthFallsBack(t *testing.T) {
 	if after[victim] == before[victim] {
 		t.Fatal("stale cached delay served for the mutated device")
 	}
-	if want := die.DelayAtUncachedPS(*die.Device(victim), env); after[victim] != want {
+	if want := die.DelayAtPS(*die.Device(victim), env); after[victim] != want {
 		t.Fatalf("mutated device batch delay %x != fresh %x", after[victim], want)
 	}
 	for i := range after {
@@ -88,15 +127,15 @@ func TestDelaysIntoPSStaleVthFallsBack(t *testing.T) {
 }
 
 // TestDelaysIntoPSNominalBuildsNoTable pins the nominal identity's cost: a
-// fresh die's nominal read copies Base and leaves the table store empty.
+// fresh die's nominal read copies Base and caches no nominal drive terms.
 func TestDelaysIntoPSNominalBuildsNoTable(t *testing.T) {
 	die := delaysTestDie(t)
 	dst, err := die.DelaysIntoPS(make([]float64, die.NumDevices()), Nominal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if die.current.Load() != nil || len(die.tables) != 0 {
-		t.Fatalf("nominal DelaysIntoPS cached %d tables", len(die.tables))
+	if die.nomDrive != nil {
+		t.Fatalf("nominal DelaysIntoPS cached %d nominal drive terms", len(die.nomDrive))
 	}
 	for i, dev := range die.Devices {
 		if dst[i] != dev.Base {

@@ -43,39 +43,19 @@ var vtEnvs = []Env{
 }
 
 // accessorDelays evaluates every delay accessor of d under env and returns
-// each one's per-device delays by name. The point queries run both before
-// the bulk accessors (the direct path, or another environment's table) and
-// after them (env's own table, where one is built).
+// each one's per-device delays by name.
 func accessorDelays(t testing.TB, d *Die, env Env) map[string][]float64 {
 	t.Helper()
 	n := d.NumDevices()
-	out := make(map[string][]float64)
-	point := func(when string) {
-		ps, at := make([]float64, n), make([]float64, n)
-		for i, dev := range d.Devices {
-			ps[i], at[i] = d.DelayPS(i, env), d.DelayAtPS(dev, env)
-		}
-		out["DelayPS "+when], out["DelayAtPS "+when] = ps, at
+	ps, at := make([]float64, n), make([]float64, n)
+	for i, dev := range d.Devices {
+		ps[i], at[i] = d.DelayPS(i, env), d.DelayAtPS(dev, env)
 	}
-	point("before tables")
 	into, err := d.DelaysIntoPS(make([]float64, n), env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["DelaysIntoPS"] = into
-	out["DelaysPS"] = append([]float64(nil), d.DelaysPS(env)...)
-	scaled := make([]float64, n)
-	for i, f := range d.EnvFactors(env) {
-		scaled[i] = d.Devices[i].Base * f
-	}
-	out["Base×EnvFactors"] = scaled
-	point("after tables")
-	uncached := make([]float64, n)
-	for i, dev := range d.Devices {
-		uncached[i] = d.DelayAtUncachedPS(dev, env)
-	}
-	out["DelayAtUncachedPS"] = uncached
-	return out
+	return map[string][]float64{"DelayPS": ps, "DelayAtPS": at, "DelaysIntoPS": into}
 }
 
 // sameFloat reports bit equality, counting any two NaNs as equal.
@@ -96,8 +76,7 @@ func requireReference(t testing.TB, d *Die, env Env, name string, got []float64)
 }
 
 // requireAccessorsMatchReference checks every accessor of d under env
-// against the reference. Tables env already has must postdate the last Vth
-// mutation: DelaysPS and EnvFactors serve a table's build-time snapshot.
+// against the reference.
 func requireAccessorsMatchReference(t testing.TB, d *Die, env Env) {
 	t.Helper()
 	for name, got := range accessorDelays(t, d, env) {
@@ -141,8 +120,8 @@ func TestAccessorsMatchPreShortcutFormula(t *testing.T) {
 	})
 
 	// The nominal drive terms are cached per die, pinned to Vth: a device
-	// mutated between two swept-table builds must get fresh terms in the
-	// second table, and the first table's Vth-checked readers fall back.
+	// mutated between two swept reads must get a fresh term in every later
+	// read, at a new environment or at the one read before the mutation.
 	t.Run("Vth mutated between swept builds", func(t *testing.T) {
 		d := testDie(t, 43)
 		first, second := Env{V: 1.08, T: 25}, Env{V: 1.20, T: 65}
@@ -153,11 +132,11 @@ func TestAccessorsMatchPreShortcutFormula(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireReference(t, d, first, "DelaysIntoPS on the pre-mutation table", into)
+		requireReference(t, d, first, "DelaysIntoPS at the pre-mutation environment", into)
 	})
 
-	// A die refabricated over warm tables and drive terms shares none of
-	// them with its predecessor.
+	// A die refabricated over warm drive terms shares none of them with its
+	// predecessor.
 	t.Run("refabricated through NewDieInto", func(t *testing.T) {
 		d := testDie(t, 44)
 		for _, env := range vtEnvs {
@@ -219,8 +198,8 @@ func FuzzEnvFactor(f *testing.F) {
 			t.Fatal(err)
 		}
 		check := func() {
-			for i, factor := range d.EnvFactors(p.nominal()) {
-				if factor != 1 {
+			for i, dev := range d.Devices {
+				if factor := d.envFactor(dev.Vth, p.nominal()); factor != 1 {
 					t.Fatalf("device %d: nominal factor %v, want exactly 1", i, factor)
 				}
 			}
@@ -234,7 +213,7 @@ func FuzzEnvFactor(f *testing.F) {
 		}
 		d.Devices[0].Vth = vth
 		check()
-		// Refabricate over the warm tables and drive terms.
+		// Refabricate over the warm drive terms.
 		if _, err := NewDieInto(d, p, 2, 2, rngx.New(2)); err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"ropuf/internal/rngx"
 )
@@ -145,48 +144,23 @@ func (s surface) at(u, v float64) float64 {
 	return s.c[0] + s.c[1]*u + s.c[2]*v + s.c[3]*u*u + s.c[4]*v*v + s.c[5]*u*v
 }
 
-// envTable is an immutable per-environment snapshot of every device's
-// environment factor (delay(env)/delay(nominal)); a delay is the device's
-// Base times its factor. A swept table costs one math.Pow per device to
-// build, plus one per device for the die's first swept table (the nominal
-// drive terms); a nominal table costs none. Once built, any number of
-// delay queries under that environment are a multiply each.
-type envTable struct {
-	env Env
-	// vth pins the threshold voltages the factors were computed from, so
-	// lookups can detect a stale entry if a caller mutated Devices.
-	vth     []float64
-	factors []float64
-}
-
-// maxEnvTables bounds the per-die table store. A V/T sweep visits a few
-// dozen environments; past the cap the store resets generationally (sweeps
-// revisit environments in runs, so the freshly cached entries are the ones
-// about to be reused).
-const maxEnvTables = 64
-
 // Die is a fabricated chip: a W×H grid of devices sharing one systematic
-// variation surface. A Die caches per-environment factor tables (see
-// DelaysIntoPS); the cache is safe for concurrent use, so rings sharing a die
-// may be measured from multiple goroutines. Devices is exported for
-// inspection; mutating Base is always safe (factors do not depend on it),
-// while mutating Vth is detected per lookup and falls back to a direct
-// recomputation.
+// variation surface. A Die keeps no per-environment tables: DelayPS and
+// DelayAtPS are pure functions of the device and the environment, and
+// DelaysIntoPS shares only a per-die cache of nominal drive terms, behind
+// mu. Any number of goroutines may measure one die. Devices is exported
+// for inspection; mutating Base or Vth between reads is always safe,
+// because every read uses the device's live values.
 type Die struct {
 	Params  Params
 	W, H    int
 	Devices []Device
 	surf    surface
 
-	// current is the most recently used environment table; the hot paths
-	// check only this pointer. tables retains every built table (bounded by
-	// maxEnvTables) so alternating environments promote instead of rebuild.
-	current atomic.Pointer[envTable]
-	mu      sync.Mutex
-	tables  map[Env]*envTable
+	mu sync.Mutex
 	// nomVth/nomDrive cache each device's nominal drive term (envFactor's
-	// denominator) for swept table builds, pinned to the Vth it was
-	// computed from like the tables are. Guarded by mu.
+	// denominator) for swept DelaysIntoPS reads, each entry pinned to the
+	// Vth it was computed from. Guarded by mu.
 	nomVth, nomDrive []float64
 }
 
@@ -199,8 +173,8 @@ func NewDie(p Params, w, h int, rng *rngx.RNG) (*Die, error) {
 
 // NewDieInto is NewDie fabricating into d's storage, for callers that
 // fabricate one die after another: it overwrites d.Devices in place
-// (reallocating only when the grid outgrows them) and drops every table
-// and term d cached, so the result shares nothing with the old die. A nil
+// (reallocating only when the grid outgrows them) and drops the nominal
+// drive terms d cached, so the result shares nothing with the old die. A nil
 // d allocates a new die. d must not be in use by another goroutine, and
 // pointers into its old Devices now see the new die's devices. On error d
 // is left unchanged.
@@ -218,8 +192,7 @@ func NewDieInto(d *Die, p Params, w, h int, rng *rngx.RNG) (*Die, error) {
 		d.Devices = make([]Device, w*h)
 	}
 	d.Params, d.W, d.H, d.Devices = p, w, h, d.Devices[:w*h]
-	d.current.Store(nil)
-	d.tables, d.nomVth, d.nomDrive = nil, nil, nil
+	d.nomVth, d.nomDrive = nil, nil
 	// Per-die systematic surface. The constant term models die-to-die mean
 	// shift; the polynomial terms model intra-die spatial gradients.
 	for i := range d.surf.c {
@@ -290,8 +263,8 @@ func (p Params) mobility(env Env) float64 {
 // delay by definition); elsewhere it costs three. The nominal mobility
 // term is pow(1, m) == 1, so the denominator omits it.
 func (d *Die) envFactor(vth float64, env Env) float64 {
-	p := d.Params
-	if env == p.nominal() {
+	p := &d.Params
+	if env.V == p.VNom && env.T == p.TNom {
 		return 1
 	}
 	return p.drive(vth, env) * p.mobility(env) / p.drive(vth, p.nominal())
@@ -323,122 +296,47 @@ func (d *Die) nominalDrives() []float64 {
 	return d.nomDrive
 }
 
-// envTableFor returns the (possibly freshly built) factor table for env and
-// promotes it to the current slot. A swept table computes envFactor with
-// its shared terms hoisted: the mobility term once per table and the
-// nominal drives from the per-die cache, in envFactor's multiply order.
-func (d *Die) envTableFor(env Env) *envTable {
-	if t := d.current.Load(); t != nil && t.env == env {
-		return t
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if t, ok := d.tables[env]; ok {
-		d.current.Store(t)
-		return t
-	}
-	t := &envTable{
-		env:     env,
-		vth:     make([]float64, len(d.Devices)),
-		factors: make([]float64, len(d.Devices)),
-	}
-	p := d.Params
-	var mob float64
-	var nom []float64
-	swept := env != p.nominal()
-	if swept {
-		mob, nom = p.mobility(env), d.nominalDrives()
-	}
-	for i := range d.Devices {
-		dev := &d.Devices[i]
-		t.vth[i] = dev.Vth
-		t.factors[i] = 1
-		if swept {
-			t.factors[i] = p.drive(dev.Vth, env) * mob / nom[i]
-		}
-	}
-	if d.tables == nil || len(d.tables) >= maxEnvTables {
-		d.tables = make(map[Env]*envTable, 8)
-	}
-	d.tables[env] = t
-	d.current.Store(t)
-	return t
-}
-
-// EnvFactors returns the per-device environment-factor table for env
-// (factor i is delay(env)/delay(nominal) for device i), building and
-// caching it on first use. The returned slice is shared and must not be
-// mutated.
-func (d *Die) EnvFactors(env Env) []float64 {
-	return d.envTableFor(env).factors
-}
-
 // DelaysIntoPS fills dst with every device's delay under env, in
 // picoseconds, and returns dst. It is the board-major bulk accessor behind
-// measure.BoardMeter: one call pins a single cached environment table for
-// the whole die (building it on first use) and performs zero allocations
-// on the warm path. Each entry is validated against the device's current
-// Vth — a device mutated after the table was built falls back to a direct
-// recomputation, which is bit-identical to per-device DelayPS calls —
-// so concurrent readers may share a die while a sweep is in flight.
-// At the nominal environment every delay is its Base, so the call copies
-// Base and neither builds nor caches a table: a fresh die's nominal
-// read allocates nothing. len(dst) must equal NumDevices.
+// measure.BoardMeter. At the nominal environment every delay is its Base,
+// so the call copies Base. Elsewhere it computes each device's factor in
+// envFactor's multiply order, with the mobility term hoisted out of the
+// loop and the nominal drive terms read from the die's cache (computed on
+// the die's first swept read, and again for any device whose Vth has
+// changed since), so every entry is bit-identical to DelayPS. A swept read
+// holds the die's mutex throughout. len(dst) must equal NumDevices.
 func (d *Die) DelaysIntoPS(dst []float64, env Env) ([]float64, error) {
 	if len(dst) != len(d.Devices) {
 		return nil, fmt.Errorf("silicon: DelaysIntoPS dst has %d entries, die has %d devices", len(dst), len(d.Devices))
 	}
-	if env == d.Params.nominal() {
+	p := &d.Params
+	if env.V == p.VNom && env.T == p.TNom {
 		for i := range d.Devices {
 			dst[i] = d.Devices[i].Base
 		}
 		return dst, nil
 	}
-	t := d.envTableFor(env)
+	mob := p.mobility(env)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	nom := d.nominalDrives()
 	for i := range d.Devices {
 		dev := &d.Devices[i]
-		if t.vth[i] == dev.Vth {
-			dst[i] = dev.Base * t.factors[i]
-		} else {
-			dst[i] = dev.Base * d.envFactor(dev.Vth, env)
-		}
+		dst[i] = dev.Base * (p.drive(dev.Vth, env) * mob / nom[i])
 	}
 	return dst, nil
 }
 
 // DelayPS returns the delay of device i under the given environment, in
-// picoseconds. It panics if i is out of range. When the die's current
-// cached environment matches env the lookup is a multiply; otherwise the
-// factor is recomputed directly (a point query does not build a table —
-// call EnvFactors to warm one).
+// picoseconds: three math.Pow calls off nominal, none at nominal. It
+// panics if i is out of range.
 func (d *Die) DelayPS(i int, env Env) float64 {
 	dev := &d.Devices[i]
-	if t := d.current.Load(); t != nil && t.env == env && t.vth[i] == dev.Vth {
-		return dev.Base * t.factors[i]
-	}
 	return dev.Base * d.envFactor(dev.Vth, env)
 }
 
 // DelayAtPS is DelayPS for an explicit device value (used by circuit stages
-// that hold Device copies rather than indices). The cached factor is looked
-// up by the device's grid coordinates; the stored Vth must match exactly —
-// and the factor depends only on (Vth, env) — so a hit is bit-identical to
-// the direct computation and any mismatch (foreign or mutated device) falls
-// back to computing from scratch.
+// that hold Device copies rather than indices).
 func (d *Die) DelayAtPS(dev Device, env Env) float64 {
-	if t := d.current.Load(); t != nil && t.env == env {
-		if i := dev.Y*d.W + dev.X; i >= 0 && i < len(t.vth) && t.vth[i] == dev.Vth {
-			return dev.Base * t.factors[i]
-		}
-	}
-	return dev.Base * d.envFactor(dev.Vth, env)
-}
-
-// DelayAtUncachedPS is DelayAtPS with the environment-factor cache
-// bypassed: it always recomputes the alpha-power-law factor (three
-// math.Pow calls off nominal, none at nominal). It is the reference path
-// for the *Naive measurement implementations and for equivalence tests;
-// results are bit-identical to the cached accessors.
-func (d *Die) DelayAtUncachedPS(dev Device, env Env) float64 {
 	return dev.Base * d.envFactor(dev.Vth, env)
 }

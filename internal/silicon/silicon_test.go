@@ -10,14 +10,12 @@ import (
 	"ropuf/internal/rngx"
 )
 
-// DelaysPS returns every device's delay under env in picoseconds, as its
-// Base times the cached environment factor, building the die's table for
-// env on first use so tests can warm and inspect the cache.
+// DelaysPS returns every device's delay under env in picoseconds, read
+// through DelaysIntoPS into a fresh slice.
 func (d *Die) DelaysPS(env Env) []float64 {
-	t := d.envTableFor(env)
-	delays := make([]float64, len(d.Devices))
-	for i := range delays {
-		delays[i] = d.Devices[i].Base * t.factors[i]
+	delays, err := d.DelaysIntoPS(make([]float64, len(d.Devices)), env)
+	if err != nil {
+		panic(err) // unreachable: delays has one entry per device
 	}
 	return delays
 }
@@ -102,7 +100,7 @@ func TestFabricationDeterminism(t *testing.T) {
 
 func TestNewDieIntoReusesStorage(t *testing.T) {
 	d := testDie(t, 7)
-	d.DelaysPS(Env{V: 1.08, T: 45}) // warm a table to be dropped
+	d.DelaysPS(Env{V: 1.08, T: 45}) // cache nominal drive terms to be dropped
 	storage := &d.Devices[0]
 	for _, dim := range [][2]int{{16, 16}, {8, 4}, {32, 16}} {
 		got, err := NewDieInto(d, DefaultParams(), dim[0], dim[1], rngx.New(8))
@@ -124,8 +122,8 @@ func TestNewDieIntoReusesStorage(t *testing.T) {
 				t.Fatalf("%dx%d: device %d %+v, NewDie gives %+v", dim[0], dim[1], i, got.Devices[i], want.Devices[i])
 			}
 		}
-		if got.SystematicAt(1, 2) != want.SystematicAt(1, 2) || got.current.Load() != nil || got.tables != nil {
-			t.Fatalf("%dx%d: surface or cached tables survive refabrication", dim[0], dim[1])
+		if got.SystematicAt(1, 2) != want.SystematicAt(1, 2) || got.nomVth != nil || got.nomDrive != nil {
+			t.Fatalf("%dx%d: surface or cached nominal drive terms survive refabrication", dim[0], dim[1])
 		}
 	}
 	before := d.Devices[3]
@@ -299,93 +297,11 @@ func TestDelayAtPSMatchesIndexedDelay(t *testing.T) {
 	}
 }
 
-func TestEnvTableBitIdenticalToUncached(t *testing.T) {
-	d := testDie(t, 31)
-	envs := []Env{Nominal, {V: 1.08, T: 45}, {V: 1.32, T: -20}, {V: 0.96, T: 85}}
-	for _, env := range envs {
-		delays := d.DelaysPS(env)
-		factors := d.EnvFactors(env)
-		if len(delays) != d.NumDevices() || len(factors) != d.NumDevices() {
-			t.Fatalf("table lengths %d/%d, want %d", len(delays), len(factors), d.NumDevices())
-		}
-		for i := range d.Devices {
-			dev := d.Devices[i]
-			want := d.DelayAtUncachedPS(dev, env)
-			if delays[i] != want {
-				t.Fatalf("env %+v device %d: DelaysPS %x, uncached %x",
-					env, i, math.Float64bits(delays[i]), math.Float64bits(want))
-			}
-			if got := d.DelayPS(i, env); got != want {
-				t.Fatalf("env %+v device %d: DelayPS %x, uncached %x",
-					env, i, math.Float64bits(got), math.Float64bits(want))
-			}
-			if got := d.DelayAtPS(dev, env); got != want {
-				t.Fatalf("env %+v device %d: DelayAtPS %x, uncached %x",
-					env, i, math.Float64bits(got), math.Float64bits(want))
-			}
-		}
-	}
-	// Revisiting an earlier environment must promote its retained table, not
-	// rebuild, and still agree with the direct computation.
-	for _, env := range envs {
-		if got, want := d.DelayPS(3, env), d.DelayAtUncachedPS(d.Devices[3], env); got != want {
-			t.Fatalf("revisited env %+v: DelayPS %g, want %g", env, got, want)
-		}
-	}
-}
-
-func TestEnvTableVthMutationFallsBack(t *testing.T) {
-	d := testDie(t, 32)
-	env := Env{V: 1.14, T: 60}
-	d.DelaysPS(env) // warm the table
-	k := 7
-	d.Devices[k].Vth += 0.05
-	want := d.DelayAtUncachedPS(d.Devices[k], env)
-	if got := d.DelayPS(k, env); got != want {
-		t.Fatalf("after Vth mutation DelayPS served stale factor: %g, want %g", got, want)
-	}
-	if got := d.DelayAtPS(d.Devices[k], env); got != want {
-		t.Fatalf("after Vth mutation DelayAtPS served stale factor: %g, want %g", got, want)
-	}
-	// Base mutation needs no invalidation: cached factors do not depend on it.
-	d.Devices[k].Vth -= 0.05
-	d.Devices[k].Base *= 2
-	want = d.DelayAtUncachedPS(d.Devices[k], env)
-	if got := d.DelayPS(k, env); got != want {
-		t.Fatalf("after Base mutation DelayPS %g, want %g", got, want)
-	}
-}
-
-func TestEnvTableForeignDeviceFallsBack(t *testing.T) {
-	d := testDie(t, 33)
-	env := Env{V: 1.26, T: 10}
-	d.DelaysPS(env)
-	// A device whose coordinates lie outside the grid must not index the
-	// table; it computes directly.
-	foreign := Device{X: -3, Y: 1, Base: 180, Vth: 0.47}
-	if got, want := d.DelayAtPS(foreign, env), d.DelayAtUncachedPS(foreign, env); got != want {
-		t.Fatalf("foreign device: DelayAtPS %g, want %g", got, want)
-	}
-}
-
-func TestEnvTableStoreCapResets(t *testing.T) {
-	d := testDie(t, 34)
-	// Visit more environments than the store retains; every lookup must stay
-	// correct through the generational reset.
-	for i := 0; i < maxEnvTables+16; i++ {
-		env := Env{V: 1.0 + 0.002*float64(i), T: 25}
-		got := d.DelaysPS(env)[5]
-		want := d.DelayAtUncachedPS(d.Devices[5], env)
-		if got != want {
-			t.Fatalf("env %d: DelaysPS %g, want %g", i, got, want)
-		}
-	}
-	if len(d.tables) > maxEnvTables {
-		t.Fatalf("table store grew to %d entries, cap %d", len(d.tables), maxEnvTables)
-	}
-}
-
-func TestEnvTableConcurrentLookups(t *testing.T) {
+// TestConcurrentReadsMatchReference reads one die from 8 goroutines at the
+// nominal environment and three swept ones, through both the bulk and the
+// point accessor; under -race it also checks that the nominal-drive cache
+// behind DelaysIntoPS is properly guarded.
+func TestConcurrentReadsMatchReference(t *testing.T) {
 	d := testDie(t, 35)
 	envs := []Env{Nominal, {V: 1.08, T: 45}, {V: 1.32, T: -20}, {V: 0.96, T: 85}}
 	var wg sync.WaitGroup
@@ -394,16 +310,24 @@ func TestEnvTableConcurrentLookups(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			dst := make([]float64, d.NumDevices())
 			for iter := 0; iter < 50; iter++ {
 				env := envs[(g+iter)%len(envs)]
-				delays := d.DelaysPS(env)
-				i := (g*31 + iter) % d.NumDevices()
-				if delays[i] != d.DelayAtUncachedPS(d.Devices[i], env) {
-					errc <- fmt.Errorf("goroutine %d iter %d: cached delay mismatch", g, iter)
+				if _, err := d.DelaysIntoPS(dst, env); err != nil {
+					errc <- err
 					return
 				}
-				if d.DelayPS(i, env) != delays[i] {
-					errc <- fmt.Errorf("goroutine %d iter %d: DelayPS mismatch", g, iter)
+				i := (g*31 + iter) % d.NumDevices()
+				dev := d.Devices[i]
+				want := dev.Base * refEnvFactor(d.Params, dev.Vth, env)
+				if math.Float64bits(dst[i]) != math.Float64bits(want) {
+					errc <- fmt.Errorf("goroutine %d iter %d env %+v: DelaysIntoPS %x, reference %x",
+						g, iter, env, math.Float64bits(dst[i]), math.Float64bits(want))
+					return
+				}
+				if got := d.DelayAtPS(dev, env); math.Float64bits(got) != math.Float64bits(want) {
+					errc <- fmt.Errorf("goroutine %d iter %d env %+v: DelayAtPS %x, reference %x",
+						g, iter, env, math.Float64bits(got), math.Float64bits(want))
 					return
 				}
 			}
