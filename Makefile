@@ -52,17 +52,21 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test .
 
 # Perf trajectory: run the fleet enrollment/evaluation benchmarks with
-# -benchmem and record name -> ns/op, B/op, allocs/op in BENCH_fleet.json,
-# then the measurement-engine benchmarks (incremental vs naive leave-one-out,
-# whole-ring evaluation, whole-board batch measurement of a warm die and of
-# a freshly fabricated swept board, streaming corpus generation — the last
-# two also report boards/s and bytes/board via B.ReportMetric, captured in
-# the JSON's "extra" map) into BENCH_measure.json (cmd/benchjson echoes the
-# raw output so CI logs keep the numbers).
+# -benchmem into BENCH_fleet.json, then the measurement-engine benchmarks
+# (incremental vs naive leave-one-out, whole-ring evaluation, whole-board
+# batch measurement of a warm die and of a freshly fabricated swept board,
+# streaming corpus generation — the last two also report boards/s and
+# bytes/board via B.ReportMetric, captured in the JSON's "extra" map) and
+# the Gaussian fill at 1 to 3,328 values (ns/value) into BENCH_measure.json.
+# Every benchmark runs 5 times; cmd/benchjson keeps each sample with its
+# count, median, min and max, heads the record with the machine
+# (goos, goarch, cpu, GOMAXPROCS, Go version), and echoes the raw output
+# so CI logs keep the numbers.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkFleet(Enroll|Evaluate)' -benchmem -benchtime 3x . | $(GO) run ./cmd/benchjson -o BENCH_fleet.json
-	$(GO) test -run xxx -bench 'BenchmarkDdiffs(Naive|Fast)|BenchmarkPairDdiffs|BenchmarkHalfPeriod|BenchmarkBoardMeter|BenchmarkStreamVT' \
-		-benchmem -benchtime 20x ./internal/measure ./internal/circuit ./internal/dataset \
+	$(GO) test -run xxx -bench 'BenchmarkFleet(Enroll|Evaluate)' -benchmem -benchtime 3x -count 5 . | $(GO) run ./cmd/benchjson -o BENCH_fleet.json
+	( $(GO) test -run xxx -bench 'BenchmarkDdiffs(Naive|Fast)|BenchmarkPairDdiffs|BenchmarkHalfPeriod|BenchmarkBoardMeter|BenchmarkStreamVT' \
+		-benchmem -benchtime 20x -count 5 ./internal/measure ./internal/circuit ./internal/dataset; \
+	$(GO) test -run xxx -bench 'BenchmarkNormFill' -benchmem -benchtime 0.2s -count 5 ./internal/rngx ) \
 		| $(GO) run ./cmd/benchjson -o BENCH_measure.json
 	$(MAKE) bench-authserve
 
@@ -80,10 +84,10 @@ bench:
 # Everything lands in BENCH_authserve.json. End-to-end serving numbers
 # (HTTP, admission, store, WAL) come from perfbench's auth workload.
 bench-authserve:
-	( $(GO) test -run xxx -bench 'BenchmarkStoreEnroll(WAL|Snapshot)$$' -benchtime 50x ./internal/authserve; \
-	$(GO) test -run xxx -bench 'BenchmarkStoreEnrollWALParallel' -benchtime 4000x ./internal/authserve; \
-	$(GO) test -run xxx -bench 'BenchmarkServerVerifyAudit' -benchtime 3000x -benchmem ./internal/authserve; \
-	$(GO) test -run xxx -bench 'BenchmarkEnrollDecodeBinary' -benchtime 2000x -benchmem ./internal/authserve ) \
+	( $(GO) test -run xxx -bench 'BenchmarkStoreEnroll(WAL|Snapshot)$$' -benchtime 50x -count 5 ./internal/authserve; \
+	$(GO) test -run xxx -bench 'BenchmarkStoreEnrollWALParallel' -benchtime 4000x -count 5 ./internal/authserve; \
+	$(GO) test -run xxx -bench 'BenchmarkServerVerifyAudit' -benchtime 3000x -benchmem -count 5 ./internal/authserve; \
+	$(GO) test -run xxx -bench 'BenchmarkEnrollDecodeBinary' -benchtime 2000x -benchmem -count 5 ./internal/authserve ) \
 		| $(GO) run ./cmd/benchjson -o BENCH_authserve.json
 
 # Every benchmark in the tree, one iteration each (smoke, not measurement).
@@ -108,8 +112,9 @@ fleet-bench:
 # request parser against encoding/json, the Case-2 stage order (sorting
 # network and fallback) against a stable sort over arbitrary delays, and
 # the silicon environment factor against its four-pow reference formula
-# over arbitrary parameters (CI runs these for short bursts; crashes land
-# under the packages' testdata/fuzz directories).
+# over arbitrary parameters, and the Gaussian fill against sequential
+# NormMeanStd calls (CI runs these for short bursts; crashes land under the
+# packages' testdata/fuzz directories).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run FuzzLoadVerifier -fuzz FuzzLoadVerifier -fuzztime $(FUZZTIME) ./internal/auth
@@ -121,6 +126,7 @@ fuzz:
 	$(GO) test -run FuzzJSONRequests -fuzz FuzzJSONRequests -fuzztime $(FUZZTIME) ./internal/authserve
 	$(GO) test -run FuzzEnrollBinary -fuzz FuzzEnrollBinary -fuzztime $(FUZZTIME) ./internal/authserve
 	$(GO) test -run FuzzEnvFactor -fuzz FuzzEnvFactor -fuzztime $(FUZZTIME) ./internal/silicon
+	$(GO) test -run FuzzNormFill -fuzz FuzzNormFill -fuzztime $(FUZZTIME) ./internal/rngx
 
 # End-to-end smoke of the streaming dataset generator at paper scale
 # (199 boards x 512 ROs, 5 env boards under the 9-condition V/T sweep =

@@ -20,7 +20,9 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ropuf/internal/silicon"
 )
@@ -92,13 +94,12 @@ func (b *Board) HasCondition(c Condition) bool {
 
 // Conditions returns the measured conditions in deterministic order:
 // nominal first, then the voltage sweep, then the temperature sweep,
-// skipping absent entries and duplicates.
+// skipping absent entries and duplicates, then every other condition by
+// (MilliVolts, DeciCelsius).
 func (b *Board) Conditions() []Condition {
-	seen := map[Condition]bool{}
-	var out []Condition
+	out := make([]Condition, 0, len(b.Freq))
 	add := func(c Condition) {
-		if !seen[c] && b.HasCondition(c) {
-			seen[c] = true
+		if b.HasCondition(c) && !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}
@@ -109,12 +110,15 @@ func (b *Board) Conditions() []Condition {
 	for _, c := range TemperatureSweep() {
 		add(c)
 	}
+	swept := len(out)
 	for c := range b.Freq {
-		if !seen[c] {
+		if !slices.Contains(out[:swept], c) {
 			out = append(out, c)
-			seen[c] = true
 		}
 	}
+	slices.SortFunc(out[swept:], func(a, c Condition) int {
+		return cmp.Or(cmp.Compare(a.MilliVolts, c.MilliVolts), cmp.Compare(a.DeciCelsius, c.DeciCelsius))
+	})
 	return out
 }
 

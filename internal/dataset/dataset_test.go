@@ -1,7 +1,11 @@
 package dataset
 
 import (
+	"bytes"
+	"encoding/csv"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"ropuf/internal/silicon"
@@ -189,6 +193,54 @@ func TestBoardLookupAndConditions(t *testing.T) {
 	}
 	if len(conds) != len(env.Freq) {
 		t.Fatalf("Conditions lists %d entries, board has %d", len(conds), len(env.Freq))
+	}
+}
+
+// TestConditionsOrdersExtraConditions pins the order of conditions outside
+// the nominal point and the two sweeps: by (MilliVolts, DeciCelsius), so
+// the shard encoder and the CSV writer emit such a board the same way on
+// every run instead of in map iteration order.
+func TestConditionsOrdersExtraConditions(t *testing.T) {
+	b := &Board{
+		ID: 1, GridW: 2, GridH: 1, X: []int{0, 1}, Y: []int{0, 0},
+		Freq: map[Condition][]float64{
+			{1200, 850}:      {1, 2},
+			{900, 250}:       {3, 4},
+			{1080, 250}:      {5, 6},
+			NominalCondition: {7, 8},
+			{1200, -100}:     {9, 10},
+			{900, 100}:       {11, 12},
+		},
+	}
+	want := []Condition{NominalCondition, {1080, 250}, {900, 100}, {900, 250}, {1200, -100}, {1200, 850}}
+	body, err := appendBinBoard(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csvRows := func() string {
+		var out strings.Builder
+		cw := csv.NewWriter(&out)
+		if _, err := writeCSVBoard(cw, b); err != nil {
+			t.Fatal(err)
+		}
+		cw.Flush()
+		return out.String()
+	}
+	rows := csvRows()
+	for run := 0; run < 200; run++ {
+		if got := b.Conditions(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: Conditions() = %v, want %v", run, got, want)
+		}
+		again, err := appendBinBoard(nil, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, body) {
+			t.Fatalf("run %d: the board encoded differently from the first run", run)
+		}
+		if csvRows() != rows {
+			t.Fatalf("run %d: the board's CSV rows differ from the first run", run)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"ropuf/internal/recordio"
 )
@@ -306,35 +307,39 @@ func appendBinBoard(dst []byte, b *Board) ([]byte, error) {
 	case len(b.Y) != n:
 		return nil, fmt.Errorf("dataset: board %d has %d X but %d Y coordinates", b.ID, n, len(b.Y))
 	}
-	var scratch [8]byte
-	binary.LittleEndian.PutUint32(scratch[0:4], uint32(b.ID))
-	dst = append(dst, scratch[:4]...)
-	binary.LittleEndian.PutUint16(scratch[0:2], uint16(b.GridW))
-	binary.LittleEndian.PutUint16(scratch[2:4], uint16(b.GridH))
-	dst = append(dst, scratch[:4]...)
-	binary.LittleEndian.PutUint32(scratch[0:4], uint32(n))
-	dst = append(dst, scratch[:4]...)
-	binary.LittleEndian.PutUint16(scratch[0:2], uint16(len(conds)))
-	dst = append(dst, scratch[:2]...)
-	for i := 0; i < n; i++ {
-		if b.X[i] < 0 || b.X[i] > math.MaxUint16 || b.Y[i] < 0 || b.Y[i] > math.MaxUint16 {
-			return nil, fmt.Errorf("dataset: board %d RO %d position (%d,%d) does not fit the shard format", b.ID, i, b.X[i], b.Y[i])
-		}
-		binary.LittleEndian.PutUint16(scratch[0:2], uint16(b.X[i]))
-		binary.LittleEndian.PutUint16(scratch[2:4], uint16(b.Y[i]))
-		dst = append(dst, scratch[:4]...)
-	}
 	for _, c := range conds {
-		f := b.Freq[c]
-		if len(f) != n {
+		if f := b.Freq[c]; len(f) != n {
 			return nil, fmt.Errorf("dataset: board %d condition %v has %d ROs, want %d", b.ID, c, len(f), n)
 		}
-		binary.LittleEndian.PutUint32(scratch[0:4], uint32(int32(c.MilliVolts)))
-		binary.LittleEndian.PutUint32(scratch[4:8], uint32(int32(c.DeciCelsius)))
-		dst = append(dst, scratch[:8]...)
-		for _, v := range f {
-			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-			dst = append(dst, scratch[:8]...)
+	}
+	// The record is sized once and every field written at its offset.
+	size := binBoardHeader + 4*n + len(conds)*(8+8*n)
+	off := len(dst)
+	dst = slices.Grow(dst, size)[:off+size]
+	le := binary.LittleEndian
+	le.PutUint32(dst[off:], uint32(b.ID))
+	le.PutUint16(dst[off+4:], uint16(b.GridW))
+	le.PutUint16(dst[off+6:], uint16(b.GridH))
+	le.PutUint32(dst[off+8:], uint32(n))
+	le.PutUint16(dst[off+12:], uint16(len(conds)))
+	off += binBoardHeader
+	ys := b.Y[:n]
+	for i, x := range b.X {
+		y := ys[i]
+		// uint(v) > MaxUint16 also catches a negative v.
+		if uint(x) > math.MaxUint16 || uint(y) > math.MaxUint16 {
+			return nil, fmt.Errorf("dataset: board %d RO %d position (%d,%d) does not fit the shard format", b.ID, i, x, y)
+		}
+		le.PutUint32(dst[off:], uint32(x)|uint32(y)<<16) // x then y, each a u16le
+		off += 4
+	}
+	for _, c := range conds {
+		le.PutUint32(dst[off:], uint32(int32(c.MilliVolts)))
+		le.PutUint32(dst[off+4:], uint32(int32(c.DeciCelsius)))
+		off += 8
+		for _, v := range b.Freq[c] {
+			le.PutUint64(dst[off:], math.Float64bits(v))
+			off += 8
 		}
 	}
 	return dst, nil

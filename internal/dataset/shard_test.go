@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -558,5 +561,66 @@ func TestShardReaderHostileFiles(t *testing.T) {
 				t.Fatal("streaming read accepted the tampered corpus")
 			}
 		})
+	}
+}
+
+// appendBinBoardByField is the shard encoder as it was before records were
+// sized once: it appends each field in turn. It is the oracle for the
+// one-pass appendBinBoard on valid boards.
+func appendBinBoardByField(dst []byte, b *Board) []byte {
+	var scratch [8]byte
+	conds := b.Conditions()
+	binary.LittleEndian.PutUint32(scratch[0:4], uint32(b.ID))
+	dst = append(dst, scratch[:4]...)
+	binary.LittleEndian.PutUint16(scratch[0:2], uint16(b.GridW))
+	binary.LittleEndian.PutUint16(scratch[2:4], uint16(b.GridH))
+	dst = append(dst, scratch[:4]...)
+	binary.LittleEndian.PutUint32(scratch[0:4], uint32(b.NumROs()))
+	dst = append(dst, scratch[:4]...)
+	binary.LittleEndian.PutUint16(scratch[0:2], uint16(len(conds)))
+	dst = append(dst, scratch[:2]...)
+	for i := range b.X {
+		binary.LittleEndian.PutUint16(scratch[0:2], uint16(b.X[i]))
+		binary.LittleEndian.PutUint16(scratch[2:4], uint16(b.Y[i]))
+		dst = append(dst, scratch[:4]...)
+	}
+	for _, c := range conds {
+		binary.LittleEndian.PutUint32(scratch[0:4], uint32(int32(c.MilliVolts)))
+		binary.LittleEndian.PutUint32(scratch[4:8], uint32(int32(c.DeciCelsius)))
+		dst = append(dst, scratch[:8]...)
+		for _, v := range b.Freq[c] {
+			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
+			dst = append(dst, scratch[:8]...)
+		}
+	}
+	return dst
+}
+
+// TestAppendBinBoardMatchesByField holds the one-pass encoder to the
+// field-by-field one, appending to an empty and to a non-empty buffer, for
+// nominal-only, swept and extra-condition boards.
+func TestAppendBinBoardMatchesByField(t *testing.T) {
+	ds, err := GenerateVT(tinyVTConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	boards := []*Board{ds.Boards[0], ds.EnvBoards()[0]}
+	extra := *ds.EnvBoards()[0]
+	extra.Freq = maps.Clone(extra.Freq)
+	extra.Freq[Condition{MilliVolts: -900, DeciCelsius: -400}] = extra.Freq[NominalCondition]
+	extra.Freq[Condition{MilliVolts: 1500, DeciCelsius: 1000}] = extra.Freq[NominalCondition]
+	empty := &Board{ID: 3, Freq: map[Condition][]float64{NominalCondition: {}}}
+	boards = append(boards, &extra, empty)
+	for _, b := range boards {
+		for _, prefix := range [][]byte{nil, []byte("prefix")} {
+			got, err := appendBinBoard(slices.Clone(prefix), b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := appendBinBoardByField(slices.Clone(prefix), b); !bytes.Equal(got, want) {
+				t.Fatalf("board %d (%d conditions) after %q: %d bytes differ from the field-by-field encoding (%d bytes)",
+					b.ID, len(b.Freq), prefix, len(got), len(want))
+			}
+		}
 	}
 }

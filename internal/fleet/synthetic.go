@@ -11,7 +11,9 @@ import (
 // delay vectors drawn from the same regime as the in-house dataset
 // (~200 ps stage delays with ~5 ps process spread). Device d's
 // measurements depend only on (seed, d), so fleets are reproducible and
-// individual devices can be re-fabricated in isolation.
+// individual devices can be re-fabricated in isolation. Each device's
+// delays come from one rngx.NormFill, so a fleet is bit-identical to one
+// NormMeanStd call per delay.
 func Synthetic(numDevices, pairsPerDevice, stages int, seed uint64) ([]Device, error) {
 	if numDevices <= 0 || pairsPerDevice <= 0 || stages <= 0 {
 		return nil, fmt.Errorf("fleet: Synthetic(%d devices, %d pairs, %d stages): all must be positive",
@@ -19,22 +21,21 @@ func Synthetic(numDevices, pairsPerDevice, stages int, seed uint64) ([]Device, e
 	}
 	devices := make([]Device, numDevices)
 	// Per-pair draws are interleaved (α₀, β₀, α₁, β₁, …) for historical
-	// stream compatibility: batch-drawing into buf and de-interleaving
-	// consumes the RNG in exactly that order, so fabricated fleets are
-	// bit-identical to the scalar loop this replaces while each device
-	// costs two allocations instead of two per pair.
-	buf := make([]float64, 2*stages)
+	// stream compatibility: drawing a whole device into buf and
+	// de-interleaving each pair consumes the RNG in exactly that order.
+	buf := make([]float64, 2*stages*pairsPerDevice)
 	for d := range devices {
 		r := deviceRNG(seed, d)
+		r.NormFill(buf, 200, 5)
 		pairs := make([]core.Pair, pairsPerDevice)
-		backing := make([]float64, 2*stages*pairsPerDevice)
+		backing := make([]float64, len(buf))
 		for p := range pairs {
-			r.NormFill(buf, 200, 5)
+			drawn := buf[2*stages*p : 2*stages*(p+1)]
 			alpha := backing[2*stages*p : 2*stages*p+stages : 2*stages*p+stages]
 			beta := backing[2*stages*p+stages : 2*stages*(p+1) : 2*stages*(p+1)]
 			for s := 0; s < stages; s++ {
-				alpha[s] = buf[2*s]
-				beta[s] = buf[2*s+1]
+				alpha[s] = drawn[2*s]
+				beta[s] = drawn[2*s+1]
 			}
 			pairs[p] = core.Pair{Alpha: alpha, Beta: beta}
 		}
@@ -46,7 +47,10 @@ func Synthetic(numDevices, pairsPerDevice, stages int, seed uint64) ([]Device, e
 // Remeasure returns a fresh noisy measurement of a device's pairs: every
 // stage delay is perturbed by zero-mean Gaussian noise of sigmaPS
 // picoseconds RMS, modeling measurement error and environmental drift
-// between enrollment and a later authentication.
+// between enrollment and a later authentication. The noise of the whole
+// device comes from one rngx.NormFill: α₀'s stages, then β₀'s, then α₁'s,
+// and so on, bit-identical to one NormMeanStd call per stage in that
+// order.
 func Remeasure(d Device, sigmaPS float64, seed uint64) []core.Pair {
 	r := rngx.New(seed).Split()
 	out := make([]core.Pair, len(d.Pairs))
@@ -57,6 +61,7 @@ func Remeasure(d Device, sigmaPS float64, seed uint64) []core.Pair {
 	// One backing array for the whole device; each pair's vectors are
 	// carved from it with full-slice expressions so they stay independent.
 	backing := make([]float64, total)
+	r.NormFill(backing, 0, sigmaPS)
 	next := 0
 	carve := func(n int) []float64 {
 		s := backing[next : next+n : next+n]
@@ -64,16 +69,13 @@ func Remeasure(d Device, sigmaPS float64, seed uint64) []core.Pair {
 		return s
 	}
 	for p, pair := range d.Pairs {
+		// Adding the enrolled value to its drawn perturbation keeps the
+		// result bit-identical to perturbing each stage in turn.
 		alpha := carve(len(pair.Alpha))
-		beta := carve(len(pair.Beta))
-		// NormFill draws σ·N(0,1) perturbations in the same stream order as
-		// the per-element scalar calls it replaces; adding the enrolled
-		// value afterwards keeps the result bit-identical.
-		r.NormFill(alpha, 0, sigmaPS)
 		for i, v := range pair.Alpha {
 			alpha[i] += v
 		}
-		r.NormFill(beta, 0, sigmaPS)
+		beta := carve(len(pair.Beta))
 		for i, v := range pair.Beta {
 			beta[i] += v
 		}

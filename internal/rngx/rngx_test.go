@@ -1,6 +1,7 @@
 package rngx
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -228,7 +229,14 @@ func TestNormFillMatchesSequentialNorm(t *testing.T) {
 	// NormFill must consume the generator exactly as sequential NormMeanStd
 	// calls would: same values bit for bit, same spare-variate state after,
 	// with and without a cached spare going in.
-	for _, n := range []int{0, 1, 2, 3, 4, 7, 8, 33} {
+	// Every length up to 300 crosses the short-fill cutoff and several
+	// chunk boundaries; 3,328 is one synthetic device (128 pairs × 13
+	// stages × 2 rings).
+	lengths := []int{3328}
+	for n := 0; n <= 300; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
 		for _, primeSpare := range []bool{false, true} {
 			seed := uint64(1000 + n)
 			ref := New(seed)
@@ -290,5 +298,58 @@ func TestNormFillMoments(t *testing.T) {
 	}
 	if math.Abs(std-2) > 0.02 {
 		t.Fatalf("NormFill std %g, want ~2", std)
+	}
+}
+
+// normFillOracle is len(dst) sequential NormMeanStd calls, the contract
+// NormFill keeps.
+func normFillOracle(r *RNG, dst []float64, mean, std float64) {
+	for i := range dst {
+		dst[i] = r.NormMeanStd(mean, std)
+	}
+}
+
+func FuzzNormFill(f *testing.F) {
+	f.Add(uint64(1), uint16(0), 0.0, 1.0, false)
+	f.Add(uint64(2), uint16(7), 3.0, 0.25, true)
+	f.Add(uint64(3), uint16(8), -1.5, 2.0, false)
+	f.Add(uint64(4), uint16(129), 200.0, 5.0, true)
+	f.Add(uint64(5), uint16(3328), 0.0, 1e-3, false)
+	f.Fuzz(func(t *testing.T, seed uint64, length uint16, mean, std float64, spare bool) {
+		n := int(length % 4096)
+		ref, got := New(seed), New(seed)
+		if spare {
+			ref.Norm()
+			got.Norm()
+		}
+		want := make([]float64, n)
+		normFillOracle(ref, want, mean, std)
+		dst := make([]float64, n)
+		got.NormFill(dst, mean, std)
+		for i := range want {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d spare=%v: value %d = %x, want %x", n, spare, i,
+					math.Float64bits(dst[i]), math.Float64bits(want[i]))
+			}
+		}
+		// A spare that is not held is never read, so only a held one
+		// must match.
+		if got.s != ref.s || got.haveSpare != ref.haveSpare ||
+			ref.haveSpare && math.Float64bits(got.spare) != math.Float64bits(ref.spare) {
+			t.Fatalf("n=%d spare=%v: end state %+v, want %+v", n, spare, *got, *ref)
+		}
+	})
+}
+
+func BenchmarkNormFill(b *testing.B) {
+	for _, n := range []int{1, 5, 13, 26, 3328} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			r := New(1)
+			dst := make([]float64, n)
+			for b.Loop() {
+				r.NormFill(dst, 0, 1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
+		})
 	}
 }

@@ -177,7 +177,9 @@ func NewDie(p Params, w, h int, rng *rngx.RNG) (*Die, error) {
 // drive terms d cached, so the result shares nothing with the old die. A nil
 // d allocates a new die. d must not be in use by another goroutine, and
 // pointers into its old Devices now see the new die's devices. On error d
-// is left unchanged.
+// is left unchanged. The normals of up to dieFillDevices devices come from
+// one rngx.NormFill, in the order and with the bits that one NormMeanStd
+// call per draw gives.
 func NewDieInto(d *Die, p Params, w, h int, rng *rngx.RNG) (*Die, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -198,24 +200,39 @@ func NewDieInto(d *Die, p Params, w, h int, rng *rngx.RNG) (*Die, error) {
 	for i := range d.surf.c {
 		d.surf.c[i] = rng.NormMeanStd(0, p.SystematicAmp/2)
 	}
+	// Each device draws its random delay term, then its Vth offset, both
+	// zero-mean. They come from unit fills of up to dieFillDevices devices:
+	// 0 + σ·z with z from a unit fill is NormMeanStd(0, σ) bit for bit, and
+	// a fill leaves the stream where the scalar calls would.
+	var zbuf [2 * dieFillDevices]float64
+	z := zbuf[:0]
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
+			if len(z) == 0 {
+				z = zbuf[:2*min(dieFillDevices, (h-y)*w-x)]
+				rng.NormFill(z, 0, 1)
+			}
 			u := normCoord(x, w)
 			v := normCoord(y, h)
 			sys := d.surf.at(u, v)
-			rnd := rng.NormMeanStd(0, p.RandomSigma)
+			rnd := 0 + p.RandomSigma*z[0]
 			base := p.NominalDelayPS * (1 + sys + rnd)
 			if base <= 0 {
 				// Astronomically unlikely with sane params; clamp rather
 				// than fabricate acausal devices.
 				base = p.NominalDelayPS * 0.01
 			}
-			vth := p.VthNom + rng.NormMeanStd(0, p.VthSigma)
+			vth := p.VthNom + (0 + p.VthSigma*z[1])
+			z = z[2:]
 			d.Devices[y*w+x] = Device{X: x, Y: y, Base: base, Vth: vth}
 		}
 	}
 	return d, nil
 }
+
+// dieFillDevices is the number of devices whose normals NewDieInto draws in
+// one fill.
+const dieFillDevices = 128
 
 // normCoord maps grid index i of n to [−1, 1].
 func normCoord(i, n int) float64 {

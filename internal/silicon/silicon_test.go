@@ -137,6 +137,73 @@ func TestNewDieIntoReusesStorage(t *testing.T) {
 	}
 }
 
+// fabricateScalar is NewDieInto's device loop as it was before the normals
+// came from fills: one NormMeanStd call per draw. It is the oracle
+// TestNewDieIntoMatchesScalarDraws holds the fills to.
+func fabricateScalar(p Params, w, h int, rng *rngx.RNG) ([]Device, surface) {
+	var surf surface
+	for i := range surf.c {
+		surf.c[i] = rng.NormMeanStd(0, p.SystematicAmp/2)
+	}
+	devices := make([]Device, w*h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			u := normCoord(x, w)
+			v := normCoord(y, h)
+			sys := surf.at(u, v)
+			rnd := rng.NormMeanStd(0, p.RandomSigma)
+			base := p.NominalDelayPS * (1 + sys + rnd)
+			if base <= 0 {
+				base = p.NominalDelayPS * 0.01
+			}
+			vth := p.VthNom + rng.NormMeanStd(0, p.VthSigma)
+			devices[y*w+x] = Device{X: x, Y: y, Base: base, Vth: vth}
+		}
+	}
+	return devices, surf
+}
+
+// TestNewDieIntoMatchesScalarDraws pins NewDieInto's chunked fills to the
+// scalar loop bit for bit: every device, the surface and the generator's
+// state afterwards, for grids whose device counts are odd and even, below
+// one fill, at one and across several.
+func TestNewDieIntoMatchesScalarDraws(t *testing.T) {
+	p := DefaultParams()
+	p.RandomSigma = 2 // large enough for the base clamp to fire on some devices
+	for _, params := range []Params{DefaultParams(), p} {
+		for _, dim := range [][2]int{{1, 1}, {3, 1}, {2, 2}, {5, 3}, {16, 8}, {1, 128}, {129, 1}, {13, 21}, {16, 32}, {40, 7}} {
+			w, h := dim[0], dim[1]
+			for seed := uint64(0); seed < 3; seed++ {
+				ref, got := rngx.New(seed), rngx.New(seed)
+				wantDevices, wantSurf := fabricateScalar(params, w, h, ref)
+				d, err := NewDie(params, w, h, got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.surf != wantSurf {
+					t.Fatalf("%dx%d seed %d: surface %v, want %v", w, h, seed, d.surf, wantSurf)
+				}
+				for i := range wantDevices {
+					a, b := d.Devices[i], wantDevices[i]
+					if a.X != b.X || a.Y != b.Y ||
+						math.Float64bits(a.Base) != math.Float64bits(b.Base) ||
+						math.Float64bits(a.Vth) != math.Float64bits(b.Vth) {
+						t.Fatalf("%dx%d seed %d: device %d %+v, want %+v", w, h, seed, i, a, b)
+					}
+				}
+				for i := 0; i < 3; i++ {
+					if a, b := got.Norm(), ref.Norm(); math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("%dx%d seed %d: draw %d after fabrication %v, want %v", w, h, seed, i, a, b)
+					}
+				}
+				if got.Uint64() != ref.Uint64() {
+					t.Fatalf("%dx%d seed %d: raw stream diverged after fabrication", w, h, seed)
+				}
+			}
+		}
+	}
+}
+
 func TestDeviceGridPositions(t *testing.T) {
 	d := testDie(t, 1)
 	if d.NumDevices() != 256 {
