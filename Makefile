@@ -61,12 +61,16 @@ perfbench-test:
 # Every benchmark runs 5 times; cmd/benchjson keeps each sample with its
 # count, median, min and max, heads the record with the machine
 # (goos, goarch, cpu, GOMAXPROCS, Go version), and echoes the raw output
-# so CI logs keep the numbers.
+# so CI logs keep the numbers. The measure, circuit and Gaussian-fill rows
+# take 30 ns to 1 ms per operation, so each of their samples runs for 0.2 s:
+# at a fixed 20 operations a sample of the fastest rows lasted tens of
+# microseconds and the five samples spread up to 2.4x. StreamVT (~11 ms per
+# operation) keeps 20 operations per sample.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkFleet(Enroll|Evaluate)' -benchmem -benchtime 3x -count 5 . | $(GO) run ./cmd/benchjson -o BENCH_fleet.json
-	( $(GO) test -run xxx -bench 'BenchmarkDdiffs(Naive|Fast)|BenchmarkPairDdiffs|BenchmarkHalfPeriod|BenchmarkBoardMeter|BenchmarkStreamVT' \
-		-benchmem -benchtime 20x -count 5 ./internal/measure ./internal/circuit ./internal/dataset; \
-	$(GO) test -run xxx -bench 'BenchmarkNormFill' -benchmem -benchtime 0.2s -count 5 ./internal/rngx ) \
+	( $(GO) test -run xxx -bench 'BenchmarkDdiffs(Naive|Fast)|BenchmarkPairDdiffs|BenchmarkHalfPeriod|BenchmarkBoardMeter|BenchmarkNormFill' \
+		-benchmem -benchtime 0.2s -count 5 ./internal/measure ./internal/circuit ./internal/rngx; \
+	$(GO) test -run xxx -bench 'BenchmarkStreamVT' -benchmem -benchtime 20x -count 5 ./internal/dataset ) \
 		| $(GO) run ./cmd/benchjson -o BENCH_measure.json
 	$(MAKE) bench-authserve
 

@@ -129,7 +129,7 @@ done:
 	if n := w.anomalyCount(); n > 0 {
 		return fmt.Errorf("watch: %d anomaly firing(s)", n)
 	}
-	if ratio := w.successRatio(); *minSuccess > 0 && ratio < *minSuccess {
+	if ratio, _ := w.successRatio(); *minSuccess > 0 && ratio < *minSuccess {
 		return fmt.Errorf("watch: scrape success ratio %.4f below -min-success %.4f", ratio, *minSuccess)
 	}
 	return nil
@@ -693,8 +693,10 @@ func (w *watcher) anomalyCount() int {
 	return w.firings
 }
 
-func (w *watcher) successRatio() float64 {
-	var scrapes, failures int
+// successRatio returns the share of scrapes that succeeded across every
+// target (0 before the first scrape) and the number of scrapes.
+func (w *watcher) successRatio() (ratio float64, scrapes int) {
+	var failures int
 	for _, t := range w.targets {
 		t.mu.Lock()
 		scrapes += t.scrapes
@@ -702,9 +704,9 @@ func (w *watcher) successRatio() float64 {
 		t.mu.Unlock()
 	}
 	if scrapes == 0 {
-		return 0
+		return 0, 0
 	}
-	return float64(scrapes-failures) / float64(scrapes)
+	return float64(scrapes-failures) / float64(scrapes), scrapes
 }
 
 // --- JSONL log --------------------------------------------------------------
@@ -927,17 +929,7 @@ func fetchStatsRate(ctx context.Context, client *http.Client, base string, sel s
 // summary renders the final verdict block.
 func (w *watcher) summary() string {
 	var b strings.Builder
-	var scrapes, failures int
-	for _, t := range w.targets {
-		t.mu.Lock()
-		scrapes += t.scrapes
-		failures += t.failures
-		t.mu.Unlock()
-	}
-	ratio := 0.0
-	if scrapes > 0 {
-		ratio = float64(scrapes-failures) / float64(scrapes)
-	}
+	ratio, scrapes := w.successRatio()
 	fmt.Fprintf(&b, "watch: %d scrapes across %d target(s), %.2f%% ok\n",
 		scrapes, len(w.targets), 100*ratio)
 	if !w.opt.RateSel.isZero() {

@@ -426,7 +426,7 @@ func TestWatcherEndToEnd(t *testing.T) {
 		}
 		clock.Advance(time.Second)
 	}
-	if ratio := w.successRatio(); ratio != 1 {
+	if ratio, _ := w.successRatio(); ratio != 1 {
 		t.Fatalf("success ratio %g on healthy servers", ratio)
 	}
 
@@ -492,7 +492,7 @@ func TestWatcherEndToEnd(t *testing.T) {
 	if w.anomalyCount() == 0 {
 		t.Error("anomalyCount is zero after firings")
 	}
-	if w.successRatio() >= 1 {
+	if ratio, _ := w.successRatio(); ratio >= 1 {
 		t.Error("success ratio did not drop after killing a target")
 	}
 	// Firings are deduplicated: a still-firing rule does not re-announce.

@@ -69,6 +69,19 @@ func TemperatureSweep() []Condition {
 	return out
 }
 
+// sweptConditions lists an environment board's conditions in measurement
+// order: nominal, then the voltage sweep, then the temperature sweep, each
+// condition once. A population board is measured at its first entry only.
+var sweptConditions = func() []Condition {
+	out := []Condition{NominalCondition}
+	for _, c := range append(VoltageSweep(), TemperatureSweep()...) {
+		if !slices.Contains(out, c) {
+			out = append(out, c)
+		}
+	}
+	return out
+}()
+
 // Board is one FPGA board of the RO-granularity dataset.
 type Board struct {
 	ID           int
@@ -92,27 +105,19 @@ func (b *Board) HasCondition(c Condition) bool {
 	return ok
 }
 
-// Conditions returns the measured conditions in deterministic order:
-// nominal first, then the voltage sweep, then the temperature sweep,
-// skipping absent entries and duplicates, then every other condition by
+// Conditions returns the measured conditions in deterministic order: those
+// of sweptConditions in its order, then every other condition by
 // (MilliVolts, DeciCelsius).
 func (b *Board) Conditions() []Condition {
 	out := make([]Condition, 0, len(b.Freq))
-	add := func(c Condition) {
-		if b.HasCondition(c) && !slices.Contains(out, c) {
+	for _, c := range sweptConditions {
+		if b.HasCondition(c) {
 			out = append(out, c)
 		}
 	}
-	add(NominalCondition)
-	for _, c := range VoltageSweep() {
-		add(c)
-	}
-	for _, c := range TemperatureSweep() {
-		add(c)
-	}
 	swept := len(out)
 	for c := range b.Freq {
-		if !slices.Contains(out[:swept], c) {
+		if !slices.Contains(sweptConditions, c) {
 			out = append(out, c)
 		}
 	}

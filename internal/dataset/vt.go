@@ -113,15 +113,9 @@ func generateVTBoard(cfg VTConfig, id int, env bool, rng *rngx.RNG, bm *measure.
 		dev := die.Device(i)
 		b.X[i], b.Y[i] = dev.X, dev.Y
 	}
-	conds := []Condition{NominalCondition}
+	conds := sweptConditions[:1]
 	if env {
-		seen := map[Condition]bool{NominalCondition: true}
-		for _, c := range append(VoltageSweep(), TemperatureSweep()...) {
-			if !seen[c] {
-				seen[c] = true
-				conds = append(conds, c)
-			}
-		}
+		conds = sweptConditions
 	}
 	mrng := rng.Split() // measurement-noise stream, separate from fabrication
 	for _, c := range conds {

@@ -45,11 +45,7 @@ func TestIDsAndDispatch(t *testing.T) {
 }
 
 func TestPufStreamsShape(t *testing.T) {
-	ds, err := sharedRunner.VT()
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams, err := pufStreams(ds, numNominalBoards, streamRingLen, core.Case1, true)
+	streams, err := sharedRunner.pufStreams(core.Case1, distillerDegree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +65,11 @@ func TestCase1AndCase2BitsNearlyIdentical(t *testing.T) {
 	// distilled data their response bits coincide essentially always
 	// (the paper's Fig. 3 statistics differ only in the second decimal).
 	// Guard that property: < 5% disagreement.
-	ds, err := sharedRunner.VT()
+	s1, err := sharedRunner.pufStreams(core.Case1, distillerDegree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := pufStreams(ds, numNominalBoards, streamRingLen, core.Case1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := pufStreams(ds, numNominalBoards, streamRingLen, core.Case2, true)
+	s2, err := sharedRunner.pufStreams(core.Case2, distillerDegree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +106,7 @@ func TestGroupPairsLayout(t *testing.T) {
 }
 
 func TestTableIRawFailsDistilledPasses(t *testing.T) {
-	res, err := sharedRunner.TableI()
+	res, err := sharedRunner.Run("tableI")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +122,7 @@ func TestTableIRawFailsDistilledPasses(t *testing.T) {
 }
 
 func TestTableIIMatchesPaperNarrative(t *testing.T) {
-	res, err := sharedRunner.TableII()
+	res, err := sharedRunner.Run("tableII")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +135,7 @@ func TestTableIIMatchesPaperNarrative(t *testing.T) {
 }
 
 func TestFig3Uniqueness(t *testing.T) {
-	res, err := sharedRunner.Fig3()
+	res, err := sharedRunner.Run("fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,16 +212,16 @@ func TestFig4Shape(t *testing.T) {
 	cells := 0
 	for _, board := range env {
 		for _, n := range []int{3, 5, 7, 9} {
-			bars, err := reliabilityCell(board, n, core.Case1, sweep)
+			cell, err := reliabilityCell(board, n, core.Case1, sweep)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(bars) != 7 {
-				t.Fatalf("cell has %d bars, want 7", len(bars))
+			if len(cell.Configurable) != len(sweep) {
+				t.Fatalf("cell has %d configurable bars, want %d", len(cell.Configurable), len(sweep))
 			}
-			confMid += bars[2]
-			trad += bars[5]
-			oo8 += bars[6]
+			confMid += cell.mid()
+			trad += cell.Traditional
+			oo8 += cell.OneOutOf8
 			cells++
 		}
 	}
@@ -256,12 +248,12 @@ func TestFig4NEquals7MidConfigZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, board := range ds.EnvBoards() {
-		bars, err := reliabilityCell(board, 7, core.Case1, dataset.VoltageSweep())
+		cell, err := reliabilityCell(board, 7, core.Case1, dataset.VoltageSweep())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bars[2] != 0 {
-			t.Errorf("board %d: n=7 mid-voltage flips %.2f%%, want 0", board.ID, bars[2])
+		if cell.mid() != 0 {
+			t.Errorf("board %d: n=7 mid-voltage flips %.2f%%, want 0", board.ID, cell.mid())
 		}
 	}
 }
@@ -275,14 +267,14 @@ func TestFig5TemperatureOnlyTraditionalFlips(t *testing.T) {
 	var conf, trad float64
 	for _, board := range ds.EnvBoards() {
 		for _, n := range []int{3, 5, 7, 9} {
-			bars, err := reliabilityCell(board, n, core.Case1, sweep)
+			cell, err := reliabilityCell(board, n, core.Case1, sweep)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 5; i++ {
-				conf += bars[i]
+			for _, v := range cell.Configurable {
+				conf += v
 			}
-			trad += bars[5]
+			trad += cell.Traditional
 		}
 	}
 	if conf != 0 {
@@ -294,7 +286,7 @@ func TestFig5TemperatureOnlyTraditionalFlips(t *testing.T) {
 }
 
 func TestTableVText(t *testing.T) {
-	res, err := sharedRunner.TableV()
+	res, err := sharedRunner.Run("tableV")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +298,7 @@ func TestTableVText(t *testing.T) {
 }
 
 func TestThresholdExperiment(t *testing.T) {
-	res, err := sharedRunner.Threshold()
+	res, err := sharedRunner.Run("threshold")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +339,7 @@ func TestThresholdExperiment(t *testing.T) {
 }
 
 func TestSummaryExperiment(t *testing.T) {
-	res, err := sharedRunner.Summary()
+	res, err := sharedRunner.Run("summary")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,6 +406,34 @@ func TestVerifyAllChecksPass(t *testing.T) {
 	for _, c := range checks {
 		if !c.OK {
 			t.Errorf("reproduction check failed: %s (%s)", c.Name, c.Got)
+		}
+	}
+}
+
+// TestVerifyValues pins every check's name, verdict and reported value at
+// the default dataset seeds, so a change that moves a gated number shows
+// here even while its verdict holds.
+func TestVerifyValues(t *testing.T) {
+	checks, err := sharedRunner.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Check{
+		{"raw bits fail NIST", true, "allPass=false"},
+		{"distilled bits pass NIST", true, "allPass=true"},
+		{"uniqueness near 50%", true, "50.0%"},
+		{"configurable n=7 mid-voltage 0% flips", true, "0.00%"},
+		{"traditional flips > 5x configurable", true, "trad=27.05%"},
+		{"Table V counts (n=5)", true, "conf=48 oo8=12"},
+		{"Case-2 keeps 32 bits at Rth=3", true, "32.0"},
+		{"traditional loses >1/3 at Rth=3", true, "14.6"},
+	}
+	if len(checks) != len(want) {
+		t.Fatalf("%d checks, want %d: %+v", len(checks), len(want), checks)
+	}
+	for i, c := range checks {
+		if c != want[i] {
+			t.Errorf("check %d = %+v, want %+v", i, c, want[i])
 		}
 	}
 }

@@ -22,43 +22,36 @@ import (
 	"ropuf/internal/stats"
 )
 
-// Security quantifies the paper's equal-count security constraint: a
+// security quantifies the paper's equal-count security constraint: a
 // stage-count predictor against Case-2 configurations (constrained) and
 // against an unconstrained margin maximizer.
-func (r *Runner) Security() (*Result, error) {
-	ds, err := r.VT()
+func (r *Runner) security() (string, error) {
+	boards, err := r.paperBoards()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	title := "Security — what configuration helper data predicts about the bits (§III.D)"
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
-
-	boards := ds.NominalBoards()
-	if len(boards) > numNominalBoards {
-		boards = boards[:numNominalBoards]
-	}
 	var constrained, unconstrained []core.Selection
 	var xConfigs []circuit.Config
 	for _, board := range boards {
-		delays, err := boardDelays(board, dataset.NominalCondition, true)
+		delays, err := boardDelays(board, dataset.NominalCondition, distillerDegree)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		pairs, err := groupPairs(delays, configRingLen)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		for _, p := range pairs {
 			c, err := core.SelectCase2(p.Alpha, p.Beta, core.Options{})
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			constrained = append(constrained, c)
 			xConfigs = append(xConfigs, c.X)
 			u, err := attack.SelectCase2Unconstrained(p.Alpha, p.Beta)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			unconstrained = append(unconstrained, u)
 		}
@@ -66,11 +59,11 @@ func (r *Runner) Security() (*Result, error) {
 	pred := attack.CountPredictor{}
 	resC, err := attack.Evaluate(pred, constrained)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	resU, err := attack.Evaluate(pred, unconstrained)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	fmt.Fprintf(&b, "Stage-count predictor (guess: ring with more stages is slower), %d pairs:\n\n", resC.Total)
 	fmt.Fprintf(&b, "%-34s %12s %12s %12s\n", "selection rule", "confident", "accuracy", "advantage")
@@ -81,35 +74,29 @@ func (r *Runner) Security() (*Result, error) {
 
 	h, err := attack.ConfigEntropyBits(xConfigs)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	fmt.Fprintf(&b, "\nEmpirical entropy of published top-ring configurations: %.2f bits (of %d)\n",
 		h, configRingLen)
 	fmt.Fprintf(&b, "\nReading: with the paper's equal-count rule the predictor must abstain on\nevery pair (advantage 0); dropping the rule lets stage counts broadcast the\nbit almost perfectly — the constraint is necessary, as §III.D argues.\n")
-	return &Result{ID: "security", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }
 
-// NISTLong concatenates every distilled PUF bit (97 × 96 = 9312) into one
+// nistLong concatenates every distilled PUF bit (97 × 96 = 9312) into one
 // sequence and runs the standard-suite tests that become applicable at
 // that length (LongestRun, DFT, templates, BlockFrequency M=128, …) —
 // tests the paper's per-stream format cannot reach.
-func (r *Runner) NISTLong() (*Result, error) {
-	ds, err := r.VT()
+func (r *Runner) nistLong() (string, error) {
+	streams, err := r.pufStreams(core.Case1, distillerDegree)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	title := "NIST (extension) — all 9312 distilled bits as one sequence"
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
-	streams, err := pufStreams(ds, numNominalBoards, streamRingLen, core.Case1, true)
-	if err != nil {
-		return nil, err
-	}
 	long := bits.Concat(streams...)
 	fmt.Fprintf(&b, "sequence length: %d bits\n\n", long.Len())
 	results, err := nist.RunAll(long, nist.StandardSuite())
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	totalSub, passSub := 0, 0
 	fmt.Fprintf(&b, "%-34s %10s %10s\n", "test", "sub-tests", "passed")
@@ -125,21 +112,19 @@ func (r *Runner) NISTLong() (*Result, error) {
 		fmt.Fprintf(&b, "%-34s %10d %10d\n", res.Test, len(res.PVs), p)
 	}
 	fmt.Fprintf(&b, "\n%d of %d sub-tests passed at alpha=0.01 (a few statistical failures\nare expected; systematic failure would indicate structured bits).\n", passSub, totalSub)
-	return &Result{ID: "nistlong", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }
 
 // maitiStages is the stage count of the Maiti–Schaumont comparator (their
 // FPL'09 design uses 3-stage rings in one CLB).
 const maitiStages = 3
 
-// Maiti compares the related-work configurable RO (per-stage 1-of-2
+// maiti compares the related-work configurable RO (per-stage 1-of-2
 // inverter multiplexing, shared configuration, 2^3 configurations) against
 // the paper's inverter-level scheme at n=3 and the traditional PUF, under
 // the voltage sweep.
-func (r *Runner) Maiti() (*Result, error) {
-	title := "Related work — Maiti–Schaumont CRO vs inverter-level configurable PUF"
+func (r *Runner) maiti() (string, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 
 	// Fabricate dedicated boards: per PUF pair, two rings × 3 stages × 2
 	// candidate inverters, from the same process as the in-house boards.
@@ -176,7 +161,7 @@ func (r *Runner) Maiti() (*Result, error) {
 		// 12 devices per Maiti pair; give the board a die with headroom.
 		die, err := silicon.NewDie(p, 32, pairsPerBoard, root.Split())
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		next := 0
 		take := func() silicon.Device {
@@ -199,34 +184,32 @@ func (r *Runner) Maiti() (*Result, error) {
 			topNom, botNom := delaysFor(mp, silicon.Nominal)
 			me, err := baseline.EnrollMaiti(topNom, botNom)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			maitiMargin += me.Margin
 
 			// Inverter-level configurable PUF on the SAME devices: treat
-			// the six top devices as one 6-stage ring's ddiffs (n=6).
-			alpha := make([]float64, 2*maitiStages)
-			beta := make([]float64, 2*maitiStages)
-			for s := 0; s < 2*maitiStages; s++ {
-				alpha[s] = die.DelayAtPS(mp.top[s], silicon.Nominal)
-				beta[s] = die.DelayAtPS(mp.bottom[s], silicon.Nominal)
+			// the six top devices as one 6-stage ring's ddiffs (n=6). The
+			// traditional PUF on the same hardware uses all stages
+			// (variant 0): its bit says the top ring is slower.
+			ringDelays := func(env silicon.Env) (alpha, beta []float64, tradBit bool) {
+				alpha = make([]float64, 2*maitiStages)
+				beta = make([]float64, 2*maitiStages)
+				var t, btm float64
+				for s := range alpha {
+					alpha[s] = die.DelayAtPS(mp.top[s], env)
+					beta[s] = die.DelayAtPS(mp.bottom[s], env)
+					t += alpha[s]
+					btm += beta[s]
+				}
+				return alpha, beta, t > btm
 			}
+			alpha, beta, tradNominal := ringDelays(silicon.Nominal)
 			ce, err := core.SelectCase2(alpha, beta, core.Options{})
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			confMargin += ce.Margin
-
-			// Traditional on the same hardware: all stages, variant 0.
-			tradBit := func(env silicon.Env) bool {
-				var t, btm float64
-				for s := 0; s < 2*maitiStages; s++ {
-					t += die.DelayAtPS(mp.top[s], env)
-					btm += die.DelayAtPS(mp.bottom[s], env)
-				}
-				return t > btm
-			}
-			tradNominal := tradBit(silicon.Nominal)
 
 			flippedM, flippedC, flippedT := false, false, false
 			for _, cond := range sweep {
@@ -237,25 +220,20 @@ func (r *Runner) Maiti() (*Result, error) {
 				topV, botV := delaysFor(mp, env)
 				mb, err := me.Evaluate(topV, botV)
 				if err != nil {
-					return nil, err
+					return "", err
 				}
 				if mb != me.Bit {
 					flippedM = true
 				}
-				av := make([]float64, 2*maitiStages)
-				bv := make([]float64, 2*maitiStages)
-				for s := 0; s < 2*maitiStages; s++ {
-					av[s] = die.DelayAtPS(mp.top[s], env)
-					bv[s] = die.DelayAtPS(mp.bottom[s], env)
-				}
+				av, bv, tradBit := ringDelays(env)
 				cb, _, err := ce.Evaluate(av, bv)
 				if err != nil {
-					return nil, err
+					return "", err
 				}
 				if cb != ce.Bit {
 					flippedC = true
 				}
-				if tradBit(env) != tradNominal {
+				if tradBit != tradNominal {
 					flippedT = true
 				}
 			}
@@ -277,36 +255,34 @@ func (r *Runner) Maiti() (*Result, error) {
 	fmt.Fprintf(&b, "%-38s %13.2f%% %13.1f ps\n", "inverter-level Case-2 (this paper)", 100*confFlips/n, confMargin/n)
 	fmt.Fprintf(&b, "%-38s %13.2f%% %16s\n", "traditional (no configurability)", 100*tradFlips/n, "-")
 	fmt.Fprintf(&b, "\nReading: the inverter-level scheme explores a strictly larger configuration\nspace on the same silicon, so it achieves larger enrolled margins and fewer\nflips than the per-stage 1-of-2 CRO, which in turn beats the traditional PUF.\n")
-	return &Result{ID: "maiti", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }
 
-// Parity quantifies what the physical odd-inversion constraint costs: the
+// parity quantifies what the physical odd-inversion constraint costs: the
 // paper's arithmetic ignores ring-oscillation parity; a real ring closed by
 // an inverting enable gate needs an odd number of selected inverters.
-func (r *Runner) Parity() (*Result, error) {
+func (r *Runner) parity() (string, error) {
 	boards, err := r.InHouse()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	title := "Ablation — odd-stage-count (physical oscillation) constraint"
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 	for _, mode := range []core.Mode{core.Case1, core.Case2} {
 		var free, odd []float64
 		oddViolations := 0
 		for _, board := range boards {
 			pairs, err := board.MeasurePairs(silicon.Nominal)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			for _, p := range pairs {
 				sf, err := core.Select(mode, p.Alpha, p.Beta, core.Options{})
 				if err != nil {
-					return nil, err
+					return "", err
 				}
 				so, err := core.Select(mode, p.Alpha, p.Beta, core.Options{RequireOddStages: true})
 				if err != nil {
-					return nil, err
+					return "", err
 				}
 				if so.X.Ones()%2 != 1 {
 					oddViolations++
@@ -326,5 +302,5 @@ func (r *Runner) Parity() (*Result, error) {
 		fmt.Fprintln(&b)
 	}
 	fmt.Fprintf(&b, "Reading: forcing oscillation-compatible (odd) stage counts costs only a few\npercent of margin — the paper's parity-free arithmetic is a safe idealization.\n")
-	return &Result{ID: "parity", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }

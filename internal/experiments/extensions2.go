@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ropuf/internal/baseline"
@@ -15,22 +16,19 @@ import (
 	"ropuf/internal/core"
 	"ropuf/internal/dataset"
 	"ropuf/internal/distill"
-	"ropuf/internal/nist"
 	"ropuf/internal/silicon"
 )
 
-// Utilization compares how many reliable bits each scheme extracts from
+// utilization compares how many reliable bits each scheme extracts from
 // the same 512-RO budget on the environment boards: configurable (margin
 // masking), traditional with a worst-case threshold, cooperative
 // (multi-corner enrollment) and 1-out-of-8.
-func (r *Runner) Utilization() (*Result, error) {
+func (r *Runner) utilization() (string, error) {
 	ds, err := r.VT()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	title := "Hardware utilization — reliable bits per 512-RO budget (n=5 rings)"
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 
 	env := ds.EnvBoards()
 	sweep := dataset.VoltageSweep()
@@ -56,105 +54,69 @@ func (r *Runner) Utilization() (*Result, error) {
 
 	for _, board := range env {
 		boards++
-		nominal, err := board.PeriodsPS(dataset.NominalCondition)
+		delays, ref, err := sweepDelays(board, n, sweep)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		numPairs, _, err := dataset.GroupBitsPerBoard(len(nominal), n)
-		if err != nil {
-			return nil, err
-		}
-		budget := 2 * n * numPairs
-
-		cornerDelays := make([][]float64, 0, len(sweep))
-		cornerDelays = append(cornerDelays, nominal[:budget])
-		for _, c := range sweep {
-			if c == dataset.NominalCondition {
-				continue
-			}
-			d, err := board.PeriodsPS(c)
-			if err != nil {
-				return nil, err
-			}
-			cornerDelays = append(cornerDelays, d[:budget])
-		}
-		evalFlips := func(enrolled *bits.Stream, eval func([]float64) (*bits.Stream, error)) (float64, error) {
-			flipped := make([]bool, enrolled.Len())
-			for _, d := range cornerDelays[1:] {
-				resp, err := eval(d)
-				if err != nil {
-					return 0, err
-				}
-				for i := 0; i < resp.Len(); i++ {
-					if resp.Bit(i) != enrolled.Bit(i) {
-						flipped[i] = true
-					}
-				}
-			}
-			c := 0
-			for _, f := range flipped {
-				if f {
-					c++
-				}
-			}
-			return 100 * float64(c) / float64(enrolled.Len()), nil
-		}
+		nominal := delays[ref]
 
 		// Configurable Case-2 with margin masking at a threshold scaled to
 		// the board's noise (60 ps, ~the voltage-induced perturbation).
 		pairs, err := groupPairs(nominal, n)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		conf, err := core.Enroll(pairs, core.Case2, 60, core.Options{})
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		confFlips, err := evalFlips(conf.Response, func(d []float64) (*bits.Stream, error) {
-			p, err := groupPairs(d[:budget], n)
+		confFlips, err := flipPercent(conf.Response, func(d []float64) (*bits.Stream, error) {
+			p, err := groupPairs(d, n)
 			if err != nil {
 				return nil, err
 			}
-			// groupPairs of a prefix needs full 512; use board pairs.
 			return conf.Evaluate(p)
-		})
+		}, delays, ref)
 		if err != nil {
-			// Fall back: evaluate on full-length pairs.
-			return nil, err
+			return "", err
 		}
 		addRow("configurable Case-2 (margin mask)", float64(conf.NumBits()), confFlips)
 
 		// Traditional with a worst-case threshold chosen to match the
 		// configurable bit reliability (120 ps).
-		trad, err := baseline.EnrollTraditional(nominal[:budget], 120)
+		trad, err := baseline.EnrollTraditional(nominal, 120)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		tradFlips, err := evalFlips(trad.Response, trad.Evaluate)
+		tradFlips, err := flipPercent(trad.Response, trad.Evaluate, delays, ref)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		addRow("traditional (worst-case Rth)", float64(trad.Response.Len()), tradFlips)
 
-		// Cooperative: multi-corner enrollment keeps stable pairs.
-		coop, err := baseline.EnrollCooperative(cornerDelays)
+		// Cooperative: multi-corner enrollment keeps the pairs stable at
+		// every corner. It takes the nominal corner first; the order of
+		// the others does not matter.
+		corners := slices.Clone(delays)
+		corners[0], corners[ref] = corners[ref], corners[0]
+		coop, err := baseline.EnrollCooperative(corners)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		coopFlips, err := evalFlips(coop.Response, coop.Evaluate)
+		coopFlips, err := flipPercent(coop.Response, coop.Evaluate, delays, ref)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		addRow("cooperative (multi-corner, ref [2])", float64(coop.Response.Len()), coopFlips)
 
 		// 1-out-of-8.
-		oo8, err := baseline.EnrollOneOutOf8(nominal[:budget])
+		oo8, err := baseline.EnrollOneOutOf8(nominal)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		oo8Flips, err := evalFlips(oo8.Response, oo8.Evaluate)
+		oo8Flips, err := flipPercent(oo8.Response, oo8.Evaluate, delays, ref)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		addRow("1-out-of-8", float64(oo8.Response.Len()), oo8Flips)
 	}
@@ -179,50 +141,39 @@ bit — the Table V accounting under which it ties traditional and beats
 yield but needs multi-corner enrollment measurements (in hardware,
 temperature sensors — the cost the paper's approach avoids).
 `)
-	return &Result{ID: "utilization", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }
 
-// Distiller regenerates the distiller's effect directly: spatial
+// distiller regenerates the distiller's effect directly: spatial
 // autocorrelation (Moran's I) of the per-RO periods before and after
 // distillation, and the NIST pass count as a function of polynomial degree.
-func (r *Runner) Distiller() (*Result, error) {
-	ds, err := r.VT()
+func (r *Runner) distiller() (string, error) {
+	boards, err := r.paperBoards()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	title := "Distiller — spatial structure removal and degree ablation"
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
-
-	boards := ds.NominalBoards()
-	if len(boards) > numNominalBoards {
-		boards = boards[:numNominalBoards]
-	}
 
 	// Moran's I on a sample of boards, raw vs degree-2 residuals.
 	const neighbourRadius = 2.0
 	var rawI, resI float64
 	const sample = 10
 	for _, board := range boards[:sample] {
-		periods, err := board.PeriodsPS(dataset.NominalCondition)
+		periods, err := boardDelays(board, dataset.NominalCondition, raw)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		iRaw, err := distill.MoransI(board.X, board.Y, periods, neighbourRadius)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		d, err := distill.New(distillerDegree)
+		res, err := boardDelays(board, dataset.NominalCondition, distillerDegree)
 		if err != nil {
-			return nil, err
-		}
-		res, err := d.Apply(board.X, board.Y, periods)
-		if err != nil {
-			return nil, err
+			return "", err
 		}
 		iRes, err := distill.MoransI(board.X, board.Y, res, neighbourRadius)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		rawI += iRaw
 		resI += iRes
@@ -234,75 +185,29 @@ func (r *Runner) Distiller() (*Result, error) {
 	// Degree ablation: NIST pass rows per distiller degree.
 	fmt.Fprintf(&b, "%-10s %18s %14s\n", "degree", "NIST rows passing", "all pass?")
 	for degree := 0; degree <= 4; degree++ {
-		streams, err := streamsWithDegree(ds, degree)
+		streams, err := r.pufStreams(core.Case1, degree)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		rep, err := nist.RunReport(streams, nist.ShortSuite(streams[0].Len()))
+		rep, passRows, err := nistShort(streams)
 		if err != nil {
-			return nil, err
-		}
-		passRows := 0
-		for _, row := range rep.Rows {
-			if row.Pass >= nist.MinPassCount(row.Total) {
-				passRows++
-			}
+			return "", err
 		}
 		fmt.Fprintf(&b, "%-10d %13d of %2d %14v\n", degree, passRows, len(rep.Rows), rep.AllPass())
 	}
 	fmt.Fprintf(&b, "\nReading: the raw data's spatial autocorrelation is what fails NIST; a\ndegree-2 surface already removes it (higher degrees buy nothing), matching\nthe regression-distiller design of the paper's reference [18].\n")
-	return &Result{ID: "distiller", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }
 
-// streamsWithDegree reproduces the Table-I stream pipeline with an explicit
-// distiller degree (degree < 0 would mean raw; 0..4 fit a surface).
-func streamsWithDegree(ds *dataset.Dataset, degree int) ([]*bits.Stream, error) {
-	boards := ds.NominalBoards()
-	if len(boards) > numNominalBoards {
-		boards = boards[:numNominalBoards]
-	}
-	responses := make([]*bits.Stream, len(boards))
-	d, err := distill.New(degree)
-	if err != nil {
-		return nil, err
-	}
-	for i, board := range boards {
-		periods, err := board.PeriodsPS(dataset.NominalCondition)
-		if err != nil {
-			return nil, err
-		}
-		vals, err := d.Apply(board.X, board.Y, periods)
-		if err != nil {
-			return nil, err
-		}
-		pairs, err := groupPairs(vals, streamRingLen)
-		if err != nil {
-			return nil, err
-		}
-		enr, err := core.Enroll(pairs, core.Case1, 0, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		responses[i] = enr.Response
-	}
-	var streams []*bits.Stream
-	for i := 0; i+1 < len(responses); i += 2 {
-		streams = append(streams, bits.Concat(responses[i], responses[i+1]))
-	}
-	return streams, nil
-}
-
-// Aging studies bit stability over device lifetime: enroll at t=0, then
+// aging studies bit stability over device lifetime: enroll at t=0, then
 // regenerate after 1..15 years of continuous oscillation, comparing the
 // configurable PUF against the traditional PUF on the same rings.
-func (r *Runner) Aging() (*Result, error) {
+func (r *Runner) aging() (string, error) {
 	boards, err := r.InHouse()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	title := "Aging (extension) — bit stability over device lifetime"
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 
 	years := []float64{1, 2, 5, 10, 15}
 	fmt.Fprintf(&b, "%-28s", "flipped positions (%)")
@@ -347,30 +252,25 @@ func (r *Runner) Aging() (*Result, error) {
 			flipped, total := 0, 0
 			for _, board := range boards {
 				fresh := silicon.Aging{}
+				var enrolled, regen *bits.Stream
 				switch scheme {
 				case "traditional":
 					delays, err := agedFullRingDelays(board, fresh)
 					if err != nil {
-						return nil, err
+						return "", err
 					}
 					enr, err := baseline.EnrollTraditional(delays, 0)
 					if err != nil {
-						return nil, err
+						return "", err
 					}
 					aged, err := agedFullRingDelays(board, stress)
 					if err != nil {
-						return nil, err
+						return "", err
 					}
-					resp, err := enr.Evaluate(aged)
-					if err != nil {
-						return nil, err
+					if regen, err = enr.Evaluate(aged); err != nil {
+						return "", err
 					}
-					for i := 0; i < resp.Len(); i++ {
-						total++
-						if resp.Bit(i) != enr.Response.Bit(i) {
-							flipped++
-						}
-					}
+					enrolled = enr.Response
 				default:
 					mode := core.Case2
 					if scheme == "configurable Case-1" {
@@ -378,32 +278,32 @@ func (r *Runner) Aging() (*Result, error) {
 					}
 					pairs, err := agedPairs(board, fresh)
 					if err != nil {
-						return nil, err
+						return "", err
 					}
 					enr, err := core.Enroll(pairs, mode, 0, core.Options{})
 					if err != nil {
-						return nil, err
+						return "", err
 					}
 					aged, err := agedPairs(board, stress)
 					if err != nil {
-						return nil, err
+						return "", err
 					}
-					resp, err := enr.Evaluate(aged)
-					if err != nil {
-						return nil, err
+					if regen, err = enr.Evaluate(aged); err != nil {
+						return "", err
 					}
-					for i := 0; i < resp.Len(); i++ {
-						total++
-						if resp.Bit(i) != enr.Response.Bit(i) {
-							flipped++
-						}
-					}
+					enrolled = enr.Response
 				}
+				d, err := bits.HammingDistance(regen, enrolled)
+				if err != nil {
+					return "", err
+				}
+				flipped += d
+				total += regen.Len()
 			}
 			fmt.Fprintf(&b, "%8.2f%%", 100*float64(flipped)/float64(total))
 		}
 		b.WriteString("\n")
 	}
 	fmt.Fprintf(&b, "\nReading: per-device aging spread erodes small margins first, so the\ntraditional PUF degrades years earlier than the margin-maximized\nconfigurable PUF (Case-2's larger margins buy the most headroom).\n")
-	return &Result{ID: "aging", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }

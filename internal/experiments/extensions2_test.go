@@ -7,7 +7,7 @@ import (
 )
 
 func TestUtilizationExperiment(t *testing.T) {
-	res, err := sharedRunner.Utilization()
+	res, err := sharedRunner.Run("utilization")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestUtilizationExperiment(t *testing.T) {
 }
 
 func TestDistillerExperiment(t *testing.T) {
-	res, err := sharedRunner.Distiller()
+	res, err := sharedRunner.Run("distiller")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDistillerExperiment(t *testing.T) {
 }
 
 func TestAgingExperiment(t *testing.T) {
-	res, err := sharedRunner.Aging()
+	res, err := sharedRunner.Run("aging")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestAgingExperiment(t *testing.T) {
 }
 
 func TestModelingExperiment(t *testing.T) {
-	res, err := sharedRunner.Modeling()
+	res, err := sharedRunner.Run("modeling")
 	if err != nil {
 		t.Fatal(err)
 	}

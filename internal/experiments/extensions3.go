@@ -18,49 +18,41 @@ import (
 	"ropuf/internal/silicon"
 )
 
-// Entropy estimates the min-entropy per response bit, raw vs distilled —
+// entropy estimates the min-entropy per response bit, raw vs distilled —
 // the key-generation view of the distiller's necessity.
-func (r *Runner) Entropy() (*Result, error) {
-	ds, err := r.VT()
-	if err != nil {
-		return nil, err
-	}
-	title := "Min-entropy (extension) — response bits as key material"
+func (r *Runner) entropy() (string, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 	fmt.Fprintf(&b, "%-12s %8s %8s %10s %8s\n", "corpus", "MCV", "Markov", "Shannon", "min")
-	for _, distilled := range []bool{false, true} {
-		streams, err := pufStreams(ds, numNominalBoards, streamRingLen, core.Case1, distilled)
+	for _, degree := range []int{raw, distillerDegree} {
+		streams, err := r.pufStreams(core.Case1, degree)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		corpus := bits.Concat(streams...)
 		est, err := entropy.MinEntropyPerBit(corpus)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		label := "raw"
-		if distilled {
+		if degree != raw {
 			label = "distilled"
 		}
 		fmt.Fprintf(&b, "%-12s %8.3f %8.3f %10.3f %8.3f\n",
 			label, est.MCV, est.Markov, est.Shannon, est.Min)
 	}
 	fmt.Fprintf(&b, "\nReading: systematic variation biases and correlates raw bits (min-entropy\nwell below 1 bit/bit); distilled bits are full-entropy key material, which\nis what lets the configurable PUF feed keys without conditioning.\n")
-	return &Result{ID: "entropy", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }
 
-// ECC compares key-generation cost across extractors on the in-house
+// ecc compares key-generation cost across extractors on the in-house
 // boards: no ECC (configurable PUF, margin-masked), repetition code and
 // Golay code on the traditional PUF's noisier bits.
-func (r *Runner) ECC() (*Result, error) {
+func (r *Runner) ecc() (string, error) {
 	boards, err := r.InHouse()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	title := "ECC cost (extension) — masking vs repetition vs Golay"
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 
 	corners := []silicon.Env{{V: 0.98, T: 25}, {V: 1.44, T: 25}, {V: 1.20, T: 65}, {V: 0.98, T: 65}}
 	type scheme struct {
@@ -87,11 +79,11 @@ func (r *Runner) ECC() (*Result, error) {
 		// Configurable PUF: the response IS the key; no helper data.
 		pairs, err := board.MeasurePairs(silicon.Nominal)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		enr, err := core.Enroll(pairs, core.Case2, 0, core.Options{})
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		s := add(order[0])
 		s.keyBits += enr.NumBits()
@@ -99,11 +91,11 @@ func (r *Runner) ECC() (*Result, error) {
 		for _, env := range corners {
 			p, err := board.MeasurePairs(env)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			regen, err := enr.Evaluate(p)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			s.attempts++
 			if !regen.Equal(enr.Response) {
@@ -112,14 +104,6 @@ func (r *Runner) ECC() (*Result, error) {
 		}
 
 		// Traditional PUF bits + extractors.
-		delays, err := board.FullRingDelays(silicon.Nominal)
-		if err != nil {
-			return nil, err
-		}
-		tradResp := bits.New(len(delays) / 2)
-		for i := 0; i+1 < len(delays); i += 2 {
-			tradResp.Append(delays[i] > delays[i+1])
-		}
 		regenAt := func(env silicon.Env) (*bits.Stream, error) {
 			d, err := board.FullRingDelays(env)
 			if err != nil {
@@ -131,11 +115,15 @@ func (r *Runner) ECC() (*Result, error) {
 			}
 			return out, nil
 		}
+		tradResp, err := regenAt(silicon.Nominal)
+		if err != nil {
+			return "", err
+		}
 
 		rep := fuzzy.Params{Repeat: 3}
 		repKey, repHelper, err := fuzzy.Gen(tradResp, rep, rng.Split())
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		s = add(order[1])
 		s.keyBits += repKey.Len()
@@ -144,11 +132,11 @@ func (r *Runner) ECC() (*Result, error) {
 		for _, env := range corners {
 			noisy, err := regenAt(env)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			rec, err := fuzzy.Rep(noisy, repHelper, rep)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			s.attempts++
 			if !rec.Equal(repKey) {
@@ -158,7 +146,7 @@ func (r *Runner) ECC() (*Result, error) {
 
 		gKey, gHelper, err := fuzzy.GolayGen(tradResp, rng.Split())
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		s = add(order[2])
 		s.keyBits += gKey.Len()
@@ -167,11 +155,11 @@ func (r *Runner) ECC() (*Result, error) {
 		for _, env := range corners {
 			noisy, err := regenAt(env)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			rec, err := fuzzy.GolayRep(noisy, gHelper)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			s.attempts++
 			if !rec.Equal(gKey) {
@@ -187,17 +175,15 @@ func (r *Runner) ECC() (*Result, error) {
 			s.name, s.keyBits, s.responseBits, s.helperBits, s.failedRecoveries, s.attempts)
 	}
 	fmt.Fprintf(&b, "\nReading: the configurable PUF turns every response bit into a key bit with\nzero helper data and zero corner failures — the \"eliminate the ECC\" claim.\nThe traditional PUF needs an extractor; Golay(23,12) keeps a better rate\nthan repetition but both publish helper data and burn response entropy.\n")
-	return &Result{ID: "ecc", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }
 
-// Sensitivity re-runs the headline reliability comparison across a grid of
+// sensitivity re-runs the headline reliability comparison across a grid of
 // process-variation magnitudes to show the conclusions are calibration-
 // robust: the configurable PUF beats the traditional PUF at every corner of
 // the swept parameter space.
-func (r *Runner) Sensitivity() (*Result, error) {
-	title := "Sensitivity (extension) — conclusions across process calibrations"
+func (r *Runner) sensitivity() (string, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 	fmt.Fprintf(&b, "Mean flipped-position %% under the voltage sweep (n=5, mid-voltage config).\n\n")
 	fmt.Fprintf(&b, "%10s %10s %14s %14s %8s\n", "randSigma", "vthSigma", "configurable", "traditional", "ratio")
 
@@ -214,21 +200,13 @@ func (r *Runner) Sensitivity() (*Result, error) {
 			cfg.Seed = base.Seed + uint64(rs*10) + uint64(vs*100)
 			ds, err := dataset.GenerateVT(cfg)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
-			var conf, trad float64
-			cells := 0
-			for _, board := range ds.EnvBoards() {
-				bars, err := reliabilityCell(board, 5, core.Case1, dataset.VoltageSweep())
-				if err != nil {
-					return nil, err
-				}
-				conf += bars[2] // mid-voltage configuration
-				trad += bars[5]
-				cells++
+			_, mean, err := reliabilityGrid(ds, []int{5}, core.Case1, dataset.VoltageSweep())
+			if err != nil {
+				return "", err
 			}
-			conf /= float64(cells)
-			trad /= float64(cells)
+			conf, trad := mean.mid(), mean.Traditional
 			ratio := 0.0
 			if trad > 0 {
 				ratio = conf / trad
@@ -242,5 +220,5 @@ func (r *Runner) Sensitivity() (*Result, error) {
 	}
 	fmt.Fprintf(&b, "\nWorst configurable/traditional flip ratio across the grid: %.2f\n", worstRatio)
 	fmt.Fprintf(&b, "Reading: the configurable PUF's advantage is structural (margin\nmaximization), not an artifact of one choice of variation magnitudes.\n")
-	return &Result{ID: "sensitivity", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }

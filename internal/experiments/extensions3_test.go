@@ -6,7 +6,7 @@ import (
 )
 
 func TestEntropyExperiment(t *testing.T) {
-	res, err := sharedRunner.Entropy()
+	res, err := sharedRunner.Run("entropy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestEntropyExperiment(t *testing.T) {
 }
 
 func TestECCExperiment(t *testing.T) {
-	res, err := sharedRunner.ECC()
+	res, err := sharedRunner.Run("ecc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestECCExperiment(t *testing.T) {
 }
 
 func TestSensitivityExperiment(t *testing.T) {
-	res, err := sharedRunner.Sensitivity()
+	res, err := sharedRunner.Run("sensitivity")
 	if err != nil {
 		t.Fatal(err)
 	}

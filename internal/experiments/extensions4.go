@@ -13,26 +13,25 @@ import (
 	"ropuf/internal/core"
 	"ropuf/internal/dataset"
 	"ropuf/internal/entropy"
+	"ropuf/internal/metrics"
 	"ropuf/internal/nist"
 	"ropuf/internal/rngx"
 	"ropuf/internal/silicon"
 	"ropuf/internal/trng"
 )
 
-// TRNG sweeps the jitter-to-period ratio of a ring-oscillator TRNG and
+// trng sweeps the jitter-to-period ratio of a ring-oscillator TRNG and
 // reports bit quality raw and after conditioning.
-func (r *Runner) TRNG() (*Result, error) {
-	title := "TRNG (extension) — RO-jitter random number generation"
+func (r *Runner) trng() (string, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 
 	die, err := silicon.NewDie(silicon.DefaultParams(), 8, 8, rngx.New(0x54524e47)) // "TRNG"
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	ring, err := circuit.NewBuilder(die).BuildRing(5, circuit.DefaultMuxScale, circuit.DefaultWireScale)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	cfg := circuit.AllSelected(5)
 
@@ -44,17 +43,17 @@ func (r *Runner) TRNG() (*Result, error) {
 	for _, jitter := range []float64{0.5, 2, 10, 40, 120} {
 		g, err := trng.New(ring, cfg, silicon.Nominal, sample, jitter, rngx.New(uint64(jitter*1000)))
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		raw := g.Bits(rawBits)
 		bias := float64(raw.OnesCount())/float64(raw.Len()) - 0.5
 		est, err := entropy.MinEntropyPerBit(raw)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		results, err := nist.RunAll(raw, nist.ShortSuite(raw.Len()))
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		fails := 0
 		for _, res := range results {
@@ -66,17 +65,17 @@ func (r *Runner) TRNG() (*Result, error) {
 		}
 		folded, err := trng.XORFold(raw, 8)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		festEst, err := entropy.MinEntropyPerBit(folded)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		fmt.Fprintf(&b, "%9.1f ps %12.3f %10.4f %12.3f %14d %12.3f\n",
 			jitter, g.AccumulatedSigmaPS()/g.PeriodPS(), bias, est.Min, fails, festEst.Min)
 	}
 	fmt.Fprintf(&b, "\nReading: entropy turns on once the jitter accumulated per sample\napproaches the ring period; below that, raw bits are structured and even\n8-fold XOR compression cannot fully repair them — sampling slower (or a\nnoisier ring) is the honest fix, as TRNG practice prescribes.\n")
-	return &Result{ID: "trng", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }
 
 // pairingStrategy maps a board's RO delays into PUF pairs under a physical
@@ -150,27 +149,15 @@ func pairingStrategies() []pairingStrategy {
 	}
 }
 
-// Pairing compares physical pairing disciplines on RAW (undistilled) data:
+// pairing compares physical pairing disciplines on RAW (undistilled) data:
 // smarter layouts suppress systematic variation at enrollment time, doing
 // part of the distiller's job for free.
-func (r *Runner) Pairing() (*Result, error) {
-	ds, err := r.VT()
-	if err != nil {
-		return nil, err
-	}
-	title := "Pairing (extension) — physical layout vs systematic variation"
+func (r *Runner) pairing() (string, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 	fmt.Fprintf(&b, "Raw (undistilled) periods, n=%d rings, Case-1 selection, 97 x 96-bit streams.\n\n", streamRingLen)
 	fmt.Fprintf(&b, "%-18s %12s %14s %16s\n", "pairing", "bit bias", "NIST rows pass", "uniqueness %")
-
-	boards := ds.NominalBoards()
-	if len(boards) > numNominalBoards {
-		boards = boards[:numNominalBoards]
-	}
 	for _, strat := range pairingStrategies() {
-		responses := make([]*bits.Stream, len(boards))
-		for bi, board := range boards {
+		streams, err := r.boardStreams(func(board *dataset.Board) (*bits.Stream, error) {
 			periods, err := board.PeriodsPS(dataset.NominalCondition)
 			if err != nil {
 				return nil, err
@@ -181,12 +168,12 @@ func (r *Runner) Pairing() (*Result, error) {
 			}
 			pairs := make([]core.Pair, numPairs)
 			for p := 0; p < numPairs; p++ {
-				ti, bi2 := strat.pick(p, streamRingLen)
+				ti, bi := strat.pick(p, streamRingLen)
 				alpha := make([]float64, streamRingLen)
 				beta := make([]float64, streamRingLen)
 				for i := 0; i < streamRingLen; i++ {
 					alpha[i] = periods[ti[i]]
-					beta[i] = periods[bi2[i]]
+					beta[i] = periods[bi[i]]
 				}
 				pairs[p] = core.Pair{Alpha: alpha, Beta: beta}
 			}
@@ -194,41 +181,24 @@ func (r *Runner) Pairing() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			responses[bi] = enr.Response
-		}
-		var streams []*bits.Stream
-		for i := 0; i+1 < len(responses); i += 2 {
-			streams = append(streams, bits.Concat(responses[i], responses[i+1]))
+			return enr.Response, nil
+		})
+		if err != nil {
+			return "", err
 		}
 		corpus := bits.Concat(streams...)
 		bias := float64(corpus.OnesCount())/float64(corpus.Len()) - 0.5
-		rep, err := nist.RunReport(streams, nist.ShortSuite(streams[0].Len()))
+		rep, passRows, err := nistShort(streams)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		passRows := 0
-		for _, row := range rep.Rows {
-			if row.Pass >= nist.MinPassCount(row.Total) {
-				passRows++
-			}
+		hd, err := metrics.ComputeInterChipHD(streams)
+		if err != nil {
+			return "", err
 		}
-		// Uniqueness across streams.
-		var meanHD float64
-		pairsN := 0
-		for i := 0; i < len(streams); i++ {
-			for j := i + 1; j < len(streams); j++ {
-				d, err := bits.HammingDistance(streams[i], streams[j])
-				if err != nil {
-					return nil, err
-				}
-				meanHD += float64(d)
-				pairsN++
-			}
-		}
-		uniq := 100 * meanHD / float64(pairsN) / float64(streams[0].Len())
 		fmt.Fprintf(&b, "%-18s %+12.4f %8d of %2d %15.1f%%\n",
-			strat.name, bias, passRows, len(rep.Rows), uniq)
+			strat.name, bias, passRows, len(rep.Rows), hd.UniquenessPercent())
 	}
 	fmt.Fprintf(&b, "\nReading: layout choices matter as much as post-processing. Naive\ninterleaving is a trap — the bottom RO always sits one placement step after\nthe top, so a gradient biases every stage the same way and the bits fail\nNIST even harder than adjacent blocks. Common-centroid (ABBA) pairing\ncancels linear gradients exactly and passes every NIST row on RAW data —\na layout-time complement to the regression distiller, which then only has\nsurface curvature left to remove.\n")
-	return &Result{ID: "pairing", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestTRNGExperiment(t *testing.T) {
-	res, err := sharedRunner.TRNG()
+	res, err := sharedRunner.Run("trng")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestTRNGExperiment(t *testing.T) {
 }
 
 func TestPairingExperiment(t *testing.T) {
-	res, err := sharedRunner.Pairing()
+	res, err := sharedRunner.Run("pairing")
 	if err != nil {
 		t.Fatal(err)
 	}

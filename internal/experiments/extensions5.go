@@ -16,16 +16,14 @@ import (
 	"ropuf/internal/stats"
 )
 
-// Multibit extracts several disjoint-configuration bits per ring pair and
+// multibit extracts several disjoint-configuration bits per ring pair and
 // measures each extraction round's margin and voltage-sweep stability.
-func (r *Runner) Multibit() (*Result, error) {
+func (r *Runner) multibit() (string, error) {
 	boards, err := r.InHouse()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	title := "Multi-bit (extension) — disjoint configurations per ring pair"
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 
 	const maxBits = 4
 	sweep := []silicon.Env{{V: 0.98, T: 25}, {V: 1.08, T: 25}, {V: 1.32, T: 25}, {V: 1.44, T: 25}}
@@ -40,20 +38,20 @@ func (r *Runner) Multibit() (*Result, error) {
 	for _, board := range boards {
 		nomPairs, err := board.MeasurePairs(silicon.Nominal)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		envPairs := make([][]core.Pair, len(sweep))
 		for i, env := range sweep {
 			p, err := board.MeasurePairs(env)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			envPairs[i] = p
 		}
 		for pi, p := range nomPairs {
 			sels, err := core.SelectMulti(core.Case2, p.Alpha, p.Beta, maxBits, 0, core.Options{})
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			for ri, sel := range sels {
 				rounds[ri].count++
@@ -61,7 +59,7 @@ func (r *Runner) Multibit() (*Result, error) {
 				for ei := range sweep {
 					bit, _, err := sel.Evaluate(envPairs[ei][pi].Alpha, envPairs[ei][pi].Beta)
 					if err != nil {
-						return nil, err
+						return "", err
 					}
 					rounds[ri].evals++
 					if bit != sel.Bit {
@@ -81,21 +79,19 @@ func (r *Runner) Multibit() (*Result, error) {
 			ri+1, rd.count, rd.margin/float64(rd.count), 100*float64(rd.flips)/float64(rd.evals))
 	}
 	fmt.Fprintf(&b, "\nReading: a second disjoint configuration still carries a usable margin\n(the stages the first bit skipped), trading yield against reliability —\nround-1 bits stay rock solid while later rounds need the §IV.E threshold\nto mask their weakest instances. One pair is worth more than one bit.\n")
-	return &Result{ID: "multibit", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }
 
-// Measurement ablates the §III.B protocol's accuracy against measurement
+// measurement ablates the §III.B protocol's accuracy against measurement
 // noise and averaging: RMSE of recovered ddiffs (leave-one-out vs
 // per-stage singleton) and the downstream enrollment-bit agreement with
 // noiseless ground truth.
-func (r *Runner) Measurement() (*Result, error) {
+func (r *Runner) measurement() (string, error) {
 	boards, err := r.InHouse()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	title := "Measurement (extension) — §III.B protocol accuracy ablation"
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 	board := boards[0]
 
 	// Ground-truth ddiffs and bits.
@@ -107,7 +103,7 @@ func (r *Runner) Measurement() (*Result, error) {
 	for i := 0; i+1 < len(board.Rings); i += 2 {
 		sel, err := core.SelectCase2(truth[i], truth[i+1], core.Options{})
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		truthBits = append(truthBits, sel.Bit)
 	}
@@ -128,11 +124,11 @@ func (r *Runner) Measurement() (*Result, error) {
 			for i, ring := range board.Rings {
 				loo, err := meter.Ddiffs(ring)
 				if err != nil {
-					return nil, err
+					return "", err
 				}
 				single, err := meter.DdiffsSingleton(ring)
 				if err != nil {
-					return nil, err
+					return "", err
 				}
 				est[i] = loo
 				for k := range truth[i] {
@@ -146,7 +142,7 @@ func (r *Runner) Measurement() (*Result, error) {
 			for i := 0; i+1 < len(board.Rings); i += 2 {
 				sel, err := core.SelectCase2(est[i], est[i+1], core.Options{})
 				if err != nil {
-					return nil, err
+					return "", err
 				}
 				if sel.Bit == truthBits[i/2] {
 					agree++
@@ -165,10 +161,10 @@ func (r *Runner) Measurement() (*Result, error) {
 	for i := 0; i+1 < len(board.Rings); i += 2 {
 		sel, err := core.SelectCase2(truth[i], truth[i+1], core.Options{})
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		margins = append(margins, sel.Margin)
 	}
 	fmt.Fprintf(&b, "\nMean true Case-2 margin: %.1f ps — estimation error stays an order of\nmagnitude below it for realistic counter noise, so enrollment decisions\n(and hence bits) are insensitive to the measurement protocol's error.\n", stats.Mean(margins))
-	return &Result{ID: "measurement", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestMultibitExperiment(t *testing.T) {
-	res, err := sharedRunner.Multibit()
+	res, err := sharedRunner.Run("multibit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestMultibitExperiment(t *testing.T) {
 }
 
 func TestMeasurementExperiment(t *testing.T) {
-	res, err := sharedRunner.Measurement()
+	res, err := sharedRunner.Run("measurement")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,11 @@ func TestMeasurementExperiment(t *testing.T) {
 func TestFig4Case2MoreReliableThanCase1(t *testing.T) {
 	// The paper's §IV.D closing remark: Case-2's extra flexibility makes it
 	// more reliable than Case-1. Compare mid-voltage means.
-	c1, err := sharedRunner.Fig4()
+	c1, err := sharedRunner.Run("fig4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := sharedRunner.Fig4Case2()
+	c2, err := sharedRunner.Run("fig4case2")
 	if err != nil {
 		t.Fatal(err)
 	}

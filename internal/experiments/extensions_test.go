@@ -7,7 +7,7 @@ import (
 )
 
 func TestSecurityExperiment(t *testing.T) {
-	res, err := sharedRunner.Security()
+	res, err := sharedRunner.Run("security")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestSecurityExperiment(t *testing.T) {
 }
 
 func TestNISTLongExperiment(t *testing.T) {
-	res, err := sharedRunner.NISTLong()
+	res, err := sharedRunner.Run("nistlong")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestNISTLongExperiment(t *testing.T) {
 }
 
 func TestMaitiExperiment(t *testing.T) {
-	res, err := sharedRunner.Maiti()
+	res, err := sharedRunner.Run("maiti")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMaitiExperiment(t *testing.T) {
 }
 
 func TestParityExperiment(t *testing.T) {
-	res, err := sharedRunner.Parity()
+	res, err := sharedRunner.Run("parity")
 	if err != nil {
 		t.Fatal(err)
 	}

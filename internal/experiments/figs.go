@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"ropuf/internal/baseline"
@@ -13,25 +14,19 @@ import (
 	"ropuf/internal/metrics"
 )
 
-// Fig3 reproduces Fig. 3: histograms of pairwise inter-chip Hamming
+// fig3 reproduces Fig. 3: histograms of pairwise inter-chip Hamming
 // distance of the 97 96-bit PUF output streams, for Case-1 and Case-2.
 // Paper: mean 46.88 / σ 4.89 (Case-1) and 46.79 / 4.95 (Case-2).
-func (r *Runner) Fig3() (*Result, error) {
-	ds, err := r.VT()
-	if err != nil {
-		return nil, err
-	}
-	title := "Fig. 3 — inter-chip HD of configurable PUF outputs"
+func (r *Runner) fig3() (string, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 	for _, mode := range []core.Mode{core.Case1, core.Case2} {
-		streams, err := pufStreams(ds, numNominalBoards, streamRingLen, mode, true)
+		streams, err := r.pufStreams(mode, distillerDegree)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		hd, err := metrics.ComputeInterChipHD(streams)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		fmt.Fprintf(&b, "%s: %d streams x %d bits, %d pairs\n",
 			mode, hd.NumResponses, hd.BitsPerResp, hd.NumPairs)
@@ -45,7 +40,7 @@ func (r *Runner) Fig3() (*Result, error) {
 		b.WriteString("\n")
 	}
 	fmt.Fprintf(&b, "Paper: Case-1 mean 46.88 / std 4.89; Case-2 mean 46.79 / std 4.95; bell-shaped.\n")
-	return &Result{ID: "fig3", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }
 
 func maxCount(m map[int]int) int {
@@ -58,175 +53,200 @@ func maxCount(m map[int]int) int {
 	return max
 }
 
-// reliabilityCell computes, for one environment board and ring length n,
-// the seven bars of one Fig. 4/5 subplot: the flipped-bit-position
-// percentage of (a) the configurable PUF enrolled at each of the sweep's
-// conditions, (b) the traditional PUF, and (c) the 1-out-of-8 PUF, all
-// evaluated across the full sweep against the nominal-condition baseline.
-func reliabilityCell(b *dataset.Board, n int, mode core.Mode, sweep []dataset.Condition) ([]float64, error) {
-	bars := make([]float64, 0, len(sweep)+2)
+// reliabilityBars is one Fig. 4/5 cell: the percentage of bit positions
+// that flip at any non-nominal sweep condition against the nominal
+// regeneration, for the configurable PUF enrolled at each sweep condition
+// (in sweep order), the traditional PUF and the 1-out-of-8 PUF.
+type reliabilityBars struct {
+	Configurable []float64
+	Traditional  float64
+	OneOutOf8    float64
+}
 
-	// Delay vectors per condition (raw — reliability uses physical
-	// measurements, the distiller only serves randomness extraction).
-	delays := map[dataset.Condition][]float64{}
-	for _, c := range sweep {
-		d, err := b.PeriodsPS(c)
-		if err != nil {
-			return nil, err
-		}
-		delays[c] = d
+// mid is the configurable PUF enrolled at the sweep's middle condition,
+// the paper's best enrollment point.
+func (c reliabilityBars) mid() float64 { return c.Configurable[len(c.Configurable)/2] }
+
+// render writes the cell's bars, the configurable ones first and set off
+// from the two baselines by a bar.
+func (c reliabilityBars) render(b *strings.Builder) {
+	for _, v := range c.Configurable {
+		fmt.Fprintf(b, "%6.2f", v)
 	}
-	nominal, err := b.PeriodsPS(dataset.NominalCondition)
+	fmt.Fprintf(b, " |%6.2f%6.2f", c.Traditional, c.OneOutOf8)
+}
+
+// ringLens are the ring lengths of the paper's Table V columns and of each
+// board's Fig. 4/5 cells.
+var ringLens = []int{3, 5, 7, 9}
+
+// reliabilityGrid computes the Fig. 4/5 cell of every environment board of
+// ds (cells[board]) at every ring length of ns (cells[board][n]), and
+// their mean.
+func reliabilityGrid(ds *dataset.Dataset, ns []int, mode core.Mode, sweep []dataset.Condition) (cells [][]reliabilityBars, mean reliabilityBars, err error) {
+	env := ds.EnvBoards()
+	if len(env) == 0 {
+		return nil, mean, fmt.Errorf("experiments: dataset has no environment boards")
+	}
+	cells = make([][]reliabilityBars, len(env))
+	mean.Configurable = make([]float64, len(sweep))
+	for bi, board := range env {
+		cells[bi] = make([]reliabilityBars, len(ns))
+		for ni, n := range ns {
+			c, err := reliabilityCell(board, n, mode, sweep)
+			if err != nil {
+				return nil, mean, fmt.Errorf("experiments: board %d n=%d: %w", board.ID, n, err)
+			}
+			for i, v := range c.Configurable {
+				mean.Configurable[i] += v
+			}
+			mean.Traditional += c.Traditional
+			mean.OneOutOf8 += c.OneOutOf8
+			cells[bi][ni] = c
+		}
+	}
+	k := float64(len(env) * len(ns))
+	for i := range mean.Configurable {
+		mean.Configurable[i] /= k
+	}
+	mean.Traditional /= k
+	mean.OneOutOf8 /= k
+	return cells, mean, nil
+}
+
+// reliabilityCell computes one environment board's Fig. 4/5 cell for ring
+// length n. The traditional and 1-out-of-8 PUFs consume the configurable
+// PUF's RO budget: the first 2·n·pairs ROs, paired consecutively for
+// traditional, in groups of 8 for 1-out-of-8. Reliability uses physical
+// measurements; the distiller only serves randomness extraction.
+func reliabilityCell(b *dataset.Board, n int, mode core.Mode, sweep []dataset.Condition) (reliabilityBars, error) {
+	var cell reliabilityBars
+	delays, ref, err := sweepDelays(b, n, sweep)
 	if err != nil {
-		return nil, err
+		return cell, err
 	}
 
 	// Configurable PUF: one bar per configuration condition. The sweep's
 	// enrollments are one fleet batch — each configuration condition is a
 	// "device" enrolled and evaluated concurrently, compared against its
 	// own regeneration at the nominal condition.
-	refEnv := -1
 	envs := make([][]core.Pair, len(sweep))
-	for i, c := range sweep {
-		pairs, err := groupPairs(delays[c], n)
-		if err != nil {
-			return nil, err
-		}
-		envs[i] = pairs
-		if c == dataset.NominalCondition {
-			refEnv = i
-		}
-	}
-	if refEnv < 0 {
-		return nil, fmt.Errorf("experiments: sweep %v lacks the nominal condition", condLabels(sweep))
-	}
 	devices := make([]fleet.Device, len(sweep))
 	for i, c := range sweep {
+		if envs[i], err = groupPairs(delays[i], n); err != nil {
+			return cell, err
+		}
 		devices[i] = fleet.Device{ID: c.String(), Pairs: envs[i]}
 	}
 	enrollRep, err := fleet.Enroll(context.Background(), devices, fleet.Options{Mode: mode})
 	if err != nil {
-		return nil, err
+		return cell, err
 	}
 	jobs := make([]fleet.EvalJob, len(sweep))
 	for i, res := range enrollRep.Results {
 		if res.Err != nil {
-			return nil, res.Err
+			return cell, res.Err
 		}
-		jobs[i] = fleet.EvalJob{ID: res.ID, Enrollment: res.Enrollment, Envs: envs, RefEnv: refEnv}
+		jobs[i] = fleet.EvalJob{ID: res.ID, Enrollment: res.Enrollment, Envs: envs, RefEnv: ref}
 	}
 	evalRep, err := fleet.Evaluate(context.Background(), jobs, fleet.Options{})
 	if err != nil {
-		return nil, err
+		return cell, err
 	}
 	for _, res := range evalRep.Results {
 		if res.Err != nil {
-			return nil, res.Err
+			return cell, res.Err
 		}
-		bars = append(bars, res.Reliability.FlippedPositionPercent())
+		cell.Configurable = append(cell.Configurable, res.Reliability.FlippedPositionPercent())
 	}
 
-	// Traditional and 1-out-of-8 PUFs consume the same RO budget: the first
-	// 2·n·pairs ROs for traditional (pairing consecutive ROs), all groups
-	// of 8 within that budget for 1-out-of-8.
-	numPairs, _, err := dataset.GroupBitsPerBoard(len(nominal), n)
+	trad, err := baseline.EnrollTraditional(delays[ref], 0)
 	if err != nil {
-		return nil, err
+		return cell, err
 	}
-	budget := 2 * n * numPairs
+	if cell.Traditional, err = flipPercent(trad.Response, trad.Evaluate, delays, ref); err != nil {
+		return cell, err
+	}
+	oo8, err := baseline.EnrollOneOutOf8(delays[ref])
+	if err != nil {
+		return cell, err
+	}
+	cell.OneOutOf8, err = flipPercent(oo8.Response, oo8.Evaluate, delays, ref)
+	return cell, err
+}
 
-	trad, err := baseline.EnrollTraditional(nominal[:budget], 0)
-	if err != nil {
-		return nil, err
+// sweepDelays returns a board's per-RO periods at each condition of sweep,
+// in sweep order, cut to the ROs that n-stage pairs consume, and the index
+// of the nominal condition.
+func sweepDelays(b *dataset.Board, n int, sweep []dataset.Condition) (delays [][]float64, ref int, err error) {
+	ref = slices.Index(sweep, dataset.NominalCondition)
+	if ref < 0 {
+		return nil, 0, fmt.Errorf("experiments: sweep %v lacks the nominal condition", condLabels(sweep))
 	}
-	var tradRegen []*bits.Stream
-	for _, c := range sweep {
-		if c == dataset.NominalCondition {
+	numPairs, _, err := dataset.GroupBitsPerBoard(b.NumROs(), n)
+	if err != nil {
+		return nil, 0, err
+	}
+	delays = make([][]float64, len(sweep))
+	for i, c := range sweep {
+		d, err := b.PeriodsPS(c)
+		if err != nil {
+			return nil, 0, err
+		}
+		delays[i] = d[:2*n*numPairs]
+	}
+	return delays, ref, nil
+}
+
+// flipPercent regenerates an enrolled response from every entry of delays
+// but the reference one, and returns the percentage of its bit positions
+// that flip in at least one regeneration.
+func flipPercent(enrolled *bits.Stream, eval func([]float64) (*bits.Stream, error), delays [][]float64, ref int) (float64, error) {
+	regen := make([]*bits.Stream, 0, len(delays)-1)
+	for i, d := range delays {
+		if i == ref {
 			continue
 		}
-		resp, err := trad.Evaluate(delays[c][:budget])
+		resp, err := eval(d)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		tradRegen = append(tradRegen, resp)
+		regen = append(regen, resp)
 	}
-	tradRel, err := metrics.ComputeReliability(trad.Response, tradRegen)
+	rel, err := metrics.ComputeReliability(enrolled, regen)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	bars = append(bars, tradRel.FlippedPositionPercent())
-
-	oo8, err := baseline.EnrollOneOutOf8(nominal[:budget])
-	if err != nil {
-		return nil, err
-	}
-	var oo8Regen []*bits.Stream
-	for _, c := range sweep {
-		if c == dataset.NominalCondition {
-			continue
-		}
-		resp, err := oo8.Evaluate(delays[c][:budget])
-		if err != nil {
-			return nil, err
-		}
-		oo8Regen = append(oo8Regen, resp)
-	}
-	oo8Rel, err := metrics.ComputeReliability(oo8.Response, oo8Regen)
-	if err != nil {
-		return nil, err
-	}
-	bars = append(bars, oo8Rel.FlippedPositionPercent())
-
-	return bars, nil
+	return rel.FlippedPositionPercent(), nil
 }
 
 // reliabilityFigure renders a Fig. 4/5-style grid: five environment boards
 // (rows) × four ring lengths (columns), seven bars per cell.
-func (r *Runner) reliabilityFigure(id, title string, sweep []dataset.Condition, mode core.Mode) (*Result, error) {
+func (r *Runner) reliabilityFigure(sweep []dataset.Condition, mode core.Mode) (string, error) {
 	ds, err := r.VT()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	env := ds.EnvBoards()
-	if len(env) == 0 {
-		return nil, fmt.Errorf("experiments: dataset has no environment boards")
+	cells, mean, err := reliabilityGrid(ds, ringLens, mode, sweep)
+	if err != nil {
+		return "", err
 	}
-	ns := []int{3, 5, 7, 9}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 	fmt.Fprintf(&b, "Bars per cell: configurable PUF (%s) enrolled at each sweep condition", mode)
 	fmt.Fprintf(&b, " %v,\nthen traditional PUF, then 1-out-of-8 PUF. Values are %% of bit positions that\nflip at any non-nominal condition.\n\n", condLabels(sweep))
-	sums := map[int]float64{}
-	counts := 0
-	for _, board := range env {
+	for bi, board := range ds.EnvBoards() {
 		fmt.Fprintf(&b, "Board %d:\n", board.ID)
-		for _, n := range ns {
-			bars, err := reliabilityCell(board, n, mode, sweep)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: board %d n=%d: %w", board.ID, n, err)
-			}
+		for ni, n := range ringLens {
 			fmt.Fprintf(&b, "  n=%d: ", n)
-			for i, v := range bars {
-				fmt.Fprintf(&b, "%6.2f", v)
-				sums[i] += v
-				if i == len(sweep)-1 {
-					b.WriteString(" |")
-				}
-			}
-			counts++
+			cells[bi][ni].render(&b)
 			b.WriteString("\n")
 		}
 	}
 	fmt.Fprintf(&b, "\nMean over all boards and n:\n  ")
-	for i := 0; i < len(sweep)+2; i++ {
-		fmt.Fprintf(&b, "%6.2f", sums[i]/float64(counts))
-		if i == len(sweep)-1 {
-			b.WriteString(" |")
-		}
-	}
+	mean.render(&b)
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "\nPaper observations: traditional bar tallest; 1-out-of-8 bar zero; configurable\nbars shrink as n grows (0%% by n=7); mid-sweep enrollment condition is best.\n")
-	return &Result{ID: id, Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }
 
 func condLabels(cs []dataset.Condition) []string {
@@ -235,28 +255,4 @@ func condLabels(cs []dataset.Condition) []string {
 		out[i] = c.String()
 	}
 	return out
-}
-
-// Fig4 reproduces Fig. 4: bit flips under supply-voltage variation.
-func (r *Runner) Fig4() (*Result, error) {
-	return r.reliabilityFigure("fig4",
-		"Fig. 4 — % bit flips under voltage variation (Case-1 configurable vs baselines)",
-		dataset.VoltageSweep(), core.Case1)
-}
-
-// Fig5 reproduces the paper's temperature observation (§IV.D): bit flips
-// under temperature variation; only the traditional PUF flips.
-func (r *Runner) Fig5() (*Result, error) {
-	return r.reliabilityFigure("fig5",
-		"Fig. 5 — % bit flips under temperature variation (Case-1 configurable vs baselines)",
-		dataset.TemperatureSweep(), core.Case1)
-}
-
-// Fig4Case2 reproduces the paper's closing §IV.D remark: "similar
-// observations hold for Case-2 … because of this flexibility, the Case-2
-// configurable PUF becomes more reliable."
-func (r *Runner) Fig4Case2() (*Result, error) {
-	return r.reliabilityFigure("fig4case2",
-		"Fig. 4 (Case-2 variant) — % bit flips under voltage variation",
-		dataset.VoltageSweep(), core.Case2)
 }

@@ -9,24 +9,22 @@ import (
 	"ropuf/internal/silicon"
 )
 
-// Modeling quantifies the §II warning against *reconfigurable* use of the
+// modeling quantifies the §II warning against *reconfigurable* use of the
 // architecture: if an attacker may query a pair with chosen configuration
 // vectors (instead of the paper's fix-after-enrollment discipline), a
 // perceptron learns the pair's linear delay structure from a handful of
 // CRPs and predicts unseen responses almost perfectly.
-func (r *Runner) Modeling() (*Result, error) {
+func (r *Runner) modeling() (string, error) {
 	boards, err := r.InHouse()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	title := "Modeling attack (extension) — why configurations must be fixed (§II)"
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 
 	// Ground truth from the first board's first ring pair.
 	pairs, err := boards[0].MeasurePairs(silicon.Nominal)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	const evalCRPs = 2000
 	rng := rngx.New(0x4d4f44454c) // "MODEL"
@@ -41,18 +39,18 @@ func (r *Runner) Modeling() (*Result, error) {
 		for _, p := range pairs[:8] {
 			crps, err := attack.GenerateCRPs(p.Alpha, p.Beta, train+evalCRPs, rng.Split())
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			model, err := attack.NewLinearModel(len(p.Alpha))
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			if _, err := model.Train(crps[:train], 200); err != nil {
-				return nil, err
+				return "", err
 			}
 			a, err := model.Accuracy(crps[train:])
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			acc += a
 			count++
@@ -62,5 +60,5 @@ func (r *Runner) Modeling() (*Result, error) {
 		finalAcc = acc
 	}
 	fmt.Fprintf(&b, "\nWith the paper's discipline (configuration fixed post-enrollment) the\nattacker sees exactly ONE configuration per pair and the linear system is\nhopelessly underdetermined; exposing free reconfiguration hands over the\nwhole delay model (%.1f%% prediction accuracy above).\n", 100*finalAcc)
-	return &Result{ID: "modeling", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }

@@ -11,10 +11,13 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
+	"ropuf/internal/core"
 	"ropuf/internal/dataset"
 	"ropuf/internal/fleet"
 	"ropuf/internal/obs"
@@ -25,7 +28,8 @@ import (
 // records into its Obs registry, labelled by experiment ID.
 const MetricExperimentSeconds = "ropuf_experiment_duration_seconds"
 
-// Result is one experiment's rendered output.
+// Result is one experiment's rendered output: Text opens with Title,
+// underlined.
 type Result struct {
 	ID    string
 	Title string
@@ -35,11 +39,6 @@ type Result struct {
 // Runner executes experiments against lazily generated datasets, caching
 // them across experiments so "run everything" fabricates each dataset once.
 type Runner struct {
-	// VTConfig and InHouseConfig override the default dataset parameters
-	// when non-nil.
-	VTConfig      *dataset.VTConfig
-	InHouseConfig *dataset.InHouseConfig
-
 	// Tracer, when non-nil, emits one span per executed experiment (and a
 	// parent span around RunAllParallel batches). Obs, when non-nil,
 	// receives the MetricExperimentSeconds latency histogram. Logger, when
@@ -63,11 +62,7 @@ func (r *Runner) VT() (*dataset.Dataset, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.vt == nil {
-		cfg := dataset.DefaultVTConfig()
-		if r.VTConfig != nil {
-			cfg = *r.VTConfig
-		}
-		ds, err := dataset.GenerateVT(cfg)
+		ds, err := dataset.GenerateVT(dataset.DefaultVTConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -81,11 +76,7 @@ func (r *Runner) InHouse() ([]*dataset.InHouseBoard, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.inhouse == nil {
-		cfg := dataset.DefaultInHouseConfig()
-		if r.InHouseConfig != nil {
-			cfg = *r.InHouseConfig
-		}
-		boards, err := dataset.GenerateInHouse(cfg)
+		boards, err := dataset.GenerateInHouse(dataset.DefaultInHouseConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -94,39 +85,55 @@ func (r *Runner) InHouse() ([]*dataset.InHouseBoard, error) {
 	return r.inhouse, nil
 }
 
+// experiment is one registry entry: run renders the report's body, and
+// the runner heads it with the title.
+type experiment struct {
+	id, title string
+	run       func(*Runner) (string, error)
+}
+
 // registry lists every experiment by ID, in presentation order: first the
 // paper's tables and figures, then the extension analyses.
-var registry = []struct {
-	id  string
-	run func(*Runner) (*Result, error)
-}{
-	{"tableI", (*Runner).TableI},
-	{"tableII", (*Runner).TableII},
-	{"fig3", (*Runner).Fig3},
-	{"tableIII", (*Runner).TableIII},
-	{"tableIV", (*Runner).TableIV},
-	{"fig4", (*Runner).Fig4},
-	{"fig5", (*Runner).Fig5},
-	{"tableV", (*Runner).TableV},
-	{"threshold", (*Runner).Threshold},
-	{"summary", (*Runner).Summary},
+var registry = []experiment{
+	{"tableI", "Table I — NIST results, configurable PUF Case-1",
+		func(r *Runner) (string, error) { return r.nistTable(core.Case1) }},
+	{"tableII", "Table II — NIST results, configurable PUF Case-2",
+		func(r *Runner) (string, error) { return r.nistTable(core.Case2) }},
+	{"fig3", "Fig. 3 — inter-chip HD of configurable PUF outputs", (*Runner).fig3},
+	{"tableIII", "Table III — pairwise HD of best configurations, Case-1",
+		func(r *Runner) (string, error) { return r.configHDTable(core.Case1) }},
+	{"tableIV", "Table IV — pairwise HD of best configurations, Case-2",
+		func(r *Runner) (string, error) { return r.configHDTable(core.Case2) }},
+	{"fig4", "Fig. 4 — % bit flips under voltage variation (Case-1 configurable vs baselines)",
+		func(r *Runner) (string, error) { return r.reliabilityFigure(dataset.VoltageSweep(), core.Case1) }},
+	// Fig. 5 is the paper's temperature observation (§IV.D): only the
+	// traditional PUF flips.
+	{"fig5", "Fig. 5 — % bit flips under temperature variation (Case-1 configurable vs baselines)",
+		func(r *Runner) (string, error) { return r.reliabilityFigure(dataset.TemperatureSweep(), core.Case1) }},
+	{"tableV", "Table V — total number of bits per board (512 ROs)", (*Runner).tableV},
+	{"threshold", "§IV.E — reliable bits vs threshold Rth (in-house inverter-level boards)", (*Runner).threshold},
+	{"summary", "Headline claims — reliability and hardware efficiency", (*Runner).summary},
 	// Extensions beyond the paper's published evaluation.
-	{"security", (*Runner).Security},
-	{"nistlong", (*Runner).NISTLong},
-	{"maiti", (*Runner).Maiti},
-	{"parity", (*Runner).Parity},
-	{"utilization", (*Runner).Utilization},
-	{"distiller", (*Runner).Distiller},
-	{"aging", (*Runner).Aging},
-	{"modeling", (*Runner).Modeling},
-	{"entropy", (*Runner).Entropy},
-	{"ecc", (*Runner).ECC},
-	{"sensitivity", (*Runner).Sensitivity},
-	{"trng", (*Runner).TRNG},
-	{"pairing", (*Runner).Pairing},
-	{"multibit", (*Runner).Multibit},
-	{"measurement", (*Runner).Measurement},
-	{"fig4case2", (*Runner).Fig4Case2},
+	{"security", "Security — what configuration helper data predicts about the bits (§III.D)", (*Runner).security},
+	{"nistlong", "NIST (extension) — all 9312 distilled bits as one sequence", (*Runner).nistLong},
+	{"maiti", "Related work — Maiti–Schaumont CRO vs inverter-level configurable PUF", (*Runner).maiti},
+	{"parity", "Ablation — odd-stage-count (physical oscillation) constraint", (*Runner).parity},
+	{"utilization", "Hardware utilization — reliable bits per 512-RO budget (n=5 rings)", (*Runner).utilization},
+	{"distiller", "Distiller — spatial structure removal and degree ablation", (*Runner).distiller},
+	{"aging", "Aging (extension) — bit stability over device lifetime", (*Runner).aging},
+	{"modeling", "Modeling attack (extension) — why configurations must be fixed (§II)", (*Runner).modeling},
+	{"entropy", "Min-entropy (extension) — response bits as key material", (*Runner).entropy},
+	{"ecc", "ECC cost (extension) — masking vs repetition vs Golay", (*Runner).ecc},
+	{"sensitivity", "Sensitivity (extension) — conclusions across process calibrations", (*Runner).sensitivity},
+	{"trng", "TRNG (extension) — RO-jitter random number generation", (*Runner).trng},
+	{"pairing", "Pairing (extension) — physical layout vs systematic variation", (*Runner).pairing},
+	{"multibit", "Multi-bit (extension) — disjoint configurations per ring pair", (*Runner).multibit},
+	{"measurement", "Measurement (extension) — §III.B protocol accuracy ablation", (*Runner).measurement},
+	// The paper's closing §IV.D remark: "similar observations hold for
+	// Case-2 … because of this flexibility, the Case-2 configurable PUF
+	// becomes more reliable."
+	{"fig4case2", "Fig. 4 (Case-2 variant) — % bit flips under voltage variation",
+		func(r *Runner) (string, error) { return r.reliabilityFigure(dataset.VoltageSweep(), core.Case2) }},
 }
 
 // IDs lists the available experiment IDs in presentation order.
@@ -143,27 +150,34 @@ func (r *Runner) Run(id string) (*Result, error) {
 	return r.runCtx(context.Background(), id)
 }
 
+// render runs e and heads its body with the underlined title.
+func (e experiment) render(r *Runner) (*Result, error) {
+	body, err := e.run(r)
+	if err != nil {
+		return nil, err
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n%s\n\n", e.title, strings.Repeat("=", len(e.title)))
+	b.WriteString(body)
+	return &Result{ID: e.id, Title: e.title, Text: b.String()}, nil
+}
+
 // runCtx executes one experiment, wrapping it in a span (parented by ctx)
 // and a latency observation when the runner is instrumented.
 func (r *Runner) runCtx(ctx context.Context, id string) (*Result, error) {
-	var run func(*Runner) (*Result, error)
-	for _, e := range registry {
-		if e.id == id {
-			run = e.run
-			break
-		}
-	}
-	if run == nil {
+	i := slices.IndexFunc(registry, func(e experiment) bool { return e.id == id })
+	if i < 0 {
 		known := IDs()
 		sort.Strings(known)
 		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, known)
 	}
+	e := registry[i]
 	if r.Tracer == nil && r.Obs == nil && r.Logger == nil {
-		return run(r)
+		return e.render(r)
 	}
 	expCtx, span := r.Tracer.Start(ctx, "experiment", obs.KV("experiment", id))
 	start := time.Now()
-	res, err := run(r)
+	res, err := e.render(r)
 	elapsed := time.Since(start)
 	if h := r.histogram(); h != nil {
 		h.With(id).Observe(elapsed.Seconds())

@@ -7,6 +7,7 @@ import (
 	"ropuf/internal/core"
 	"ropuf/internal/dataset"
 	"ropuf/internal/distill"
+	"ropuf/internal/nist"
 )
 
 // distillerDegree is the polynomial degree of the systematic-variation fit
@@ -14,17 +15,18 @@ import (
 // distiller of [18] for the same purpose).
 const distillerDegree = 2
 
-// boardDelays returns a board's per-RO delays (periods) under cond,
-// optionally distilled (systematic surface removed).
-func boardDelays(b *dataset.Board, cond dataset.Condition, distilled bool) ([]float64, error) {
+// raw is the distiller degree that leaves a board's periods undistilled.
+const raw = -1
+
+// boardDelays returns a board's per-RO delays (periods) under cond with
+// the systematic surface of the given degree removed, or as measured when
+// degree is raw.
+func boardDelays(b *dataset.Board, cond dataset.Condition, degree int) ([]float64, error) {
 	periods, err := b.PeriodsPS(cond)
-	if err != nil {
-		return nil, err
+	if err != nil || degree == raw {
+		return periods, err
 	}
-	if !distilled {
-		return periods, nil
-	}
-	d, err := distill.New(distillerDegree)
+	d, err := distill.New(degree)
 	if err != nil {
 		return nil, err
 	}
@@ -54,10 +56,10 @@ func groupPairs(delays []float64, n int) ([]core.Pair, error) {
 	return pairs, nil
 }
 
-// boardEnroll groups a board's delays at cond into n-stage pairs and
-// enrolls the configurable PUF.
-func boardEnroll(b *dataset.Board, cond dataset.Condition, n int, mode core.Mode, distilled bool) (*core.Enrollment, error) {
-	delays, err := boardDelays(b, cond, distilled)
+// boardEnroll groups a board's nominal delays, distilled at degree, into
+// n-stage pairs and enrolls the configurable PUF.
+func boardEnroll(b *dataset.Board, n int, mode core.Mode, degree int) (*core.Enrollment, error) {
+	delays, err := boardDelays(b, dataset.NominalCondition, degree)
 	if err != nil {
 		return nil, err
 	}
@@ -65,42 +67,57 @@ func boardEnroll(b *dataset.Board, cond dataset.Condition, n int, mode core.Mode
 	if err != nil {
 		return nil, err
 	}
-	return core.Enroll(pairs, mode, 0, core.Options{})
-}
-
-// boardResponse is boardEnroll's response stream.
-func boardResponse(b *dataset.Board, cond dataset.Condition, n int, mode core.Mode, distilled bool) (*bits.Stream, error) {
-	e, err := boardEnroll(b, cond, n, mode, distilled)
+	e, err := core.Enroll(pairs, mode, 0, core.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: board %d: %w", b.ID, err)
 	}
-	return e.Response, nil
+	return e, nil
 }
 
-// pufStreams builds the paper's §IV.A bit-streams: per-board responses with
-// n-stage rings, concatenated two boards at a time. With n = 5 and 512 ROs
-// per board each response is 48 bits, so each stream is 96 bits; 194
-// nominal boards yield 97 streams.
-func pufStreams(ds *dataset.Dataset, numBoards, n int, mode core.Mode, distilled bool) ([]*bits.Stream, error) {
-	boards := ds.NominalBoards()
-	if len(boards) < numBoards {
-		return nil, fmt.Errorf("experiments: dataset has %d nominal boards, need %d", len(boards), numBoards)
+// paperBoards returns the first numNominalBoards nominal boards of the VT
+// dataset: the population of the paper's §IV.A–C experiments.
+func (r *Runner) paperBoards() ([]*dataset.Board, error) {
+	ds, err := r.VT()
+	if err != nil {
+		return nil, err
 	}
-	boards = boards[:numBoards]
-	responses := make([]*bits.Stream, len(boards))
-	for i, b := range boards {
-		resp, err := boardResponse(b, dataset.NominalCondition, n, mode, distilled)
+	boards := ds.NominalBoards()
+	if len(boards) < numNominalBoards {
+		return nil, fmt.Errorf("experiments: dataset has %d nominal boards, need %d", len(boards), numNominalBoards)
+	}
+	return boards[:numNominalBoards], nil
+}
+
+// pufStreams builds the paper's §IV.A bit-streams: per-board Case-1 or
+// Case-2 responses with n = 5 rings, from delays distilled at degree (raw
+// for none). Each response is 48 bits, so each stream is 96 bits.
+func (r *Runner) pufStreams(mode core.Mode, degree int) ([]*bits.Stream, error) {
+	return r.boardStreams(func(b *dataset.Board) (*bits.Stream, error) {
+		e, err := boardEnroll(b, streamRingLen, mode, degree)
 		if err != nil {
 			return nil, err
 		}
-		responses[i] = resp
+		return e.Response, nil
+	})
+}
+
+// boardStreams concatenates the responses of the paper's boards two at a
+// time: 194 boards yield 97 streams, and every board is consumed.
+func (r *Runner) boardStreams(response func(*dataset.Board) (*bits.Stream, error)) ([]*bits.Stream, error) {
+	boards, err := r.paperBoards()
+	if err != nil {
+		return nil, err
+	}
+	responses := make([]*bits.Stream, len(boards))
+	for i, b := range boards {
+		if responses[i], err = response(b); err != nil {
+			return nil, err
+		}
 	}
 	var streams []*bits.Stream
 	for i := 0; i+1 < len(responses); i += 2 {
 		streams = append(streams, bits.Concat(responses[i], responses[i+1]))
 	}
-	// The paper pairs 194 boards into 97 streams: with an even board count
-	// every board is consumed. An odd count would drop the last board.
 	return streams, nil
 }
 
@@ -110,3 +127,18 @@ const numNominalBoards = 194
 
 // streamRingLen is the ring length of the §IV.A randomness experiments.
 const streamRingLen = 5
+
+// nistShort runs the NIST short suite of Tables I/II over streams and
+// counts the report's rows that meet the proportion threshold.
+func nistShort(streams []*bits.Stream) (rep *nist.Report, passRows int, err error) {
+	rep, err = nist.RunReport(streams, nist.ShortSuite(streams[0].Len()))
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, row := range rep.Rows {
+		if row.Pass >= nist.MinPassCount(row.Total) {
+			passRows++
+		}
+	}
+	return rep, passRows, nil
+}

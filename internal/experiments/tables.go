@@ -7,7 +7,6 @@ import (
 	"ropuf/internal/bits"
 	"ropuf/internal/core"
 	"ropuf/internal/dataset"
-	"ropuf/internal/nist"
 	"ropuf/internal/stats"
 )
 
@@ -16,23 +15,18 @@ import (
 // and the distilled streams. The paper's Tables I/II show the distilled
 // report; the raw report is included to demonstrate why the distiller is
 // needed (raw streams fail, §IV.A).
-func (r *Runner) nistTable(id, title string, mode core.Mode) (*Result, error) {
-	ds, err := r.VT()
-	if err != nil {
-		return nil, err
-	}
+func (r *Runner) nistTable(mode core.Mode) (string, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
-	for _, distilled := range []bool{false, true} {
-		streams, err := pufStreams(ds, numNominalBoards, streamRingLen, mode, distilled)
+	for _, degree := range []int{raw, distillerDegree} {
+		streams, err := r.pufStreams(mode, degree)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		suite := nist.ShortSuite(streams[0].Len())
-		rep, err := nist.RunReport(streams, suite)
+		rep, _, err := nistShort(streams)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
+		distilled := degree != raw
 		label := "RAW (systematic variation present)"
 		if distilled {
 			label = "DISTILLED (regression distiller applied)"
@@ -43,8 +37,6 @@ func (r *Runner) nistTable(id, title string, mode core.Mode) (*Result, error) {
 		if distilled {
 			b.WriteString("\nSupplementary uniformity diagnostics (KS alongside the ten-bin chi-squared):\n")
 			b.WriteString(rep.RenderDiagnostics())
-		}
-		if distilled {
 			if rep.AllPass() {
 				fmt.Fprintf(&b, "RESULT: all tests pass the proportion threshold (paper: pass).\n")
 			} else {
@@ -59,17 +51,7 @@ func (r *Runner) nistTable(id, title string, mode core.Mode) (*Result, error) {
 		}
 		b.WriteString("\n")
 	}
-	return &Result{ID: id, Title: title, Text: b.String()}, nil
-}
-
-// TableI reproduces Table I: NIST test results of Case-1 outputs.
-func (r *Runner) TableI() (*Result, error) {
-	return r.nistTable("tableI", "Table I — NIST results, configurable PUF Case-1", core.Case1)
-}
-
-// TableII reproduces Table II: NIST test results of Case-2 outputs.
-func (r *Runner) TableII() (*Result, error) {
-	return r.nistTable("tableII", "Table II — NIST results, configurable PUF Case-2", core.Case2)
+	return b.String(), nil
 }
 
 // configRingLen is the ring length of the §IV.C configuration-information
@@ -80,19 +62,15 @@ const configRingLen = 15
 // each pair's configuration bit-stream: the 15-bit x vector for Case-1, the
 // 30-bit x‖y concatenation for Case-2.
 func (r *Runner) configVectors(mode core.Mode) ([]*bits.Stream, error) {
-	ds, err := r.VT()
+	boards, err := r.paperBoards()
 	if err != nil {
 		return nil, err
 	}
-	boards := ds.NominalBoards()
-	if len(boards) > numNominalBoards {
-		boards = boards[:numNominalBoards]
-	}
 	var vectors []*bits.Stream
 	for _, board := range boards {
-		e, err := boardEnroll(board, dataset.NominalCondition, configRingLen, mode, true)
+		e, err := boardEnroll(board, configRingLen, mode, distillerDegree)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: board %d: %w", board.ID, err)
+			return nil, err
 		}
 		for _, sel := range e.Selections {
 			if sel.X == nil {
@@ -115,10 +93,10 @@ func (r *Runner) configVectors(mode core.Mode) ([]*bits.Stream, error) {
 
 // configHDTable renders the pairwise-HD distribution of configuration
 // vectors (Tables III and IV).
-func (r *Runner) configHDTable(id, title string, mode core.Mode) (*Result, error) {
+func (r *Runner) configHDTable(mode core.Mode) (string, error) {
 	vectors, err := r.configVectors(mode)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	hist := stats.NewIntHistogram()
 	for i := 0; i < len(vectors); i++ {
@@ -128,7 +106,6 @@ func (r *Runner) configHDTable(id, title string, mode core.Mode) (*Result, error
 	}
 	bitsPerVector := vectors[0].Len()
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 	fmt.Fprintf(&b, "%d configuration bit-streams of %d bits (194 boards x 16 pairs, n=%d)\n",
 		len(vectors), bitsPerVector, configRingLen)
 	fmt.Fprintf(&b, "%d pairwise comparisons\n\n", hist.Total())
@@ -145,28 +122,15 @@ func (r *Runner) configHDTable(id, title string, mode core.Mode) (*Result, error
 		fmt.Fprintf(&b, "%6d %12d %10.3f\n", hd, c, hist.Percent(hd))
 	}
 	fmt.Fprintf(&b, "\nDuplicate configurations (HD = 0): %d pairs (paper: none observed)\n", dup)
-	return &Result{ID: id, Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }
 
-// TableIII reproduces Table III: pairwise HD of Case-1 best configurations.
-func (r *Runner) TableIII() (*Result, error) {
-	return r.configHDTable("tableIII", "Table III — pairwise HD of best configurations, Case-1", core.Case1)
-}
-
-// TableIV reproduces Table IV: pairwise HD of Case-2 best configurations.
-func (r *Runner) TableIV() (*Result, error) {
-	return r.configHDTable("tableIV", "Table IV — pairwise HD of best configurations, Case-2", core.Case2)
-}
-
-// TableV reproduces Table V: bits per 512-RO board for each scheme and
+// tableV reproduces Table V: bits per 512-RO board for each scheme and
 // ring length.
-func (r *Runner) TableV() (*Result, error) {
-	title := "Table V — total number of bits per board (512 ROs)"
+func (r *Runner) tableV() (string, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
-	ns := []int{3, 5, 7, 9}
 	fmt.Fprintf(&b, "%-22s", "")
-	for _, n := range ns {
+	for _, n := range ringLens {
 		fmt.Fprintf(&b, "%8s", fmt.Sprintf("n=%d", n))
 	}
 	b.WriteString("\n")
@@ -181,10 +145,10 @@ func (r *Runner) TableV() (*Result, error) {
 	const numROs = 512
 	for _, row := range rows {
 		fmt.Fprintf(&b, "%-22s", row.name)
-		for _, n := range ns {
+		for _, n := range ringLens {
 			conf, oneOf8, err := dataset.GroupBitsPerBoard(numROs, n)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			fmt.Fprintf(&b, "%8d", row.get(conf, oneOf8))
 		}
@@ -192,5 +156,5 @@ func (r *Runner) TableV() (*Result, error) {
 	}
 	fmt.Fprintf(&b, "\nPaper values: configurable/traditional {80,48,32,24}; 1-out-of-8 {20,12,8,6}.\n")
 	fmt.Fprintf(&b, "The configurable PUF yields 4x the bits of 1-out-of-8 from the same ROs.\n")
-	return &Result{ID: "tableV", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }

@@ -27,23 +27,21 @@ type thresholdRow struct {
 	bits   [thresholdMaxRth + 1]float64
 }
 
-// Threshold reproduces §IV.E: the reliability-threshold sweep on the
+// threshold reproduces §IV.E: the reliability-threshold sweep on the
 // in-house inverter-level boards. For each Rth, a pair only yields a bit if
 // its enrolled delay margin is at least Rth; the configurable PUF maximizes
 // margins and therefore keeps all 32 bits where the traditional PUF loses
 // more than half.
-func (r *Runner) Threshold() (*Result, error) {
+func (r *Runner) threshold() (string, error) {
 	rows, err := r.thresholdSweep()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	boards, err := r.InHouse()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	title := "§IV.E — reliable bits vs threshold Rth (in-house inverter-level boards)"
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", title, strings.Repeat("=", len(title)))
 	fmt.Fprintf(&b, "%d boards, %d rings of %d stages each; 1 tick = %.0f ps\n\n",
 		len(boards), len(boards[0].Rings), boards[0].Rings[0].NumStages(), thresholdUnitPS)
 
@@ -60,11 +58,11 @@ func (r *Runner) Threshold() (*Result, error) {
 		b.WriteString("\n")
 	}
 	fmt.Fprintf(&b, "\nPaper: traditional 32 bits at Rth=0 falling to 13 at Rth=3; configurable\nretains all 32 bits at Rth=3.\n")
-	return &Result{ID: "threshold", Title: title, Text: b.String()}, nil
+	return b.String(), nil
 }
 
 // thresholdSweep computes the §IV.E sweep, one row per scheme in the order
-// traditional, configurable Case-1, configurable Case-2. Threshold renders
+// traditional, configurable Case-1, configurable Case-2. threshold renders
 // it and Verify gates on it.
 func (r *Runner) thresholdSweep() ([]thresholdRow, error) {
 	boards, err := r.InHouse()

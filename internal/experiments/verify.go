@@ -6,7 +6,6 @@ import (
 	"ropuf/internal/core"
 	"ropuf/internal/dataset"
 	"ropuf/internal/metrics"
-	"ropuf/internal/nist"
 )
 
 // Check is one verifiable reproduction claim.
@@ -17,34 +16,32 @@ type Check struct {
 }
 
 // Verify runs the headline assertions of the reproduction end-to-end and
-// returns one Check per claim. cmd/ropuf's "verify" subcommand exits
-// non-zero if any fails, making this the repository's CI gate.
+// returns one Check per claim, each computed by the helper its report
+// renders from. cmd/ropuf's "verify"
+// subcommand exits non-zero if any fails, making this the repository's CI
+// gate.
 func (r *Runner) Verify() ([]Check, error) {
 	var checks []Check
 	add := func(name string, ok bool, format string, args ...any) {
 		checks = append(checks, Check{Name: name, OK: ok, Got: fmt.Sprintf(format, args...)})
 	}
-	ds, err := r.VT()
-	if err != nil {
-		return nil, err
-	}
 
 	// 1. Raw streams fail NIST; distilled pass (Tables I/II).
-	rawStreams, err := pufStreams(ds, numNominalBoards, streamRingLen, core.Case1, false)
+	rawStreams, err := r.pufStreams(core.Case1, raw)
 	if err != nil {
 		return nil, err
 	}
-	rawRep, err := nist.RunReport(rawStreams, nist.ShortSuite(rawStreams[0].Len()))
+	rawRep, _, err := nistShort(rawStreams)
 	if err != nil {
 		return nil, err
 	}
 	add("raw bits fail NIST", !rawRep.AllPass(), "allPass=%v", rawRep.AllPass())
 
-	distStreams, err := pufStreams(ds, numNominalBoards, streamRingLen, core.Case1, true)
+	distStreams, err := r.pufStreams(core.Case1, distillerDegree)
 	if err != nil {
 		return nil, err
 	}
-	distRep, err := nist.RunReport(distStreams, nist.ShortSuite(distStreams[0].Len()))
+	distRep, _, err := nistShort(distStreams)
 	if err != nil {
 		return nil, err
 	}
@@ -60,21 +57,16 @@ func (r *Runner) Verify() ([]Check, error) {
 
 	// 3. Reliability ordering under voltage (Fig. 4): traditional worst,
 	// configurable near zero at n=7 with the mid-voltage configuration.
-	var confN7, tradMean float64
-	cells := 0
-	for _, board := range ds.EnvBoards() {
-		bars, err := reliabilityCell(board, 7, core.Case1, dataset.VoltageSweep())
-		if err != nil {
-			return nil, err
-		}
-		confN7 += bars[2]
-		tradMean += bars[5]
-		cells++
+	ds, err := r.VT()
+	if err != nil {
+		return nil, err
 	}
-	confN7 /= float64(cells)
-	tradMean /= float64(cells)
-	add("configurable n=7 mid-voltage 0% flips", confN7 == 0, "%.2f%%", confN7)
-	add("traditional flips > 5x configurable", tradMean > 5*(confN7+0.1), "trad=%.2f%%", tradMean)
+	_, n7, err := reliabilityGrid(ds, []int{7}, core.Case1, dataset.VoltageSweep())
+	if err != nil {
+		return nil, err
+	}
+	add("configurable n=7 mid-voltage 0% flips", n7.mid() == 0, "%.2f%%", n7.mid())
+	add("traditional flips > 5x configurable", n7.Traditional > 5*(n7.mid()+0.1), "trad=%.2f%%", n7.Traditional)
 
 	// 4. Table V bit accounting and 4x claim.
 	conf, oo8, err := dataset.GroupBitsPerBoard(512, 5)

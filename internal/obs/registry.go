@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -78,7 +79,7 @@ func (r *Registry) register(name, help string, kind flight.Kind, labels []string
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
-		if f.kind != kind || !equalStrings(f.labels, labels) || !equalFloats(f.buckets, buckets) {
+		if f.kind != kind || !slices.Equal(f.labels, labels) || !slices.Equal(f.buckets, buckets) {
 			panic(fmt.Sprintf("obs: metric %q re-registered with a different signature", name))
 		}
 		return f
@@ -94,30 +95,6 @@ func (r *Registry) register(name, help string, kind flight.Kind, labels []string
 	}
 	r.families[name] = f
 	return f
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // get returns the series for the given label values, creating it on first
