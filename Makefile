@@ -138,20 +138,23 @@ fuzz:
 # then build the 8-shard binary corpus twice, with 1 and with 4 workers,
 # and require the two directories byte-identical (two independent
 # generations, so any nondeterminism shows), then re-read the corpus with
-# -check, which re-verifies every manifest count and CRC32-C.
+# -check, which re-verifies every manifest count and CRC32-C. The corpus
+# byte count is pinned too (8 magics plus 199 framed records, each
+# 8 + 10 + conditions x (8 + 8 x 512) bytes = 984502), so a record change
+# that grows corpora fails here.
 datasetgen-smoke:
 	$(GO) build -o /tmp/ropuf-dsgen ./cmd/datasetgen
 	rm -rf /tmp/ropuf-dsgen-data && mkdir -p /tmp/ropuf-dsgen-data
 	/tmp/ropuf-dsgen -workers 4 -out /tmp/ropuf-dsgen-data/vt.csv \
 		| grep -q 'wrote 199 boards (122368 rows)' || { echo "single CSV row count wrong"; exit 1; }
 	/tmp/ropuf-dsgen -workers 1 -shards 8 -out /tmp/ropuf-dsgen-data/bin8-w1 \
-		| grep -q 'wrote 199 boards (122368 rows' || { echo "serial corpus row count wrong"; exit 1; }
+		| grep -q 'wrote 199 boards (122368 rows, 984502 bytes)' || { echo "serial corpus row or byte count wrong"; exit 1; }
 	/tmp/ropuf-dsgen -workers 4 -shards 8 -out /tmp/ropuf-dsgen-data/bin8-w4 \
-		| grep -q 'wrote 199 boards (122368 rows' || { echo "parallel corpus row count wrong"; exit 1; }
+		| grep -q 'wrote 199 boards (122368 rows, 984502 bytes)' || { echo "parallel corpus row or byte count wrong"; exit 1; }
 	diff -r /tmp/ropuf-dsgen-data/bin8-w1 /tmp/ropuf-dsgen-data/bin8-w4 \
 		|| { echo "parallel corpus diverges from the serial one"; exit 1; }
 	/tmp/ropuf-dsgen -check /tmp/ropuf-dsgen-data/bin8-w4 \
-		| grep -q 'verified 199 boards (122368 rows' || { echo "binary corpus failed verification"; exit 1; }
+		| grep -q 'verified 199 boards (122368 rows, 984502 bytes)' || { echo "binary corpus failed verification"; exit 1; }
 
 # End-to-end smoke of the authentication service: boot `ropuf serve` on an
 # ephemeral port with a persistent store, drive it with `ropuf loadgen`,
@@ -281,12 +284,13 @@ serve-smoke:
 # Fleet observability leg: `ropuf watch` polls two live serve instances plus
 # the load generator's own -metrics-addr endpoint while loadgen drives one
 # server, gating on zero anomaly firings and a >=99% scrape success ratio
-# (WATCHSTAT.txt is the CI artifact). The loadgen workload is sized so its
-# challenge-preparation phase alone outlasts the watch window — its metrics
-# endpoint must not vanish mid-watch. A second, negative pass SIGSTOPs an
-# idle server mid-watch and requires watch to exit non-zero via the
-# flatline + scrape_failure rules: the detector itself is under test, not
-# just the happy path.
+# (WATCHSTAT.txt is the CI artifact). A load generator with -metrics-addr
+# keeps serving its final counters after a successful run until it is
+# interrupted, so its endpoint stays up for the whole watch however soon a
+# fast host finishes the workload; the SIGINT after the watch ends it. A
+# second, negative pass SIGSTOPs an idle server mid-watch and requires
+# watch to exit non-zero via the flatline + scrape_failure rules: the
+# detector itself is under test, not just the happy path.
 watch-smoke:
 	$(GO) build -o /tmp/ropuf-smoke ./cmd/ropuf
 	rm -rf /tmp/ropuf-watch-a /tmp/ropuf-watch-b /tmp/ropuf-watch-c

@@ -146,9 +146,10 @@ func benchDistiller(b *testing.B, degree int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	xs, ys := board.Positions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Apply(board.X, board.Y, periods); err != nil {
+		if _, err := d.Apply(xs, ys, periods); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,7 +47,12 @@ import (
 // injected as a traceparent header; point the server at its own -trace-out
 // file and `ropuf tracestat client.jsonl server.jsonl` stitches the two
 // into end-to-end traces.
-func runLoadgen(ctx context.Context, args []string) error {
+//
+// With -metrics-addr the client's metrics endpoint outlives a successful
+// run: it keeps serving the final counters until ctx ends (SIGINT or
+// SIGTERM), so a watcher polling it never sees a finished load generator
+// as a failed scrape.
+func runLoadgen(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "authserve base URL")
 	numDevices := fs.Int("devices", 128, "synthetic devices to enroll")
@@ -97,12 +102,18 @@ func runLoadgen(ctx context.Context, args []string) error {
 		"Client-observed request latency, connection setup included.",
 		nil, "route", "code")
 	if *metricsAddr != "" {
-		msrv, err := obs.Serve(*metricsAddr, reg)
-		if err != nil {
-			return fmt.Errorf("loadgen: metrics server: %w", err)
+		msrv, serveErr := obs.Serve(*metricsAddr, reg)
+		if serveErr != nil {
+			return fmt.Errorf("loadgen: metrics server: %w", serveErr)
 		}
 		defer msrv.Close()
 		fmt.Printf("client metrics on http://%s/metrics\n", msrv.Addr())
+		defer func() {
+			if err == nil {
+				fmt.Printf("run complete; client metrics stay on http://%s/metrics until interrupted\n", msrv.Addr())
+				<-ctx.Done()
+			}
+		}()
 	}
 	devices, err := fleet.Synthetic(*numDevices, *pairs, *stages, *seed)
 	if err != nil {

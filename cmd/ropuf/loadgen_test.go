@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -218,6 +221,94 @@ func TestLoadgenWritesNoFiles(t *testing.T) {
 	}
 	for _, e := range entries {
 		t.Errorf("loadgen left %s in its working directory", e.Name())
+	}
+}
+
+// TestLoadgenMetricsOutliveRun runs a small full load with -metrics-addr
+// against an in-process authserve: once the run has finished, the client
+// endpoint must still answer /metrics with the final counters, and
+// cancelling the context must then end runLoadgen with nil. A watcher
+// polling a load generator that finished early used to see its endpoint
+// vanish and report a scrape failure on a healthy fleet.
+func TestLoadgenMetricsOutliveRun(t *testing.T) {
+	store, err := authserve.Open(authserve.StoreOptions{Shards: 2, Dir: t.TempDir(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ts := httptest.NewServer(authserve.NewServer(store, authserve.ServerOptions{}).Handler())
+	defer ts.Close()
+
+	// runLoadgen announces the endpoint on stdout.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldStdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = oldStdout }()
+	lines := make(chan string)
+	go func() {
+		defer close(lines)
+		sc := bufio.NewScanner(r)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+	}()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- runLoadgen(ctx, []string{
+			"-addr", ts.URL, "-devices", "4", "-pairs", "32", "-stages", "5",
+			"-k", "4", "-rounds", "1", "-concurrency", "2", "-metrics-addr", "127.0.0.1:0",
+		})
+	}()
+	held := regexp.MustCompile(`^run complete; client metrics stay on (http://\S+/metrics) until interrupted$`)
+	var url string
+	for url == "" {
+		select {
+		case line := <-lines:
+			if m := held.FindStringSubmatch(line); m != nil {
+				url = m[1]
+			}
+		case err := <-done:
+			t.Fatalf("runLoadgen returned %v before announcing the held endpoint", err)
+		case <-time.After(time.Minute):
+			t.Fatal("no held-endpoint announcement within a minute")
+		}
+	}
+
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("endpoint gone after the run: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d, %v", url, resp.StatusCode, err)
+	}
+	if want := `ropuf_loadgen_requests_total{route="verify",code="200"} 4`; !strings.Contains(string(body), want) {
+		t.Fatalf("final counters lack %q:\n%s", want, body)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("runLoadgen returned %v before its context ended", err)
+	default:
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("runLoadgen after cancellation: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("runLoadgen still running 10 s after its context ended")
+	}
+	w.Close()
+	for range lines {
 	}
 }
 

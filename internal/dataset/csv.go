@@ -52,14 +52,19 @@ func (w *CSVWriter) Flush() error {
 // returns the row count.
 func writeCSVBoard(cw *csv.Writer, b *Board) (int64, error) {
 	var rows int64
+	xs, ys := b.Positions()
 	for _, cond := range b.Conditions() {
 		freqs := b.Freq[cond]
+		if len(freqs) != len(xs) {
+			return rows, fmt.Errorf("dataset: board %d condition %v has %d ROs, its %dx%d grid %d",
+				b.ID, cond, len(freqs), b.GridW, b.GridH, len(xs))
+		}
 		for i, f := range freqs {
 			rec := []string{
 				strconv.Itoa(b.ID),
 				strconv.Itoa(i),
-				strconv.Itoa(b.X[i]),
-				strconv.Itoa(b.Y[i]),
+				strconv.Itoa(xs[i]),
+				strconv.Itoa(ys[i]),
 				strconv.Itoa(cond.MilliVolts),
 				strconv.Itoa(cond.DeciCelsius),
 				strconv.FormatFloat(f, 'g', -1, 64),

@@ -82,13 +82,13 @@ var sweptConditions = func() []Condition {
 	return out
 }()
 
-// Board is one FPGA board of the RO-granularity dataset.
+// Board is one FPGA board of the RO-granularity dataset: GridW·GridH ring
+// oscillators in the row-major layout silicon.NewDieInto fabricates, so
+// RO i sits at (i mod GridW, i div GridW) and Positions derives every
+// RO's coordinates from the grid.
 type Board struct {
 	ID           int
 	GridW, GridH int
-
-	// X, Y give each RO's die coordinates (for the distiller).
-	X, Y []int
 
 	// Freq maps a measurement condition to per-RO frequencies in MHz.
 	// Every board has at least the NominalCondition entry; environment
@@ -97,7 +97,17 @@ type Board struct {
 }
 
 // NumROs returns the number of ring oscillators on the board.
-func (b *Board) NumROs() int { return len(b.X) }
+func (b *Board) NumROs() int { return b.GridW * b.GridH }
+
+// Positions returns each RO's die coordinates, for the distiller and
+// spatial statistics: RO i sits at (xs[i], ys[i]).
+func (b *Board) Positions() (xs, ys []int) {
+	xs, ys = make([]int, b.NumROs()), make([]int, b.NumROs())
+	for i := range xs {
+		xs[i], ys[i] = i%b.GridW, i/b.GridW
+	}
+	return xs, ys
+}
 
 // HasCondition reports whether the board was measured under c.
 func (b *Board) HasCondition(c Condition) bool {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ropuf/internal/rngx"
 	"ropuf/internal/silicon"
 )
 
@@ -83,6 +84,29 @@ func TestGenerateVTShape(t *testing.T) {
 			if !b.HasCondition(c) {
 				t.Fatalf("env board %d lacks condition %v", b.ID, c)
 			}
+		}
+	}
+}
+
+// TestPositionsMatchDieLayout holds Board.Positions to the layout the
+// silicon model fabricates: RO i of a board is device i of its die, so the
+// positions the distiller fits against are where each RO's systematic
+// variation was drawn. A non-square grid catches a transposed layout.
+func TestPositionsMatchDieLayout(t *testing.T) {
+	cfg := DefaultVTConfig()
+	cfg.GridW, cfg.GridH = 3, 5
+	die, err := silicon.NewDie(cfg.Process, cfg.GridW, cfg.GridH, rngx.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &Board{GridW: cfg.GridW, GridH: cfg.GridH}
+	xs, ys := b.Positions()
+	if len(xs) != die.NumDevices() || len(ys) != die.NumDevices() || b.NumROs() != die.NumDevices() {
+		t.Fatalf("%d xs, %d ys and %d ROs for a %d-device die", len(xs), len(ys), b.NumROs(), die.NumDevices())
+	}
+	for i := range xs {
+		if d := die.Device(i); xs[i] != d.X || ys[i] != d.Y {
+			t.Fatalf("RO %d at (%d,%d), its die device at (%d,%d)", i, xs[i], ys[i], d.X, d.Y)
 		}
 	}
 }
@@ -202,7 +226,7 @@ func TestBoardLookupAndConditions(t *testing.T) {
 // every run instead of in map iteration order.
 func TestConditionsOrdersExtraConditions(t *testing.T) {
 	b := &Board{
-		ID: 1, GridW: 2, GridH: 1, X: []int{0, 1}, Y: []int{0, 0},
+		ID: 1, GridW: 2, GridH: 1,
 		Freq: map[Condition][]float64{
 			{1200, 850}:      {1, 2},
 			{900, 250}:       {3, 4},
@@ -240,6 +264,21 @@ func TestConditionsOrdersExtraConditions(t *testing.T) {
 		}
 		if csvRows() != rows {
 			t.Fatalf("run %d: the board's CSV rows differ from the first run", run)
+		}
+	}
+}
+
+// TestCSVWriterRejectsGridMismatch requires the CSV export to refuse, as
+// the shard encoder does, a condition vector whose length is not the
+// board's GridW·GridH, since the grid is what gives each row its x,y.
+func TestCSVWriterRejectsGridMismatch(t *testing.T) {
+	for _, freqs := range [][]float64{{1, 2, 3}, {1}} {
+		b := &Board{ID: 4, GridW: 2, GridH: 1, Freq: map[Condition][]float64{NominalCondition: freqs}}
+		var out strings.Builder
+		cw := csv.NewWriter(&out)
+		_, err := writeCSVBoard(cw, b)
+		if err == nil || !strings.Contains(err.Error(), "its 2x1 grid 2") {
+			t.Fatalf("%d frequencies on a 2x1 grid: %v", len(freqs), err)
 		}
 	}
 }

@@ -11,15 +11,13 @@ import (
 	"ropuf/internal/recordio"
 )
 
-// fuzzSeedBody encodes one valid tiny board record body: two ROs under two
-// conditions.
+// fuzzSeedBody encodes one valid tiny board record body: a 2×1 grid under
+// two conditions.
 func fuzzSeedBody(t testing.TB) []byte {
 	b := &Board{
 		ID:    7,
 		GridW: 2,
 		GridH: 1,
-		X:     []int{0, 1},
-		Y:     []int{0, 0},
 		Freq: map[Condition][]float64{
 			NominalCondition: {95.5, 96.25},
 			{980, 250}:       {94.0, 95.125},
@@ -57,8 +55,9 @@ func FuzzShardBin(f *testing.F) {
 	bad := append([]byte{}, seed...)
 	bad[len(bad)-1] ^= 0xFF
 	f.Add(bad)
-	// A 14-byte body that claims 2^20 ROs under 4,096 conditions.
-	f.Add(recordio.Append(nil, []byte{7, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0x10, 0, 0, 0x10}))
+	// A 10-byte body whose 1024×1024 grid claims 2^20 ROs under 4,096
+	// conditions.
+	f.Add(recordio.Append(nil, []byte{7, 0, 0, 0, 0, 4, 0, 4, 0, 0x10}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -79,14 +78,14 @@ func FuzzShardBin(f *testing.F) {
 			if err != nil {
 				return
 			}
-			n := len(b.X)
-			if len(b.Y) != n {
-				t.Fatalf("decoded board has %d X but %d Y", n, len(b.Y))
+			n := b.GridW * b.GridH
+			if n == 0 {
+				t.Fatalf("decoded board has an empty %dx%d grid", b.GridW, b.GridH)
 			}
 			var want int64
 			for _, fr := range b.Freq {
 				if len(fr) != n {
-					t.Fatalf("decoded condition has %d ROs, board has %d", len(fr), n)
+					t.Fatalf("decoded condition has %d ROs, the %dx%d grid %d", len(fr), b.GridW, b.GridH, n)
 				}
 				want += int64(n)
 			}
@@ -102,7 +101,7 @@ func FuzzShardBin(f *testing.F) {
 // panic.
 func FuzzManifest(f *testing.F) {
 	good := &Manifest{
-		Version: 1,
+		Version: 2,
 		Format:  FormatBin,
 		Shards:  1,
 		Boards:  2,
@@ -114,11 +113,12 @@ func FuzzManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(data)
-	f.Add(bytes.Replace(data, []byte(`"version":1`), []byte(`"version":-1`), 1))
+	f.Add(bytes.Replace(data, []byte(`"version":2`), []byte(`"version":-1`), 1))
+	f.Add(bytes.Replace(data, []byte(`"version":2`), []byte(`"version":1`), 1))
 	f.Add(bytes.Replace(data, []byte(`"bin"`), []byte(`"exe"`), 1))
 	f.Add(bytes.Replace(data, []byte(`"shards":1`), []byte(`"shards":1000000`), 1))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":1,"format":"csv","shards":1,"boards":0,"rows":0,"files":[{"file":"shard-0000.csv"}]}`))
+	f.Add([]byte(`{"version":2,"format":"csv","shards":1,"boards":0,"rows":0,"files":[{"file":"shard-0000.csv"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseManifest(data)
 		if err != nil {

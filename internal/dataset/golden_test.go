@@ -9,7 +9,7 @@ import (
 
 // TestShardBinGolden pins the binary corpus bytes: the tiny golden stream
 // written as two bin shards, every shard file and the manifest compared
-// byte for byte against testdata/binshards_v1/, which must also read back
+// byte for byte against testdata/binshards_v2/, which must also read back
 // as the same boards. Regenerate deliberately (and bump the manifest
 // version) with:
 //
@@ -32,7 +32,7 @@ func TestShardBinGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	golden := filepath.Join("testdata", "binshards_v1")
+	golden := filepath.Join("testdata", "binshards_v2")
 	files := []string{"shard-0000.bin", "shard-0001.bin", ManifestName}
 	if *updateGolden {
 		if err := os.MkdirAll(golden, 0o755); err != nil {

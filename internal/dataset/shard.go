@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 
 	"ropuf/internal/recordio"
 )
@@ -33,12 +34,15 @@ import (
 // A shard is a magic string followed by one package recordio frame per
 // board:
 //
-//	magic "ROPUFDS1" (8 bytes, once per file)
+//	magic "ROPUFDS2" (8 bytes, once per file)
 //	per board: one recordio frame (u32le length, u32le CRC32-C, body)
-//	  body: u32le id  u16le gridW  u16le gridH  u32le numROs  u16le numConds
-//	        numROs × (u16le x, u16le y)
+//	  body: u32le id  u16le gridW  u16le gridH  u16le numConds
 //	        per condition: i32le milliVolts  i32le deciCelsius
-//	                       numROs × f64le freq bits
+//	                       gridW·gridH × f64le freq bits
+//
+// The grid fixes every RO's position (Board.Positions), so a record stores
+// none. Version 1 records also held an RO count and an (x, y) per RO; such
+// a corpus is refused, not converted: its seed regenerates the same boards.
 //
 // CRC32-C (Castagnoli) guards each record (its frame checksum) and — via
 // the manifest — every shard file end to end. A corpus is complete once
@@ -52,15 +56,15 @@ import (
 // only one.
 type Format string
 
-// FormatBin is the framed binary board record format (~12 B/row).
+// FormatBin is the framed binary board record format (~8 B/row).
 const FormatBin Format = "bin"
 
 const (
 	// ManifestName is the corpus manifest's file name inside the directory.
 	ManifestName = "manifest.json"
 
-	manifestVersion = 1
-	shardMagic      = "ROPUFDS1"
+	manifestVersion = 2
+	shardMagic      = "ROPUFDS2"
 
 	// Decode-time bounds: a hostile length field may not provoke a larger
 	// allocation than these before validation.
@@ -68,9 +72,9 @@ const (
 	maxShardConds   = 1 << 12
 	maxManifestSize = 16 << 20
 
-	// binBoardHeader is a record body's fixed prefix: id, grid, RO and
-	// condition counts.
-	binBoardHeader = 14
+	// binBoardHeader is a record body's fixed prefix: id, grid and
+	// condition count.
+	binBoardHeader = 10
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -106,11 +110,13 @@ func parseManifest(data []byte) (*Manifest, error) {
 	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("dataset: parse manifest: %w", err)
 	}
-	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("dataset: manifest version %d, want %d", m.Version, manifestVersion)
-	}
+	// The format is checked first, so a corpus of the retired CSV shards,
+	// all version 1, is refused by its format.
 	if m.Format != FormatBin {
 		return nil, fmt.Errorf("dataset: manifest has unknown format %q (want %q)", m.Format, FormatBin)
+	}
+	if m.Version != manifestVersion {
+		return nil, fmt.Errorf("dataset: manifest version %d, want %d: regenerate the corpus", m.Version, manifestVersion)
 	}
 	if m.Shards != len(m.Files) {
 		return nil, fmt.Errorf("dataset: manifest shard count %d != %d listed files", m.Shards, len(m.Files))
@@ -293,46 +299,33 @@ func (w *ShardWriter) writeBinBoard(bw *bufio.Writer, b *Board) (int64, error) {
 
 // appendBinBoard appends the body of one board record to dst.
 func appendBinBoard(dst []byte, b *Board) ([]byte, error) {
-	n := b.NumROs()
 	conds := b.Conditions()
 	switch {
 	case b.ID < 0 || int64(b.ID) > math.MaxUint32:
 		return nil, fmt.Errorf("dataset: board ID %d does not fit the shard format", b.ID)
-	case b.GridW < 0 || b.GridW > math.MaxUint16 || b.GridH < 0 || b.GridH > math.MaxUint16:
+	case b.GridW <= 0 || b.GridW > math.MaxUint16 || b.GridH <= 0 || b.GridH > math.MaxUint16:
 		return nil, fmt.Errorf("dataset: board %d grid %dx%d does not fit the shard format", b.ID, b.GridW, b.GridH)
-	case n > maxShardROs:
-		return nil, fmt.Errorf("dataset: board %d has %d ROs, shard format limit %d", b.ID, n, maxShardROs)
+	case int64(b.GridW)*int64(b.GridH) > maxShardROs:
+		return nil, fmt.Errorf("dataset: board %d grid %dx%d holds over %d ROs, the shard format limit", b.ID, b.GridW, b.GridH, maxShardROs)
 	case len(conds) > maxShardConds:
 		return nil, fmt.Errorf("dataset: board %d has %d conditions, shard format limit %d", b.ID, len(conds), maxShardConds)
-	case len(b.Y) != n:
-		return nil, fmt.Errorf("dataset: board %d has %d X but %d Y coordinates", b.ID, n, len(b.Y))
 	}
+	n := b.NumROs()
 	for _, c := range conds {
 		if f := b.Freq[c]; len(f) != n {
-			return nil, fmt.Errorf("dataset: board %d condition %v has %d ROs, want %d", b.ID, c, len(f), n)
+			return nil, fmt.Errorf("dataset: board %d condition %v has %d ROs, its %dx%d grid %d", b.ID, c, len(f), b.GridW, b.GridH, n)
 		}
 	}
 	// The record is sized once and every field written at its offset.
-	size := binBoardHeader + 4*n + len(conds)*(8+8*n)
+	size := binBoardHeader + len(conds)*(8+8*n)
 	off := len(dst)
 	dst = slices.Grow(dst, size)[:off+size]
 	le := binary.LittleEndian
 	le.PutUint32(dst[off:], uint32(b.ID))
 	le.PutUint16(dst[off+4:], uint16(b.GridW))
 	le.PutUint16(dst[off+6:], uint16(b.GridH))
-	le.PutUint32(dst[off+8:], uint32(n))
-	le.PutUint16(dst[off+12:], uint16(len(conds)))
+	le.PutUint16(dst[off+8:], uint16(len(conds)))
 	off += binBoardHeader
-	ys := b.Y[:n]
-	for i, x := range b.X {
-		y := ys[i]
-		// uint(v) > MaxUint16 also catches a negative v.
-		if uint(x) > math.MaxUint16 || uint(y) > math.MaxUint16 {
-			return nil, fmt.Errorf("dataset: board %d RO %d position (%d,%d) does not fit the shard format", b.ID, i, x, y)
-		}
-		le.PutUint32(dst[off:], uint32(x)|uint32(y)<<16) // x then y, each a u16le
-		off += 4
-	}
 	for _, c := range conds {
 		le.PutUint32(dst[off:], uint32(int32(c.MilliVolts)))
 		le.PutUint32(dst[off+4:], uint32(int32(c.DeciCelsius)))
@@ -466,10 +459,15 @@ func (c *binCursor) readMagic() error {
 	if _, err := io.ReadFull(c.br, magic[:]); err != nil {
 		return fmt.Errorf("dataset: shard %s: read magic: %w", c.fi.File, err)
 	}
-	if string(magic[:]) != shardMagic {
-		return fmt.Errorf("dataset: shard %s: bad magic %q", c.fi.File, magic[:])
+	got := string(magic[:])
+	if got == shardMagic {
+		return nil
 	}
-	return nil
+	// The magic's last byte is the format version.
+	if version, ok := strings.CutPrefix(got, shardMagic[:len(shardMagic)-1]); ok {
+		return fmt.Errorf("dataset: shard %s is format version %s, want %d: regenerate the corpus", c.fi.File, version, manifestVersion)
+	}
+	return fmt.Errorf("dataset: shard %s: bad magic %q", c.fi.File, got)
 }
 
 func (c *binCursor) next() (*Board, error) {
@@ -517,34 +515,26 @@ func decodeBinBoard(body []byte) (*Board, int64, error) {
 		return nil, 0, errors.New("truncated board record")
 	}
 	le := binary.LittleEndian
-	n := int(le.Uint32(body[8:]))
-	nConds := int(le.Uint16(body[12:]))
-	if n > maxShardROs {
-		return nil, 0, fmt.Errorf("record claims %d ROs, limit %d", n, maxShardROs)
-	}
-	if nConds > maxShardConds {
+	w, h := int(le.Uint16(body[4:])), int(le.Uint16(body[6:]))
+	nConds := int(le.Uint16(body[8:]))
+	// Two u16 sides multiply to under 2^32, so n is exact in an int64.
+	n := int64(w) * int64(h)
+	switch {
+	case n == 0:
+		return nil, 0, fmt.Errorf("record has an empty %dx%d grid", w, h)
+	case n > maxShardROs:
+		return nil, 0, fmt.Errorf("record grid %dx%d claims %d ROs, limit %d", w, h, n, maxShardROs)
+	case nConds > maxShardConds:
 		return nil, 0, fmt.Errorf("record claims %d conditions, limit %d", nConds, maxShardConds)
 	}
 	// The header fixes the body's exact length. Check it before allocating,
 	// so a short record cannot make the counts claim megabytes.
 	p := body[binBoardHeader:]
-	if want := 4*int64(n) + int64(nConds)*(8+8*int64(n)); int64(len(p)) != want {
+	if want := int64(nConds) * (8 + 8*n); int64(len(p)) != want {
 		return nil, 0, fmt.Errorf("board record has %d bytes after its header, %d ROs under %d conditions need %d",
 			len(p), n, nConds, want)
 	}
-	b := &Board{
-		ID:    int(le.Uint32(body[0:])),
-		GridW: int(le.Uint16(body[4:])),
-		GridH: int(le.Uint16(body[6:])),
-		X:     make([]int, n),
-		Y:     make([]int, n),
-		Freq:  make(map[Condition][]float64, nConds),
-	}
-	for i := 0; i < n; i++ {
-		b.X[i] = int(le.Uint16(p[0:]))
-		b.Y[i] = int(le.Uint16(p[2:]))
-		p = p[4:]
-	}
+	b := &Board{ID: int(le.Uint32(body[0:])), GridW: w, GridH: h, Freq: make(map[Condition][]float64, nConds)}
 	for ci := 0; ci < nConds; ci++ {
 		cond := Condition{MilliVolts: int(int32(le.Uint32(p[0:]))), DeciCelsius: int(int32(le.Uint32(p[4:])))}
 		p = p[8:]
@@ -558,5 +548,5 @@ func decodeBinBoard(body []byte) (*Board, int64, error) {
 		}
 		b.Freq[cond] = f
 	}
-	return b, int64(nConds) * int64(n), nil
+	return b, int64(nConds) * n, nil
 }

@@ -191,7 +191,7 @@ func TestShardWriterValidation(t *testing.T) {
 func TestParseManifestRejects(t *testing.T) {
 	good := func() *Manifest {
 		return &Manifest{
-			Version: 1,
+			Version: 2,
 			Format:  FormatBin,
 			Shards:  2,
 			Boards:  3,
@@ -221,8 +221,9 @@ func TestParseManifestRejects(t *testing.T) {
 	}{
 		{name: "oversized", data: bytes.Repeat([]byte{' '}, maxManifestSize+1), want: "limit"},
 		{name: "not json", data: []byte("??"), want: "parse manifest"},
-		{name: "unknown field", data: []byte(`{"version":1,"format":"bin","shards":0,"boards":0,"rows":0,"files":[],"extra":1}`), want: "parse manifest"},
-		{name: "wrong version", mutate: func(m *Manifest) { m.Version = 2 }, want: "version"},
+		{name: "unknown field", data: []byte(`{"version":2,"format":"bin","shards":0,"boards":0,"rows":0,"files":[],"extra":1}`), want: "parse manifest"},
+		{name: "version 1", mutate: func(m *Manifest) { m.Version = 1 }, want: "version 1, want 2: regenerate the corpus"},
+		{name: "version 3", mutate: func(m *Manifest) { m.Version = 3 }, want: "version 3"},
 		{name: "unknown format", mutate: func(m *Manifest) { m.Format = "xml" }, want: "unknown format"},
 		{name: "missing format", mutate: func(m *Manifest) { m.Format = "" }, want: `unknown format ""`},
 		{name: "csv format", mutate: func(m *Manifest) {
@@ -260,22 +261,23 @@ func TestParseManifestRejects(t *testing.T) {
 
 // TestDecodeBinBoardRejects drives every rejection in decodeBinBoard and
 // requires each to happen before the record's counts can size an
-// allocation: a body that claims 2^20 ROs under 4,096 conditions must not
-// cost megabytes to refuse.
+// allocation: a body whose grid claims 2^20 ROs under 4,096 conditions
+// must not cost megabytes to refuse.
 func TestDecodeBinBoardRejects(t *testing.T) {
-	valid := fuzzSeedBody(t) // 2 ROs under 2 conditions
+	valid := fuzzSeedBody(t) // a 2×1 grid under 2 conditions
 	if _, _, err := decodeBinBoard(valid); err != nil {
 		t.Fatalf("rejected the valid record: %v", err)
 	}
-	header := func(n uint32, conds uint16) []byte {
-		h := append([]byte{}, valid[:binBoardHeader]...)
-		binary.LittleEndian.PutUint32(h[8:], n)
-		binary.LittleEndian.PutUint16(h[12:], conds)
-		return h
+	header := func(w, h, conds uint16) []byte {
+		hdr := append([]byte{}, valid[:binBoardHeader]...)
+		binary.LittleEndian.PutUint16(hdr[4:], w)
+		binary.LittleEndian.PutUint16(hdr[6:], h)
+		binary.LittleEndian.PutUint16(hdr[8:], conds)
+		return hdr
 	}
 	// The second condition's (mV, dC) pair overwritten with the first's.
 	const n = 2
-	first := binBoardHeader + 4*n
+	first := binBoardHeader
 	second := first + 8 + 8*n
 	repeated := append([]byte{}, valid...)
 	copy(repeated[second:second+8], valid[first:first+8])
@@ -286,10 +288,13 @@ func TestDecodeBinBoardRejects(t *testing.T) {
 		want string
 	}{
 		{"truncated header", valid[:binBoardHeader-1], "truncated board record"},
-		{"ROs over limit", header(maxShardROs+1, 1), "ROs, limit"},
-		{"conditions over limit", header(1, maxShardConds+1), "conditions, limit"},
-		{"header claims the maximum counts", header(maxShardROs, maxShardConds), "need"},
-		{"positions without frequencies", append(header(maxShardROs, maxShardConds), make([]byte, 4*maxShardROs)...), "need"},
+		{"empty grid", header(0, 1, 1), "empty 0x1 grid"},
+		{"grid with no rows", header(16, 0, 0), "empty 16x0 grid"},
+		{"ROs over limit", header(1025, 1024, 1), "ROs, limit"},
+		{"largest grid over limit", header(0xFFFF, 0xFFFF, 1), "ROs, limit"},
+		{"conditions over limit", header(1, 1, maxShardConds+1), "conditions, limit"},
+		{"header claims the maximum counts", header(1024, 1024, maxShardConds), "need"},
+		{"one condition of many", append(header(1024, 1024, maxShardConds), make([]byte, 8+8*maxShardROs)...), "need"},
 		{"one byte short", valid[:len(valid)-1], "need"},
 		{"one trailing byte", append(append([]byte{}, valid...), 0), "need"},
 		{"repeated condition", repeated, "repeats condition"},
@@ -575,15 +580,8 @@ func appendBinBoardByField(dst []byte, b *Board) []byte {
 	binary.LittleEndian.PutUint16(scratch[0:2], uint16(b.GridW))
 	binary.LittleEndian.PutUint16(scratch[2:4], uint16(b.GridH))
 	dst = append(dst, scratch[:4]...)
-	binary.LittleEndian.PutUint32(scratch[0:4], uint32(b.NumROs()))
-	dst = append(dst, scratch[:4]...)
 	binary.LittleEndian.PutUint16(scratch[0:2], uint16(len(conds)))
 	dst = append(dst, scratch[:2]...)
-	for i := range b.X {
-		binary.LittleEndian.PutUint16(scratch[0:2], uint16(b.X[i]))
-		binary.LittleEndian.PutUint16(scratch[2:4], uint16(b.Y[i]))
-		dst = append(dst, scratch[:4]...)
-	}
 	for _, c := range conds {
 		binary.LittleEndian.PutUint32(scratch[0:4], uint32(int32(c.MilliVolts)))
 		binary.LittleEndian.PutUint32(scratch[4:8], uint32(int32(c.DeciCelsius)))
@@ -598,7 +596,7 @@ func appendBinBoardByField(dst []byte, b *Board) []byte {
 
 // TestAppendBinBoardMatchesByField holds the one-pass encoder to the
 // field-by-field one, appending to an empty and to a non-empty buffer, for
-// nominal-only, swept and extra-condition boards.
+// nominal-only, swept, extra-condition and single-RO boards.
 func TestAppendBinBoardMatchesByField(t *testing.T) {
 	ds, err := GenerateVT(tinyVTConfig())
 	if err != nil {
@@ -609,8 +607,8 @@ func TestAppendBinBoardMatchesByField(t *testing.T) {
 	extra.Freq = maps.Clone(extra.Freq)
 	extra.Freq[Condition{MilliVolts: -900, DeciCelsius: -400}] = extra.Freq[NominalCondition]
 	extra.Freq[Condition{MilliVolts: 1500, DeciCelsius: 1000}] = extra.Freq[NominalCondition]
-	empty := &Board{ID: 3, Freq: map[Condition][]float64{NominalCondition: {}}}
-	boards = append(boards, &extra, empty)
+	single := &Board{ID: 3, GridW: 1, GridH: 1, Freq: map[Condition][]float64{NominalCondition: {95.5}}}
+	boards = append(boards, &extra, single)
 	for _, b := range boards {
 		for _, prefix := range [][]byte{nil, []byte("prefix")} {
 			got, err := appendBinBoard(slices.Clone(prefix), b)
@@ -622,5 +620,79 @@ func TestAppendBinBoardMatchesByField(t *testing.T) {
 					b.ID, len(b.Freq), prefix, len(got), len(want))
 			}
 		}
+	}
+}
+
+// TestAppendBinBoardRejects drives every refusal in appendBinBoard: a
+// board the record cannot hold, or whose condition vectors disagree with
+// its grid, is an error and never a record.
+func TestAppendBinBoardRejects(t *testing.T) {
+	board := func(id, w, h int, freqs ...[]float64) *Board {
+		b := &Board{ID: id, GridW: w, GridH: h, Freq: map[Condition][]float64{}}
+		for i, f := range freqs {
+			b.Freq[Condition{MilliVolts: 1000 + i, DeciCelsius: 250}] = f
+		}
+		return b
+	}
+	manyConds := board(1, 1, 1)
+	for i := 0; i <= maxShardConds; i++ {
+		manyConds.Freq[Condition{MilliVolts: i, DeciCelsius: 0}] = []float64{1}
+	}
+	cases := []struct {
+		name  string
+		board *Board
+		want  string
+	}{
+		{"negative ID", board(-1, 1, 1, []float64{1}), "does not fit"},
+		{"ID over u32", board(math.MaxUint32+1, 1, 1, []float64{1}), "does not fit"},
+		{"empty grid", board(1, 0, 0), "grid 0x0 does not fit"},
+		{"grid with no columns", board(1, 0, 4, []float64{}), "grid 0x4 does not fit"},
+		{"grid side over u16", board(1, math.MaxUint16+1, 1, make([]float64, math.MaxUint16+1)), "does not fit"},
+		{"grid over maxShardROs", board(1, 1025, 1024), "shard format limit"},
+		{"conditions over limit", manyConds, "conditions, shard format limit"},
+		{"short condition vector", board(1, 2, 2, []float64{1, 2, 3, 4}, []float64{1, 2, 3}), "has 3 ROs, its 2x2 grid 4"},
+		{"long condition vector", board(1, 2, 1, []float64{1, 2, 3}), "has 3 ROs, its 2x1 grid 2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			body, err := appendBinBoard(nil, tc.board)
+			if err == nil {
+				t.Fatalf("encoded a %d-byte record", len(body))
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err.Error(), tc.want)
+			}
+		})
+	}
+}
+
+// TestRefusesVersion1Corpus requires a version-1 corpus, which stored RO
+// positions in every record, to be refused by name: its manifest at
+// OpenShards, and a ROPUFDS1 shard under a current manifest when the
+// shard is read.
+func TestRefusesVersion1Corpus(t *testing.T) {
+	ds, err := GenerateVT(tinyVTConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, _ := writeCorpus(t, ds, 2)
+	editManifest(t, dir, func(m *Manifest) { m.Version = 1 })
+	if _, err := OpenShards(dir); err == nil || !strings.Contains(err.Error(), "version 1, want 2: regenerate the corpus") {
+		t.Fatalf("OpenShards of a version-1 manifest: %v", err)
+	}
+
+	dir, _ = writeCorpus(t, ds, 2)
+	path := filepath.Join(dir, shardName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "ROPUFDS1")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = readCorpus(dir)
+	if err == nil || !strings.Contains(err.Error(), "shard-0001.bin is format version 1, want 2: regenerate the corpus") {
+		t.Fatalf("reading a ROPUFDS1 shard: %v", err)
 	}
 }

@@ -101,18 +101,7 @@ func generateVTBoard(cfg VTConfig, id int, env bool, rng *rngx.RNG, bm *measure.
 		return nil, err
 	}
 	n := die.NumDevices()
-	b := &Board{
-		ID:    id,
-		GridW: cfg.GridW,
-		GridH: cfg.GridH,
-		X:     make([]int, n),
-		Y:     make([]int, n),
-		Freq:  make(map[Condition][]float64),
-	}
-	for i := 0; i < n; i++ {
-		dev := die.Device(i)
-		b.X[i], b.Y[i] = dev.X, dev.Y
-	}
+	b := &Board{ID: id, GridW: cfg.GridW, GridH: cfg.GridH, Freq: make(map[Condition][]float64)}
 	conds := sweptConditions[:1]
 	if env {
 		conds = sweptConditions

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"ropuf/internal/bits"
@@ -56,6 +57,42 @@ func TestPufStreamsShape(t *testing.T) {
 	for i, s := range streams {
 		if s.Len() != 96 {
 			t.Fatalf("stream %d has %d bits, want 96", i, s.Len())
+		}
+	}
+}
+
+// TestPufStreamsBuiltOncePerRunner asks a fresh runner for the same
+// stream set from several goroutines at once (run it under -race): every
+// caller must get the one set built, while another mode or degree gets a
+// set of its own.
+func TestPufStreamsBuiltOncePerRunner(t *testing.T) {
+	r := NewRunner()
+	got := make([][]*bits.Stream, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = r.pufStreams(core.Case1, distillerDegree)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if len(got[i]) != 97 || &got[i][0] != &got[0][0] {
+			t.Fatalf("caller %d got a set of %d streams apart from caller 0's", i, len(got[i]))
+		}
+	}
+	for _, key := range []streamKey{{core.Case1, raw}, {core.Case2, distillerDegree}} {
+		other, err := r.pufStreams(key.mode, key.degree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &other[0] == &got[0][0] {
+			t.Fatalf("%v at degree %d shares the Case-1 degree-%d set", key.mode, key.degree, distillerDegree)
 		}
 	}
 }

@@ -163,7 +163,8 @@ func (r *Runner) distiller() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		iRaw, err := distill.MoransI(board.X, board.Y, periods, neighbourRadius)
+		xs, ys := board.Positions()
+		iRaw, err := distill.MoransI(xs, ys, periods, neighbourRadius)
 		if err != nil {
 			return "", err
 		}
@@ -171,7 +172,7 @@ func (r *Runner) distiller() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		iRes, err := distill.MoransI(board.X, board.Y, res, neighbourRadius)
+		iRes, err := distill.MoransI(xs, ys, res, neighbourRadius)
 		if err != nil {
 			return "", err
 		}

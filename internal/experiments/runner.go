@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"ropuf/internal/bits"
 	"ropuf/internal/core"
 	"ropuf/internal/dataset"
 	"ropuf/internal/fleet"
@@ -37,7 +38,8 @@ type Result struct {
 }
 
 // Runner executes experiments against lazily generated datasets, caching
-// them across experiments so "run everything" fabricates each dataset once.
+// them, and the §IV.A streams built from them, across experiments so "run
+// everything" fabricates each dataset and builds each stream set once.
 type Runner struct {
 	// Tracer, when non-nil, emits one span per executed experiment (and a
 	// parent span around RunAllParallel batches). Obs, when non-nil,
@@ -52,6 +54,7 @@ type Runner struct {
 	mu      sync.Mutex
 	vt      *dataset.Dataset
 	inhouse []*dataset.InHouseBoard
+	streams map[streamKey]func() ([]*bits.Stream, error) // pufStreams builds, by mode and degree
 }
 
 // NewRunner returns a Runner with default dataset parameters.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"ropuf/internal/bits"
 	"ropuf/internal/core"
@@ -30,7 +31,8 @@ func boardDelays(b *dataset.Board, cond dataset.Condition, degree int) ([]float6
 	if err != nil {
 		return nil, err
 	}
-	res, err := d.Apply(b.X, b.Y, periods)
+	xs, ys := b.Positions()
+	res, err := d.Apply(xs, ys, periods)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: distilling board %d: %w", b.ID, err)
 	}
@@ -88,17 +90,41 @@ func (r *Runner) paperBoards() ([]*dataset.Board, error) {
 	return boards[:numNominalBoards], nil
 }
 
-// pufStreams builds the paper's §IV.A bit-streams: per-board Case-1 or
+// streamKey names one set of §IV.A streams: the selection mode and the
+// distiller degree (raw for none).
+type streamKey struct {
+	mode   core.Mode
+	degree int
+}
+
+// pufStreams returns the paper's §IV.A bit-streams: per-board Case-1 or
 // Case-2 responses with n = 5 rings, from delays distilled at degree (raw
-// for none). Each response is 48 bits, so each stream is 96 bits.
+// for none). Each response is 48 bits, so each stream is 96 bits. Each
+// (mode, degree) set is built once per runner and shared by every
+// experiment that asks for it, so callers must only read the streams.
 func (r *Runner) pufStreams(mode core.Mode, degree int) ([]*bits.Stream, error) {
-	return r.boardStreams(func(b *dataset.Board) (*bits.Stream, error) {
-		e, err := boardEnroll(b, streamRingLen, mode, degree)
-		if err != nil {
-			return nil, err
+	key := streamKey{mode, degree}
+	r.mu.Lock()
+	build := r.streams[key]
+	if build == nil {
+		// The build runs outside r.mu, which it takes to read the VT
+		// dataset; every other caller of the key waits for its result.
+		build = sync.OnceValues(func() ([]*bits.Stream, error) {
+			return r.boardStreams(func(b *dataset.Board) (*bits.Stream, error) {
+				e, err := boardEnroll(b, streamRingLen, mode, degree)
+				if err != nil {
+					return nil, err
+				}
+				return e.Response, nil
+			})
+		})
+		if r.streams == nil {
+			r.streams = make(map[streamKey]func() ([]*bits.Stream, error))
 		}
-		return e.Response, nil
-	})
+		r.streams[key] = build
+	}
+	r.mu.Unlock()
+	return build()
 }
 
 // boardStreams concatenates the responses of the paper's boards two at a
